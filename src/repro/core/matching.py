@@ -26,7 +26,9 @@ single int code ``dest * num_chunks + chunk`` carrying a one-byte pair state:
 
 Pair states are promoted incrementally: every acquisition is pushed onto a
 time-ordered activation heap, and at the start of each span the acquisitions
-that have come due promote the pairs of their out-neighbours.  Combined with
+that have come due promote the pairs of their out-neighbours (large batches
+in one numpy pass over the TEN's out-neighbour CSR; promotion is idempotent
+and order-free, so the bytes match the scalar loop).  Combined with
 per-NPU idle-link caching and an idle-link budget that stops the scan once
 the span is saturated, a matching round touches each hopeless pair O(1)
 times instead of re-deriving its empty candidate set.
@@ -55,7 +57,7 @@ import random
 from bisect import insort
 from heapq import heappop, heappush
 from math import inf
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.algorithm import ChunkTransfer
 from repro.ten.network import TimeExpandedNetwork
@@ -112,6 +114,11 @@ def shuffle_pairs(pending: List, rng: random.Random) -> List:
     else:  # reference engine: tuple pairs
         pending[:] = [pending[index] for index in permutation.tolist()]
     return pending
+
+#: Fewest due acquisitions :meth:`MatchingState.activate_until` promotes in
+#: one numpy pass; smaller batches take the scalar loop.  Purely a
+#: performance knob: both paths leave identical pair states.
+_BATCH_ACTIVATION_MIN = 32
 
 #: Pair states (values of ``MatchingState._pair_state``).
 _SATISFIED = 0
@@ -227,23 +234,52 @@ class MatchingState:
             self._pair_state[index] = _SATISFIED
             self._unsatisfied_count -= 1
 
-    def activate_until(self, time: float, out_adjacency: List[List[int]]) -> None:
+    def activate_until(
+        self,
+        time: float,
+        out_adjacency: List[List[int]],
+        out_csr: Optional[Callable[[], Tuple]] = None,
+    ) -> None:
         """Promote pairs whose adjacent holder's acquisition has come due.
 
         Pops every acquisition scheduled at or before ``time`` and marks the
         still-needed (out-neighbour, chunk) pairs of the new holder as
         matchable.  Called at the start of each matching round; promotions
         are permanent because chunks are never un-acquired.
+
+        ``out_csr`` lazily supplies the ``(out_flat, out_indptr)`` CSR of
+        ``out_adjacency`` (see :meth:`~repro.ten.network.TimeExpandedNetwork.
+        out_neighbour_csr`).  With it, batches of at least
+        :data:`_BATCH_ACTIVATION_MIN` due acquisitions are promoted in one
+        numpy pass; the result is identical to the scalar loop because
+        promotion ``_NEEDED -> _MATCHABLE`` is idempotent and reads no state
+        it writes, so it does not depend on the order of the activations.
         """
         activations = self._activations
-        if not activations:
-            return
         threshold = time + _TIME_EPS
-        pair_state = self._pair_state
+        if not activations or activations[0][0] > threshold:
+            return
+        due = []
+        while activations and activations[0][0] <= threshold:
+            due.append(heappop(activations))
         num_chunks = self.num_chunks
         held = self._held
-        while activations and activations[0][0] <= threshold:
-            _, npu, chunk = heappop(activations)
+        if out_csr is not None and held is not None and len(due) >= _BATCH_ACTIVATION_MIN:
+            _, npus, chunks = zip(*due)
+            npus = _np.array(npus, dtype=_np.intp)
+            chunks = _np.array(chunks, dtype=_np.intp)
+            held[npus * num_chunks + chunks] = True
+            out_flat, out_indptr = out_csr()
+            starts = out_indptr[npus]
+            degrees = out_indptr[npus + 1] - starts
+            ends = _np.cumsum(degrees)
+            gather = _np.repeat(starts - ends + degrees, degrees) + _np.arange(int(ends[-1]))
+            codes = out_flat[gather] * num_chunks + _np.repeat(chunks, degrees)
+            states = _np.frombuffer(self._pair_state, dtype=_np.uint8)
+            states[codes[states[codes] == _NEEDED]] = _MATCHABLE
+            return
+        pair_state = self._pair_state
+        for _, npu, chunk in due:
             if held is not None:
                 held[npu * num_chunks + chunk] = True
             for neighbour in out_adjacency[npu]:
@@ -557,7 +593,7 @@ def _pick_link_id(
     determinism contract).
     """
     if prefer_lowest_cost and len(candidates) > 1:
-        best = min(link_costs[link_id] for link_id in candidates)
+        best = min(map(link_costs.__getitem__, candidates))
         threshold = best + _TIME_EPS
         cheapest = [link_id for link_id in candidates if link_costs[link_id] <= threshold]
         if len(cheapest) == 1:
@@ -693,11 +729,10 @@ def _run_direct_pass_blockwise(
             if prefer_lowest_cost and cheap_regions is not None:
                 # Lower-cost-link prioritization (Sec. IV-F), identical to
                 # the scalar loop's deferral.
-                best_available = min(link_costs[link_id] for link_id in candidates)
+                best_available = min(map(link_costs.__getitem__, candidates))
                 region_by_dest = cheap_regions.get(best_available)
                 if region_by_dest is not None:
-                    region = region_by_dest[dest]
-                    if any(holder in region for holder in holders[chunk]):
+                    if not region_by_dest[dest].isdisjoint(holders[chunk]):
                         continue
             num_candidates = len(candidates)
             if num_candidates == 1:
@@ -777,7 +812,7 @@ def run_matching_round(
     event_times = ten._event_times
     threshold = time + _TIME_EPS
 
-    state.activate_until(time, ten.out_adjacency)
+    state.activate_until(time, ten.out_adjacency, ten.out_neighbour_csr)
 
     # Links only become busy during a round (occupy is the sole mutation), so
     # per-NPU idle-link lists can be cached for the span and invalidated on
@@ -866,11 +901,11 @@ def run_matching_round(
             # incoming link will be able to supply this chunk soon (its source
             # is already scheduled to receive it), so do not burn an expensive
             # link on it now.  On homogeneous topologies this never triggers.
-            best_available = min(link_costs[link_id] for link_id in candidates)
+            best_available = min(map(link_costs.__getitem__, candidates))
             region_by_dest = cheap_regions.get(best_available)
             if region_by_dest is not None:
-                region = region_by_dest[dest]
-                if any(holder in region for holder in holders[chunk]):
+                # ``isdisjoint`` is the same membership test evaluated in C.
+                if not region_by_dest[dest].isdisjoint(holders[chunk]):
                     continue
         num_candidates = len(candidates)
         if num_candidates == 1:

@@ -193,7 +193,7 @@ def native_run_matching_round(
             cheap_regions=cheap_regions,
         )
 
-    state.activate_until(time, ten.out_adjacency)
+    state.activate_until(time, ten.out_adjacency, ten.out_neighbour_csr)
     idle_total = ten.idle_link_count(time)
 
     codes = state._pending_array()

@@ -32,7 +32,12 @@ The engine is array-backed (the PR 2 treatment applied to the simulator):
   into numpy-precomputed per-hop columns;
 * busy intervals and byte counters are reconstructed vectorized after the
   loop into per-link columnar ``(starts, ends)`` arrays consumed directly by
-  :class:`~repro.simulator.result.SimulationResult`'s vectorized sweeps.
+  :class:`~repro.simulator.result.SimulationResult`'s vectorized sweeps;
+* contention-free workloads (one-hop routes, ``alpha >= 0``, every link's
+  messages chained by dependencies — TACOS algorithms routed over their own
+  links) skip the event loop: no queue can form, so the loop reduces to a
+  longest-path pass over the dependency DAG, evaluated one Kahn frontier at
+  a time (:meth:`CongestionAwareSimulator._execute_chained`).
 
 Behaviour is byte-identical to the frozen pre-refactor engine
 (:class:`repro.bench.reference.ReferenceSimulator`): same routes, same float
@@ -236,8 +241,10 @@ class CongestionAwareSimulator:
         routes: List[Tuple[int, ...]],
         collective_size: float,
     ) -> SimulationResult:
-        """Shared event loop over flat hop columns (see :meth:`run`).
+        """Shared execution over flat hop columns (see :meth:`run`).
 
+        Contention-free workloads take :meth:`_execute_chained`; everything
+        else, and any workload the pass declines, runs the event loop.
         ``message_ids`` is ``None`` when ids equal positions (the adapters'
         contract); ``dep_flat`` lists dependency positions consumer-major.
         """
@@ -248,11 +255,11 @@ class CongestionAwareSimulator:
         # dependency, its dependents in ascending position order — the same
         # lists the historical per-message append loop produced.
         num_edges = int(dep_flat.shape[0])
+        consumer_of_edge = np.repeat(
+            np.arange(num_messages, dtype=np.int64),
+            np.asarray(missing_deps, dtype=np.int64),
+        )
         if num_edges:
-            consumer_of_edge = np.repeat(
-                np.arange(num_messages, dtype=np.int64),
-                np.asarray(missing_deps, dtype=np.int64),
-            )
             edge_order = np.argsort(dep_flat, kind="stable")
             dependents_flat_arr = consumer_of_edge[edge_order]
             dependent_counts = np.bincount(dep_flat, minlength=num_messages)
@@ -265,9 +272,7 @@ class CongestionAwareSimulator:
 
         # Flat per-hop columns, vectorized: position `pos` of message `index`
         # at hop `h` is offsets[index] + h; consecutive hops are consecutive
-        # positions, so advancing a message is `pos + 1`.  A message's final
-        # hop stores its link id bitwise-inverted (always negative), folding
-        # the is-last-hop test into the link read the loop does anyway.
+        # positions, so advancing a message is `pos + 1`.
         route_lengths = np.fromiter(map(len, routes), dtype=np.int64, count=num_messages)
         offsets_arr = np.zeros(num_messages + 1, dtype=np.int64)
         np.cumsum(route_lengths, out=offsets_arr[1:])
@@ -279,51 +284,33 @@ class CongestionAwareSimulator:
         alphas_arr = np.asarray(arrays.alphas, dtype=float)
         hop_sizes_arr = np.repeat(sizes_arr, route_lengths)
         hop_serialization_arr = betas_arr[hop_links_arr] * hop_sizes_arr
-        last_positions = offsets_arr[1:] - 1
-        signed_links_arr = hop_links_arr.copy()
-        signed_links_arr[last_positions] = ~signed_links_arr[last_positions]
         hop_latency_arr = alphas_arr[hop_links_arr] if num_hops else np.empty(0)
-        message_of_hop_arr = np.repeat(np.arange(num_messages, dtype=np.int64), route_lengths)
 
-        use_kernel = self.use_kernel
-        if use_kernel is None:
-            use_kernel = _NUMBA_AVAILABLE
-        if use_kernel:
-            # Native tier: the same loop compiled over the same columns (see
-            # repro.kernels.event_loop for the FCFS-equivalence argument).
-            completion_arr, kernel_positions, kernel_starts, completed = _event_loop_kernel(
-                signed_links_arr,
-                hop_serialization_arr,
-                hop_latency_arr,
-                message_of_hop_arr,
-                offsets_arr[:-1],
-                np.asarray(missing_deps, dtype=np.int64),
-                dependents_flat_arr,
-                dependents_indptr_arr,
-                len(arrays.alphas),
-            )
-            event_positions = kernel_positions
-            event_starts = kernel_starts
-            if completed != num_messages:
-                never_ran = np.isnan(completion_arr)
-                completion = [
-                    None if missing else value
-                    for value, missing in zip(completion_arr.tolist(), never_ran.tolist())
-                ]
-            else:
-                completion = completion_arr.tolist()
+        chained = self._execute_chained(
+            route_lengths,
+            hop_links_arr,
+            hop_serialization_arr,
+            hop_latency_arr,
+            missing_deps,
+            dep_flat,
+            consumer_of_edge,
+            dependents_flat_arr,
+            dependents_indptr_arr,
+        )
+        if chained is not None:
+            completion, event_positions, event_starts, completed = chained
         else:
-            completion, event_positions, event_starts, completed = self._execute_python(
+            completion, event_positions, event_starts, completed = self._execute_event_loop(
                 num_messages,
                 len(arrays.alphas),
-                signed_links_arr.tolist(),
-                hop_serialization_arr.tolist(),
-                hop_latency_arr.tolist(),
-                message_of_hop_arr.tolist(),
-                offsets_arr[:-1].tolist(),
+                offsets_arr,
+                hop_links_arr,
+                hop_serialization_arr,
+                hop_latency_arr,
+                route_lengths,
                 missing_deps,
-                dependents_flat_arr.tolist(),
-                dependents_indptr_arr.tolist(),
+                dependents_flat_arr,
+                dependents_indptr_arr,
             )
 
         if completed != num_messages:
@@ -358,6 +345,151 @@ class CongestionAwareSimulator:
             num_links=self.topology.num_links,
             collective_size=collective_size,
         )
+
+    def _execute_event_loop(
+        self,
+        num_messages: int,
+        num_links: int,
+        offsets_arr: np.ndarray,
+        hop_links_arr: np.ndarray,
+        hop_serialization_arr: np.ndarray,
+        hop_latency_arr: np.ndarray,
+        route_lengths: np.ndarray,
+        missing_deps: List[int],
+        dependents_flat_arr: np.ndarray,
+        dependents_indptr_arr: np.ndarray,
+    ):
+        """The FCFS event loop: the native kernel or the Python loop.
+
+        A message's final hop stores its link id bitwise-inverted (always
+        negative), folding the is-last-hop test into the link read the loop
+        does anyway.
+        """
+        last_positions = offsets_arr[1:] - 1
+        signed_links_arr = hop_links_arr.copy()
+        signed_links_arr[last_positions] = ~signed_links_arr[last_positions]
+        message_of_hop_arr = np.repeat(np.arange(num_messages, dtype=np.int64), route_lengths)
+        use_kernel = self.use_kernel
+        if use_kernel is None:
+            use_kernel = _NUMBA_AVAILABLE
+        if not use_kernel:
+            return self._execute_python(
+                num_messages,
+                num_links,
+                signed_links_arr.tolist(),
+                hop_serialization_arr.tolist(),
+                hop_latency_arr.tolist(),
+                message_of_hop_arr.tolist(),
+                offsets_arr[:-1].tolist(),
+                missing_deps,
+                dependents_flat_arr.tolist(),
+                dependents_indptr_arr.tolist(),
+            )
+        # Native tier: the same loop compiled over the same columns (see
+        # repro.kernels.event_loop for the FCFS-equivalence argument).
+        completion_arr, event_positions, event_starts, completed = _event_loop_kernel(
+            signed_links_arr,
+            hop_serialization_arr,
+            hop_latency_arr,
+            message_of_hop_arr,
+            offsets_arr[:-1],
+            np.asarray(missing_deps, dtype=np.int64),
+            dependents_flat_arr,
+            dependents_indptr_arr,
+            num_links,
+        )
+        if completed != num_messages:
+            never_ran = np.isnan(completion_arr)
+            completion = [
+                None if missing else value
+                for value, missing in zip(completion_arr.tolist(), never_ran.tolist())
+            ]
+        else:
+            completion = completion_arr.tolist()
+        return completion, event_positions, event_starts, completed
+
+    @staticmethod
+    def _execute_chained(
+        route_lengths: np.ndarray,
+        hop_links: np.ndarray,
+        hop_serialization: np.ndarray,
+        hop_latency: np.ndarray,
+        missing_deps: List[int],
+        dep_flat: np.ndarray,
+        consumer_of_edge: np.ndarray,
+        dependents_flat: np.ndarray,
+        dependents_indptr: np.ndarray,
+    ):
+        """Contention-free workloads as a level-synchronous longest-path pass.
+
+        Applies when, checked here from the columns alone:
+
+        * every route is exactly one hop;
+        * every used link has ``alpha >= 0``;
+        * on every link, each message after the first (in position order)
+          depends on its predecessor on that link.
+
+        Then a link is always free when its next message becomes ready: the
+        predecessor's serialization ended no later than its arrival, which
+        is no later than the successor's ready time.  The event loop's
+        ``start`` therefore always equals the message's ready time, and the
+        loop reduces to ``arrival = (ready + serialization) + latency`` with
+        ``ready`` the maximum of the dependencies' arrivals (at least 0.0),
+        evaluated one Kahn frontier at a time with the loop's float grouping.
+        Positions are recorded level by level; a link's messages form a
+        dependency chain, so they land in strictly increasing levels and the
+        per-link order :meth:`_collect_link_stats` sees is the loop's.
+
+        Returns the loop's ``(completion, event_positions, event_starts,
+        completed)`` or ``None`` when a precondition fails or the frontier
+        does not drain (a dependency cycle), in which case the caller runs
+        the event loop, which raises the usual error.
+        """
+        num_messages = route_lengths.shape[0]
+        if not num_messages or not (route_lengths == 1).all() or not (hop_latency >= 0.0).all():
+            return None
+        # One hop per message: hop columns are indexed by message position.
+        order = np.argsort(hop_links, kind="stable")
+        same_link = hop_links[order[1:]] == hop_links[order[:-1]]
+        predecessor = np.full(num_messages, -1, dtype=np.int64)
+        predecessor[order[1:][same_link]] = order[:-1][same_link]
+        chained = predecessor < 0
+        chained[consumer_of_edge[dep_flat == predecessor[consumer_of_edge]]] = True
+        if not chained.all():
+            return None
+
+        remaining = np.array(missing_deps, dtype=np.int64)
+        ready = np.zeros(num_messages)
+        arrival = np.empty(num_messages)
+        # mark[m] = index of m's last occurrence in the current candidate
+        # list; dedupes the next frontier without a sort.
+        mark = np.empty(num_messages, dtype=np.int64)
+        levels = []
+        frontier = np.flatnonzero(remaining == 0)
+        while frontier.shape[0]:
+            levels.append(frontier)
+            arrival[frontier] = (ready[frontier] + hop_serialization[frontier]) + hop_latency[
+                frontier
+            ]
+            lows = dependents_indptr[frontier]
+            counts = dependents_indptr[frontier + 1] - lows
+            ends = np.cumsum(counts)
+            total = int(ends[-1])
+            if not total:
+                break
+            dependents = dependents_flat[
+                np.repeat(lows - ends + counts, counts) + np.arange(total)
+            ]
+            np.maximum.at(ready, dependents, np.repeat(arrival[frontier], counts))
+            np.subtract.at(remaining, dependents, 1)
+            due = dependents[remaining[dependents] == 0]
+            slots = np.arange(due.shape[0])
+            mark[due] = slots
+            frontier = due[mark[due] == slots]
+        positions = np.concatenate(levels) if levels else np.empty(0, dtype=np.int64)
+        if positions.shape[0] != num_messages or np.isnan(arrival).any():
+            return None
+        return arrival.tolist(), positions, ready[positions], num_messages
 
     @staticmethod
     def _execute_python(

@@ -96,6 +96,7 @@ class TimeExpandedNetwork:
         self._event_heap: List[float] = []
         self._event_times: set = set()
         self._in_csr = None
+        self._out_csr = None
 
     # ------------------------------------------------------------------
     # Link ids (hot path)
@@ -139,6 +140,30 @@ class TimeExpandedNetwork:
             )
             csr = (in_flat, in_indptr, sources)
             self._in_csr = csr
+        return csr
+
+    def out_neighbour_csr(self):
+        """Numpy CSR view of :attr:`out_adjacency`, built lazily per TEN.
+
+        Returns ``(out_flat, out_indptr)`` where the out-neighbours of NPU
+        ``s`` are ``out_flat[out_indptr[s]:out_indptr[s + 1]]`` in the order
+        of ``out_adjacency[s]``.  Requires numpy (``None`` without it); used
+        by the matching state's batched pair activation.
+        """
+        if _np is None:
+            return None
+        csr = self._out_csr
+        if csr is None:
+            adjacency = self.out_adjacency
+            out_indptr = _np.zeros(len(adjacency) + 1, dtype=_np.intp)
+            _np.cumsum([len(neighbours) for neighbours in adjacency], out=out_indptr[1:])
+            out_flat = _np.fromiter(
+                (neighbour for neighbours in adjacency for neighbour in neighbours),
+                dtype=_np.intp,
+                count=int(out_indptr[-1]),
+            )
+            csr = (out_flat, out_indptr)
+            self._out_csr = csr
         return csr
 
     def occupy_id(self, link_id: int, time: float) -> float:
