@@ -4,8 +4,8 @@ Two layers:
 
 * :class:`ArtifactStore` — the on-disk layer.  Every artifact is addressed by
   a :meth:`~repro.api.specs.RunSpec.spec_hash` key and stored as either a
-  strict-JSON document (``<key>.json``) or a columnar numpy payload
-  (``<key>.<name>.npz`` — raw arrays, never pickles).  Writes go to a unique
+  strict-JSON document (``<key>.json``) or a raw binary blob
+  (``<key>.<name>.bin`` — plain bytes, never pickles).  Writes go to a unique
   temporary file and are renamed into place atomically under an advisory
   file lock, so any number of worker *processes* can share one directory:
   readers never observe a torn file, and concurrent writers of the same key
@@ -13,32 +13,143 @@ Two layers:
 * :class:`ResultCache` — the in-memory dictionary (always on) plus an
   optional :class:`ArtifactStore`, keeping the historical ``get``/``put``
   API of the run layer.  Cache reads return results flagged ``cached=True``;
-  corrupt or unreadable disk entries are treated as misses.
+  corrupt or unreadable disk entries are treated as misses and logged as
+  one WARNING each (an absent entry is a silent miss).
 
-Beyond run results, the store persists synthesized algorithms as columnar
-``.npz`` payloads (:meth:`ResultCache.put_algorithm` /
-:meth:`ResultCache.load_algorithm`), so repeated sessions — and concurrent
-sweep workers — share synthesis work, not just its timing summary.
+Beyond run results, the store persists synthesized algorithms
+(:meth:`ResultCache.put_algorithm` / :meth:`ResultCache.load_algorithm`), so
+repeated sessions — and concurrent sweep workers — share synthesis work, not
+just its timing summary.  An algorithm artifact is one file,
+``<key>.algorithm.bin`` (:func:`encode_algorithm`): a magic-and-version
+prefix, a little-endian ``uint32`` header length, a strict-JSON header
+(``num_npus``, ``chunk_size``, ``collective_size``, ``pattern_name``,
+``topology_name``, ``metadata``), then the
+:meth:`~repro.core.transfers.TransferTable.to_bytes` payload.  Loading it is
+one read plus :func:`decode_algorithm`; the float columns are bit-exact.
+Artifacts in the earlier ``.npz`` layout are not read (they are misses).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
+import logging
 import os
+import struct
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.runner import RunResult
+    from repro.api.specs import RunSpec
+    from repro.core.algorithm import CollectiveAlgorithm
 
 try:  # POSIX advisory locks; absent on some platforms.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
-__all__ = ["ArtifactStore", "ResultCache"]
+__all__ = [
+    "ArtifactStore",
+    "ResultCache",
+    "decode_algorithm",
+    "decode_algorithm_header",
+    "encode_algorithm",
+]
+
+_log = logging.getLogger(__name__)
+
+#: Magic prefix + format version of an algorithm artifact.
+_ALGORITHM_MAGIC = b"TACOSAL1"
+#: Little-endian byte length of the JSON header that follows the magic.
+_HEADER_LENGTH = struct.Struct("<I")
+#: Header fields of an algorithm artifact and the JSON types they must have.
+_HEADER_FIELDS = (
+    ("num_npus", int),
+    ("chunk_size", float),
+    ("collective_size", float),
+    ("pattern_name", str),
+    ("topology_name", str),
+    ("metadata", dict),
+)
+
+
+def encode_algorithm(algorithm: "CollectiveAlgorithm") -> bytes:
+    """Serialize ``algorithm`` as one binary artifact (see the module docstring).
+
+    Metadata rides along as JSON (tuples come back as lists): an All-Reduce
+    algorithm is unverifiable without its ``phase_boundary``, so dropping it
+    would defeat the sharing.
+    """
+    header = json.dumps(
+        {
+            "num_npus": int(algorithm.num_npus),
+            "chunk_size": float(algorithm.chunk_size),
+            "collective_size": float(algorithm.collective_size),
+            "pattern_name": str(algorithm.pattern_name),
+            "topology_name": str(algorithm.topology_name),
+            "metadata": algorithm.metadata,
+        },
+        default=str,
+        allow_nan=False,
+    ).encode("utf-8")
+    return b"".join(
+        (_ALGORITHM_MAGIC, _HEADER_LENGTH.pack(len(header)), header, algorithm.table.to_bytes())
+    )
+
+
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"non-finite number {name} in the header")
+
+
+def decode_algorithm_header(data: bytes) -> Tuple[Dict[str, Any], int]:
+    """The validated JSON header of an :func:`encode_algorithm` artifact.
+
+    Returns the header and the offset at which the transfer table starts.
+    Raises :class:`ValueError` on a bad magic, a truncated header, a header
+    that is not strict JSON, or a missing or mistyped field.
+    """
+    prefix = len(_ALGORITHM_MAGIC) + _HEADER_LENGTH.size
+    if not data.startswith(_ALGORITHM_MAGIC):
+        raise ValueError("not an algorithm artifact (bad magic)")
+    if len(data) < prefix:
+        raise ValueError("truncated header length")
+    (length,) = _HEADER_LENGTH.unpack_from(data, len(_ALGORITHM_MAGIC))
+    end = prefix + length
+    if len(data) < end:
+        raise ValueError(f"header declares {length} bytes, artifact has {len(data) - prefix}")
+    header = json.loads(data[prefix:end], parse_constant=_reject_constant)
+    if not isinstance(header, dict):
+        raise ValueError("header is not a JSON object")
+    for name, kind in _HEADER_FIELDS:
+        value = header.get(name)
+        # bool is an int subclass; a JSON true is never an NPU count.
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"header field {name!r} is missing or not a {kind.__name__}")
+    return header, end
+
+
+def decode_algorithm(data: bytes) -> "CollectiveAlgorithm":
+    """Rebuild the algorithm in an :func:`encode_algorithm` artifact.
+
+    Raises :class:`ValueError` when the header is invalid (see
+    :func:`decode_algorithm_header`) or the table is truncated, has trailing
+    bytes, or holds a transfer ending before it starts.
+    """
+    from repro.core.algorithm import CollectiveAlgorithm
+    from repro.core.transfers import TransferTable
+
+    header, offset = decode_algorithm_header(data)
+    return CollectiveAlgorithm.from_table(
+        TransferTable.from_bytes(memoryview(data)[offset:]),
+        num_npus=header["num_npus"],
+        chunk_size=header["chunk_size"],
+        collective_size=header["collective_size"],
+        pattern_name=header["pattern_name"],
+        topology_name=header["topology_name"],
+        metadata=header["metadata"],
+    )
 
 
 class _FileLock:
@@ -68,7 +179,7 @@ class _FileLock:
 
 
 class ArtifactStore:
-    """Hash-addressed directory of JSON documents and columnar array payloads.
+    """Hash-addressed directory of JSON documents and raw binary blobs.
 
     Parameters
     ----------
@@ -135,44 +246,35 @@ class ArtifactStore:
     def read_json(self, key: str) -> Optional[Dict[str, Any]]:
         """The JSON document stored under ``key``, or ``None`` (corrupt = miss)."""
         try:
-            return json.loads(self._json_path(key).read_text())
-        except (OSError, ValueError):
+            return json.loads(self._json_path(key).read_bytes())
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as exc:
+            _log.warning("store entry %s.json is unreadable, treating it as a miss: %s", key, exc)
             return None
 
     # ------------------------------------------------------------------
-    # Columnar array payloads
+    # Binary blobs
     # ------------------------------------------------------------------
-    def _npz_path(self, key: str, name: str) -> Path:
-        return self.directory / f"{key}.{name}.npz"
+    def _blob_path(self, key: str, name: str) -> Path:
+        return self.directory / f"{key}.{name}.bin"
 
-    def write_arrays(self, key: str, name: str, arrays: Dict[str, np.ndarray]) -> Path:
-        """Persist named numpy columns under ``key`` as a ``.npz`` (atomic).
-
-        The payload is a plain (uncompressed) zip of raw arrays —
-        ``allow_pickle`` stays off at both ends, so object arrays are
-        rejected on write and nothing executes on load.
-        """
-        path = self._npz_path(key, name)
-        payload = {field: np.asarray(column) for field, column in arrays.items()}
-        for field, column in payload.items():
-            if column.dtype.hasobject:
-                # np.savez would silently pickle these; the store's contract
-                # is raw columns only (nothing executes on load).
-                raise ValueError(
-                    f"artifact column {field!r} has object dtype; "
-                    "only plain numeric/string columns can be stored"
-                )
-        buffer = io.BytesIO()
-        np.savez(buffer, **payload)
-        self._write_atomic(path, buffer.getvalue())
+    def write_blob(self, key: str, name: str, data: bytes) -> Path:
+        """Persist ``data`` under ``(key, name)`` as ``<key>.<name>.bin`` (atomic)."""
+        path = self._blob_path(key, name)
+        self._write_atomic(path, data)
         return path
 
-    def read_arrays(self, key: str, name: str) -> Optional[Dict[str, np.ndarray]]:
-        """The columns stored under ``(key, name)``, or ``None`` (corrupt = miss)."""
+    def read_blob(self, key: str, name: str) -> Optional[bytes]:
+        """The bytes stored under ``(key, name)``, or ``None`` (unreadable = miss)."""
         try:
-            with np.load(self._npz_path(key, name), allow_pickle=False) as payload:
-                return {field: payload[field] for field in payload.files}
-        except (OSError, ValueError):
+            return self._blob_path(key, name).read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            _log.warning(
+                "store entry %s.%s.bin is unreadable, treating it as a miss: %s", key, name, exc
+            )
             return None
 
     # ------------------------------------------------------------------
@@ -186,10 +288,11 @@ class ArtifactStore:
 
     def _entries(self) -> Iterator[Path]:
         yield from self.directory.glob("*.json")
-        yield from self.directory.glob("*.npz")
+        yield from self.directory.glob("*.bin")
+        yield from self.directory.glob("*.npz")  # the earlier artifact layout
 
     def clear(self) -> None:
-        """Delete every stored artifact (JSON and npz), keeping the directory."""
+        """Delete every stored artifact (JSON, blobs, old ``.npz``), keeping the directory."""
         if not self.directory.is_dir():
             return
         with self.lock():
@@ -232,7 +335,7 @@ class ResultCache:
         with self._lock:
             result = self._memory.get(key)
         if result is None and self.store is not None:
-            result = self._read_disk(key)
+            result = self._read_disk(spec, key)
             if result is not None:
                 with self._lock:
                     self._memory[key] = result
@@ -264,82 +367,57 @@ class ResultCache:
         with self._lock:
             self._memory[key] = dataclasses.replace(result, cached=False)
 
-    def _read_disk(self, key: str) -> Optional["RunResult"]:
+    def _read_disk(self, spec: "RunSpec", key: str) -> Optional["RunResult"]:
         from repro.api.runner import RunResult
 
         data = self.store.read_json(key)
         if data is None:
             return None
         try:
-            return dataclasses.replace(RunResult.from_dict(data), cached=False)
-        except (ValueError, KeyError, TypeError):
+            # The key is the hash of ``spec``, so the stored copy of the spec
+            # is equal to it: reuse the caller's instead of rebuilding it.
+            return RunResult.from_dict(data, spec=spec)
+        except (ValueError, KeyError, TypeError) as exc:
+            _log.warning(
+                "store entry %s.json is not a run result, treating it as a miss: %r", key, exc
+            )
             return None
 
     # ------------------------------------------------------------------
-    # Algorithm artifacts (columnar .npz payloads)
+    # Algorithm artifacts (one binary blob each)
     # ------------------------------------------------------------------
-    #: npz payload name under which the transfer columns are stored.
+    #: Blob name under which algorithm artifacts are stored.
     ALGORITHM_ARTIFACT = "algorithm"
 
     def put_algorithm(self, spec: "RunSpec", algorithm: "CollectiveAlgorithm") -> None:
-        """Persist a synthesized algorithm's transfer columns under the spec hash.
+        """Persist a synthesized algorithm under the spec hash (:func:`encode_algorithm`).
 
         A no-op without a disk store (the in-memory layer caches results, not
-        algorithms).  The table is stored as raw columns plus the scalar
-        fields needed to rebuild a :class:`~repro.core.algorithm.CollectiveAlgorithm`.
+        algorithms).
         """
         if self.store is None:
             return
-        table = algorithm.table
-        self.store.write_arrays(
-            spec.spec_hash(),
-            self.ALGORITHM_ARTIFACT,
-            {
-                "starts": table.starts,
-                "ends": table.ends,
-                "chunks": table.chunks,
-                "sources": table.sources,
-                "dests": table.dests,
-                "scalars": np.asarray(
-                    [float(algorithm.num_npus), float(algorithm.chunk_size), float(algorithm.collective_size)]
-                ),
-                "names": np.asarray([algorithm.pattern_name, algorithm.topology_name]),
-                # Metadata rides along as JSON (tuples come back as lists):
-                # an All-Reduce algorithm is unverifiable without its
-                # phase_boundary, so dropping this would defeat the sharing.
-                "metadata": np.asarray(
-                    [json.dumps(algorithm.metadata, default=str, allow_nan=False)]
-                ),
-            },
+        self.store.write_blob(
+            spec.spec_hash(), self.ALGORITHM_ARTIFACT, encode_algorithm(algorithm)
         )
 
     def load_algorithm(self, spec: "RunSpec") -> Optional["CollectiveAlgorithm"]:
-        """Rebuild the stored algorithm for ``spec``, or ``None`` when absent."""
+        """Rebuild the stored algorithm for ``spec``, or ``None`` when absent or corrupt."""
         if self.store is None:
             return None
-        arrays = self.store.read_arrays(spec.spec_hash(), self.ALGORITHM_ARTIFACT)
-        if arrays is None:
+        key = spec.spec_hash()
+        data = self.store.read_blob(key, self.ALGORITHM_ARTIFACT)
+        if data is None:
             return None
-        from repro.core.algorithm import CollectiveAlgorithm
-        from repro.core.transfers import TransferTable
-
         try:
-            table = TransferTable.from_columns(
-                arrays["starts"], arrays["ends"], arrays["chunks"], arrays["sources"], arrays["dests"]
+            return decode_algorithm(data)
+        except ValueError as exc:
+            _log.warning(
+                "store entry %s.%s.bin is corrupt, treating it as a miss: %s",
+                key,
+                self.ALGORITHM_ARTIFACT,
+                exc,
             )
-            scalars = arrays["scalars"]
-            names = arrays["names"]
-            metadata = json.loads(str(arrays["metadata"][0])) if "metadata" in arrays else {}
-            return CollectiveAlgorithm.from_table(
-                table,
-                num_npus=int(scalars[0]),
-                chunk_size=float(scalars[1]),
-                collective_size=float(scalars[2]),
-                pattern_name=str(names[0]),
-                topology_name=str(names[1]),
-                metadata=metadata,
-            )
-        except (KeyError, IndexError, ValueError):
             return None
 
     # ------------------------------------------------------------------

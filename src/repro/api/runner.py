@@ -106,10 +106,14 @@ class RunResult:
         return data
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunResult":
-        """Rebuild a result from :meth:`to_dict` output."""
+    def from_dict(cls, data: Mapping[str, Any], *, spec: Optional[RunSpec] = None) -> "RunResult":
+        """Rebuild a result from :meth:`to_dict` output.
+
+        ``spec`` replaces the stored spec when the caller already holds an
+        equal one (a cache hit is addressed by its spec's hash).
+        """
         return cls(
-            spec=RunSpec.from_dict(data["spec"]),
+            spec=RunSpec.from_dict(data["spec"]) if spec is None else spec,
             algorithm=data["algorithm"],
             topology=data["topology"],
             collective=data["collective"],

@@ -85,8 +85,22 @@ class _SpecBase:
     def canonical_json(self) -> str:
         """Key-sorted, whitespace-free JSON used for hashing and cache keys."""
         return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
+            self._plain(), sort_keys=True, separators=(",", ":"), allow_nan=False
         )
+
+    def _plain(self) -> Dict[str, Any]:
+        """The fields as plain dictionaries, sharing (not copying) the values.
+
+        Serializes byte-for-byte like :meth:`to_dict`: ``params`` are already
+        canonical from ``__post_init__``, so only nested specs need
+        converting, and the deep copy :func:`dataclasses.asdict` makes is
+        wasted on a document that is only hashed.
+        """
+        plain = {}
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            plain[name] = value._plain() if isinstance(value, _SpecBase) else value
+        return plain
 
     def spec_hash(self) -> str:
         """Stable content hash of the spec (hex digest)."""

@@ -7,8 +7,8 @@ re-readable JSON: Python's ``json`` module happily writes ``NaN`` /
 ``json.loads`` round-trip through other tools) accepts, unless the call
 explicitly decides ``allow_nan``.  And pickle is banned outright under
 ``src/repro/``: artifacts must be readable by any consumer, safe to load
-from untrusted stores, and diffable — the ArtifactStore's columnar
-``.npz`` + strict-JSON design (PR 5) exists precisely to avoid it.
+from untrusted stores, and diffable — the ArtifactStore's raw column
+blobs + strict-JSON design exists precisely to avoid it.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _check_pickle(context: ModuleContext) -> Iterator[Finding]:
                         node,
                         f"import of {alias.name!r}: pickle-family serialization is "
                         "banned under src/repro — artifacts must be strict JSON "
-                        "or columnar .npz (see repro.api.cache.ArtifactStore)",
+                        "or raw column blobs (see repro.api.cache.ArtifactStore)",
                     )
         elif isinstance(node, ast.ImportFrom):
             root = (node.module or "").split(".")[0]
@@ -92,7 +92,7 @@ def _check_pickle(context: ModuleContext) -> Iterator[Finding]:
                     node,
                     f"import from {node.module!r}: pickle-family serialization is "
                     "banned under src/repro — artifacts must be strict JSON "
-                    "or columnar .npz (see repro.api.cache.ArtifactStore)",
+                    "or raw column blobs (see repro.api.cache.ArtifactStore)",
                 )
         elif isinstance(node, ast.Call):
             for keyword in node.keywords:

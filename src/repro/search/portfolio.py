@@ -2,10 +2,10 @@
 
 Every synthesized algorithm persisted through the artifact store
 (:meth:`~repro.api.cache.ResultCache.put_algorithm`) carries its winning
-seed in the metadata column of the columnar ``.npz`` payload.  The portfolio
-reader scans the store for runs on the same *topology family* (``Mesh``,
-``Ring``, ``DragonFly``, ...) and returns those seeds in a deterministic
-first-seen order.  A seed that won once on a family is a good opening move
+seed in the metadata of the artifact's JSON header.  The portfolio reader
+scans the store for runs on the same *topology family* (``Mesh``, ``Ring``,
+``DragonFly``, ...) and returns those seeds in a deterministic first-seen
+order.  A seed that won once on a family is a good opening move
 on a sibling instance: front-loading it establishes a strong incumbent
 early, which is what makes incumbent pruning bite (the winner itself is
 unaffected — portfolios only reorder the seed list).
@@ -13,16 +13,12 @@ unaffected — portfolios only reorder the seed list).
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports core)
     from repro.api.cache import ArtifactStore
 
 __all__ = ["topology_family", "winning_seeds"]
-
-#: npz payload name under which ResultCache persists algorithm columns.
-_ALGORITHM_ARTIFACT = "algorithm"
 
 
 def topology_family(topology_name: str) -> str:
@@ -40,13 +36,18 @@ def winning_seeds(store: "ArtifactStore", family: str, limit: int = 8) -> List[i
 
     Scans the store's JSON documents in sorted key order (deterministic for
     a given store state), keeps runs whose resolved topology belongs to
-    ``family``, and reads the winning ``seed`` from the companion algorithm
-    ``.npz`` metadata.  Seeds are deduplicated first-seen and truncated to
-    ``limit``.  Corrupt or partial entries are skipped — the portfolio is an
-    optimization, never a correctness dependency.
+    ``family``, and reads the winning ``seed`` from the metadata in the
+    companion algorithm artifact's header (decoded by
+    :func:`~repro.api.cache.decode_algorithm_header`, as
+    :meth:`~repro.api.cache.ResultCache.load_algorithm` does).  Seeds are
+    deduplicated first-seen and truncated to ``limit``.  Corrupt or partial
+    entries are skipped — the portfolio is an optimization, never a
+    correctness dependency.
     """
     if limit <= 0:
         return []
+    from repro.api.cache import ResultCache, decode_algorithm_header
+
     seeds: List[int] = []
     seen = set()
     for key in store.keys():  # repro-lint: disable=D101 -- ArtifactStore.keys() returns a sorted list, not a dict view
@@ -56,14 +57,14 @@ def winning_seeds(store: "ArtifactStore", family: str, limit: int = 8) -> List[i
         topology_name = document.get("topology")
         if not isinstance(topology_name, str) or topology_family(topology_name) != family:
             continue
-        arrays = store.read_arrays(key, _ALGORITHM_ARTIFACT)
-        if arrays is None or "metadata" not in arrays:
+        blob = store.read_blob(key, ResultCache.ALGORITHM_ARTIFACT)
+        if blob is None:
             continue
         try:
-            metadata = json.loads(str(arrays["metadata"][0]))
-        except (IndexError, ValueError):
+            header, _ = decode_algorithm_header(blob)
+        except ValueError:
             continue
-        seed = metadata.get("seed") if isinstance(metadata, dict) else None
+        seed = header["metadata"].get("seed")
         # bool is an int subclass; a JSON true/false is never a seed.
         if not isinstance(seed, int) or isinstance(seed, bool):
             continue

@@ -8,17 +8,20 @@ change the winner; those tests assert the mechanics (front-loading, budget
 preservation), not byte identity.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import cli
 from repro.api import ALGORITHMS, SYNTHESIZERS
-from repro.api.cache import ArtifactStore, ResultCache
+from repro.api.cache import ResultCache
 from repro.api.runner import run
 from repro.api.specs import AlgorithmSpec, CollectiveSpec, RunSpec, TopologySpec
 from repro.collectives import AllGather
 from repro.core import SynthesisConfig, TacosSynthesizer
+from repro.core.algorithm import CollectiveAlgorithm
+from repro.core.transfers import TransferTable
 from repro.errors import SynthesisError
 from repro.search import GuidedSynthesizer
 from repro.topology import build_mesh
@@ -89,17 +92,26 @@ class TestGuidedWithoutStore:
 
 class TestGuidedWithPortfolio:
     def _seeded_store(self, tmp_path, seeds, topology_name="Mesh(6x6)"):
-        store = ArtifactStore(tmp_path / "store")
-        import numpy as np
-
-        for index, seed in enumerate(seeds):
-            store.write_json(f"k{index}", {"topology": topology_name})
-            store.write_arrays(
-                f"k{index}",
-                "algorithm",
-                {"metadata": np.asarray([json.dumps({"seed": seed})])},
+        # Entries written by the real producer; the seeds go to the specs in
+        # sorted hash order, which is the order the portfolio scans the store.
+        cache = ResultCache(tmp_path / "store")
+        specs = sorted(
+            (dataclasses.replace(_mesh_spec(), label=f"k{index}") for index in range(len(seeds))),
+            key=RunSpec.spec_hash,
+        )
+        for spec, seed in zip(specs, seeds):
+            cache.store.write_json(spec.spec_hash(), {"topology": topology_name})
+            algorithm = CollectiveAlgorithm.from_table(
+                TransferTable.empty(),
+                num_npus=36,
+                chunk_size=1e6,
+                collective_size=36e6,
+                pattern_name="AllGather",
+                topology_name=topology_name,
+                metadata={"seed": seed},
             )
-        return store
+            cache.put_algorithm(spec, algorithm)
+        return cache.store
 
     def test_portfolio_seeds_front_loaded(self, tmp_path):
         store = self._seeded_store(tmp_path, [103, 207])
