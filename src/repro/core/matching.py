@@ -11,6 +11,9 @@ span, so at most one chunk rides a link at a time and congestion never forms.
 An optional *forwarding* pass extends Alg. 1 for rooted and personalized
 collectives (Gather / Scatter / All-to-All): when a requested chunk is not yet
 adjacent to its destination, it is pushed one hop closer along an idle link.
+The links that step closer are a static property of the topology, so the pass
+scans a per-destination downhill-link table
+(:meth:`~repro.topology.topology.Topology.downhill_links`).
 
 The implementation is array-backed: chunk ownership lives in a flat
 ``num_npus x num_chunks`` acquisition-time array (``math.inf`` = never held),
@@ -398,22 +401,34 @@ class TrialBound:
        long before the per-destination terms notice.  :meth:`update` marks
        a chunk departed on its first committed transfer.
 
-    The capacity and distance components are computed over the flat engine's
-    state arrays; for engines with other state layouts (the frozen reference
-    engine) they degrade to the committed-work component alone — still
-    exact, just later pruning.  Evaluation never consumes RNG and never
-    mutates the TEN or the state.
+    The capacity and distance components are maintained incrementally over
+    the flat engine's state: :meth:`update` folds each round's transfers into
+    per-destination owed counts, per-source undeparted counts, the integer
+    sum of the per-pair distances and a histogram of them, so :meth:`value`
+    costs O(1) per round.  Every term is an exact integer count times a
+    per-NPU cost, so the floats equal a from-scratch numpy evaluation bit for
+    bit (see docs/determinism.md).  For engines with other state layouts
+    (the frozen reference engine) the bound degrades to the committed-work
+    component alone — still exact, just later pruning.  Evaluation never
+    consumes RNG and never mutates the TEN or the state.
     """
 
     __slots__ = (
         "_state",
         "_num_chunks",
-        "_num_npus",
-        "_degrees",
+        "_pending",
+        "_owed_pair",
+        "_owed_at",
+        "_in_degrees",
         "_min_in_cost",
+        "_in_terms",
+        "_in_remaining",
         "_hop_rows",
         "_chunk_dest",
         "_chunk_dist",
+        "_dist_sum",
+        "_dist_hist",
+        "_dist_top",
         "_min_cost",
         "_per_link_cost",
         "_origin",
@@ -421,8 +436,8 @@ class TrialBound:
         "_undeparted_at",
         "_out_degrees",
         "_min_out_cost",
+        "_out_terms",
         "_out_remaining",
-        "_out_stale",
     )
 
     def __init__(
@@ -434,6 +449,8 @@ class TrialBound:
         self._state: Optional[MatchingState] = None
         self._hop_rows: Optional[List[List[int]]] = None
         self._chunk_dest: Optional[List[int]] = None
+        self._chunk_dist: Optional[List[int]] = None
+        self._dist_hist: Optional[List[int]] = None
         if _np is None or not isinstance(state, MatchingState):
             return
         csr_getter = getattr(ten, "in_link_csr", None)
@@ -455,20 +472,34 @@ class TrialBound:
             min_in_cost[empty] = 0.0
         self._state = state
         self._num_chunks = num_chunks
-        self._num_npus = num_npus
-        self._degrees = _np.maximum(degrees, 1)
-        self._min_in_cost = min_in_cost
         self._min_cost = ten.min_link_cost
         self._per_link_cost = (
             ten.min_link_cost / len(ten.link_costs) if ten.link_costs else 0.0
         )
 
+        # In-capacity tracking: which pairs are still owed, and how many per
+        # destination; each destination's term is ``ceil(owed / deg) * cost``.
+        codes_array = state._pending_array()
+        codes = codes_array.tolist()
+        owed_pair = bytearray(num_npus * num_chunks)
+        _np.frombuffer(owed_pair, dtype=_np.uint8)[codes_array] = 1
+        self._pending = len(codes)
+        self._owed_pair = owed_pair
+        self._owed_at = _np.bincount(codes_array // num_chunks, minlength=num_npus).tolist()
+        self._in_degrees = _np.maximum(degrees, 1).tolist()
+        self._min_in_cost = min_in_cost.tolist()
+        self._in_terms = [
+            -(-owed // degree) * cost
+            for owed, degree, cost in zip(self._owed_at, self._in_degrees, self._min_in_cost)
+        ]
+        self._in_remaining: Optional[float] = None  # None = recompute the max
+
         # Out-capacity tracking: owed chunks whose full holder set is one NPU
         # must make their first hop out of it.  Count them per source.
-        owed_chunks = {code % num_chunks for code in state._pair_codes}
+        owed_chunks = sorted({code % num_chunks for code in codes})
         origin = [-1] * num_chunks
-        undeparted_at = _np.zeros(num_npus, dtype=_np.intp)
-        for chunk in sorted(owed_chunks):
+        undeparted_at = [0] * num_npus
+        for chunk in owed_chunks:
             holders = state._holders[chunk]
             if len(holders) == 1:
                 origin[chunk] = holders[0]
@@ -483,22 +514,25 @@ class TrialBound:
         self._origin = origin
         self._departed = [False] * num_chunks
         self._undeparted_at = undeparted_at
-        self._out_degrees = _np.maximum(out_degrees, 1)
-        self._min_out_cost = min_out_cost
-        # Cached between rounds: departures are the only thing that changes
-        # the out-capacity term, and most rounds drain only a few sources.
-        self._out_remaining = 0.0
-        self._out_stale = True
+        self._out_degrees = _np.maximum(out_degrees, 1).tolist()
+        self._min_out_cost = min_out_cost.tolist()
+        self._out_terms = [
+            -(-count // degree) * cost
+            for count, degree, cost in zip(undeparted_at, self._out_degrees, self._min_out_cost)
+        ]
+        self._out_remaining: Optional[float] = None
 
         if hop_distances is None:
             return
         # Distance tracking for single-destination chunks: dest per chunk
         # (-1 = untracked) and the current min hop distance over holders.
+        # Every owed pair weighs ``max(dist, 1)`` (untracked chunks: 1); the
+        # weights' integer sum and histogram back the two distance terms.
         owed_dest = [-1] * num_chunks
-        for code in state._pair_codes:
+        for code in codes:
             dest, chunk = divmod(code, num_chunks)
             owed_dest[chunk] = dest if owed_dest[chunk] == -1 else -2
-        chunk_dist = _np.zeros(num_chunks, dtype=_np.float64)
+        chunk_dist = [0] * num_chunks
         for chunk in range(num_chunks):
             dest = owed_dest[chunk]
             if dest < 0:
@@ -508,71 +542,136 @@ class TrialBound:
             chunk_dist[chunk] = (
                 min(hop_distances[holder][dest] for holder in holders) if holders else 0
             )
+        # Weights only fall, so the initial largest one sizes the histogram.
+        dist_hist = [0] * (max(chunk_dist, default=0) + 2)
+        dist_sum = 0
+        for code in codes:
+            weight = chunk_dist[code % num_chunks]
+            if weight < 1:
+                weight = 1
+            dist_sum += weight
+            dist_hist[weight] += 1
         self._hop_rows = hop_distances
         self._chunk_dest = owed_dest
         self._chunk_dist = chunk_dist
+        self._dist_sum = dist_sum
+        self._dist_hist = dist_hist
+        self._dist_top = len(dist_hist) - 1
 
     def update(self, transfers) -> None:
         # repro-lint: disable-scope=C301,C302 -- one round's freshly committed
         # transfers arrive as a short row list from the matcher, never a
         # materialized TransferTable slice
-        """Fold one round's committed transfers into the incremental tracking."""
+        """Fold one round's committed transfers into the incremental tracking.
+
+        Counts and weights only ever fall: a transfer satisfies at most one
+        owed pair, departs at most one chunk, and can only shorten a chunk's
+        distance.  A per-NPU term that falls from the cached maximum marks the
+        maximum for recomputation in :meth:`value`.
+        """
         if self._state is None or not transfers:
             return
+        num_chunks = self._num_chunks
+        owed_pair = self._owed_pair
+        owed_at = self._owed_at
+        in_degrees = self._in_degrees
+        min_in_cost = self._min_in_cost
+        in_terms = self._in_terms
+        in_remaining = self._in_remaining
         chunk_dest = self._chunk_dest
         hop_rows = self._hop_rows
-        chunk_dist = self._chunk_dist if chunk_dest is not None else None
+        chunk_dist = self._chunk_dist
+        dist_hist = self._dist_hist
         origin = self._origin
         departed = self._departed
         undeparted_at = self._undeparted_at
-        for transfer in transfers:
-            chunk = transfer.chunk
+        out_degrees = self._out_degrees
+        min_out_cost = self._min_out_cost
+        out_terms = self._out_terms
+        out_remaining = self._out_remaining
+        satisfied = 0
+        dist_delta = 0
+        for _start, _end, chunk, _source, node in transfers:
+            code = node * num_chunks + chunk
+            if owed_pair[code]:
+                owed_pair[code] = 0
+                satisfied += 1
+                owed = owed_at[node] - 1
+                owed_at[node] = owed
+                term = -(-owed // in_degrees[node]) * min_in_cost[node]
+                if term != in_terms[node]:
+                    if in_terms[node] == in_remaining:
+                        in_remaining = None
+                    in_terms[node] = term
+                if chunk_dest is not None:
+                    weight = chunk_dist[chunk]
+                    if weight < 1:
+                        weight = 1
+                    dist_delta -= weight
+                    dist_hist[weight] -= 1
             if not departed[chunk]:
                 departed[chunk] = True
                 source = origin[chunk]
                 if source >= 0:
-                    undeparted_at[source] -= 1
-                    self._out_stale = True
+                    count = undeparted_at[source] - 1
+                    undeparted_at[source] = count
+                    term = -(-count // out_degrees[source]) * min_out_cost[source]
+                    if term != out_terms[source]:
+                        if out_terms[source] == out_remaining:
+                            out_remaining = None
+                        out_terms[source] = term
             if chunk_dest is None:
                 continue
             dest = chunk_dest[chunk]
             if dest < 0:
                 continue
-            hops = hop_rows[transfer.dest][dest]
-            if hops < chunk_dist[chunk]:
+            hops = hop_rows[node][dest]
+            old = chunk_dist[chunk]
+            if hops < old:
                 chunk_dist[chunk] = hops
+                if owed_pair[dest * num_chunks + chunk]:
+                    weight = hops if hops > 1 else 1
+                    old_weight = old if old > 1 else 1
+                    if weight != old_weight:
+                        dist_delta += weight - old_weight
+                        dist_hist[old_weight] -= 1
+                        dist_hist[weight] += 1
+        self._pending -= satisfied
+        self._in_remaining = in_remaining
+        self._out_remaining = out_remaining
+        if chunk_dest is not None:
+            self._dist_sum += dist_delta
 
     def value(self, time: float, committed_end: float) -> float:
         """The bound after the round at ``time``; ``committed_end`` = max transfer end so far."""
         bound = committed_end if committed_end > time else time
-        state = self._state
-        if state is None:
+        if self._state is None or not self._pending:
             return bound
-        codes = state._pending_array()
-        if not len(codes):
-            return bound
-        owed = _np.bincount(codes // self._num_chunks, minlength=self._num_npus)
-        spans = -(-owed // self._degrees)
-        remaining = float((spans * self._min_in_cost).max())
+        remaining = self._in_remaining
+        if remaining is None:
+            remaining = self._in_remaining = max(self._in_terms)
         if remaining > 0.0:
             candidate = time + remaining
             if candidate > bound:
                 bound = candidate
-        if self._out_stale:
-            out_spans = -(-self._undeparted_at // self._out_degrees)
-            self._out_remaining = float((out_spans * self._min_out_cost).max())
-            self._out_stale = False
-        if self._out_remaining > 0.0:
-            candidate = time + self._out_remaining
+        remaining = self._out_remaining
+        if remaining is None:
+            remaining = self._out_remaining = max(self._out_terms)
+        if remaining > 0.0:
+            candidate = time + remaining
             if candidate > bound:
                 bound = candidate
         if self._chunk_dest is not None and self._min_cost > 0.0:
-            chunk_col = codes % self._num_chunks
-            distances = _np.maximum(self._chunk_dist[chunk_col], 1.0)
-            candidate = time + float(distances.max()) * self._min_cost
+            # Weights only fall, so the histogram's top pointer only moves down.
+            dist_hist = self._dist_hist
+            top = self._dist_top
+            while not dist_hist[top]:
+                top -= 1
+            self._dist_top = top
+            candidate = time + float(top) * self._min_cost
             if candidate > bound:
                 bound = candidate
-            candidate = time + float(distances.sum()) * self._per_link_cost
+            candidate = time + float(self._dist_sum) * self._per_link_cost
             if candidate > bound:
                 bound = candidate
         return bound
@@ -819,7 +918,6 @@ def run_matching_round(
     # occupy, and the scan can stop once every link of the span is taken.
     idle_total = ten.idle_link_count(time)
     idle_in_cache: List[Optional[List[int]]] = [None] * num_npus
-    idle_out_cache: List[Optional[List[int]]] = [None] * num_npus
 
     # The deferred pairs only matter when a forwarding pass will consume them.
     collect_deferred = enable_forwarding and hop_distances is not None
@@ -924,7 +1022,6 @@ def run_matching_round(
         idle_total -= 1
         source = link_sources[link_id]
         idle_in_cache[dest] = None
-        idle_out_cache[source] = None
         insort(holders[chunk], dest)
         acquisition[code] = end
         heappush(activations, (end, dest, chunk))
@@ -937,30 +1034,30 @@ def run_matching_round(
     # ------------------------------------------------------------------
     if deferred:
         shuffle_pairs(deferred, rng)
+        # Only links that step strictly closer to the destination can be
+        # candidates, and that predicate is static, so the scan runs over the
+        # topology's downhill table.  Its rows keep out-link order, which keeps
+        # the candidate order (and so the RNG draws) of a scan over all links.
+        downhill = ten.topology.downhill_links(hop_distances)
         for code in deferred:
             if pair_state[code] == _SATISFIED:
                 continue
             if idle_total == 0:
                 break  # no idle link anywhere: no forwarding candidate exists
             dest, chunk = divmod(code, num_chunks)
+            links_by_holder = downhill.row(dest)
             candidates = []
             for holder in holders[chunk]:
                 if acquisition[holder * num_chunks + chunk] > threshold:
                     continue  # scheduled for the future, not held yet
-                idle_links = idle_out_cache[holder]
-                if idle_links is None:
-                    idle_links = [
-                        link_id
-                        for link_id in ten.out_link_ids(holder)
-                        if free_times[link_id] <= threshold
-                    ]
-                    idle_out_cache[holder] = idle_links
-                holder_distance = hop_distances[holder][dest]
-                for link_id in idle_links:
-                    neighbour = link_dests[link_id]
-                    if acquisition[neighbour * num_chunks + chunk] != inf:
-                        continue  # already holds or scheduled to receive it
-                    if hop_distances[neighbour][dest] < holder_distance:
+                for link_id in links_by_holder[holder]:
+                    # The neighbour neither holds the chunk nor is scheduled
+                    # to receive it (the test that fails most), and the link
+                    # is idle.
+                    if (
+                        acquisition[link_dests[link_id] * num_chunks + chunk] == inf
+                        and free_times[link_id] <= threshold
+                    ):
                         candidates.append(link_id)
             if not candidates:
                 continue
@@ -980,7 +1077,6 @@ def run_matching_round(
             source = link_sources[link_id]
             neighbour = link_dests[link_id]
             idle_in_cache[neighbour] = None
-            idle_out_cache[source] = None
             # Inlined grant: the neighbour was checked to not hold the chunk.
             insort(holders[chunk], neighbour)
             neighbour_code = neighbour * num_chunks + chunk

@@ -231,8 +231,8 @@ class TimeExpandedNetwork:
 
     def idle_link_count(self, time: float) -> int:
         """Number of links that can start a new transmission at ``time``."""
-        threshold = time + _TIME_EPS
-        return sum(1 for free in self.free_times if free <= threshold)
+        # ``threshold >= free`` per link, counted at C speed.
+        return sum(map((time + _TIME_EPS).__ge__, self.free_times))
 
     # ------------------------------------------------------------------
     # Event management (time-span expansion)

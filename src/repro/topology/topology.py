@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import TopologyError
 from repro.topology.link import Link, bandwidth_to_beta
 
-__all__ = ["LinkArrays", "Topology"]
+__all__ = ["DownhillLinks", "LinkArrays", "Topology"]
 
 #: Magic prefix of the :meth:`Topology.to_bytes` wire format.
 _BYTES_MAGIC = b"TACOSTP1"
@@ -44,6 +44,45 @@ class LinkArrays(NamedTuple):
     betas: List[float]  #: per-link serialization delay (seconds/byte)
     in_ids: List[List[int]]  #: per-NPU incoming link ids, in-neighbour order
     out_ids: List[List[int]]  #: per-NPU outgoing link ids, out-neighbour order
+
+
+class DownhillLinks:
+    """Per destination, each NPU's out-links that step strictly closer to it.
+
+    ``rows[dest][npu]`` lists the ids (:meth:`Topology.link_arrays`
+    numbering) of the links out of ``npu`` whose far end is strictly closer
+    to ``dest`` than ``npu`` by ``hop_distances``, in out-link order.  Rows
+    are filled lazily: ``rows[dest]`` is ``None`` until :meth:`row` builds
+    it, so a rooted pattern (one destination) pays for one row only.  The
+    table is static — it depends on the topology and the distance matrix
+    alone — and is shared read-only by every trial; concurrent fills build
+    equal rows, so a lost race is harmless.
+    """
+
+    __slots__ = ("hop_distances", "rows", "_out_ids", "_dests")
+
+    def __init__(self, hop_distances: List[List[int]], arrays: LinkArrays) -> None:
+        #: The distance matrix the rows were derived from (held, so a cache
+        #: keyed on its identity can never match a recycled object).
+        self.hop_distances = hop_distances
+        self.rows: List[Optional[List[List[int]]]] = [None] * len(arrays.out_ids)
+        self._out_ids = arrays.out_ids
+        self._dests = arrays.dests
+
+    def row(self, dest: int) -> List[List[int]]:
+        """The downhill out-links of every NPU towards ``dest`` (built once)."""
+        row = self.rows[dest]
+        if row is None:
+            dests = self._dests
+            distances = self.hop_distances
+            row = []
+            for npu, link_ids in enumerate(self._out_ids):
+                distance = distances[npu][dest]
+                row.append(
+                    [link_id for link_id in link_ids if distances[dests[link_id]][dest] < distance]
+                )
+            self.rows[dest] = row
+        return row
 
 
 class Topology:
@@ -493,6 +532,22 @@ class Topology:
                         row[neighbour] = row[node] + 1
                         queue.append(neighbour)
         return distances
+
+    def downhill_links(self, hop_distances: Optional[List[List[int]]] = None) -> DownhillLinks:
+        """The lazily-filled :class:`DownhillLinks` table for ``hop_distances``.
+
+        Defaults to :meth:`hop_distances`.  Cached per topology and per
+        distance matrix (by identity: a worker that decodes its own copy of
+        the matrix gets its own table); used by the matching algorithm's
+        forwarding pass, which then scans only the links that make progress.
+        """
+        if hop_distances is None:
+            hop_distances = self.hop_distances()
+        table = self._derived_cache.get("downhill_links")
+        if table is None or table.hop_distances is not hop_distances:
+            table = DownhillLinks(hop_distances, self.link_arrays())
+            self._derived_cache["downhill_links"] = table
+        return table
 
     def cheaper_reachability_regions(self, chunk_size: float) -> Dict[float, List[frozenset]]:
         """Per link-cost tier, the NPUs that can reach each destination over cheaper links only.

@@ -20,14 +20,16 @@ from repro.bench import (
     write_report,
 )
 from repro.bench.runner import BenchRecord, summarize
-from repro.collectives import AllGather, AllReduce, AllToAll, Gather, ReduceScatter
+from repro.collectives import AllGather, AllReduce, AllToAll, Gather, ReduceScatter, Scatter
 from repro.core import FLAT_ENGINE, SynthesisConfig, TacosSynthesizer
 from repro.errors import ReproError
 from repro.topology import (
+    build_3d_rfs,
     build_dgx1,
     build_mesh_2d,
     build_ring,
     build_switch,
+    build_torus_2d,
 )
 
 MB = 1e6
@@ -84,6 +86,50 @@ class TestEngineEquivalence:
             topology, pattern, 4 * MB
         )
         assert flat.transfers == reference.transfers
+
+
+#: Forwarding-pass cases where a holder has several downhill out-links (a
+#: ring never has more than one), so the forwarding candidate order and the
+#: RNG draws over it are exercised: (name, topology, pattern, size, config).
+FORWARDING_CASES = [
+    ("mesh6x6-gather-root0", lambda: build_mesh_2d(6, 6), lambda n: Gather(n, root=0), 4 * MB, {}),
+    (
+        "mesh6x6-gather-root14",
+        lambda: build_mesh_2d(6, 6),
+        lambda n: Gather(n, root=14),
+        4 * MB,
+        {},
+    ),
+    ("mesh4x4-scatter", lambda: build_mesh_2d(4, 4), lambda n: Scatter(n), 4 * MB, {}),
+    ("torus4x4-all_to_all", lambda: build_torus_2d(4, 4), lambda n: AllToAll(n), 4 * MB, {}),
+    (
+        "rfs2x4x2-gather-any-cost",
+        lambda: build_3d_rfs(2, 4, 2),
+        lambda n: Gather(n),
+        4 * MB,
+        {"prefer_lowest_cost_links": False},
+    ),
+]
+
+
+class TestForwardingEquivalence:
+    @pytest.mark.parametrize(
+        "name,topology_factory,pattern_factory,size,config_kwargs",
+        FORWARDING_CASES,
+        ids=[case[0] for case in FORWARDING_CASES],
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fixed_seed_tables_identical(
+        self, name, topology_factory, pattern_factory, size, config_kwargs, seed
+    ):
+        topology = topology_factory()
+        pattern = pattern_factory(topology.num_npus)
+        config = SynthesisConfig(seed=seed, **config_kwargs)
+        flat = TacosSynthesizer(config, engine=FLAT_ENGINE).synthesize(topology, pattern, size)
+        reference = TacosSynthesizer(config, engine=REFERENCE_ENGINE).synthesize(
+            topology, pattern, size
+        )
+        assert flat.table.to_bytes() == reference.table.to_bytes()
 
 
 # ----------------------------------------------------------------------

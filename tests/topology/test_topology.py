@@ -1,11 +1,13 @@
 """Unit tests for the Topology container and its derived properties."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import Topology, build_fully_connected, build_ring
+from repro.topology import Topology, build_fully_connected, build_mesh_2d, build_ring
 
 
 def make_triangle() -> Topology:
@@ -228,6 +230,69 @@ class TestLinkArrays:
         assert topology.link_arrays() is first
         topology.add_link(1, 0, alpha=1e-6, bandwidth_gbps=50.0)
         assert topology.link_arrays() is not first
+
+
+class TestDownhillLinks:
+    def test_rows_list_strictly_closer_out_links_in_out_link_order(self):
+        topology = build_mesh_2d(4, 4)
+        arrays = topology.link_arrays()
+        distances = topology.hop_distances()
+        table = topology.downhill_links()
+        for dest in topology.npus:
+            assert table.rows[dest] is None  # filled on first use only
+            row = table.row(dest)
+            assert table.rows[dest] is row
+            for npu in topology.npus:
+                expected = [
+                    link_id
+                    for link_id in arrays.out_ids[npu]
+                    if distances[arrays.dests[link_id]][dest] < distances[npu][dest]
+                ]
+                assert row[npu] == expected
+                assert len(row[npu]) <= 2  # a mesh node steps closer in x or y
+            assert row[dest] == []
+
+    def test_several_downhill_links_on_a_mesh(self):
+        row = build_mesh_2d(4, 4).downhill_links().row(0)
+        assert max(len(links) for links in row) == 2
+
+    def test_cached_per_distance_matrix_and_invalidated(self):
+        topology = make_triangle()
+        table = topology.downhill_links()
+        assert topology.downhill_links() is table
+        assert topology.downhill_links(topology.hop_distances()) is table
+        copied = [list(row) for row in topology.hop_distances()]
+        other = topology.downhill_links(copied)
+        assert other is not table and other.hop_distances is copied
+        assert other.row(0) == table.row(0)
+        topology.add_link(1, 0, alpha=1e-6, bandwidth_gbps=50.0)
+        assert topology.downhill_links() is not other
+        assert topology.downhill_links().row(0)[1] == [topology.link_arrays().id_of[(1, 0)]]
+
+    def test_concurrent_fills_agree(self):
+        # Thread-backend trials share one table and fill rows on first use;
+        # a lost race may build a row twice but must never expose a wrong one.
+        topology = build_mesh_2d(5, 5)
+        expected = [
+            topology.downhill_links([list(r) for r in topology.hop_distances()]).row(dest)
+            for dest in topology.npus
+        ]
+        table = topology.downhill_links()
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(lambda: [table.row(dest) for dest in reversed(topology.npus)])
+                    for _ in range(8)
+                ]
+                for future in futures:
+                    seen.append(future.result(timeout=60)[::-1])
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(rows == expected for rows in seen)
+        assert table.rows == expected
 
 
 class TestTransformations:
