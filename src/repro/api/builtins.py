@@ -382,30 +382,27 @@ def _guided(
     # portfolio at an artifact-store directory (e.g. the --cache-dir of
     # earlier runs) and `portfolio_limit` caps the front-loaded seeds.
     # Pruning and floor termination default on — pass
-    # `incumbent_pruning=false` to get a pure stats-collecting search.
+    # `incumbent_pruning=false` to get the uniform best-of-N search.
     engine_name = params.pop("engine", None)
     engine = resolve_engine(str(engine_name)) if engine_name is not None else None
     store_dir = params.pop("store_dir", None)
     portfolio_limit = int(params.pop("portfolio_limit", 8))
     params.setdefault("incumbent_pruning", True)
     params.setdefault("floor_termination", bool(params["incumbent_pruning"]))
-    params.setdefault("collect_trial_stats", True)
     config = SynthesisConfig(**params)
     store = ArtifactStore(store_dir) if store_dir else None
     synthesizer = GuidedSynthesizer(
         config, engine, store=store, portfolio_limit=portfolio_limit
     )
     stats = synthesizer.synthesize_with_stats(topology, pattern, collective_size)
-    trial_stats = stats.trial_stats or []
-    full = sum(1 for entry in trial_stats if entry.get("pruned_at_round") is None)
     return AlgorithmArtifact(
         algorithm=stats.algorithm,
         synthesis_seconds=stats.wall_clock_seconds,
         extras={
             "trials": float(stats.trials),
             "rounds": float(stats.rounds),
-            "full_trials": float(full),
-            "pruned_trials": float(len(trial_stats) - full),
+            "full_trials": float(stats.full_trials),
+            "pruned_trials": float(stats.pruned_trials),
             "portfolio_seeds": float(len(synthesizer.last_portfolio_seeds)),
         },
         trial_stats=stats.trial_stats,

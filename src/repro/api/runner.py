@@ -66,9 +66,8 @@ class RunResult:
         Additional numeric metrics (e.g. average link utilization).
     trial_stats:
         Per-trial synthesis bookkeeping (seed, rounds, collective time,
-        pruned-at-round, wall seconds) when the algorithm builder collected
-        it — the tacos/guided tiers with ``collect_trial_stats`` or
-        ``incumbent_pruning`` on.  ``None`` otherwise.
+        pruned-at-round, wall seconds) when the algorithm builder reports
+        it — the tacos and guided tiers always do.  ``None`` otherwise.
     cached:
         True when the result was served from a :class:`ResultCache`
         (excluded from equality comparisons).

@@ -1099,9 +1099,7 @@ def _run_search_scenario(
     pattern = factory(topology.num_npus, scenario.chunks_per_npu)
 
     uniform = TacosSynthesizer(
-        SynthesisConfig(
-            seed=scenario.seed, trials=scenario.trials, collect_trial_stats=True
-        ),
+        SynthesisConfig(seed=scenario.seed, trials=scenario.trials),
         engine=FLAT_ENGINE,
     )
     guided = GuidedSynthesizer(
@@ -1110,7 +1108,6 @@ def _run_search_scenario(
             trials=scenario.trials,
             incumbent_pruning=True,
             floor_termination=True,
-            collect_trial_stats=True,
         ),
         FLAT_ENGINE,
     )
@@ -1130,8 +1127,8 @@ def _run_search_scenario(
             == guided_result.algorithm.collective_time
         )
 
-    uniform_stats = uniform_result.trial_stats or []
-    guided_stats = guided_result.trial_stats or []
+    uniform_stats = uniform_result.trial_stats
+    guided_stats = guided_result.trial_stats
     target = uniform_result.algorithm.collective_time
     uniform_points = _quality_trajectory(uniform_stats)
     guided_points = _quality_trajectory(guided_stats)

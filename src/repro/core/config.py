@@ -61,12 +61,6 @@ class SynthesisConfig:
         seed index, so the selected winner is byte-identical with pruning on
         or off (see docs/determinism.md, "Incumbent pruning is exact").
         Parallel backends share the incumbent across seed waves.
-    collect_trial_stats:
-        Record per-trial statistics (seed, rounds, collective time,
-        pruned-at-round, wall seconds) on the returned
-        :class:`~repro.core.synthesizer.SynthesisResult`.  Implied by
-        ``incumbent_pruning`` (the guided tier and the search bench consume
-        the bookkeeping either way).
     wave_size:
         Seeds per pruning wave on parallel backends: the incumbent bound is
         re-shared between consecutive waves.  ``None`` (the default) sizes
@@ -94,7 +88,6 @@ class SynthesisConfig:
     trial_workers: Optional[int] = None
     execution: Optional[str] = None
     incumbent_pruning: bool = False
-    collect_trial_stats: bool = False
     wave_size: Optional[int] = None
     floor_termination: bool = False
 

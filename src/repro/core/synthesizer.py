@@ -15,7 +15,7 @@ import struct
 import time as _time
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -364,61 +364,6 @@ class _PayloadReader:
             raise SynthesisError("serialized TrialPayload is truncated")
 
 
-def _execute_trial(payload: TrialPayload, seed: int) -> Tuple[CollectiveAlgorithm, int]:
-    """One randomized synthesis run (Alg. 2): returns (algorithm, rounds)."""
-    engine = payload.engine
-    topology = payload.topology
-    pattern = payload.pattern
-    ten = engine.ten_factory(topology, payload.chunk_size)
-    state = engine.state_factory(
-        topology.num_npus, pattern.precondition(), pattern.postcondition()
-    )
-    matching_round = engine.matching_round
-    rng = random.Random(seed)
-
-    transfers = []
-    current_time = 0.0
-    rounds = 0
-    while not state.done:
-        rounds += 1
-        if rounds > payload.max_rounds:
-            raise SynthesisError(
-                f"synthesis of {pattern.name} on {topology.name} exceeded "
-                f"{payload.max_rounds} time spans"
-            )
-        new_transfers = matching_round(
-            ten,
-            state,
-            current_time,
-            rng,
-            prefer_lowest_cost=payload.prefer_lowest_cost,
-            enable_forwarding=payload.hop_distances is not None,
-            hop_distances=payload.hop_distances,
-            cheap_regions=payload.cheap_regions,
-        )
-        transfers.extend(new_transfers)
-        if state.done:
-            break
-        next_time = ten.next_event_after(current_time)
-        if next_time is None:
-            raise SynthesisError(
-                f"synthesis of {pattern.name} on {topology.name} stalled at t={current_time:.3e}s; "
-                "is the topology strongly connected?"
-            )
-        current_time = next_time
-
-    algorithm = CollectiveAlgorithm(
-        transfers=transfers,
-        num_npus=topology.num_npus,
-        chunk_size=payload.chunk_size,
-        collective_size=float(payload.collective_size),
-        pattern_name=pattern.name,
-        topology_name=topology.name,
-        metadata={"seed": seed, "rounds": rounds},
-    )
-    return algorithm, rounds
-
-
 #: Relative slack on the prune comparison: a trial aborts only when its lower
 #: bound exceeds the incumbent by more than one part in 1e9.  The slack keeps
 #: the comparison robust to the few-ulp difference between the bound's
@@ -427,17 +372,17 @@ def _execute_trial(payload: TrialPayload, seed: int) -> Tuple[CollectiveAlgorith
 _PRUNE_REL_EPS = 1e-9
 
 
-def _execute_trial_stats(
+def _execute_trial(
     payload: TrialPayload, seed: int, incumbent: Optional[float] = None
 ) -> Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]:
-    """One randomized trial with per-trial bookkeeping and optional pruning.
+    """One randomized synthesis run (Alg. 2) with per-trial bookkeeping.
 
-    Same loop as :func:`_execute_trial` (identical RNG consumption round for
-    round), plus: when ``incumbent`` is given, a :class:`TrialBound` is
-    evaluated after every round and the trial aborts — returning
-    ``(None, stats)`` — the moment the bound strictly exceeds the incumbent.
-    A pruned trial provably cannot beat the incumbent, so best-of selection
-    over the surviving trials picks the same winner as the unpruned search.
+    When ``incumbent`` is given, a :class:`TrialBound` is evaluated after
+    every round and the trial aborts — returning ``(None, stats)`` — the
+    moment the bound strictly exceeds the incumbent.  A pruned trial provably
+    cannot beat the incumbent, so best-of selection over the surviving trials
+    picks the same winner as the unpruned search.  Without an incumbent the
+    loop does no bound bookkeeping at all.
 
     The returned stats dict carries ``seed``, ``rounds``, ``collective_time``
     (``None`` when pruned), ``pruned_at_round`` (``None`` when completed),
@@ -455,7 +400,7 @@ def _execute_trial_stats(
     matching_round = engine.matching_round
     rng = random.Random(seed)
 
-    prune_limit = None
+    prune_limit = 0.0
     bound = None
     if incumbent is not None:
         prune_limit = incumbent + abs(incumbent) * _PRUNE_REL_EPS
@@ -482,23 +427,23 @@ def _execute_trial_stats(
             hop_distances=payload.hop_distances,
             cheap_regions=payload.cheap_regions,
         )
-        if new_transfers:
-            transfers.extend(new_transfers)
-            for transfer in new_transfers:
-                if transfer.end > committed_end:
-                    committed_end = transfer.end
-            if bound is not None:
-                bound.update(new_transfers)
+        transfers.extend(new_transfers)
         if state.done:
             break
-        if prune_limit is not None and bound.value(current_time, committed_end) > prune_limit:
-            return None, {
-                "seed": seed,
-                "rounds": rounds,
-                "collective_time": None,
-                "pruned_at_round": rounds,
-                "wall_seconds": _time.perf_counter() - started,
-            }
+        if bound is not None:
+            if new_transfers:
+                for transfer in new_transfers:
+                    if transfer.end > committed_end:
+                        committed_end = transfer.end
+                bound.update(new_transfers)
+            if bound.value(current_time, committed_end) > prune_limit:
+                return None, {
+                    "seed": seed,
+                    "rounds": rounds,
+                    "collective_time": None,
+                    "pruned_at_round": rounds,
+                    "wall_seconds": _time.perf_counter() - started,
+                }
         next_time = ten.next_event_after(current_time)
         if next_time is None:
             raise SynthesisError(
@@ -523,36 +468,6 @@ def _execute_trial_stats(
         "pruned_at_round": None,
         "wall_seconds": _time.perf_counter() - started,
     }
-
-
-def _run_trial_task(payload: TrialPayload, seed: int) -> Tuple[bytes, dict, int]:
-    """Process-pool trial task: the algorithm crosses back as raw column bytes.
-
-    Returning ``TransferTable.to_bytes()`` instead of the object graph keeps
-    the inter-process transport compact and bit-exact — the parent rebuilds
-    an identical algorithm with :func:`_decode_trial_outcome`.
-    """
-    algorithm, rounds = _execute_trial(payload, seed)
-    return algorithm.table.to_bytes(), dict(algorithm.metadata), rounds
-
-
-def _decode_trial_outcome(
-    payload: TrialPayload, outcome: Tuple[bytes, dict, int]
-) -> Tuple[CollectiveAlgorithm, int]:
-    """Rebuild a trial's algorithm from the bytes a process worker returned."""
-    from repro.core.transfers import TransferTable
-
-    table_bytes, metadata, rounds = outcome
-    algorithm = CollectiveAlgorithm.from_table(
-        TransferTable.from_bytes(table_bytes),
-        num_npus=payload.topology.num_npus,
-        chunk_size=payload.chunk_size,
-        collective_size=float(payload.collective_size),
-        pattern_name=payload.pattern.name,
-        topology_name=payload.topology.name,
-        metadata=metadata,
-    )
-    return algorithm, rounds
 
 
 # Worker-side decoded-payload cache, keyed by the blob's content hash.  A warm
@@ -580,83 +495,53 @@ def _fetch_payload(ref) -> TrialPayload:
     return payload
 
 
-def _run_trial_chunk(ref, seeds: List[int]) -> List[Tuple[bytes, dict, int]]:
-    """Thin chunked trial task: a broadcast ref plus seeds, nothing bulky.
+def _run_trial_task(
+    payload: TrialPayload, seed: int, incumbent: Optional[float] = None
+) -> Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]]:
+    """Process-pool trial task: a completed algorithm crosses back as column bytes.
+
+    Returning ``TransferTable.to_bytes()`` instead of the object graph keeps
+    the inter-process transport compact and bit-exact — the parent rebuilds
+    an identical algorithm with :func:`_decode_trial_outcome`.
+    """
+    algorithm, stats = _execute_trial(payload, seed, incumbent)
+    if algorithm is None:
+        return None, stats
+    return (algorithm.table.to_bytes(), dict(algorithm.metadata)), stats
+
+
+def _run_trial_chunk(
+    ref, incumbent: Optional[float], seeds: List[int]
+) -> List[Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]]]:
+    """Thin chunked trial task: a broadcast ref, the shared incumbent, seeds.
 
     This is what actually crosses the process boundary on the broadcast
     path — per chunk, one tiny :class:`~repro.api.broadcast.BlobRef` and a
     list of integer seeds, instead of one full payload pickle per trial.
     """
     payload = _fetch_payload(ref)
-    return [_run_trial_task(payload, seed) for seed in seeds]
+    return [_run_trial_task(payload, seed, incumbent) for seed in seeds]
 
 
-def _fan_out_trials(
-    payload: TrialPayload, seeds: List[int], backend, workers: Optional[int]
-) -> List[Tuple[CollectiveAlgorithm, int]]:
-    """Broadcast-once/submit-thin trial fan-out for process-based backends.
-
-    The payload is published once per fan-out as a content-hash-addressed
-    blob (:mod:`repro.api.broadcast`) and the seeds are submitted in
-    contiguous chunks, so N trials ship N seeds plus a handful of refs — not
-    N topology pickles.  Payloads that cannot be serialized by name (an
-    unregistered custom engine) fall back to the per-trial pickle transport;
-    either way the outcomes, and therefore the best-of selection, are
-    byte-identical.
-    """
-    from repro.api.parallel import chunk_items  # deferred: avoids an import cycle
-
-    try:
-        blob = payload.to_bytes()
-    except SynthesisError:
-        packed = backend.map(partial(_run_trial_task, payload), seeds, max_workers=workers)
-        return [_decode_trial_outcome(payload, item) for item in packed]
-
-    from repro.api import broadcast  # deferred: avoids an import cycle
-
-    ref = broadcast.publish(blob)
-    try:
-        chunks = chunk_items(seeds, workers)
-        packed_chunks = backend.map(
-            partial(_run_trial_chunk, ref), chunks, max_workers=workers
-        )
-    finally:
-        broadcast.release(ref)
-    outcomes: List[Tuple[CollectiveAlgorithm, int]] = []
-    for chunk in packed_chunks:
-        outcomes.extend(_decode_trial_outcome(payload, item) for item in chunk)
-    return outcomes
-
-
-def _run_trial_task_stats(
-    payload: TrialPayload, seed: int, incumbent: Optional[float] = None
-) -> Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]]:
-    """Process-pool stats trial task; completed algorithms cross as column bytes."""
-    algorithm, stats = _execute_trial_stats(payload, seed, incumbent)
-    if algorithm is None:
-        return None, stats
-    return (algorithm.table.to_bytes(), dict(algorithm.metadata)), stats
-
-
-def _run_trial_chunk_stats(
-    ref, incumbent: Optional[float], seeds: List[int]
-) -> List[Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]]]:
-    """Chunked stats trial task: broadcast ref, shared incumbent bound, seeds."""
-    payload = _fetch_payload(ref)
-    return [_run_trial_task_stats(payload, seed, incumbent) for seed in seeds]
-
-
-def _decode_stats_outcome(
+def _decode_trial_outcome(
     payload: TrialPayload,
     outcome: Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]],
 ) -> Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]:
-    """Rebuild a stats trial's algorithm (if it completed) from worker bytes."""
+    """Rebuild a trial's algorithm (if it completed) from worker bytes."""
+    from repro.core.transfers import TransferTable
+
     packed, stats = outcome
     if packed is None:
         return None, stats
     table_bytes, metadata = packed
-    algorithm, _rounds = _decode_trial_outcome(
-        payload, (table_bytes, metadata, stats["rounds"])
+    algorithm = CollectiveAlgorithm.from_table(
+        TransferTable.from_bytes(table_bytes),
+        num_npus=payload.topology.num_npus,
+        chunk_size=payload.chunk_size,
+        collective_size=float(payload.collective_size),
+        pattern_name=payload.pattern.name,
+        topology_name=payload.topology.name,
+        metadata=metadata,
     )
     return algorithm, stats
 
@@ -697,7 +582,7 @@ def _search_floor(payload: TrialPayload) -> Optional[float]:
     return floor if floor > 0.0 else None
 
 
-def _run_stats_trials(
+def _run_trials(
     payload: TrialPayload,
     seeds: List[int],
     backend,
@@ -714,8 +599,11 @@ def _run_stats_trials(
     re-share the best completed time between waves — a wave only ever sees an
     incumbent at least as large as the final one, so sharing it late prunes
     less but never differently (any pruned trial is provably worse than some
-    completed trial).  Process-based backends reuse the broadcast plane: one
-    payload blob for all waves, thin ``(ref, incumbent, seeds)`` chunk tasks.
+    completed trial).  Without pruning there is no incumbent to share, so
+    every seed runs in a single wave.  Process-based backends reuse the
+    broadcast plane: one payload blob for all waves, thin ``(ref, incumbent,
+    seeds)`` chunk tasks; payloads that cannot be serialized by name (an
+    unregistered custom engine) fall back to the per-trial pickle transport.
 
     When ``floor`` is given (the round-0 bound, see :func:`_search_floor`)
     and the incumbent reaches it, every remaining seed is skipped outright:
@@ -740,7 +628,7 @@ def _run_stats_trials(
 
     if backend is None or len(seeds) <= 1:
         for index, seed in enumerate(seeds):
-            absorb([_execute_trial_stats(payload, seed, incumbent if prune else None)])
+            absorb([_execute_trial(payload, seed, incumbent if prune else None)])
             if at_floor() and index + 1 < len(seeds):
                 outcomes.extend(_floor_skip_stats(s) for s in seeds[index + 1 :])
                 break
@@ -748,10 +636,12 @@ def _run_stats_trials(
 
     from repro.api.parallel import chunk_items, default_worker_count
 
-    width = wave_size
-    if width is None:
-        width = 2 * (workers if workers else default_worker_count())
-    width = max(width, 1)
+    width = len(seeds)
+    if prune:
+        width = wave_size
+        if width is None:
+            width = 2 * (workers if workers else default_worker_count())
+        width = max(width, 1)
 
     process_based = getattr(backend, "process_based", False)
     ref = None
@@ -770,28 +660,28 @@ def _run_stats_trials(
             shared = incumbent if prune else None
             if not process_based:
                 wave_outcomes = backend.map(
-                    partial(_execute_trial_stats, payload, incumbent=shared),
+                    partial(_execute_trial, payload, incumbent=shared),
                     wave,
                     max_workers=workers,
                 )
             elif ref is not None:
                 packed_chunks = backend.map(
-                    partial(_run_trial_chunk_stats, ref, shared),
+                    partial(_run_trial_chunk, ref, shared),
                     chunk_items(wave, workers),
                     max_workers=workers,
                 )
                 wave_outcomes = [
-                    _decode_stats_outcome(payload, item)
+                    _decode_trial_outcome(payload, item)
                     for chunk in packed_chunks
                     for item in chunk
                 ]
             else:
                 packed = backend.map(
-                    partial(_run_trial_task_stats, payload, incumbent=shared),
+                    partial(_run_trial_task, payload, incumbent=shared),
                     wave,
                     max_workers=workers,
                 )
-                wave_outcomes = [_decode_stats_outcome(payload, item) for item in packed]
+                wave_outcomes = [_decode_trial_outcome(payload, item) for item in packed]
             absorb(wave_outcomes)
             if at_floor() and start + width < len(seeds):
                 outcomes.extend(_floor_skip_stats(s) for s in seeds[start + width :])
@@ -822,29 +712,23 @@ class SynthesisResult:
     trial_stats:
         Per-trial bookkeeping (one dict per trial, in seed order: ``seed``,
         ``rounds``, ``collective_time``, ``pruned_at_round``,
-        ``wall_seconds``; composed syntheses add a ``phase`` key).  ``None``
-        unless the config asked for it (``collect_trial_stats`` /
-        ``incumbent_pruning``).
+        ``wall_seconds``; composed syntheses add a ``phase`` key).
     """
 
     algorithm: CollectiveAlgorithm
     wall_clock_seconds: float
     trials: int
     rounds: int = 0
-    trial_stats: Optional[List[Dict[str, Any]]] = None
+    trial_stats: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
-    def full_trials(self) -> Optional[int]:
-        """Trials that ran to completion, or ``None`` without stats."""
-        if self.trial_stats is None:
-            return None
+    def full_trials(self) -> int:
+        """Trials that ran to completion."""
         return sum(1 for stats in self.trial_stats if stats["pruned_at_round"] is None)
 
     @property
-    def pruned_trials(self) -> Optional[int]:
-        """Trials aborted by incumbent pruning, or ``None`` without stats."""
-        if self.trial_stats is None:
-            return None
+    def pruned_trials(self) -> int:
+        """Trials aborted by incumbent pruning or skipped by floor termination."""
         return sum(1 for stats in self.trial_stats if stats["pruned_at_round"] is not None)
 
 
@@ -936,17 +820,14 @@ class TacosSynthesizer:
         combined.topology_name = topology.name
         combined.metadata["reduce_scatter_time"] = reduce_scatter.algorithm.collective_time
         combined.metadata["all_gather_time"] = all_gather.algorithm.collective_time
-        trial_stats = None
-        if reduce_scatter.trial_stats is not None or all_gather.trial_stats is not None:
-            trial_stats = []
+        trial_stats = [
+            dict(stats, phase=phase_name)
             for phase_name, phase in (
                 ("reduce_scatter", reduce_scatter),
                 ("all_gather", all_gather),
-            ):
-                for stats in phase.trial_stats or []:
-                    tagged = dict(stats)
-                    tagged["phase"] = phase_name
-                    trial_stats.append(tagged)
+            )
+            for stats in phase.trial_stats
+        ]
         return SynthesisResult(
             algorithm=combined,
             wall_clock_seconds=0.0,
@@ -1030,70 +911,39 @@ class TacosSynthesizer:
         )
         seeds = self._trial_seeds(topology)
         backend, workers = self._trial_execution()
-        if self.config.incumbent_pruning or self.config.collect_trial_stats:
-            floor = None
-            if self.config.floor_termination:
-                floor = _search_floor(payload)
-            stats_outcomes = _run_stats_trials(
-                payload,
-                seeds,
-                backend,
-                workers,
-                prune=self.config.incumbent_pruning,
-                wave_size=self.config.wave_size,
-                floor=floor,
-            )
-            best_algorithm = None
-            best_rounds = 0
-            for algorithm, stats in stats_outcomes:
-                if algorithm is None:
-                    continue
-                if (
-                    best_algorithm is None
-                    or algorithm.collective_time < best_algorithm.collective_time
-                ):
-                    best_algorithm = algorithm
-                    best_rounds = stats["rounds"]
-            if best_algorithm is None:  # unreachable: the first trial of the
-                # first wave runs with no incumbent and therefore completes
-                raise SynthesisError("every synthesis trial was pruned")
-            return SynthesisResult(
-                algorithm=best_algorithm,
-                wall_clock_seconds=0.0,
-                trials=len(seeds),
-                rounds=best_rounds,
-                trial_stats=[stats for _, stats in stats_outcomes],
-            )
-        if backend is not None and len(seeds) > 1:
-            if getattr(backend, "process_based", False):
-                # Broadcast-once/submit-thin: the payload crosses the process
-                # boundary once as content-hash-addressed columnar bytes and
-                # the seeds follow in thin chunks; results come back as
-                # columnar TransferTable bytes.  No per-trial object graphs
-                # on the wire in either direction.
-                outcomes = _fan_out_trials(payload, seeds, backend, workers)
-            else:
-                outcomes = backend.map(
-                    partial(_execute_trial, payload), seeds, max_workers=workers
-                )
-        else:
-            outcomes = [_execute_trial(payload, seed) for seed in seeds]
+        floor = None
+        if self.config.floor_termination:
+            floor = _search_floor(payload)
+        outcomes = _run_trials(
+            payload,
+            seeds,
+            backend,
+            workers,
+            prune=self.config.incumbent_pruning,
+            wave_size=self.config.wave_size,
+            floor=floor,
+        )
 
         # First-strictly-better selection over the seed-ordered outcomes: the
         # winner does not depend on scheduling, so parallel and serial runs
         # pick the same algorithm.
         best_algorithm: Optional[CollectiveAlgorithm] = None
         best_rounds = 0
-        for algorithm, rounds in outcomes:
+        for algorithm, stats in outcomes:
+            if algorithm is None:
+                continue
             if best_algorithm is None or algorithm.collective_time < best_algorithm.collective_time:
                 best_algorithm = algorithm
-                best_rounds = rounds
-        assert best_algorithm is not None  # trials >= 1 guaranteed by SynthesisConfig
+                best_rounds = stats["rounds"]
+        if best_algorithm is None:  # unreachable: the first trial of the
+            # first wave runs with no incumbent and therefore completes
+            raise SynthesisError("every synthesis trial was pruned")
         return SynthesisResult(
             algorithm=best_algorithm,
             wall_clock_seconds=0.0,
-            trials=self.config.trials,
+            trials=len(seeds),
             rounds=best_rounds,
+            trial_stats=[stats for _, stats in outcomes],
         )
 
     def _trial_seeds(self, topology: Topology) -> List[int]:
@@ -1136,31 +986,6 @@ class TacosSynthesizer:
             return None, None
         return backend, workers
 
-    def _run_trial(
-        self,
-        topology: Topology,
-        pattern: CollectivePattern,
-        collective_size: float,
-        seed: int,
-        *,
-        chunk_size: float,
-        hop_distances: Optional[List[List[int]]],
-        cheap_regions: Optional[dict],
-    ) -> tuple:
-        """One randomized synthesis run (kept as a thin compatibility wrapper)."""
-        payload = TrialPayload(
-            topology=topology,
-            pattern=pattern,
-            collective_size=float(collective_size),
-            chunk_size=chunk_size,
-            hop_distances=hop_distances,
-            cheap_regions=cheap_regions,
-            engine=self.engine,
-            prefer_lowest_cost=self.config.prefer_lowest_cost_links,
-            max_rounds=self.config.max_rounds,
-        )
-        return _execute_trial(payload, seed)
-
     @staticmethod
     def _needs_forwarding(pattern: CollectivePattern) -> bool:
         """Whether some chunk must traverse NPUs that never request it.
@@ -1172,22 +997,6 @@ class TacosSynthesizer:
         post = pattern.postcondition()
         all_chunks = pattern.all_chunks()
         return any(post.get(npu, frozenset()) != all_chunks for npu in range(pattern.num_npus))
-
-
-def _cheaper_reachability_regions(topology: Topology, chunk_size: float):
-    """Per link-cost tier, the NPUs that can reach each destination over cheaper links only.
-
-    Returns ``{cost: regions}`` where ``regions[dest]`` is a frozenset of NPUs
-    from which ``dest`` is reachable using only links whose one-chunk cost is
-    strictly below ``cost``.  Delegates to the cached topology-level structure
-    (:meth:`repro.topology.topology.Topology.cheaper_reachability_regions`).
-    """
-    return topology.cheaper_reachability_regions(chunk_size)
-
-
-def _all_pairs_hop_distances(topology: Topology) -> List[List[int]]:
-    """Hop distances between every NPU pair via per-source BFS (cached on the topology)."""
-    return topology.hop_distances()
 
 
 def synthesize(

@@ -3,8 +3,6 @@
 :class:`GuidedSynthesizer` is a drop-in :class:`~repro.core.synthesizer.
 TacosSynthesizer` whose search is guided rather than uniform:
 
-* per-trial statistics are always collected (the bench and the portfolio
-  both consume them);
 * incumbent pruning and floor termination are on by default;
 * the seed list is reordered to front-load winning seeds of previously
   synthesized specs on the same topology family (when an artifact store is
@@ -19,7 +17,6 @@ own list order, exactly like the uniform tier resolves them by trial index.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.config import SynthesisConfig
@@ -41,8 +38,7 @@ class GuidedSynthesizer(TacosSynthesizer):
     config:
         Search configuration.  Defaults to incumbent pruning with floor
         termination over a single trial (raise ``trials`` for a real
-        search).  A provided config is upgraded to always collect per-trial
-        statistics; pruning/floor flags are otherwise respected as given, so
+        search).  A provided config is respected as given, so
         ``GuidedSynthesizer(SynthesisConfig(incumbent_pruning=True,
         floor_termination=False, ...))`` behaves exactly as written.
     engine:
@@ -70,13 +66,7 @@ class GuidedSynthesizer(TacosSynthesizer):
         portfolio_limit: int = 8,
     ) -> None:
         if config is None:
-            config = SynthesisConfig(
-                incumbent_pruning=True,
-                floor_termination=True,
-                collect_trial_stats=True,
-            )
-        elif not config.collect_trial_stats:
-            config = dataclasses.replace(config, collect_trial_stats=True)
+            config = SynthesisConfig(incumbent_pruning=True, floor_termination=True)
         super().__init__(config, engine)
         self.store = store
         self.portfolio_limit = portfolio_limit

@@ -125,7 +125,17 @@ def _specs():
 
 
 def _strip_timing(results):
-    return [dataclasses.replace(result, synthesis_seconds=None) for result in results]
+    return [
+        dataclasses.replace(
+            result,
+            synthesis_seconds=None,
+            trial_stats=[
+                {key: value for key, value in stats.items() if key != "wall_seconds"}
+                for stats in result.trial_stats or []
+            ],
+        )
+        for result in results
+    ]
 
 
 @pytest.mark.backend_equivalence

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.collectives import AllGather, AllToAll, Gather, Scatter
 from repro.core.matching import TrialBound
-from repro.core.synthesizer import _execute_trial_stats
+from repro.core.synthesizer import _execute_trial
 from repro.topology import build_3d_rfs, build_mesh_2d, build_torus_2d
 from tests.core.test_trial_bound_soundness import _PATTERNS, _asymmetric_topology, _payload
 
@@ -137,7 +137,7 @@ def _assert_incremental_equals_scratch(monkeypatch, payload, seeds) -> int:
             scratch.clear()
             # An infinite incumbent evaluates the bound after every round
             # without ever pruning, so every round of the trial is compared.
-            algorithm, _ = _execute_trial_stats(payload, seed, incumbent=math.inf)
+            algorithm, _ = _execute_trial(payload, seed, incumbent=math.inf)
             assert algorithm is not None
             # Also the round-0 value, which floor termination compares against.
             fresh = TrialBound.__new__(TrialBound)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.collectives import AllGather, AllToAll, Broadcast, Gather, Scatter
 from repro.core import FLAT_ENGINE, TacosSynthesizer
 from repro.core.matching import TrialBound
-from repro.core.synthesizer import TrialPayload, _execute_trial_stats
+from repro.core.synthesizer import TrialPayload, _execute_trial
 from repro.topology import Topology, build_3d_rfs, build_mesh_2d, build_torus_2d
 from tests.conftest import random_connected_topology
 
@@ -88,7 +88,7 @@ def _assert_sound(
             recorded.clear()
             # An infinite incumbent evaluates the bound after every round
             # but can never prune: the trial runs to completion.
-            algorithm, stats = _execute_trial_stats(payload, seed, incumbent=math.inf)
+            algorithm, stats = _execute_trial(payload, seed, incumbent=math.inf)
             assert algorithm is not None and stats["pruned_at_round"] is None
             final = algorithm.collective_time
             assert len(recorded) == stats["rounds"] - 1

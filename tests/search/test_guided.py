@@ -40,18 +40,13 @@ class TestConfigDefaults:
         config = GuidedSynthesizer().config
         assert config.incumbent_pruning is True
         assert config.floor_termination is True
-        assert config.collect_trial_stats is True
 
-    def test_provided_config_upgraded_to_collect_stats(self):
+    def test_provided_config_kept_as_given(self):
         config = SynthesisConfig(trials=3, incumbent_pruning=True)
-        synthesizer = GuidedSynthesizer(config)
-        assert synthesizer.config.collect_trial_stats is True
-        assert synthesizer.config.trials == 3
+        assert GuidedSynthesizer(config).config is config
 
     def test_provided_flags_respected(self):
-        config = SynthesisConfig(
-            trials=2, incumbent_pruning=False, collect_trial_stats=True
-        )
+        config = SynthesisConfig(trials=2, incumbent_pruning=False)
         assert GuidedSynthesizer(config).config.incumbent_pruning is False
 
     def test_floor_without_pruning_is_rejected(self):
@@ -70,7 +65,6 @@ class TestGuidedWithoutStore:
                 trials=8,
                 incumbent_pruning=True,
                 floor_termination=True,
-                collect_trial_stats=True,
             )
         )
         expected = uniform.synthesize(topology, pattern, 4e6)
@@ -83,7 +77,6 @@ class TestGuidedWithoutStore:
         topology = build_mesh([3, 3])
         guided = GuidedSynthesizer(SynthesisConfig(seed=0, trials=6, incumbent_pruning=True))
         result = guided.synthesize_with_stats(topology, AllGather(9), 1e6)
-        assert result.trial_stats is not None
         assert len(result.trial_stats) == 6
         assert [stats["seed"] for stats in result.trial_stats] == list(range(6))
         assert result.full_trials + result.pruned_trials == 6

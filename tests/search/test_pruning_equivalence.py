@@ -35,7 +35,6 @@ _PRUNING_VARIANTS = (
     {"incumbent_pruning": True},
     {"incumbent_pruning": True, "floor_termination": True},
     {"incumbent_pruning": True, "floor_termination": True, "wave_size": 2},
-    {"collect_trial_stats": True},  # stats plumbing alone must not perturb
 )
 
 
@@ -111,7 +110,7 @@ class TestTieBreaking:
         pattern = AllGather(8)
         results = {}
         for label, variant in (
-            ("off", {"collect_trial_stats": True}),
+            ("off", {}),
             ("prune", {"incumbent_pruning": True}),
             ("floor", {"incumbent_pruning": True, "floor_termination": True}),
         ):
