@@ -355,8 +355,8 @@ def _check_dims(name: str, dims: Sequence[int], topology: Topology) -> None:
 def _tacos(
     topology: Topology, pattern: CollectivePattern, collective_size: float, **params: Any
 ) -> AlgorithmArtifact:
-    # `engine` is a registry name (flat / native / reference), not a
-    # SynthesisConfig field: resolve it here so `-p engine=native` (and the
+    # `engine` is a registry name (flat / reference), not a
+    # SynthesisConfig field: resolve it here so `-p engine=reference` (and the
     # CLI's --engine sugar) works through specs, caches, and pickled batches.
     engine_name = params.pop("engine", None)
     engine = resolve_engine(str(engine_name)) if engine_name is not None else None

@@ -6,10 +6,10 @@ Four pieces:
   engine, the frozen dict-keyed :class:`ReferenceSimulator`, and the frozen
   object-path adapters/verifier, kept as the behavioural baselines;
 * :mod:`repro.bench.grid` — named scenario grids (``smoke``, ``fig19``,
-  ``full``, ``sim_stress``, ``pipeline``, ``parallel``, ``native``) crossing
-  topology families, NPU counts, collective sizes, logical schedules,
-  end-to-end pipelines, execution-backend scaling, and flat-vs-native
-  kernel races;
+  ``full``, ``sim_stress``, ``pipeline``, ``parallel``, ``dispatch``,
+  ``search``) crossing topology families, NPU counts, collective sizes,
+  logical schedules, end-to-end pipelines, execution-backend scaling,
+  dispatch overhead and guided-vs-uniform search;
 * :mod:`repro.bench.runner` — times synthesis, simulation, full pipelines,
   and execution-backend scaling over a grid, asserts fixed-seed output
   equivalence (byte-identical across engines *and* across serial / thread /
@@ -36,7 +36,6 @@ from repro.bench.compare import (
 from repro.bench.grid import (
     GRIDS,
     BenchScenario,
-    NativeScenario,
     ParallelScenario,
     PipelineScenario,
     SearchScenario,
@@ -56,7 +55,6 @@ __all__ = [
     "BenchRecord",
     "BenchScenario",
     "GRIDS",
-    "NativeScenario",
     "ParallelScenario",
     "PipelineScenario",
     "REFERENCE_ENGINE",

@@ -145,8 +145,8 @@ def _layer_medians(report: Dict[str, Any]) -> Optional[Dict[str, float]]:
 def _kernel_tiers(report: Dict[str, Any]) -> Optional[str]:
     """Distinct per-record kernel tiers of a report, ``None`` for pre-v5 ones.
 
-    v5 records carry a nullable ``kernel`` field (``"numba"`` / ``"python"``
-    / ``null``); older schemas have no such key at all, and both cases must
+    v5 records carry a nullable ``kernel`` field (the compiled tier the
+    record timed, or ``null``); older schemas have no such key at all, and both cases must
     render as absent rather than KeyError.
     """
     tiers = {

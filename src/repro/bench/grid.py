@@ -1,6 +1,6 @@
 """Named benchmark scenario grids.
 
-Seven kinds of scenarios exist:
+Six kinds of scenarios exist:
 
 * :class:`BenchScenario` — one *synthesis* problem: a topology (registry
   shorthand), a collective, a per-NPU collective size, and a fixed seed.
@@ -18,10 +18,6 @@ Seven kinds of scenarios exist:
   best-of-N TACOS synthesis run three times — serial, thread pool, process
   pool — asserting byte-identical winning algorithms and recording the
   process backend's wall-clock scaling over serial.
-* :class:`NativeScenario` — one *flat-vs-native engine race*: the same
-  fixed-seed synthesis under the flat engine and the numba kernel engine,
-  asserting byte-identical winning algorithms, verification verdicts, and
-  (Python event loop vs event-loop kernel) message completions.
 * :class:`DispatchScenario` — one *dispatch-overhead* problem: per-trial
   submitted payload bytes (per-call pickle vs broadcast plane), warm-vs-cold
   pool dispatch latency, sustained trials/sec through the warm pool, and a
@@ -32,7 +28,7 @@ Seven kinds of scenarios exist:
   and recording quality-at-equal-wallclock, time-to-target, pruned-trial
   fraction, and effective trials/sec.
 
-Nine grids are provided:
+Eight grids are provided:
 
 * ``smoke`` — tiny scenarios of all kinds for CI (a couple of seconds
   end-to-end);
@@ -52,9 +48,6 @@ Nine grids are provided:
 * ``parallel`` — the execution-backend grid: best-of-8 synthesis scenarios
   sized so each trial is CPU-chunky, the grid the process-backend scaling
   trajectory is recorded on;
-* ``native`` — the flat-vs-native equivalence grid: small scenarios across
-  topology/collective families raced under both engine tiers with
-  byte-identical assertions;
 * ``dispatch`` — the execution-plane overhead grid: what the persistent
   pool backend and the payload broadcast plane change, measured honestly on
   any core count;
@@ -74,7 +67,6 @@ from repro.errors import ReproError
 __all__ = [
     "BenchScenario",
     "DispatchScenario",
-    "NativeScenario",
     "ParallelScenario",
     "PipelineScenario",
     "SearchScenario",
@@ -103,33 +95,6 @@ class BenchScenario:
     #: a pipeline ``flat_only`` scenario it is *not* excluded from default
     #: runs — the point is growing the timed grid past the reference ceiling.
     skip_reference: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class NativeScenario:
-    """One flat-vs-native engine race of a benchmark grid.
-
-    The same fixed-seed synthesis problem runs under the flat engine (the
-    equivalence oracle) and the ``native`` kernel engine, asserting the
-    winning algorithms are byte-identical (``TransferTable.to_bytes``), the
-    verification verdicts agree, and — simulating the winner under both the
-    Python event loop and the event-loop kernel — the ``message_completion``
-    maps are byte-identical too.  Without numba the kernels run through the
-    identity-``njit`` pure-Python path (``FORCE_PY_KERNEL``), so the
-    assertions always exercise the real kernel code, never the fallback
-    delegation; scenarios are sized accordingly small.
-    """
-
-    name: str
-    topology: str  #: registry shorthand, e.g. ``"mesh_2d:4,4"``
-    collective: str  #: collective registry name, e.g. ``"all_reduce"``
-    collective_size: float  #: per-NPU bytes
-    chunks_per_npu: int = 1
-    seed: int = 0
-    trials: int = 1
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -275,7 +240,6 @@ Scenario = Union[
     SimScenario,
     PipelineScenario,
     ParallelScenario,
-    NativeScenario,
     DispatchScenario,
     SearchScenario,
 ]
@@ -291,11 +255,6 @@ def _smoke_grid() -> List[Scenario]:
         ParallelScenario(
             "par-mesh4x4-ag-4MB-t4", "mesh_2d:4,4", "all_gather", 4 * _MB, trials=4, workers=2
         ),
-        # 4x4 on purpose: 16 chunks x 15 pending destinations crosses the
-        # 128-pair floor below which the matching kernel (like the blockwise
-        # flat path) delegates to the scalar loop, so smoke actually
-        # exercises the kernel code path.
-        NativeScenario("native-mesh4x4-ar-8MB", "mesh_2d:4,4", "all_reduce", 8 * _MB),
         DispatchScenario(
             "disp-mesh4x4-ag-1MB-t4", "mesh_2d:4,4", "all_gather", 1 * _MB, trials=4, workers=2
         ),
@@ -434,27 +393,6 @@ def _pipeline_grid() -> List[Scenario]:
     ]
 
 
-def _native_grid() -> List[Scenario]:
-    # Flat-vs-native races.  Sized small on purpose: without numba the
-    # kernels execute through the identity-njit pure-Python path, which is
-    # slow but keeps the byte-identical assertions meaningful everywhere.
-    # The families cover uniform meshes/rings (uniform-cost pick), the 3D
-    # hypercube (higher-degree CSR fan-in), sub-chunking, and a forwarding
-    # collective (pass-2 delegation).
-    return [
-        NativeScenario("native-mesh4x4-ar-64MB", "mesh_2d:4,4", "all_reduce", 64 * _MB),
-        NativeScenario("native-mesh5x5-ag-64MB", "mesh_2d:5,5", "all_gather", 64 * _MB),
-        NativeScenario(
-            "native-mesh4x4-ag-64MB-c2", "mesh_2d:4,4", "all_gather", 64 * _MB, chunks_per_npu=2
-        ),
-        NativeScenario("native-ring16-ar-64MB", "ring:16", "all_reduce", 64 * _MB, seed=7),
-        NativeScenario(
-            "native-hypercube3^3-ar-64MB", "hypercube_3d:3,3,3", "all_reduce", 64 * _MB
-        ),
-        NativeScenario("native-mesh4x4-a2a-16MB", "mesh_2d:4,4", "all_to_all", 16 * _MB),
-    ]
-
-
 def _parallel_grid() -> List[Scenario]:
     # Best-of-8 synthesis scenarios whose individual trials are CPU-chunky
     # (hundreds of milliseconds), so process-pool startup and the columnar
@@ -529,7 +467,6 @@ GRIDS = {
     "sim_stress": _sim_stress_grid,
     "pipeline": _pipeline_grid,
     "parallel": _parallel_grid,
-    "native": _native_grid,
     "dispatch": _dispatch_grid,
     "search": _search_grid,
 }

@@ -60,7 +60,6 @@ from repro.baselines import direct_all_reduce, rhd_all_reduce, ring_all_reduce
 from repro.bench.grid import (
     BenchScenario,
     DispatchScenario,
-    NativeScenario,
     ParallelScenario,
     PipelineScenario,
     Scenario,
@@ -80,14 +79,11 @@ from repro.bench.reference import (
 from repro.core.config import SynthesisConfig
 from repro.core.synthesizer import (
     FLAT_ENGINE,
-    NATIVE_ENGINE,
     TacosSynthesizer,
     TrialPayload,
     resolve_engine,
 )
 from repro.core.verification import verify_algorithm
-from repro.kernels import NUMBA_AVAILABLE, NUMBA_VERSION
-from repro.kernels import matching as _kernel_matching
 from repro.errors import ReproError, VerificationError
 from repro.simulator.adapters import (
     algorithm_to_messages,
@@ -110,7 +106,7 @@ __all__ = ["BenchRecord", "run_bench", "summarize", "write_report"]
 #: runs), and host/execution metadata on the report envelope;
 #: v5 adds the ``native`` scenario kind, per-record ``engine`` / ``kernel``
 #: fields (the synthesis-engine tier each record timed), the envelope's
-#: ``engine`` and ``native`` (numba availability/version) blocks, and
+#: ``engine`` and ``native`` (compiled-tier availability/version) blocks, and
 #: per-scenario ``skip_reference`` synthesis records with null reference
 #: timings inside otherwise-referenced runs;
 #: v6 adds the ``dispatch`` scenario kind (warm-vs-cold pool dispatch as the
@@ -151,12 +147,6 @@ class BenchRecord:
     same flat engine — ``reference_seconds`` is the serial wall clock,
     ``flat_seconds`` the process-pool wall clock, ``speedup`` the measured
     scaling — with all three backends' medians in ``backend_seconds``.  For
-    ``kind == "native"`` the triple races *engine tiers* of the same
-    synthesis problem — ``reference_seconds`` is the flat (oracle) wall
-    clock, ``flat_seconds`` the native-engine wall clock, ``speedup`` the
-    native-over-flat ratio (~1x on the forced pure-Python kernel path,
-    > 1x compiled) — and the ``simulation_*`` fields race the Python event
-    loop against the event-loop kernel the same way.  For
     ``kind == "dispatch"`` the triple measures *dispatch overhead*, not
     synthesis: ``reference_seconds`` is the cold path (spin up a fresh
     process pool, run one fan-out, tear it down — what every per-call
@@ -185,7 +175,7 @@ class BenchRecord:
 
     scenario: str
     #: ``"synthesis"``, ``"simulation"``, ``"pipeline"``, ``"parallel"``,
-    #: ``"native"``, ``"dispatch"``, or ``"search"``.
+    #: ``"dispatch"``, or ``"search"``.
     kind: str
     topology: str
     collective: str
@@ -224,12 +214,11 @@ class BenchRecord:
     #: trials/sec for both tiers.
     search_metrics: Optional[Dict[str, Any]] = None
     #: Synthesis-engine tier the record's primary timing ran under
-    #: (``"flat"``, ``"native"``, ``"reference"``; simulation records report
-    #: the array simulator as ``"flat"``).
+    #: (``"flat"``, ``"reference"``; simulation records report the array
+    #: simulator as ``"flat"``).
     engine: str = "flat"
-    #: Kernel tier behind the timed engine: ``"numba"`` when the compiled
-    #: kernels ran, ``"python"`` for the forced pure-Python kernel path
-    #: (identity ``njit``), ``None`` when no kernel was involved.
+    #: Schema v5 field naming a compiled kernel tier; always ``None`` now
+    #: that every record times the Python engines.
     kernel: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -355,13 +344,6 @@ def _warmup_once() -> None:
         _WARMED = True
 
 
-def _kernel_tier(engine_name: str) -> Optional[str]:
-    """Kernel tier behind a synthesis engine: only ``native`` has one."""
-    if engine_name != "native":
-        return None
-    return "numba" if NUMBA_AVAILABLE else "python"
-
-
 def _run_synthesis_scenario(
     scenario: BenchScenario,
     repeats: int,
@@ -433,7 +415,6 @@ def _run_synthesis_scenario(
         simulation_equivalent=simulation_equivalent,
         simulated_collective_time=sim_result.completion_time,
         engine=engine.name,
-        kernel=_kernel_tier(engine.name),
     )
 
 
@@ -491,9 +472,6 @@ def _run_sim_scenario(
         simulation_speedup=speedup,
         simulation_equivalent=equivalent,
         simulated_collective_time=flat_result.completion_time,
-        # The array simulator auto-dispatches to the event-loop kernel when
-        # numba is importable; otherwise the Python loop ran (no kernel).
-        kernel="numba" if NUMBA_AVAILABLE else None,
     )
 
 
@@ -649,7 +627,6 @@ def _run_pipeline_scenario(
         layer_seconds=flat_layers,
         reference_layer_seconds=reference_layers,
         engine=engine.name,
-        kernel=_kernel_tier(engine.name),
     )
 
 
@@ -905,120 +882,6 @@ def _run_dispatch_scenario(
     )
 
 
-#: Serializes mutation of the module-level ``FORCE_PY_KERNEL`` flag under
-#: thread fan-out: a native scenario restoring the flag must never race a
-#: sibling that still depends on it.
-_FORCE_PY_LOCK = threading.Lock()
-
-
-def _run_native_scenario(
-    scenario: NativeScenario, repeats: int, check_equivalence: bool
-) -> BenchRecord:
-    """Race the flat engine against the native kernel tier on one problem.
-
-    The triple compares engine *tiers*: ``reference_seconds`` is the flat
-    (oracle) synthesis wall clock, ``flat_seconds`` the native engine's, and
-    ``speedup`` the native-over-flat ratio.  The ``simulation_*`` fields race
-    the Python event loop against the event-loop kernel on the winning
-    algorithm's messages the same way.  Without numba the matching kernel is
-    forced through its identity-``njit`` pure-Python path for the duration
-    (``FORCE_PY_KERNEL``), so the byte-identical assertions always exercise
-    the real kernel code path — never the fallback delegation — at ~1x
-    parity; with numba compiled the same assertions hold at > 1x.
-    """
-    topology = build_topology(parse_topology_spec(scenario.topology))
-    factory = COLLECTIVES.get(scenario.collective)
-    pattern = factory(topology.num_npus, scenario.chunks_per_npu)
-    config = SynthesisConfig(seed=scenario.seed, trials=scenario.trials)
-
-    flat = TacosSynthesizer(config, engine=FLAT_ENGINE)
-    flat_result, flat_seconds = _median_wall_clock(
-        flat, topology, pattern, scenario.collective_size, repeats
-    )
-
-    with _FORCE_PY_LOCK:
-        previous = _kernel_matching.FORCE_PY_KERNEL
-        _kernel_matching.FORCE_PY_KERNEL = previous or not NUMBA_AVAILABLE
-        try:
-            native = TacosSynthesizer(config, engine=NATIVE_ENGINE)
-            native_result, native_seconds = _median_wall_clock(
-                native, topology, pattern, scenario.collective_size, repeats
-            )
-        finally:
-            _kernel_matching.FORCE_PY_KERNEL = previous
-
-    equivalent: Optional[bool] = None
-    verified: Optional[bool] = None
-    if check_equivalence:
-        flat_verdict = _pipeline_verdict(verify_algorithm, flat_result.algorithm, topology, pattern)
-        native_verdict = _pipeline_verdict(
-            verify_algorithm, native_result.algorithm, topology, pattern
-        )
-        equivalent = (
-            flat_result.algorithm.table.to_bytes() == native_result.algorithm.table.to_bytes()
-            and flat_result.algorithm.collective_time == native_result.algorithm.collective_time
-            and flat_verdict == native_verdict
-        )
-        verified = flat_verdict[0]
-
-    messages = algorithm_to_messages(flat_result.algorithm)
-    collective_size = flat_result.algorithm.collective_size
-
-    def python_loop_pipeline(topology, messages, collective_size):
-        result = CongestionAwareSimulator(topology, use_kernel=False).run(
-            messages, collective_size=collective_size
-        )
-        result.utilization_timeline(_TIMELINE_SAMPLES)
-        result.link_busy_time()
-        return result
-
-    def kernel_pipeline(topology, messages, collective_size):
-        result = CongestionAwareSimulator(topology, use_kernel=True).run(
-            messages, collective_size=collective_size
-        )
-        result.utilization_timeline(_TIMELINE_SAMPLES)
-        result.link_busy_time()
-        return result
-
-    python_sim, python_sim_seconds = _time_simulator(
-        python_loop_pipeline, topology, messages, collective_size, repeats
-    )
-    kernel_sim, kernel_sim_seconds = _time_simulator(
-        kernel_pipeline, topology, messages, collective_size, repeats
-    )
-    simulation_equivalent: Optional[bool] = None
-    if check_equivalence:
-        simulation_equivalent = _simulators_agree(kernel_sim, python_sim)
-
-    return BenchRecord(
-        scenario=scenario.name,
-        kind="native",
-        topology=scenario.topology,
-        collective=scenario.collective,
-        collective_size=scenario.collective_size,
-        num_npus=topology.num_npus,
-        num_links=topology.num_links,
-        seed=scenario.seed,
-        trials=scenario.trials,
-        flat_seconds=native_seconds,
-        reference_seconds=flat_seconds,
-        speedup=_safe_speedup(flat_seconds, native_seconds),
-        equivalent=equivalent,
-        num_transfers=flat_result.algorithm.num_transfers,
-        collective_time=flat_result.algorithm.collective_time,
-        rounds=flat_result.rounds,
-        num_messages=len(messages),
-        simulation_seconds=kernel_sim_seconds,
-        reference_simulation_seconds=python_sim_seconds,
-        simulation_speedup=_safe_speedup(python_sim_seconds, kernel_sim_seconds),
-        simulation_equivalent=simulation_equivalent,
-        simulated_collective_time=kernel_sim.completion_time,
-        verified=verified,
-        engine="native",
-        kernel="numba" if NUMBA_AVAILABLE else "python",
-    )
-
-
 def _quality_trajectory(
     trial_stats: List[Dict[str, Any]],
 ) -> List[Tuple[float, Optional[float]]]:
@@ -1211,8 +1074,6 @@ def _scenario_task(task: Tuple[Scenario, int, bool, bool, str]) -> BenchRecord:
     """
     scenario, repeats, check_equivalence, include_reference, engine_name = task
     _warmup_once()
-    if isinstance(scenario, NativeScenario):
-        return _run_native_scenario(scenario, repeats, check_equivalence)
     if isinstance(scenario, ParallelScenario):
         return _run_parallel_scenario(scenario, repeats, check_equivalence)
     if isinstance(scenario, DispatchScenario):
@@ -1258,13 +1119,10 @@ def run_bench(
 
     ``engine`` selects the synthesis-engine tier the synthesis and pipeline
     scenarios time on their primary (non-reference) side, resolved through
-    :func:`repro.core.synthesizer.resolve_engine` — ``"native"`` degrades to
-    the flat engine (with one warning) when numba is missing.  ``native``
-    and ``parallel`` scenarios pin their own engines and ignore it.
+    :func:`repro.core.synthesizer.resolve_engine`.  ``parallel`` scenarios
+    pin their own engine and ignore it.
     """
-    # Resolve once up front: an unknown name fails before any scenario runs,
-    # and the native-fallback warning fires in the calling process instead
-    # of once per worker.
+    # Resolve once up front: an unknown name fails before any scenario runs.
     engine_name = resolve_engine(engine).name
     selected = list(scenarios) if scenarios is not None else get_grid(grid)
     if include_reference:
@@ -1312,39 +1170,31 @@ def summarize(records: List[BenchRecord]) -> Dict[str, Any]:
     an incomparable population — so every engine aggregate (speedups,
     wall-clock totals, equivalence counts) is computed over the non-parallel
     records, and parallel records get their own ``*_parallel_speedup`` /
-    ``parallel_equivalence_checked`` keys.  ``native`` records are excluded
-    the same way for the same reason: their triple races engine *tiers*
-    (~1x parity on the pure-Python kernel path), and their simulator triple
-    races event-loop tiers, so they get their own ``*_native_speedup`` /
-    ``native_equivalence_checked`` keys and never feed the headline
-    engine or simulator aggregates.  ``dispatch`` records measure pool
+    ``parallel_equivalence_checked`` keys.  ``dispatch`` records measure pool
     *dispatch overhead* (cold/warm spin-up ratio, submitted bytes) — again
     incomparable — and get ``*_dispatch_speedup`` /
     ``dispatch_equivalence_checked`` / ``median_payload_bytes_reduction``
     keys.  ``search`` records race search *tiers* (guided vs uniform wall
     clock at a fixed trial budget) and get ``*_search_speedup`` /
     ``median_pruned_fraction`` / ``search_equivalence_checked`` keys.  Only
-    when the grid contains nothing else (the ``parallel`` / ``native`` /
+    when the grid contains nothing else (the ``parallel`` /
     ``dispatch`` / ``search`` grids themselves) do those records
     feed the headline fields, so ``--history`` still shows their
     trajectories.  A mixed grid's engine summary (and the ``--min-speedup``
     gate / cross-report trend built on it) therefore never moves because a
-    scaling scenario ran on a host with fewer cores or a kernel race ran
-    without numba.
+    scaling scenario ran on a host with fewer cores.
     """
     engine_records = [
         record
         for record in records
-        if record.kind not in ("parallel", "native", "dispatch", "search")
+        if record.kind not in ("parallel", "dispatch", "search")
     ]
     parallel_records = [record for record in records if record.kind == "parallel"]
-    native_records = [record for record in records if record.kind == "native"]
     dispatch_records = [record for record in records if record.kind == "dispatch"]
     search_records = [record for record in records if record.kind == "search"]
     base = engine_records if engine_records else records
     sim_base = engine_records if engine_records else records
     parallel_speedups = _finite([record.speedup for record in parallel_records])
-    native_speedups = _finite([record.speedup for record in native_records])
     dispatch_speedups = _finite([record.speedup for record in dispatch_records])
     payload_reductions = _finite(
         [
@@ -1357,12 +1207,6 @@ def summarize(records: List[BenchRecord]) -> Dict[str, Any]:
     checked = [record.equivalent for record in base if record.equivalent is not None]
     parallel_checked = [
         record.equivalent for record in parallel_records if record.equivalent is not None
-    ]
-    native_checked = [
-        check
-        for record in native_records
-        for check in (record.equivalent, record.simulation_equivalent)
-        if check is not None
     ]
     sim_checked = [
         record.simulation_equivalent
@@ -1407,13 +1251,6 @@ def summarize(records: List[BenchRecord]) -> Dict[str, Any]:
         ),
         "min_parallel_speedup": min(parallel_speedups) if parallel_speedups else None,
         "max_parallel_speedup": max(parallel_speedups) if parallel_speedups else None,
-        "median_native_speedup": (
-            statistics.median(native_speedups) if native_speedups else None
-        ),
-        "min_native_speedup": min(native_speedups) if native_speedups else None,
-        "max_native_speedup": max(native_speedups) if native_speedups else None,
-        "native_equivalence_checked": len(native_checked),
-        "all_native_equivalent": all(native_checked) if native_checked else None,
         "median_dispatch_speedup": (
             statistics.median(dispatch_speedups) if dispatch_speedups else None
         ),
@@ -1455,8 +1292,8 @@ def write_report(
     records the executing host's usable core count (and any scenario-level
     execution backend), without which a ``parallel`` grid's scaling numbers
     cannot be interpreted — and, since schema v5, the synthesis-engine tier
-    the run timed plus the numba availability/version, without which a
-    ``native`` grid's parity-vs-compiled numbers cannot be interpreted.
+    the run timed.  The v5 ``native`` block is kept at its no-compiler
+    values, since no compiled tier exists any more.
     Schema v6 adds the ``pool`` block: whether the broadcast plane had
     POSIX shared memory or fell back to inline bytes, without which a
     ``dispatch`` grid's payload-bytes numbers cannot be interpreted.
@@ -1473,10 +1310,7 @@ def write_report(
         },
         "execution": {"backend": execution or "serial", "workers": workers},
         "engine": engine or "flat",
-        "native": {
-            "numba_available": NUMBA_AVAILABLE,
-            "numba_version": NUMBA_VERSION,
-        },
+        "native": {"numba_available": False, "numba_version": None},
         "pool": {
             "shared_memory_available": broadcast.shared_memory_available(),
             "broadcast_transport": (

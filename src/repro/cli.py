@@ -127,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     synthesize.add_argument(
         "--engine", default=None, metavar="NAME",
-        help="synthesis engine tier: flat (default), native (numba kernels; "
-        "degrades to flat with a warning when numba is missing), or reference",
+        help="synthesis engine: flat (default) or reference",
     )
 
     simulate = subparsers.add_parser(
@@ -166,13 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         choices=(
             "smoke", "fig19", "full", "sim_stress", "pipeline", "parallel",
-            "native", "dispatch", "search",
+            "dispatch", "search",
         ),
         default="fig19",
         help="scenario grid (default: fig19; sim_stress exercises the simulator, "
         "pipeline the end-to-end synthesize+verify+simulate+metrics chain, "
         "parallel the execution-backend scaling of best-of-N synthesis, "
-        "native the flat-vs-native kernel equivalence races, "
         "dispatch the warm-pool dispatch overhead and payload-bytes plane, "
         "search the guided-vs-uniform quality-per-wallclock races)",
     )
@@ -209,9 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--engine", default="flat", metavar="NAME",
-        help="synthesis engine tier for the timed (non-reference) side: flat "
-        "(default), native (numba kernels; degrades to flat with a warning "
-        "when numba is missing), or reference",
+        help="synthesis engine for the timed (non-reference) side: flat "
+        "(default) or reference",
     )
     bench.add_argument(
         "--min-speedup", type=float, default=None,
@@ -715,13 +712,6 @@ def _cmd_bench(arguments: argparse.Namespace) -> int:
                 f"(min {summary['min_simulation_speedup']:.2f}x, "
                 f"max {summary['max_simulation_speedup']:.2f}x)"
             )
-        if summary.get("median_native_speedup") is not None:
-            print(
-                f"median native/flat ratio {summary['median_native_speedup']:.2f}x "
-                f"(min {summary['min_native_speedup']:.2f}x, "
-                f"max {summary['max_native_speedup']:.2f}x; "
-                f"~1x expected on the pure-Python kernel path)"
-            )
         if summary.get("median_dispatch_speedup") is not None:
             reduction = summary.get("median_payload_bytes_reduction")
             reduction_text = (
@@ -760,9 +750,6 @@ def _cmd_bench(arguments: argparse.Namespace) -> int:
         return 1
     if summary.get("all_parallel_equivalent") is False:
         print("error: execution backends disagree on fixed-seed outputs", file=sys.stderr)
-        return 1
-    if summary.get("all_native_equivalent") is False:
-        print("error: native kernel tier disagrees with the flat engine", file=sys.stderr)
         return 1
     if summary.get("all_dispatch_equivalent") is False:
         print(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import struct
 import time as _time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -27,8 +26,6 @@ from repro.core.algorithm import CollectiveAlgorithm
 from repro.core.config import SynthesisConfig
 from repro.core.matching import MatchingState, TrialBound, run_matching_round
 from repro.errors import SynthesisError
-from repro.kernels import NUMBA_AVAILABLE
-from repro.kernels.matching import native_run_matching_round
 from repro.ten.network import TimeExpandedNetwork
 from repro.topology.topology import Topology
 
@@ -36,7 +33,6 @@ __all__ = [
     "SynthesisEngine",
     "ENGINES",
     "FLAT_ENGINE",
-    "NATIVE_ENGINE",
     "SynthesisResult",
     "TacosSynthesizer",
     "TrialPayload",
@@ -67,13 +63,6 @@ class SynthesisEngine:
 #: Default engine: flat array-backed state, CSR-indexed TEN.
 FLAT_ENGINE = SynthesisEngine(name="flat")
 
-#: Native engine: the numba matching-round kernel over the same flat state.
-#: Safe to use even without numba — the kernel wrapper delegates every round
-#: to the flat implementation then — but :func:`resolve_engine` resolves the
-#: *name* ``"native"`` to :data:`FLAT_ENGINE` (with one warning) in that
-#: case, so reports never claim a native tier that never compiled.
-NATIVE_ENGINE = SynthesisEngine(name="native", matching_round=native_run_matching_round)
-
 #: By-name registry of synthesis engines (the ``--engine`` CLI/bench seam).
 #: The frozen reference engine registers itself on import of
 #: :mod:`repro.bench.reference`.
@@ -87,34 +76,10 @@ def register_engine(engine: SynthesisEngine) -> SynthesisEngine:
 
 
 register_engine(FLAT_ENGINE)
-register_engine(NATIVE_ENGINE)
-
-_warned_native_fallback = False
 
 
 def resolve_engine(name: str) -> SynthesisEngine:
-    """Look up an engine by name, degrading ``native`` gracefully.
-
-    When ``"native"`` is requested on a host without numba, returns
-    :data:`FLAT_ENGINE` — the equivalence oracle the kernels are pinned
-    against, so results are identical — and emits a single
-    :class:`RuntimeWarning` per process.
-    """
-    if name == "native" and not NUMBA_AVAILABLE:
-        from repro.kernels.matching import FORCE_PY_KERNEL
-
-        if not FORCE_PY_KERNEL:
-            global _warned_native_fallback
-            if not _warned_native_fallback:
-                _warned_native_fallback = True
-                warnings.warn(
-                    "native engine requested but numba is not installed; "
-                    "falling back to the flat engine (install "
-                    "tacos-repro[native] to enable compiled kernels)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return FLAT_ENGINE
+    """Look up an engine by name; unknown names raise :class:`SynthesisError`."""
     if name == "reference" and name not in ENGINES:
         # The frozen baseline lives in the bench subsystem; pull it in on
         # demand so `--engine reference` works from any entry point.

@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Flow-sensitive invariant analyzer: determinism (D), process-safety "
             "(P), columnar hot paths (C), artifact hygiene (J), registry "
-            "contracts (R), kernel contracts (K)."
+            "contracts (R)."
         ),
     )
     parser.add_argument(

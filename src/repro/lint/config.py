@@ -101,26 +101,6 @@ DEFAULT_ROW_FIELDS: Tuple[str, ...] = ("start", "end", "chunk", "source", "dest"
 #: Attribute names that yield transfer-row sequences when iterated.
 DEFAULT_ROW_SOURCES: Tuple[str, ...] = ("transfers", "chunk_transfers", "to_transfers")
 
-#: Module patterns the K (kernel-contract) family applies to.
-DEFAULT_KERNEL_MODULES: Tuple[str, ...] = ("repro.kernels.*",)
-
-#: Qualified names (or their basenames) of the flat-engine delegation
-#: entry points a kernel must reach *before* its first RNG draw (K601).
-DEFAULT_KERNEL_DELEGATES: Tuple[str, ...] = (
-    "repro.core.matching.run_matching_round",
-)
-
-#: Function names whose call consumes (or commits to) the MT19937 stream.
-#: ``mt_export`` is included: exporting then delegating desyncs the streams
-#: just as surely as drawing first.
-DEFAULT_RNG_DRAW_NAMES: Tuple[str, ...] = (
-    "mt_genrand",
-    "mt_randbelow",
-    "_randbelow",
-    "_permuter",
-    "mt_export",
-)
-
 #: Registry builder contracts for the R family, keyed by the registry
 #: object's qualified name.  ``min_positional`` is the number of leading
 #: positional parameters the registered callable must accept;
@@ -158,9 +138,6 @@ class LintConfig:
     cost_terms: Tuple[str, ...] = DEFAULT_COST_TERMS
     row_fields: Tuple[str, ...] = DEFAULT_ROW_FIELDS
     row_sources: Tuple[str, ...] = DEFAULT_ROW_SOURCES
-    kernel_modules: Tuple[str, ...] = DEFAULT_KERNEL_MODULES
-    kernel_delegates: Tuple[str, ...] = DEFAULT_KERNEL_DELEGATES
-    rng_draw_names: Tuple[str, ...] = DEFAULT_RNG_DRAW_NAMES
     cache: str = ".lint-cache.json"
 
     def module_tags(self, module_name: str) -> frozenset:
@@ -171,12 +148,6 @@ class LintConfig:
             if any(fnmatchcase(module_name, pattern) for pattern in patterns)
         ]
         return frozenset(matched)
-
-    def is_kernel_module(self, module_name: str) -> bool:
-        """True when the K family's kernel-contract rules apply to a module."""
-        return any(
-            fnmatchcase(module_name, pattern) for pattern in self.kernel_modules
-        )
 
     def baseline_path(self) -> Path:
         path = Path(self.baseline)
@@ -338,9 +309,6 @@ def load_config(pyproject: Optional[Path] = None) -> LintConfig:
         "cost-terms",
         "row-fields",
         "row-sources",
-        "kernel-modules",
-        "kernel-delegates",
-        "rng-draw-names",
         "cache",
     }
     unknown = sorted(set(section) - known)
@@ -372,9 +340,6 @@ def load_config(pyproject: Optional[Path] = None) -> LintConfig:
         "cost-terms": "cost_terms",
         "row-fields": "row_fields",
         "row-sources": "row_sources",
-        "kernel-modules": "kernel_modules",
-        "kernel-delegates": "kernel_delegates",
-        "rng-draw-names": "rng_draw_names",
     }
     for key, attribute in simple.items():
         if key in section:

@@ -16,7 +16,6 @@ from repro.lint.rules import (
     artifacts,
     columnar,
     determinism,
-    kernel_contract,
     process_safety,
     registry_contracts,
 )
@@ -30,7 +29,6 @@ FAMILIES: List[Tuple[str, str, object]] = [
     ("C", "columnar hot path", columnar),
     ("J", "artifact hygiene", artifacts),
     ("R", "registry contracts", registry_contracts),
-    ("K", "kernel contract", kernel_contract),
 ]
 
 #: Meta rules emitted by the suppression parser itself.

@@ -72,10 +72,7 @@ def check(context: ModuleContext, index: ProjectIndex) -> Iterator[Finding]:
     yield from _check_rng(context)
     if "deterministic" in context.tags:
         yield from _check_wall_clock(context)
-        if not context.config.is_kernel_module(context.module_name):
-            # Inside kernel modules K603 owns association hazards (the
-            # kernel-vs-flat-engine pairing policy is the stricter check).
-            yield from _check_float_association(context)
+        yield from _check_float_association(context)
 
 
 # ----------------------------------------------------------------------

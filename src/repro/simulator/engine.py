@@ -55,8 +55,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.kernels import NUMBA_AVAILABLE as _NUMBA_AVAILABLE
-from repro.kernels.event_loop import event_loop as _event_loop_kernel
 from repro.simulator.messages import Message, validate_messages
 from repro.simulator.result import SimulationResult
 from repro.topology.topology import Topology
@@ -87,17 +85,9 @@ class CongestionAwareSimulator:
         self,
         topology: Topology,
         routing_message_size: Optional[float] = None,
-        *,
-        use_kernel: Optional[bool] = None,
     ) -> None:
         self.topology = topology
         self.routing_message_size = routing_message_size
-        #: Event-loop tier selection: ``None`` picks the native kernel when
-        #: numba is installed and the Python loop otherwise; ``True`` forces
-        #: the kernel (py-mode without numba — slow, used by the equivalence
-        #: suites); ``False`` forces the Python loop.  Outputs are
-        #: byte-identical either way (see :mod:`repro.kernels.event_loop`).
-        self.use_kernel = use_kernel
         self._route_cache: Dict[Tuple[int, int, float], List[int]] = {}
         self._link_route_cache: Dict[Tuple[int, int, float], Tuple[int, ...]] = {}
 
@@ -359,7 +349,7 @@ class CongestionAwareSimulator:
         dependents_flat_arr: np.ndarray,
         dependents_indptr_arr: np.ndarray,
     ):
-        """The FCFS event loop: the native kernel or the Python loop.
+        """The FCFS event loop over the flat hop columns.
 
         A message's final hop stores its link id bitwise-inverted (always
         negative), folding the is-last-hop test into the link read the loop
@@ -369,44 +359,18 @@ class CongestionAwareSimulator:
         signed_links_arr = hop_links_arr.copy()
         signed_links_arr[last_positions] = ~signed_links_arr[last_positions]
         message_of_hop_arr = np.repeat(np.arange(num_messages, dtype=np.int64), route_lengths)
-        use_kernel = self.use_kernel
-        if use_kernel is None:
-            use_kernel = _NUMBA_AVAILABLE
-        if not use_kernel:
-            return self._execute_python(
-                num_messages,
-                num_links,
-                signed_links_arr.tolist(),
-                hop_serialization_arr.tolist(),
-                hop_latency_arr.tolist(),
-                message_of_hop_arr.tolist(),
-                offsets_arr[:-1].tolist(),
-                missing_deps,
-                dependents_flat_arr.tolist(),
-                dependents_indptr_arr.tolist(),
-            )
-        # Native tier: the same loop compiled over the same columns (see
-        # repro.kernels.event_loop for the FCFS-equivalence argument).
-        completion_arr, event_positions, event_starts, completed = _event_loop_kernel(
-            signed_links_arr,
-            hop_serialization_arr,
-            hop_latency_arr,
-            message_of_hop_arr,
-            offsets_arr[:-1],
-            np.asarray(missing_deps, dtype=np.int64),
-            dependents_flat_arr,
-            dependents_indptr_arr,
+        return self._execute_python(
+            num_messages,
             num_links,
+            signed_links_arr.tolist(),
+            hop_serialization_arr.tolist(),
+            hop_latency_arr.tolist(),
+            message_of_hop_arr.tolist(),
+            offsets_arr[:-1].tolist(),
+            missing_deps,
+            dependents_flat_arr.tolist(),
+            dependents_indptr_arr.tolist(),
         )
-        if completed != num_messages:
-            never_ran = np.isnan(completion_arr)
-            completion = [
-                None if missing else value
-                for value, missing in zip(completion_arr.tolist(), never_ran.tolist())
-            ]
-        else:
-            completion = completion_arr.tolist()
-        return completion, event_positions, event_starts, completed
 
     @staticmethod
     def _execute_chained(
@@ -504,7 +468,7 @@ class CongestionAwareSimulator:
         dependents_flat: List[int],
         dependents_indptr: List[int],
     ):
-        """The pure-Python event loop (the kernel's equivalence oracle).
+        """The pure-Python event loop.
 
         Scalar access is fastest on plain lists of Python floats/ints, so the
         caller materializes the hop columns with ``tolist()`` for this path.
@@ -621,7 +585,7 @@ class CongestionAwareSimulator:
         count = len(event_positions)
         if count == 0:
             return {}, {}
-        # The loop hands lists; the kernel hands ready-made arrays.
+        # The event loop hands lists; the chained pass hands ready-made arrays.
         positions = np.asarray(event_positions, dtype=np.int64)
         starts = np.asarray(event_starts, dtype=float)
         ends = starts + hop_serialization_arr[positions]

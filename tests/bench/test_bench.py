@@ -139,7 +139,7 @@ class TestGrids:
     def test_known_grids(self):
         assert set(GRIDS) == {
             "smoke", "fig19", "full", "sim_stress", "pipeline", "parallel",
-            "native", "dispatch", "search",
+            "dispatch", "search",
         }
 
     def test_unknown_grid_raises(self):
@@ -151,7 +151,6 @@ class TestGrids:
 
     def test_smoke_grid_covers_all_kinds(self):
         from repro.bench import (
-            NativeScenario,
             ParallelScenario,
             PipelineScenario,
             SearchScenario,
@@ -164,7 +163,6 @@ class TestGrids:
             SimScenario,
             PipelineScenario,
             ParallelScenario,
-            NativeScenario,
             DispatchScenario,
             SearchScenario,
         }

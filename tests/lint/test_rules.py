@@ -42,19 +42,6 @@ class TestTruePositives:
     def test_registry_family(self, report):
         assert _rules_for(report, "reg_bad.py") == ["R501", "R502"]
 
-    def test_kernel_contract_family(self, report):
-        assert _rules_for(report, "kern_bad.py") == [
-            "K601",
-            "K602",
-            "K602",
-            "K602",
-            "K602",
-            "K602",
-            "K602",
-            "K603",
-            "K604",
-        ]
-
     def test_flow_sensitive_taint(self, report):
         assert _rules_for(report, "taint_bad.py") == ["D101"] * 4
 
@@ -72,7 +59,6 @@ class TestCleanFixtures:
             "pool_good.py",
             "art_good.py",
             "reg_good.py",
-            "kern_good.py",
             "taint_good.py",
         ],
     )
@@ -92,8 +78,7 @@ class TestCleanFixtures:
                     "pool_good.py",
                     "art_good.py",
                     "reg_good.py",
-                    "kern_good.py",
-                    "taint_good.py",
+                            "taint_good.py",
                 )
             ],
         )

@@ -30,7 +30,7 @@ class TestSarifDocument:
         assert run["tool"]["driver"]["name"] == "repro-lint"
         assert run["tool"]["driver"]["version"] == __version__
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"D101", "K601", "J401", "S003"} <= rule_ids
+        assert {"D101", "R501", "J401", "S003"} <= rule_ids
 
     def test_levels_and_suppression_kinds(self, tmp_path):
         report = _report(tmp_path)

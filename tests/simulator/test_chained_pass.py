@@ -215,7 +215,7 @@ class TestFallback:
         result = simulate_schedule(topology, schedule)
         assert chained_calls == [False]
         workload = schedule_to_flat_workload(schedule)
-        reference = CongestionAwareSimulator(topology, use_kernel=False).run_flat(
+        reference = CongestionAwareSimulator(topology).run_flat(
             workload.sources,
             workload.dests,
             workload.size,
