@@ -15,7 +15,7 @@ scenarios.  Describe a run as data, then execute it::
 
 Specs round-trip through JSON (``spec.to_json()`` / ``RunSpec.from_json``),
 so the same document drives the CLI, batch sweeps (:func:`run_batch`, with
-optional thread parallelism and :class:`ResultCache`), and future services.
+optional process-pool parallelism and :class:`ResultCache`), and future services.
 New topologies, collectives, and algorithms plug in through the registries'
 ``register`` decorator hook.
 """

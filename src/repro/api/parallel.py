@@ -3,21 +3,17 @@
 The paper's synthesizer is trial-based and embarrassingly parallel: best-of-N
 synthesis, batch sweeps (:func:`repro.api.runner.run_batch`), and benchmark
 grids (:mod:`repro.bench.runner`) are all independent work items.  This
-module is the single seam those sites fan out through:
+module is the single seam those sites fan out through, with two tiers:
 
 * :class:`SerialBackend` — a plain loop (the default);
-* :class:`ThreadBackend` — a :class:`~concurrent.futures.ThreadPoolExecutor`
-  (useful when the work releases the GIL, and for overlap of I/O);
-* :class:`ProcessBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (real multi-core parallelism for the pure-Python matching hot path);
-* :class:`PoolBackend` — the persistent tier: process pools that stay warm
-  across ``map`` calls (keyed by worker count, lazily forked, re-forked after
-  worker death), so repeated fan-outs pay the spin-up cost once.
+* :class:`PoolBackend` — process pools that stay warm across ``map`` calls
+  (keyed by worker count, lazily forked, re-forked after worker death), so
+  repeated fan-outs pay the spin-up cost once.
 
-All backends preserve input order in the result list and propagate worker
+Both backends preserve input order in the result list and propagate worker
 exceptions to the caller, so swapping one for another never changes *what* is
-computed — only where.  The process backend additionally requires the mapped
-function and its items to be picklable; fan-out sites meet that contract with
+computed — only where.  The pool additionally requires the mapped function
+and its items to be picklable; fan-out sites meet that contract with
 module-level task functions and columnar byte payloads
 (:meth:`repro.core.transfers.TransferTable.to_bytes`).
 
@@ -35,7 +31,7 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
@@ -46,9 +42,7 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "PoolBackend",
-    "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "chunk_items",
     "current_execution",
     "default_worker_count",
@@ -86,18 +80,13 @@ class ExecutionBackend:
 
     Subclasses implement :meth:`map`; the contract is exactly that of
     ``list(map(fn, items))`` — input order preserved, exceptions propagated —
-    regardless of the underlying concurrency.
+    regardless of the underlying concurrency.  Fan-out sites treat every
+    backend other than ``serial`` as crossing a process boundary: they map
+    picklable module-level functions and ship columnar byte payloads.
     """
 
-    #: Registry name (``"serial"`` / ``"thread"`` / ``"process"`` / ``"pool"``).
+    #: Registry name (``"serial"`` / ``"pool"``).
     name: str = "abstract"
-
-    #: Whether items cross a process boundary (and must therefore be
-    #: picklable).  Fan-out sites use this — not the name — to pick the
-    #: columnar byte transport and the broadcast plane
-    #: (:mod:`repro.api.broadcast`), so new process-based backends inherit
-    #: the thin-submission path automatically.
-    process_based: bool = False
 
     def map(
         self,
@@ -121,55 +110,13 @@ class SerialBackend(ExecutionBackend):
         return [fn(item) for item in items]
 
 
-class ThreadBackend(ExecutionBackend):
-    """Run items on a thread pool.
-
-    Threads share the interpreter: pure-Python work gains no wall clock from
-    this backend (the GIL), but kernels that release the GIL — and anything
-    I/O-bound — do.  Item functions may be closures; nothing is pickled.
-    """
-
-    name = "thread"
-
-    def map(self, fn, items, *, max_workers=None):
-        items = list(items)
-        workers = _effective_workers(max_workers, len(items))
-        if workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-
-
-class ProcessBackend(ExecutionBackend):
-    """Run items on a process pool (real multi-core parallelism).
-
-    The mapped function and every item/result must be picklable — use
-    module-level functions (or :func:`functools.partial` over them) and
-    columnar byte payloads for bulky results.  Worker processes are plain
-    (non-daemonic on the supported Python range, 3.9+) and may themselves
-    fan out further — a benched ``ParallelScenario`` opens its own pool
-    inside a ``bench --execution process`` worker.
-    """
-
-    name = "process"
-    process_based = True
-
-    def map(self, fn, items, *, max_workers=None):
-        items = list(items)
-        workers = _effective_workers(max_workers, len(items))
-        if workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-
-
 class PoolBackend(ExecutionBackend):
-    """Process pools that stay warm across ``map`` calls (the persistent tier).
+    """Process pools that stay warm across ``map`` calls (the parallel tier).
 
-    :class:`ProcessBackend` pays the full executor spin-up — fork, pipe
-    setup, worker bootstrap — on *every* fan-out.  This backend keeps one
-    long-lived :class:`~concurrent.futures.ProcessPoolExecutor` per requested
-    worker count, created lazily on first use and reused by every later
+    Instead of paying the full executor spin-up — fork, pipe setup, worker
+    bootstrap — on *every* fan-out, this backend keeps one long-lived
+    :class:`~concurrent.futures.ProcessPoolExecutor` per requested worker
+    count, created lazily on first use and reused by every later
     fan-out of the same width, so repeated dispatches (sweeps, services, the
     ``dispatch`` bench) pay it once.  Warm workers cannot change results:
     every trial is seeded explicitly and best-of selection is
@@ -187,7 +134,6 @@ class PoolBackend(ExecutionBackend):
     """
 
     name = "pool"
-    process_based = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -265,13 +211,10 @@ def _pool_worker_ping(index: int) -> int:
     return index
 
 
-#: The built-in backends, shared instances.  serial/thread/process are
-#: stateless; the pool backend owns the long-lived worker pools, so every
-#: caller resolving ``"pool"`` shares the same warm tier.
-BACKENDS = {
-    backend.name: backend
-    for backend in (SerialBackend(), ThreadBackend(), ProcessBackend(), PoolBackend())
-}
+#: The built-in backends, shared instances.  The pool backend owns the
+#: long-lived worker pools, so every caller resolving ``"pool"`` shares the
+#: same warm tier.
+BACKENDS = {backend.name: backend for backend in (SerialBackend(), PoolBackend())}
 
 
 def shutdown_pools(wait: bool = True) -> None:
@@ -299,7 +242,7 @@ def effective_backend(
     """The one conventional resolution every fan-out site shares.
 
     An explicit ``execution`` wins; ``workers`` greater than 1 alone implies
-    the thread backend (a requested pool width is never silently ignored);
+    the pool backend (a requested pool width is never silently ignored);
     otherwise ``None`` (callers treat that as serial).  Centralized so the
     CLI's recorded report envelope, ``run_bench``, ``map_parallel``, and the
     ambient :func:`execution_scope` can never drift apart on the promotion
@@ -309,7 +252,7 @@ def effective_backend(
     if backend is not None:
         return backend
     if workers is not None and workers > 1:
-        return BACKENDS["thread"]
+        return BACKENDS["pool"]
     return None
 
 
@@ -339,8 +282,8 @@ def execution_scope(
     fan-out when its :class:`~repro.core.config.SynthesisConfig` does not pin
     one) resolves its backend through :func:`current_execution`.  Scopes nest;
     ``None`` fields inherit from the enclosing scope.  ``workers`` greater
-    than 1 without a backend selects the thread backend — the same
-    "workers alone implies threads" convention every explicit fan-out site
+    than 1 without a backend selects the pool backend — the same
+    "workers alone implies the pool" convention every explicit fan-out site
     follows — so a requested pool width is never silently ignored.
     """
     previous = getattr(_SCOPE, "value", None)
@@ -371,9 +314,9 @@ def map_parallel(
     """Apply ``fn`` to every item, preserving input order in the result list.
 
     With an explicit ``backend`` (name or instance) the items run there.
-    Without one, the historical policy applies: ``max_workers`` greater than 1
-    selects the thread backend, anything else runs serially.  Exceptions
-    propagate to the caller either way.
+    Without one, ``max_workers`` greater than 1 selects the pool backend and
+    anything else runs serially.  Exceptions propagate to the caller either
+    way.
     """
     items = list(items)
     resolved = effective_backend(backend, max_workers) or BACKENDS["serial"]

@@ -5,7 +5,7 @@ experiments, and any future service front end: it resolves the spec against
 the registries, builds or synthesizes the algorithm, times it with the
 congestion-aware simulator, and returns a :class:`RunResult`.
 :func:`run_batch` runs many specs with de-duplication, optional
-:mod:`concurrent.futures` parallelism, and optional result caching.
+process-pool parallelism, and optional result caching.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import repro.api.builtins  # noqa: F401  (populates the registries on import)
 from repro.api.cache import ResultCache
-from repro.api.parallel import BackendSpec, chunk_items, map_parallel, resolve_backend
+from repro.api.parallel import BackendSpec, chunk_items, effective_backend
 from repro.api.registry import ALGORITHMS, COLLECTIVES, TOPOLOGIES, AlgorithmArtifact
 from repro.api.specs import (
     AlgorithmSpec,
@@ -247,17 +247,8 @@ def run(spec: RunSpec, *, cache: Optional[ResultCache] = None) -> RunResult:
     return result
 
 
-def _run_spec_task(
-    cache_directory: Optional[str], return_exceptions: bool, spec: RunSpec
-):
-    """Module-level batch work item (picklable for the process backend).
-
-    Each worker process opens its own :class:`ResultCache` over the shared
-    artifact-store directory — the store's file locking and atomic writes
-    make concurrent workers safe — so cache hits and writes behave exactly
-    as in the single-process path.
-    """
-    cache = ResultCache(cache_directory) if cache_directory is not None else None
+def _run_one(spec: RunSpec, cache: Optional[ResultCache], return_exceptions: bool) -> Any:
+    """Run one batch spec; a :class:`ReproError` becomes the result on request."""
     if not return_exceptions:
         return run(spec, cache=cache)
     try:
@@ -277,16 +268,7 @@ def _run_spec_chunk(
     the parent reproduces the per-spec order exactly.
     """
     cache = ResultCache(cache_directory) if cache_directory is not None else None
-    results: List[Any] = []
-    for spec in specs:
-        if not return_exceptions:
-            results.append(run(spec, cache=cache))
-            continue
-        try:
-            results.append(run(spec, cache=cache))
-        except ReproError as exc:
-            results.append(exc)
-    return results
+    return [_run_one(spec, cache, return_exceptions) for spec in specs]
 
 
 def run_batch(
@@ -301,13 +283,12 @@ def run_batch(
 
     Duplicate specs (same content hash) are executed once and share a
     result.  ``execution`` selects the backend for distinct specs —
-    ``"serial"``, ``"thread"``, ``"process"`` (real multi-core parallelism),
-    or ``"pool"`` (a persistent process pool kept warm across batches);
-    without it, ``max_workers`` greater than 1 keeps the historical
-    thread-pool behaviour.  Results are identical across backends: specs are
-    deterministic and order is restored from the input.
+    ``"serial"`` or ``"pool"`` (a persistent process pool kept warm across
+    batches); without it, ``max_workers`` greater than 1 selects the pool.
+    Results are identical across backends: specs are deterministic and order
+    is restored from the input.
 
-    With the process-based backends, worker processes share the cache through
+    With the pool, worker processes share the cache through
     its on-disk artifact store (the in-memory layer is per-process); specs
     are submitted in contiguous chunks to amortize per-task IPC, and results
     computed by workers are folded back into the calling cache afterwards.
@@ -330,11 +311,13 @@ def run_batch(
             unique.append(spec)
         positions.append(index_of[key])
 
-    backend = resolve_backend(execution)
-    if backend is not None and getattr(backend, "process_based", False):
+    backend = effective_backend(execution, max_workers)
+    if backend is None or backend.name == "serial":
+        results: List[Any] = [_run_one(spec, cache, return_exceptions) for spec in unique]
+    else:
         # Serve what the calling cache already holds (its in-memory layer is
         # invisible to worker processes) and ship only the misses out.
-        results: List[Any] = [None] * len(unique)
+        results = [None] * len(unique)
         pending = list(range(len(unique)))
         if cache is not None:
             pending = []
@@ -371,20 +354,4 @@ def run_batch(
                         cache.put(result)
                     else:
                         cache.absorb(result)
-    else:
-
-        def run_one(spec: RunSpec):
-            if not return_exceptions:
-                return run(spec, cache=cache)
-            try:
-                return run(spec, cache=cache)
-            except ReproError as exc:
-                return exc
-
-        results = map_parallel(
-            run_one,  # repro-lint: disable=P201 -- this branch only ever receives the serial/thread backend; the process path above ships a module-level partial
-            unique,
-            max_workers=max_workers,
-            backend=backend,
-        )
     return [results[position] for position in positions]

@@ -6,14 +6,14 @@ Four pieces:
   engine, the frozen dict-keyed :class:`ReferenceSimulator`, and the frozen
   object-path adapters/verifier, kept as the behavioural baselines;
 * :mod:`repro.bench.grid` — named scenario grids (``smoke``, ``fig19``,
-  ``full``, ``sim_stress``, ``pipeline``, ``parallel``, ``dispatch``,
-  ``search``) crossing topology families, NPU counts, collective sizes,
-  logical schedules, end-to-end pipelines, execution-backend scaling,
-  dispatch overhead and guided-vs-uniform search;
+  ``full``, ``sim_stress``, ``pipeline``, ``dispatch``, ``search``)
+  crossing topology families, NPU counts, collective sizes, logical
+  schedules, end-to-end pipelines, pool dispatch overhead and
+  guided-vs-uniform search;
 * :mod:`repro.bench.runner` — times synthesis, simulation, full pipelines,
-  and execution-backend scaling over a grid, asserts fixed-seed output
-  equivalence (byte-identical across engines *and* across serial / thread /
-  process backends), and emits a machine-readable ``BENCH_*.json`` report
+  pool dispatch and search tiers over a grid, asserts fixed-seed output
+  equivalence (byte-identical across engines *and* across the serial and
+  pool backends), and emits a machine-readable ``BENCH_*.json`` report
   (strict JSON);
 * :mod:`repro.bench.compare` — diffs two reports per scenario, flags median
   regressions (the ``tacos-repro bench --compare`` trend gate), and walks
@@ -36,7 +36,6 @@ from repro.bench.compare import (
 from repro.bench.grid import (
     GRIDS,
     BenchScenario,
-    ParallelScenario,
     PipelineScenario,
     SearchScenario,
     SimScenario,
@@ -55,7 +54,6 @@ __all__ = [
     "BenchRecord",
     "BenchScenario",
     "GRIDS",
-    "ParallelScenario",
     "PipelineScenario",
     "REFERENCE_ENGINE",
     "ReferenceSimulator",

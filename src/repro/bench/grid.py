@@ -1,6 +1,6 @@
 """Named benchmark scenario grids.
 
-Six kinds of scenarios exist:
+Five kinds of scenarios exist:
 
 * :class:`BenchScenario` — one *synthesis* problem: a topology (registry
   shorthand), a collective, a per-NPU collective size, and a fixed seed.
@@ -14,21 +14,17 @@ Six kinds of scenarios exist:
   the frozen object path across every layer boundary.  Scenarios flagged
   ``flat_only`` are too large to time the frozen object path on; they only
   run under ``bench --no-reference``.
-* :class:`ParallelScenario` — one *execution-backend scaling* problem:
-  best-of-N TACOS synthesis run three times — serial, thread pool, process
-  pool — asserting byte-identical winning algorithms and recording the
-  process backend's wall-clock scaling over serial.
 * :class:`DispatchScenario` — one *dispatch-overhead* problem: per-trial
   submitted payload bytes (per-call pickle vs broadcast plane), warm-vs-cold
   pool dispatch latency, sustained trials/sec through the warm pool, and a
-  serial vs process vs pool race with byte-identical-output assertions.
+  serial vs pool race with byte-identical-output assertions.
 * :class:`SearchScenario` — one *guided-vs-uniform search race*: the same
   best-of-N synthesis run by the uniform tier and by the guided tier
   (incumbent pruning + floor termination), asserting byte-identical winners
   and recording quality-at-equal-wallclock, time-to-target, pruned-trial
   fraction, and effective trials/sec.
 
-Eight grids are provided:
+Seven grids are provided:
 
 * ``smoke`` — tiny scenarios of all kinds for CI (a couple of seconds
   end-to-end);
@@ -45,9 +41,6 @@ Eight grids are provided:
   reference path (28x28 with ``--no-reference``), sub-chunked schedules, and
   Reduce-Scatter / All-to-All / Broadcast scenarios, the grid the pipeline
   speedup trajectory is recorded on;
-* ``parallel`` — the execution-backend grid: best-of-8 synthesis scenarios
-  sized so each trial is CPU-chunky, the grid the process-backend scaling
-  trajectory is recorded on;
 * ``dispatch`` — the execution-plane overhead grid: what the persistent
   pool backend and the payload broadcast plane change, measured honestly on
   any core count;
@@ -67,7 +60,6 @@ from repro.errors import ReproError
 __all__ = [
     "BenchScenario",
     "DispatchScenario",
-    "ParallelScenario",
     "PipelineScenario",
     "SearchScenario",
     "SimScenario",
@@ -130,37 +122,14 @@ class PipelineScenario:
 
 
 @dataclass(frozen=True)
-class ParallelScenario:
-    """One execution-backend scaling problem of a benchmark grid.
-
-    The same best-of-``trials`` TACOS synthesis runs under the serial,
-    thread, and process execution backends (``workers``-wide pools); the
-    record stores all three wall clocks, asserts the winning algorithms are
-    byte-identical (``TransferTable.to_bytes``), and reports the
-    serial/process ratio as the scenario speedup.
-    """
-
-    name: str
-    topology: str  #: registry shorthand, e.g. ``"mesh_2d:8,8"``
-    collective: str  #: collective registry name, e.g. ``"all_gather"``
-    collective_size: float  #: per-NPU bytes
-    trials: int = 8  #: best-of-N randomized trials fanned across the backend
-    workers: int = 4  #: pool width for the thread / process backends
-    seed: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
 class DispatchScenario:
     """One dispatch-overhead problem: what the persistent execution plane buys.
 
     Measures the *transport* around the workers rather than the work itself,
     honestly on any core count (1-CPU containers included):
 
-    * **per-trial submitted payload bytes** — the per-call process path ships
-      one full :class:`~repro.core.synthesizer.TrialPayload` pickle per
+    * **per-trial submitted payload bytes** — a per-trial pickle transport
+      ships one full :class:`~repro.core.synthesizer.TrialPayload` pickle per
       trial; the broadcast plane ships one content-hash-addressed blob per
       fan-out plus thin ``(ref, seeds)`` chunks.  Both are measured exactly
       (via real pickles of what each transport submits).
@@ -171,7 +140,7 @@ class DispatchScenario:
     * **sustained trials/sec** — the same best-of-``trials`` synthesis run
       through the warm pool backend at fixed N.
 
-    The scenario also races serial vs process vs pool on the full synthesis
+    The scenario also races serial vs pool on the full synthesis
     and asserts byte-identical winning algorithms
     (``TransferTable.to_bytes``), following the frozen-reference pattern.
     """
@@ -181,7 +150,7 @@ class DispatchScenario:
     collective: str  #: collective registry name, e.g. ``"all_gather"``
     collective_size: float  #: per-NPU bytes
     trials: int = 8  #: best-of-N randomized trials fanned across the backends
-    workers: int = 2  #: pool width for the process / pool backends
+    workers: int = 2  #: pool width for the pool backend
     seed: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
@@ -239,7 +208,6 @@ Scenario = Union[
     BenchScenario,
     SimScenario,
     PipelineScenario,
-    ParallelScenario,
     DispatchScenario,
     SearchScenario,
 ]
@@ -252,9 +220,6 @@ def _smoke_grid() -> List[Scenario]:
         SimScenario("sim-ring-mesh3x3-1MB", "mesh_2d:3,3", "ring", 1 * _MB),
         PipelineScenario("pipe-mesh3x3-ar-1MB", "mesh_2d:3,3", "all_reduce", 1 * _MB),
         PipelineScenario("pipe-mesh3x3-rs-1MB", "mesh_2d:3,3", "reduce_scatter", 1 * _MB),
-        ParallelScenario(
-            "par-mesh4x4-ag-4MB-t4", "mesh_2d:4,4", "all_gather", 4 * _MB, trials=4, workers=2
-        ),
         DispatchScenario(
             "disp-mesh4x4-ag-1MB-t4", "mesh_2d:4,4", "all_gather", 1 * _MB, trials=4, workers=2
         ),
@@ -393,20 +358,6 @@ def _pipeline_grid() -> List[Scenario]:
     ]
 
 
-def _parallel_grid() -> List[Scenario]:
-    # Best-of-8 synthesis scenarios whose individual trials are CPU-chunky
-    # (hundreds of milliseconds), so process-pool startup and the columnar
-    # byte transport amortize and the recorded scaling approaches the host's
-    # core count.  All-Reduce scenarios fan trials out twice (the RS and AG
-    # phases synthesize independently).
-    return [
-        ParallelScenario("par-mesh6x6-ar-64MB-t8", "mesh_2d:6,6", "all_reduce", 64 * _MB),
-        ParallelScenario("par-mesh8x8-ar-64MB-t8", "mesh_2d:8,8", "all_reduce", 64 * _MB),
-        ParallelScenario("par-mesh10x10-ag-64MB-t8", "mesh_2d:10,10", "all_gather", 64 * _MB),
-        ParallelScenario("par-mesh12x12-ag-64MB-t8", "mesh_2d:12,12", "all_gather", 64 * _MB),
-    ]
-
-
 def _dispatch_grid() -> List[Scenario]:
     # Dispatch-overhead scenarios: payloads bulky enough that the per-trial
     # pickle cost is visible (hop tables and patterns grow with the mesh),
@@ -466,7 +417,6 @@ GRIDS = {
     "full": _full_grid,
     "sim_stress": _sim_stress_grid,
     "pipeline": _pipeline_grid,
-    "parallel": _parallel_grid,
     "dispatch": _dispatch_grid,
     "search": _search_grid,
 }

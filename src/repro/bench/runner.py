@@ -49,7 +49,6 @@ from repro.api.builtins import parse_topology_spec
 from repro.api.parallel import (
     BackendSpec,
     PoolBackend,
-    ProcessBackend,
     chunk_items,
     default_worker_count,
     effective_backend,
@@ -60,7 +59,6 @@ from repro.baselines import direct_all_reduce, rhd_all_reduce, ring_all_reduce
 from repro.bench.grid import (
     BenchScenario,
     DispatchScenario,
-    ParallelScenario,
     PipelineScenario,
     Scenario,
     SearchScenario,
@@ -143,21 +141,17 @@ class BenchRecord:
     simulator-speedup summary; ``layer_seconds`` /
     ``reference_layer_seconds`` attribute the pipeline wall clock to the
     synthesize / verify / simulate / metrics layers.  For
-    ``kind == "parallel"`` the triple compares *execution backends* of the
-    same flat engine — ``reference_seconds`` is the serial wall clock,
-    ``flat_seconds`` the process-pool wall clock, ``speedup`` the measured
-    scaling — with all three backends' medians in ``backend_seconds``.  For
     ``kind == "dispatch"`` the triple measures *dispatch overhead*, not
     synthesis: ``reference_seconds`` is the cold path (spin up a fresh
-    process pool, run one fan-out, tear it down — what every per-call
-    ``process`` map pays), ``flat_seconds`` the same fan-out through an
-    already-warm persistent pool, ``speedup`` the cold/warm ratio; the
-    ``dispatch_metrics`` dict carries the per-trial submitted payload bytes
-    of the legacy pickle transport vs the broadcast plane (and their
-    reduction ratio), the broadcast blob size and transport, and the
-    sustained trials/sec through the warm pool, while ``backend_seconds``
-    holds full-synthesis medians for the serial/process/pool race whose
-    byte-identical winners back the ``equivalent`` flag.  For
+    process pool, run one fan-out, shut it down), ``flat_seconds`` the same
+    fan-out through an already-warm persistent pool, ``speedup`` the
+    cold/warm ratio; the ``dispatch_metrics`` dict carries the per-trial
+    submitted payload bytes of a per-trial pickle transport vs the
+    broadcast plane (and their reduction ratio), the broadcast blob size
+    and transport, and the sustained trials/sec through the warm pool,
+    while ``backend_seconds`` holds full-synthesis medians for the
+    serial/pool race whose byte-identical winners back the ``equivalent``
+    flag.  For
     ``kind == "search"`` the triple races *search tiers* of the same
     best-of-N problem — ``reference_seconds`` is the uniform tier's median
     wall clock, ``flat_seconds`` the guided tier's (incumbent pruning +
@@ -166,16 +160,12 @@ class BenchRecord:
     ``equivalent`` flag asserting byte-identical winners.
 
     Reference timings are ``None`` when the run skipped the frozen object
-    path (``--no-reference``) — except on ``parallel`` records, which never
-    touch the frozen path in the first place: their serial-backend baseline
-    and backend byte-equivalence check always run, so ``--no-reference``
-    does not affect them (detect no-reference runs by kind, not by null
-    alone).
+    path (``--no-reference``).
     """
 
     scenario: str
-    #: ``"synthesis"``, ``"simulation"``, ``"pipeline"``, ``"parallel"``,
-    #: ``"dispatch"``, or ``"search"``.
+    #: ``"synthesis"``, ``"simulation"``, ``"pipeline"``, ``"dispatch"``,
+    #: or ``"search"``.
     kind: str
     topology: str
     collective: str
@@ -201,9 +191,9 @@ class BenchRecord:
     #: Pipeline wall clock per layer (synthesize/verify/simulate/metrics).
     layer_seconds: Optional[Dict[str, float]] = None
     reference_layer_seconds: Optional[Dict[str, float]] = None
-    #: Per-backend median wall clocks (parallel and dispatch scenarios).
+    #: Per-backend median wall clocks (dispatch scenarios).
     backend_seconds: Optional[Dict[str, float]] = None
-    workers: Optional[int] = None  #: pool width (parallel/dispatch scenarios)
+    workers: Optional[int] = None  #: pool width (dispatch scenarios)
     #: Dispatch-overhead measurements (dispatch scenarios): per-trial
     #: submitted payload bytes on the legacy pickle vs broadcast transports,
     #: their reduction ratio, blob size/transport, and warm-pool throughput.
@@ -630,77 +620,6 @@ def _run_pipeline_scenario(
     )
 
 
-def _run_parallel_scenario(
-    scenario: ParallelScenario, repeats: int, check_equivalence: bool
-) -> BenchRecord:
-    """Time best-of-N synthesis under the serial, thread, and process backends.
-
-    The scenario's primary triple compares *where* the same deterministic
-    work runs: ``reference_seconds`` holds the serial wall clock,
-    ``flat_seconds`` the process-pool wall clock, and ``speedup`` the
-    measured multi-core scaling (bounded by the host's usable cores —
-    recorded in the report envelope).  The equivalence check asserts the
-    three winning algorithms are byte-identical via
-    :meth:`~repro.core.transfers.TransferTable.to_bytes`.
-    """
-    topology = build_topology(parse_topology_spec(scenario.topology))
-    factory = COLLECTIVES.get(scenario.collective)
-    pattern = factory(topology.num_npus, 1)
-
-    outcomes: Dict[str, Tuple[Any, float]] = {}
-    for execution in ("serial", "thread", "process"):
-        config = SynthesisConfig(
-            seed=scenario.seed,
-            trials=scenario.trials,
-            trial_workers=None if execution == "serial" else scenario.workers,
-            execution=execution,
-        )
-        synthesizer = TacosSynthesizer(config, engine=FLAT_ENGINE)
-        result, seconds = _median_wall_clock(
-            synthesizer, topology, pattern, scenario.collective_size, repeats
-        )
-        outcomes[execution] = (result, seconds)
-
-    equivalent: Optional[bool] = None
-    if check_equivalence:
-        payloads = {
-            execution: result.algorithm.table.to_bytes()
-            for execution, (result, _) in outcomes.items()
-        }
-        equivalent = payloads["serial"] == payloads["thread"] == payloads["process"]
-
-    serial_result, serial_seconds = outcomes["serial"]
-    _, process_seconds = outcomes["process"]
-    return BenchRecord(
-        scenario=scenario.name,
-        kind="parallel",
-        topology=scenario.topology,
-        collective=scenario.collective,
-        collective_size=scenario.collective_size,
-        num_npus=topology.num_npus,
-        num_links=topology.num_links,
-        seed=scenario.seed,
-        trials=scenario.trials,
-        flat_seconds=process_seconds,
-        reference_seconds=serial_seconds,
-        speedup=_safe_speedup(serial_seconds, process_seconds),
-        equivalent=equivalent,
-        num_transfers=serial_result.algorithm.num_transfers,
-        collective_time=serial_result.algorithm.collective_time,
-        rounds=serial_result.rounds,
-        num_messages=0,
-        simulation_seconds=None,
-        reference_simulation_seconds=None,
-        simulation_speedup=None,
-        simulation_equivalent=None,
-        simulated_collective_time=0.0,
-        backend_seconds={
-            execution: seconds for execution, (_, seconds) in outcomes.items()
-        },
-        workers=scenario.workers,
-    )
-
-
 def _dispatch_probe(index: int) -> int:
     """No-op fan-out task: measures dispatch machinery, not work (picklable)."""
     return index
@@ -729,22 +648,22 @@ def _run_dispatch_scenario(
     Three independent measurements, none of which needs spare cores to be
     meaningful:
 
-    * **per-trial submitted payload bytes** — the pickle the legacy per-call
-      ``process`` path ships for every trial (the full
+    * **per-trial submitted payload bytes** — the pickle a per-trial
+      transport would ship for every trial (the full
       :class:`~repro.core.synthesizer.TrialPayload` object graph) vs what the
       broadcast plane actually submits (thin ``(BlobRef, seeds)`` chunks,
       with the columnar blob published once per fan-out); the reduction
       ratio is the headline payload metric;
     * **cold vs warm dispatch latency** — the same no-op fan-out timed
-      through a fresh process pool (spin up, map, tear down — the per-call
-      cost every ``process`` map pays) and through an already-warm
+      through a fresh :class:`~repro.api.parallel.PoolBackend` (spin up,
+      map, shut down) and through an already-warm
       :class:`~repro.api.parallel.PoolBackend` (the primary triple:
       ``reference_seconds`` cold, ``flat_seconds`` warm);
     * **sustained throughput** — full best-of-N syntheses through the warm
       pool, reported as trials/sec in ``dispatch_metrics``.
 
-    The equivalence check races the identical synthesis under the serial,
-    process, and pool backends and asserts byte-identical winners via
+    The equivalence check races the identical synthesis under the serial and
+    pool backends and asserts byte-identical winners via
     :meth:`~repro.core.transfers.TransferTable.to_bytes`.
     """
     topology = build_topology(parse_topology_spec(scenario.topology))
@@ -794,7 +713,11 @@ def _run_dispatch_scenario(
     cold_samples = []
     for _ in range(max(1, repeats)):
         started = _time.perf_counter()
-        ProcessBackend().map(_dispatch_probe, probe_items, max_workers=scenario.workers)
+        cold_pool = PoolBackend()
+        try:
+            cold_pool.map(_dispatch_probe, probe_items, max_workers=scenario.workers)
+        finally:
+            cold_pool.shutdown()
         cold_samples.append(_time.perf_counter() - started)
     cold_seconds = statistics.median(cold_samples)
 
@@ -810,9 +733,9 @@ def _run_dispatch_scenario(
     finally:
         warm_pool.shutdown()
 
-    # --- sustained throughput + serial/process/pool race ------------------
+    # --- sustained throughput + serial/pool race --------------------------
     outcomes: Dict[str, Tuple[Any, float]] = {}
-    for execution in ("serial", "process", "pool"):
+    for execution in ("serial", "pool"):
         config = SynthesisConfig(
             seed=scenario.seed,
             trials=scenario.trials,
@@ -837,7 +760,7 @@ def _run_dispatch_scenario(
             execution: result.algorithm.table.to_bytes()
             for execution, (result, _) in outcomes.items()
         }
-        equivalent = payloads["serial"] == payloads["process"] == payloads["pool"]
+        equivalent = payloads["serial"] == payloads["pool"]
 
     serial_result, _ = outcomes["serial"]
     _, pool_seconds = outcomes["pool"]
@@ -1066,7 +989,7 @@ def _run_search_scenario(
 
 
 def _scenario_task(task: Tuple[Scenario, int, bool, bool, str]) -> BenchRecord:
-    """Execute one scenario (module-level and picklable for the process backend).
+    """Execute one scenario (module-level and picklable for the pool backend).
 
     Warms the executing process up lazily — once per process, before its
     first timed scenario — so parallel bench workers pay imports and lazy
@@ -1074,8 +997,6 @@ def _scenario_task(task: Tuple[Scenario, int, bool, bool, str]) -> BenchRecord:
     """
     scenario, repeats, check_equivalence, include_reference, engine_name = task
     _warmup_once()
-    if isinstance(scenario, ParallelScenario):
-        return _run_parallel_scenario(scenario, repeats, check_equivalence)
     if isinstance(scenario, DispatchScenario):
         return _run_dispatch_scenario(scenario, repeats, check_equivalence)
     if isinstance(scenario, SearchScenario):
@@ -1105,7 +1026,7 @@ def run_bench(
     """Execute a benchmark grid and return one record per scenario.
 
     ``execution`` / ``workers`` fan the *scenarios* out across an execution
-    backend (``workers`` alone implies threads, matching the other fan-out
+    backend (``workers`` alone implies the pool, matching the other fan-out
     sites); per-scenario wall clocks then include scheduling noise from
     neighbours sharing the machine, so parallel runs suit equivalence
     sweeps and throughput, serial runs suit recorded timings.
@@ -1113,14 +1034,11 @@ def run_bench(
     ``include_reference=False`` skips the frozen object path entirely: no
     reference timings, no engine-equivalence checks, and scenarios flagged
     ``flat_only`` (too large to ever time the object path on) join the
-    grid.  ``parallel`` scenarios are unaffected — their serial baseline
-    and backend byte-equivalence check compare execution backends of the
-    flat engine, not the frozen path.
+    grid.
 
     ``engine`` selects the synthesis-engine tier the synthesis and pipeline
     scenarios time on their primary (non-reference) side, resolved through
-    :func:`repro.core.synthesizer.resolve_engine`.  ``parallel`` scenarios
-    pin their own engine and ignore it.
+    :func:`repro.core.synthesizer.resolve_engine`.
     """
     # Resolve once up front: an unknown name fails before any scenario runs.
     engine_name = resolve_engine(engine).name
@@ -1134,27 +1052,8 @@ def run_bench(
         for scenario in selected
     ]
     backend = effective_backend(execution, workers)
-    if backend is None or backend.name == "serial":
+    if backend is None:
         return [_scenario_task(task) for task in tasks]
-    if backend.name == "thread":
-        # Fork safety: Parallel and Dispatch scenarios open their own process
-        # pools, and forking from a process with running sibling threads is
-        # deadlock-prone (CPython 3.12+ warns on it).  Run the forking
-        # scenario kinds on the calling thread *before* the pool spins up,
-        # and fan only the rest out; record order still follows the grid.
-        results: List[Optional[BenchRecord]] = [None] * len(tasks)
-        threaded_indices = []
-        for index, task in enumerate(tasks):
-            if isinstance(task[0], (ParallelScenario, DispatchScenario)):
-                results[index] = _scenario_task(task)
-            else:
-                threaded_indices.append(index)
-        mapped = backend.map(
-            _scenario_task, [tasks[index] for index in threaded_indices], max_workers=workers
-        )
-        for index, record in zip(threaded_indices, mapped):
-            results[index] = record
-        return results
     return backend.map(_scenario_task, tasks, max_workers=workers)
 
 
@@ -1166,35 +1065,31 @@ def _finite(values: List[Optional[float]]) -> List[float]:
 def summarize(records: List[BenchRecord]) -> Dict[str, Any]:
     """Aggregate per-grid summary statistics (non-finite speedups skipped).
 
-    ``parallel`` records measure backend *scaling*, not engine speedup —
-    an incomparable population — so every engine aggregate (speedups,
-    wall-clock totals, equivalence counts) is computed over the non-parallel
-    records, and parallel records get their own ``*_parallel_speedup`` /
-    ``parallel_equivalence_checked`` keys.  ``dispatch`` records measure pool
-    *dispatch overhead* (cold/warm spin-up ratio, submitted bytes) — again
-    incomparable — and get ``*_dispatch_speedup`` /
+    ``dispatch`` records measure pool *dispatch overhead* (cold/warm spin-up
+    ratio, submitted bytes), not engine speedup — an incomparable
+    population — so every engine aggregate (speedups, wall-clock totals,
+    equivalence counts) is computed over the other records, and dispatch
+    records get their own ``*_dispatch_speedup`` /
     ``dispatch_equivalence_checked`` / ``median_payload_bytes_reduction``
     keys.  ``search`` records race search *tiers* (guided vs uniform wall
     clock at a fixed trial budget) and get ``*_search_speedup`` /
     ``median_pruned_fraction`` / ``search_equivalence_checked`` keys.  Only
-    when the grid contains nothing else (the ``parallel`` /
-    ``dispatch`` / ``search`` grids themselves) do those records
+    when the grid contains nothing else (the ``dispatch`` / ``search``
+    grids themselves) do those records
     feed the headline fields, so ``--history`` still shows their
     trajectories.  A mixed grid's engine summary (and the ``--min-speedup``
     gate / cross-report trend built on it) therefore never moves because a
-    scaling scenario ran on a host with fewer cores.
+    dispatch scenario ran on a host with fewer cores.
     """
     engine_records = [
         record
         for record in records
-        if record.kind not in ("parallel", "dispatch", "search")
+        if record.kind not in ("dispatch", "search")
     ]
-    parallel_records = [record for record in records if record.kind == "parallel"]
     dispatch_records = [record for record in records if record.kind == "dispatch"]
     search_records = [record for record in records if record.kind == "search"]
     base = engine_records if engine_records else records
     sim_base = engine_records if engine_records else records
-    parallel_speedups = _finite([record.speedup for record in parallel_records])
     dispatch_speedups = _finite([record.speedup for record in dispatch_records])
     payload_reductions = _finite(
         [
@@ -1205,9 +1100,6 @@ def summarize(records: List[BenchRecord]) -> Dict[str, Any]:
     speedups = _finite([record.speedup for record in base])
     sim_speedups = _finite([record.simulation_speedup for record in sim_base])
     checked = [record.equivalent for record in base if record.equivalent is not None]
-    parallel_checked = [
-        record.equivalent for record in parallel_records if record.equivalent is not None
-    ]
     sim_checked = [
         record.simulation_equivalent
         for record in sim_base
@@ -1239,18 +1131,11 @@ def summarize(records: List[BenchRecord]) -> Dict[str, Any]:
         ),
         "equivalence_checked": len(checked),
         "all_equivalent": all(checked) if checked else None,
-        "parallel_equivalence_checked": len(parallel_checked),
-        "all_parallel_equivalent": all(parallel_checked) if parallel_checked else None,
         "median_simulation_speedup": statistics.median(sim_speedups) if sim_speedups else None,
         "min_simulation_speedup": min(sim_speedups) if sim_speedups else None,
         "max_simulation_speedup": max(sim_speedups) if sim_speedups else None,
         "simulation_equivalence_checked": len(sim_checked),
         "all_simulation_equivalent": all(sim_checked) if sim_checked else None,
-        "median_parallel_speedup": (
-            statistics.median(parallel_speedups) if parallel_speedups else None
-        ),
-        "min_parallel_speedup": min(parallel_speedups) if parallel_speedups else None,
-        "max_parallel_speedup": max(parallel_speedups) if parallel_speedups else None,
         "median_dispatch_speedup": (
             statistics.median(dispatch_speedups) if dispatch_speedups else None
         ),
@@ -1290,7 +1175,7 @@ def write_report(
     Infinity fail the write loudly instead of producing a file that
     ``json.loads`` with a strict ``parse_constant`` rejects.  The envelope
     records the executing host's usable core count (and any scenario-level
-    execution backend), without which a ``parallel`` grid's scaling numbers
+    execution backend), without which a ``dispatch`` grid's pool numbers
     cannot be interpreted — and, since schema v5, the synthesis-engine tier
     the run timed.  The v5 ``native`` block is kept at its no-compiler
     values, since no compiled tier exists any more.

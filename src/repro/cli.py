@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api import (
     ALGORITHMS,
+    BACKENDS,
     COLLECTIVES,
     TOPOLOGIES,
     AlgorithmSpec,
@@ -121,9 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="pool size for the synthesizer's randomized-trial fan-out",
     )
     synthesize.add_argument(
-        "--execution", choices=("serial", "thread", "process", "pool"), default=None,
+        "--execution", choices=sorted(BACKENDS), default=None,
         help="execution backend for the trial fan-out "
-        "(process = real multi-core parallelism; default: serial)",
+        "(pool = persistent multi-core process pool; default: serial, "
+        "or pool when --workers is above 1)",
     )
     synthesize.add_argument(
         "--engine", default=None, metavar="NAME",
@@ -151,9 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--chunks-per-npu", type=int, default=1)
     sweep.add_argument("--workers", "-w", type=int, default=None, help="worker pool size")
     sweep.add_argument(
-        "--execution", choices=("serial", "thread", "process", "pool"), default=None,
-        help="execution backend for the batch (--workers alone implies thread; "
-        "process workers share results through the --cache-dir artifact store)",
+        "--execution", choices=sorted(BACKENDS), default=None,
+        help="execution backend for the batch (--workers alone implies pool; "
+        "pool workers share results through the --cache-dir artifact store)",
     )
     sweep.add_argument("--cache-dir", help="cache results as JSON under this directory")
     sweep.add_argument("--json", action="store_true", help="print results as JSON")
@@ -164,13 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--grid",
         choices=(
-            "smoke", "fig19", "full", "sim_stress", "pipeline", "parallel",
-            "dispatch", "search",
+            "smoke", "fig19", "full", "sim_stress", "pipeline", "dispatch", "search",
         ),
         default="fig19",
         help="scenario grid (default: fig19; sim_stress exercises the simulator, "
         "pipeline the end-to-end synthesize+verify+simulate+metrics chain, "
-        "parallel the execution-backend scaling of best-of-N synthesis, "
         "dispatch the warm-pool dispatch overhead and payload-bytes plane, "
         "search the guided-vs-uniform quality-per-wallclock races)",
     )
@@ -191,9 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-reference", action="store_true",
         help="skip the frozen object path entirely (no reference timings or "
         "engine-equivalence checks) and include the flat-only scenarios too "
-        "large to ever time it on; parallel scenarios are unaffected (their "
-        "serial baseline and backend byte-equivalence check are not the "
-        "frozen path)",
+        "large to ever time it on",
     )
     bench.add_argument(
         "--workers", "-w", type=int, default=None,
@@ -201,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
         "scheduling noise from concurrent neighbours)",
     )
     bench.add_argument(
-        "--execution", choices=("serial", "thread", "process", "pool"), default=None,
+        "--execution", choices=sorted(BACKENDS), default=None,
         help="execution backend for the scenario fan-out "
-        "(--workers alone implies thread)",
+        "(--workers alone implies pool)",
     )
     bench.add_argument(
         "--engine", default="flat", metavar="NAME",
@@ -244,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument(
         "--workers", "-w", type=int, default=None,
         help="worker pool size for the experiments' internal fan-outs "
-        "(--workers alone implies the thread backend)",
+        "(--workers alone implies the pool backend)",
     )
     experiments.add_argument(
-        "--execution", choices=("serial", "thread", "process", "pool"), default=None,
+        "--execution", choices=sorted(BACKENDS), default=None,
         help="ambient execution backend while each experiment runs",
     )
 
@@ -376,7 +374,7 @@ def _cmd_run_one(arguments: argparse.Namespace, *, default_collective: str) -> i
         # Install the ambient execution policy the synthesizer's trial
         # fan-out resolves when its config does not pin one; the spec (and
         # therefore the cache key) stays execution-agnostic.  --workers
-        # without --execution selects threads (the scope's own convention).
+        # without --execution selects the pool (the scope's own convention).
         from repro.api.parallel import execution_scope
 
         with execution_scope(execution=execution, workers=workers):
@@ -638,7 +636,7 @@ def _cmd_bench(arguments: argparse.Namespace) -> int:
 
     grid = "smoke" if arguments.smoke else arguments.grid
     # Resolve the effective backend through the one shared promotion rule
-    # (--workers alone implies threads) so the report envelope records
+    # (--workers alone implies the pool) so the report envelope records
     # exactly what run_bench executes — parallel scheduling noise is never
     # attributed to a serial run.
     from repro.api.parallel import effective_backend
@@ -748,12 +746,9 @@ def _cmd_bench(arguments: argparse.Namespace) -> int:
     if summary["all_simulation_equivalent"] is False:
         print("error: simulator engines disagree on fixed-seed outputs", file=sys.stderr)
         return 1
-    if summary.get("all_parallel_equivalent") is False:
-        print("error: execution backends disagree on fixed-seed outputs", file=sys.stderr)
-        return 1
     if summary.get("all_dispatch_equivalent") is False:
         print(
-            "error: pool backend disagrees with serial/process on fixed-seed outputs",
+            "error: pool backend disagrees with serial on fixed-seed outputs",
             file=sys.stderr,
         )
         return 1

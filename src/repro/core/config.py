@@ -42,18 +42,14 @@ class SynthesisConfig:
         shared execution backends (:mod:`repro.api.parallel`).  ``None`` (the
         default) defers to the ambient
         :func:`~repro.api.parallel.execution_scope` policy — serial when none
-        is installed; 1 forces serial.  With the default ``execution`` the
-        pool is a thread pool (the historical behaviour — note the
-        pure-Python matching kernel holds the GIL, so threads add no wall
-        clock); set ``execution="process"`` for real multi-core parallelism.
-        Either way the selected algorithm is byte-identical because every
-        trial is seeded deterministically and the best-of-trials choice is
-        order-independent.
+        is installed; 1 forces serial.  With the default ``execution`` a
+        larger value selects the persistent process pool.  Either way the
+        selected algorithm is byte-identical because every trial is seeded
+        deterministically and the best-of-trials choice is order-independent.
     execution:
-        Execution backend for the trial fan-out: ``"serial"``, ``"thread"``,
-        ``"process"``, ``"pool"`` (a persistent process pool kept warm across
-        fan-outs), or ``None`` (the default) to follow ``trial_workers``
-        semantics / the ambient scope.
+        Execution backend for the trial fan-out: ``"serial"``, ``"pool"`` (a
+        persistent process pool kept warm across fan-outs), or ``None`` (the
+        default) to follow ``trial_workers`` / the ambient scope.
     incumbent_pruning:
         Abort a trial the moment a lower bound on its final collective time
         *strictly* exceeds the best completed trial so far (the incumbent).
@@ -62,10 +58,11 @@ class SynthesisConfig:
         or off (see docs/determinism.md, "Incumbent pruning is exact").
         Parallel backends share the incumbent across seed waves.
     wave_size:
-        Seeds per pruning wave on parallel backends: the incumbent bound is
+        Seeds per pruning wave on the pool backend: the incumbent bound is
         re-shared between consecutive waves.  ``None`` (the default) sizes
         waves at twice the worker count.  Smaller waves prune harder but
         synchronize more often; the winner is identical for any value.
+        Without ``incumbent_pruning`` every seed runs in one wave.
     floor_termination:
         Stop the whole search the moment a completed trial meets the
         round-0 lower bound (the "floor": the :class:`~repro.core.matching.
@@ -109,15 +106,9 @@ class SynthesisConfig:
             raise SynthesisError(
                 f"trial_workers must be at least 1 (or None), got {self.trial_workers}"
             )
-        if self.execution is not None and self.execution not in (
-            "serial",
-            "thread",
-            "process",
-            "pool",
-        ):
+        if self.execution is not None and self.execution not in ("serial", "pool"):
             raise SynthesisError(
-                "execution must be serial, thread, process, or pool (or None), "
-                f"got {self.execution!r}"
+                f"execution must be serial or pool (or None), got {self.execution!r}"
             )
 
     def trial_seed(self, trial: int) -> int:

@@ -98,8 +98,8 @@ class TrialPayload:
 
     Built once per :meth:`TacosSynthesizer._synthesize_direct` call and shared
     by every trial of the fan-out.  The payload (and the built-in engines) is
-    picklable, so the same object drives serial loops, thread pools, and —
-    via the module-level :func:`_run_trial_task` — process pools.
+    picklable, so the same object drives serial loops and — via the
+    module-level :func:`_run_trial_task` — process pools.
     """
 
     topology: Topology
@@ -565,10 +565,11 @@ def _run_trials(
     incumbent at least as large as the final one, so sharing it late prunes
     less but never differently (any pruned trial is provably worse than some
     completed trial).  Without pruning there is no incumbent to share, so
-    every seed runs in a single wave.  Process-based backends reuse the
-    broadcast plane: one payload blob for all waves, thin ``(ref, incumbent,
-    seeds)`` chunk tasks; payloads that cannot be serialized by name (an
-    unregistered custom engine) fall back to the per-trial pickle transport.
+    every seed runs in a single wave.  The pool tier reuses the broadcast
+    plane: one payload blob for all waves, thin ``(ref, incumbent, seeds)``
+    chunk tasks, and completed algorithms back as columnar bytes; payloads
+    that cannot be serialized by name (an unregistered custom engine) fall
+    back to the per-trial pickle transport.
 
     When ``floor`` is given (the round-0 bound, see :func:`_search_floor`)
     and the incumbent reaches it, every remaining seed is skipped outright:
@@ -608,45 +609,33 @@ def _run_trials(
             width = 2 * (workers if workers else default_worker_count())
         width = max(width, 1)
 
-    process_based = getattr(backend, "process_based", False)
+    try:
+        blob = payload.to_bytes()
+    except SynthesisError:
+        blob = None  # unregistered engine: per-trial pickle fallback
     ref = None
-    if process_based:
-        try:
-            blob = payload.to_bytes()
-        except SynthesisError:
-            blob = None  # unregistered engine: per-trial pickle fallback
-        if blob is not None:
-            from repro.api import broadcast  # deferred: avoids an import cycle
+    if blob is not None:
+        from repro.api import broadcast  # deferred: avoids an import cycle
 
-            ref = broadcast.publish(blob)
+        ref = broadcast.publish(blob)
     try:
         for start in range(0, len(seeds), width):
             wave = seeds[start : start + width]
             shared = incumbent if prune else None
-            if not process_based:
-                wave_outcomes = backend.map(
-                    partial(_execute_trial, payload, incumbent=shared),
-                    wave,
-                    max_workers=workers,
-                )
-            elif ref is not None:
+            if ref is not None:
                 packed_chunks = backend.map(
                     partial(_run_trial_chunk, ref, shared),
                     chunk_items(wave, workers),
                     max_workers=workers,
                 )
-                wave_outcomes = [
-                    _decode_trial_outcome(payload, item)
-                    for chunk in packed_chunks
-                    for item in chunk
-                ]
+                packed = [item for chunk in packed_chunks for item in chunk]
             else:
                 packed = backend.map(
                     partial(_run_trial_task, payload, incumbent=shared),
                     wave,
                     max_workers=workers,
                 )
-                wave_outcomes = [_decode_trial_outcome(payload, item) for item in packed]
+            wave_outcomes = [_decode_trial_outcome(payload, item) for item in packed]
             absorb(wave_outcomes)
             if at_floor() and start + width < len(seeds):
                 outcomes.extend(_floor_skip_stats(s) for s in seeds[start + width :])
@@ -842,7 +831,7 @@ class TacosSynthesizer:
         reachability regions) are resolved once here — cached on the topology
         — and shared read-only by every trial.  Independent trials fan out
         through the pluggable execution backends (:mod:`repro.api.parallel`):
-        serial, thread, or process, per the config or the ambient
+        serial or pool, per the config or the ambient
         :func:`~repro.api.parallel.execution_scope`.  Every trial is seeded
         deterministically (:meth:`SynthesisConfig.trial_seed`) and the
         best-of-trials selection below is order-independent, so the chosen
@@ -927,8 +916,8 @@ class TacosSynthesizer:
 
         Explicit config fields win; with neither set, the ambient
         :func:`~repro.api.parallel.execution_scope` policy applies (serial
-        when none is installed).  ``trial_workers`` alone keeps the historical
-        thread-pool behaviour.
+        when none is installed).  ``trial_workers`` alone selects the pool
+        backend, like every other fan-out site.
         """
         from repro.api.parallel import (  # deferred: avoids an import cycle
             current_execution,
@@ -945,7 +934,7 @@ class TacosSynthesizer:
         if config.trial_workers is not None:
             if config.trial_workers <= 1:
                 return None, None
-            return resolve_backend("thread"), config.trial_workers
+            return resolve_backend("pool"), config.trial_workers
         backend, workers = current_execution()
         if backend is not None and backend.name == "serial":
             return None, None

@@ -14,6 +14,7 @@ import time as _time
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.api.parallel import BACKENDS, execution_scope
 from repro.experiments import (
     fig01_heatmap,
     fig02_motivation,
@@ -75,10 +76,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--workers", "-w", type=int, default=None,
         help="worker pool size for the experiments' internal fan-outs "
-        "(--workers alone implies the thread backend)",
+        "(--workers alone implies the pool backend)",
     )
     parser.add_argument(
-        "--execution", choices=("serial", "thread", "process", "pool"), default=None,
+        "--execution", choices=sorted(BACKENDS), default=None,
         help="execution backend installed as the ambient policy while each "
         "experiment runs; experiment data is byte-identical across backends",
     )
@@ -105,8 +106,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # synthesize/sweep/bench subcommands): experiments take no explicit
         # backend knobs, so their internal trial fan-outs resolve it through
         # current_execution() inside this scope.
-        from repro.api.parallel import execution_scope
-
         scope = execution_scope(
             execution=arguments.execution, workers=arguments.workers
         )

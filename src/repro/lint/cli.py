@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro.api.parallel import BACKENDS
 from repro.errors import ReproError
 from repro.lint.baseline import Baseline, load_baseline, write_baseline
 from repro.lint.config import LintConfig, load_config
@@ -95,11 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="fan per-module analysis out across N workers "
-        "(thread backend unless --execution says otherwise)",
+        "(pool backend unless --execution says otherwise)",
     )
     parser.add_argument(
         "--execution",
-        choices=("serial", "thread", "process", "pool"),
+        choices=sorted(BACKENDS),
         default=None,
         help="execution backend for the per-module fan-out",
     )

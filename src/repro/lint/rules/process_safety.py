@@ -1,10 +1,10 @@
 """P family — process-safety at the execution-backend seam.
 
-The :class:`~repro.api.parallel.ProcessBackend` requires the mapped
+The :class:`~repro.api.parallel.PoolBackend` requires the mapped
 function and its items to be picklable: module-level defs (or
 ``functools.partial`` over them) and plain-data payloads.  A lambda, a
-closure, or a bound method works fine on the serial and thread backends and
-then explodes the moment someone flips ``--execution process`` — exactly
+closure, or a bound method works fine on the serial backend and then
+explodes the moment someone flips ``--execution pool`` — exactly
 the kind of latent seam bug CI should catch statically, because the
 dynamic suites only exercise the code paths they know about.
 
@@ -109,7 +109,7 @@ def _classify_callable(
     checked at their sites.
     """
     if isinstance(node, ast.Lambda):
-        return "a lambda cannot be pickled for the process backend"
+        return "a lambda cannot be pickled for the pool backend"
     if isinstance(node, ast.Call):
         qualified = context.qualified_name(node.func)
         if qualified in ("functools.partial", "partial"):
@@ -137,7 +137,7 @@ def _classify_callable(
         for scope in reversed(scopes):
             if name in scope.nested_defs:
                 return (
-                    f"{name!r} is a nested def (closure); the process backend "
+                    f"{name!r} is a nested def (closure); the pool backend "
                     "cannot pickle it — hoist it to module level"
                 )
             if name in scope.params:

@@ -6,7 +6,7 @@ apply suppressions and the baseline, and fold everything into a
 The per-module analysis is a module-level task function over a picklable
 payload, so ``--workers``/``--execution`` dogfoods the same
 :func:`repro.api.parallel.map_parallel` seam the simulator uses — including
-the process backend, which is exactly what rule P201 polices.  Cross-module
+the pool backend, which is exactly what rule P201 polices.  Cross-module
 facts travel as :class:`~repro.lint.context.ProjectSummaries`; each worker
 re-parses its module source (cheap, and the only process-safe option).
 """
@@ -183,7 +183,7 @@ def _analyze_module_task(
     """Run every rule over one module; returns (path, raw, suppressed).
 
     Module-level by design: this callable crosses the process boundary under
-    ``--execution process`` (rule P201's own requirement).  The source was
+    ``--execution pool`` (rule P201's own requirement).  The source was
     already validated by the parent, so the re-parse cannot fail outside a
     torn write race — which surfaces as E000 on the next run.
     """

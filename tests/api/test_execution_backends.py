@@ -1,6 +1,6 @@
-"""Execution backends: unit behaviour plus serial == thread == process ==
-pool determinism for every fan-out site (the ``backend_equivalence`` marker
-is what CI's process-backend smoke job selects)."""
+"""Execution backends: unit behaviour plus serial == pool determinism for
+every fan-out site (the ``backend_equivalence`` marker is what CI's
+pool-backend smoke job selects)."""
 
 import dataclasses
 import threading
@@ -15,22 +15,22 @@ from repro.api import (
     TopologySpec,
     run_batch,
 )
+from repro.api import broadcast
 from repro.api.parallel import (
     BACKENDS,
     PoolBackend,
-    ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     current_execution,
+    effective_backend,
     execution_scope,
     map_parallel,
     resolve_backend,
     shutdown_pools,
 )
-from repro.collectives import AllGather
+from repro.collectives import AllGather, Gather
 from repro.core import SynthesisConfig, TacosSynthesizer
 from repro.errors import ReproError, SynthesisError
-from repro.topology import build_ring
+from repro.topology import build_mesh, build_ring
 
 MB = 1e6
 
@@ -47,65 +47,75 @@ def _boom(value):
 # Backend units
 # ----------------------------------------------------------------------
 class TestBackends:
-    @pytest.mark.parametrize("name", ["serial", "thread", "process", "pool"])
+    @pytest.mark.parametrize("name", ["serial", "pool"])
     def test_map_preserves_order(self, name):
         backend = BACKENDS[name]
         assert backend.map(_square, range(7), max_workers=3) == [
             0, 1, 4, 9, 16, 25, 36,
         ]
 
-    @pytest.mark.parametrize("name", ["serial", "thread", "process", "pool"])
+    @pytest.mark.parametrize("name", ["serial", "pool"])
     def test_exceptions_propagate(self, name):
         with pytest.raises(RuntimeError, match="boom"):
             BACKENDS[name].map(_boom, [1, 2], max_workers=2)
 
     def test_registry_instances(self):
+        assert sorted(BACKENDS) == ["pool", "serial"]
         assert isinstance(BACKENDS["serial"], SerialBackend)
-        assert isinstance(BACKENDS["thread"], ThreadBackend)
-        assert isinstance(BACKENDS["process"], ProcessBackend)
         assert isinstance(BACKENDS["pool"], PoolBackend)
 
     def test_resolve_backend(self):
         assert resolve_backend(None) is None
-        assert resolve_backend("process") is BACKENDS["process"]
-        assert resolve_backend(BACKENDS["thread"]) is BACKENDS["thread"]
-        with pytest.raises(ReproError):
-            resolve_backend("gpu")
+        assert resolve_backend("pool") is BACKENDS["pool"]
+        assert resolve_backend(BACKENDS["serial"]) is BACKENDS["serial"]
+        for name in ("gpu", "thread", "process"):
+            with pytest.raises(ReproError):
+                resolve_backend(name)
 
-    def test_map_parallel_legacy_policy(self):
+    def test_workers_alone_imply_pool(self):
+        assert effective_backend(None, None) is None
+        assert effective_backend(None, 1) is None
+        assert effective_backend(None, 2) is BACKENDS["pool"]
+        assert effective_backend("serial", 4) is BACKENDS["serial"]
+
+    def test_map_parallel_policy(self):
         # Without an explicit backend: serial unless max_workers > 1.
         assert map_parallel(_square, [1, 2, 3]) == [1, 4, 9]
         assert map_parallel(_square, [1, 2, 3], max_workers=2) == [1, 4, 9]
-        assert map_parallel(_square, [1, 2, 3], backend="process", max_workers=2) == [1, 4, 9]
+        assert map_parallel(_square, [1, 2, 3], backend="pool", max_workers=2) == [1, 4, 9]
 
     def test_execution_scope_nests_and_restores(self):
         assert current_execution() == (None, None)
-        with execution_scope(execution="process", workers=3):
+        with execution_scope(execution="pool", workers=3):
             backend, workers = current_execution()
-            assert backend.name == "process" and workers == 3
+            assert backend.name == "pool" and workers == 3
             with execution_scope(workers=2):
                 backend, workers = current_execution()
-                assert backend.name == "process" and workers == 2
+                assert backend.name == "pool" and workers == 2
+            with execution_scope(execution="serial"):
+                backend, workers = current_execution()
+                assert backend.name == "serial" and workers == 3
             backend, workers = current_execution()
-            assert backend.name == "process" and workers == 3
+            assert backend.name == "pool" and workers == 3
         assert current_execution() == (None, None)
 
-    def test_scope_workers_alone_imply_threads(self):
+    def test_scope_workers_alone_imply_pool(self):
         # A requested pool width is never silently ignored: workers without
-        # a backend select threads, matching every explicit fan-out site.
+        # a backend select the pool, matching every explicit fan-out site.
         with execution_scope(workers=4):
             backend, workers = current_execution()
-            assert backend.name == "thread" and workers == 4
+            assert backend.name == "pool" and workers == 4
         with execution_scope(workers=1):
             assert current_execution()[0] is None
 
-    def test_config_rejects_unknown_execution(self):
+    @pytest.mark.parametrize("name", ["gpu", "thread", "process"])
+    def test_config_rejects_unknown_execution(self, name):
         with pytest.raises(SynthesisError):
-            SynthesisConfig(execution="gpu")
+            SynthesisConfig(execution=name)
 
 
 # ----------------------------------------------------------------------
-# Fan-out site equivalence (CI runs these under the process backend too)
+# Fan-out site equivalence (CI runs these in its pool-backend smoke job)
 # ----------------------------------------------------------------------
 def _specs():
     return [
@@ -140,23 +150,17 @@ def _strip_timing(results):
 
 @pytest.mark.backend_equivalence
 class TestRunBatchEquivalence:
-    def test_serial_thread_process_pool_identical(self):
+    def test_serial_pool_identical(self):
         specs = _specs()
         serial = run_batch(specs, execution="serial")
-        thread = run_batch(specs, max_workers=2, execution="thread")
-        process = run_batch(specs, max_workers=2, execution="process")
         pool = run_batch(specs, max_workers=2, execution="pool")
-        assert (
-            _strip_timing(serial)
-            == _strip_timing(thread)
-            == _strip_timing(process)
-            == _strip_timing(pool)
-        )
+        workers_alone = run_batch(specs, max_workers=2)  # workers alone = pool
+        assert _strip_timing(serial) == _strip_timing(pool) == _strip_timing(workers_alone)
 
-    def test_process_workers_share_disk_cache(self, tmp_path):
+    def test_pool_workers_share_disk_cache(self, tmp_path):
         specs = _specs()
         cache = ResultCache(tmp_path)
-        first = run_batch(specs, max_workers=2, execution="process", cache=cache)
+        first = run_batch(specs, max_workers=2, execution="pool", cache=cache)
         assert not any(result.cached for result in first)
         # Worker-computed results were folded back into the calling cache's
         # memory layer without rewriting the disk entries the workers
@@ -175,14 +179,14 @@ class TestRunBatchEquivalence:
         algorithm = cache.load_algorithm(specs[0])
         assert algorithm is not None and algorithm.num_transfers > 0
 
-    def test_process_batch_serves_memory_only_cache_hits(self):
+    def test_pool_batch_serves_memory_only_cache_hits(self):
         # A memory-only cache is invisible to worker processes; the parent
         # must serve its hits itself instead of recomputing every spec.
         specs = _specs()
         cache = ResultCache()
-        first = run_batch(specs, max_workers=2, execution="process", cache=cache)
+        first = run_batch(specs, max_workers=2, execution="pool", cache=cache)
         assert not any(result.cached for result in first)
-        again = run_batch(specs, max_workers=2, execution="process", cache=cache)
+        again = run_batch(specs, max_workers=2, execution="pool", cache=cache)
         assert all(result.cached for result in again)
         assert _strip_timing(first) == _strip_timing(
             [dataclasses.replace(result, cached=False) for result in again]
@@ -197,7 +201,7 @@ class TestRunBatchEquivalence:
         )
         specs = _specs() + [bad]
         results = run_batch(
-            specs, max_workers=2, execution="process", return_exceptions=True
+            specs, max_workers=2, execution="pool", return_exceptions=True
         )
         assert isinstance(results[-1], ReproError)
         assert all(not isinstance(result, Exception) for result in results[:-1])
@@ -211,10 +215,7 @@ class TestTrialFanOutEquivalence:
         outcomes = {}
         for name, config in {
             "serial": SynthesisConfig(seed=0, trials=4),
-            "thread": SynthesisConfig(seed=0, trials=4, trial_workers=2),
-            "process": SynthesisConfig(
-                seed=0, trials=4, trial_workers=2, execution="process"
-            ),
+            "workers-alone": SynthesisConfig(seed=0, trials=4, trial_workers=2),
             "pool": SynthesisConfig(
                 seed=0, trials=4, trial_workers=2, execution="pool"
             ),
@@ -231,7 +232,7 @@ class TestTrialFanOutEquivalence:
         pattern = AllGather(5)
         config = SynthesisConfig(seed=1, trials=3)
         baseline = TacosSynthesizer(config).synthesize(topology, pattern, MB)
-        with execution_scope(execution="process", workers=2):
+        with execution_scope(execution="pool", workers=2):
             scoped = TacosSynthesizer(config).synthesize(topology, pattern, MB)
         assert scoped.table.to_bytes() == baseline.table.to_bytes()
 
@@ -239,12 +240,47 @@ class TestTrialFanOutEquivalence:
         topology = build_ring(4)
         pattern = AllGather(4)
         config = SynthesisConfig(seed=2, trials=2, execution="serial")
-        with execution_scope(execution="process", workers=2):
+        with execution_scope(execution="pool", workers=2):
             algorithm = TacosSynthesizer(config).synthesize(topology, pattern, MB)
         baseline = TacosSynthesizer(
             SynthesisConfig(seed=2, trials=2)
         ).synthesize(topology, pattern, MB)
         assert algorithm.transfers == baseline.transfers
+
+    def test_trial_stats_identical_across_backends(self):
+        # Uniform search: every seed runs to completion on both tiers.  (A
+        # pruned pool search shares its incumbent per wave, so it may prune
+        # later than the serial scan; only its winner is pinned.)
+        def stats(execution):
+            config = SynthesisConfig(
+                seed=0, trials=6, trial_workers=2, execution=execution
+            )
+            result = TacosSynthesizer(config).synthesize_with_stats(
+                build_mesh([3, 3]), Gather(9), MB
+            )
+            return [
+                (entry["seed"], entry["rounds"], entry["collective_time"], entry["pruned_at_round"])
+                for entry in result.trial_stats
+            ]
+
+        serial = stats("serial")
+        assert [entry[0] for entry in serial] == list(range(6))
+        assert stats("pool") == serial
+
+    @pytest.mark.parametrize("pruning", [False, True], ids=["uniform", "pruned"])
+    def test_failed_pool_fan_out_leaks_nothing(self, pruning):
+        # Every trial overruns max_rounds inside a pool worker: the error
+        # must reach the caller and the broadcast segment must be released.
+        config = SynthesisConfig(
+            trials=4,
+            trial_workers=2,
+            execution="pool",
+            max_rounds=1,
+            incumbent_pruning=pruning,
+        )
+        with pytest.raises(SynthesisError, match="exceeded 1 time spans"):
+            TacosSynthesizer(config).synthesize(build_mesh([3, 3]), Gather(9), MB)
+        assert broadcast.published_segments() == 0
 
 
 @pytest.mark.backend_equivalence
@@ -346,9 +382,7 @@ class TestBenchFanOutEquivalence:
             ]
 
         serial = run_bench(scenarios=scenarios)
-        process = run_bench(scenarios=scenarios, workers=2, execution="process")
-        thread = run_bench(scenarios=scenarios, workers=2)  # workers alone = thread
+        workers_alone = run_bench(scenarios=scenarios, workers=2)  # workers alone = pool
         pool = run_bench(scenarios=scenarios, workers=2, execution="pool")
-        assert stable(serial) == stable(process) == stable(thread) == stable(pool)
-        assert all(record.equivalent for record in process)
+        assert stable(serial) == stable(workers_alone) == stable(pool)
         assert all(record.equivalent for record in pool)

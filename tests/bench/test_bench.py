@@ -138,8 +138,7 @@ class TestForwardingEquivalence:
 class TestGrids:
     def test_known_grids(self):
         assert set(GRIDS) == {
-            "smoke", "fig19", "full", "sim_stress", "pipeline", "parallel",
-            "dispatch", "search",
+            "smoke", "fig19", "full", "sim_stress", "pipeline", "dispatch", "search",
         }
 
     def test_unknown_grid_raises(self):
@@ -151,7 +150,6 @@ class TestGrids:
 
     def test_smoke_grid_covers_all_kinds(self):
         from repro.bench import (
-            ParallelScenario,
             PipelineScenario,
             SearchScenario,
         )
@@ -162,7 +160,6 @@ class TestGrids:
             BenchScenario,
             SimScenario,
             PipelineScenario,
-            ParallelScenario,
             DispatchScenario,
             SearchScenario,
         }
@@ -205,14 +202,9 @@ class TestRunnerAndReport:
             assert record.speedup > 0
             assert record.num_transfers > 0
             assert record.collective_time > 0
-            if record.kind == "parallel":
-                # Backend-scaling records time synthesis only: all three
-                # backend wall clocks are present, nothing is simulated.
-                assert set(record.backend_seconds) == {"serial", "thread", "process"}
-                assert all(value > 0 for value in record.backend_seconds.values())
-            elif record.kind == "dispatch":
+            if record.kind == "dispatch":
                 # Dispatch records time the transport: nothing is simulated.
-                assert set(record.backend_seconds) == {"serial", "process", "pool"}
+                assert set(record.backend_seconds) == {"serial", "pool"}
                 assert record.dispatch_metrics["trials_per_second"] > 0
             elif record.kind == "search":
                 # Search records race two synthesis tiers: nothing is simulated.

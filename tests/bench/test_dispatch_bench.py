@@ -52,8 +52,8 @@ class TestDispatchRecord:
 
     def test_record_shape(self, record):
         assert record.kind == "dispatch"
-        assert record.equivalent is True  # serial == process == pool winners
-        assert set(record.backend_seconds) == {"serial", "process", "pool"}
+        assert record.equivalent is True  # serial == pool winners
+        assert set(record.backend_seconds) == {"serial", "pool"}
         assert record.workers == 2
         # Primary triple: cold spin-up vs warm dispatch.
         assert record.reference_seconds > 0  # cold

@@ -200,6 +200,34 @@ class TestSynthesizerConfigurationAndErrors:
         assert stats.trials == 1
         assert stats.rounds >= 2
 
+    def test_default_search_reports_one_stats_entry_per_seed(self, synthesizer):
+        result = synthesizer.synthesize_with_stats(build_ring(4), AllGather(4), 4 * MB)
+        assert [entry["seed"] for entry in result.trial_stats] == [0]
+        (entry,) = result.trial_stats
+        assert entry["rounds"] == result.rounds
+        assert entry["collective_time"] == result.algorithm.collective_time
+        assert entry["pruned_at_round"] is None
+        assert result.full_trials == 1 and result.pruned_trials == 0
+
+        config = SynthesisConfig(seed=5, trials=3)
+        result = TacosSynthesizer(config).synthesize_with_stats(
+            build_mesh_2d(3, 3), Gather(9), 9 * MB
+        )
+        assert [entry["seed"] for entry in result.trial_stats] == [5, 6, 7]
+        assert all(entry["pruned_at_round"] is None for entry in result.trial_stats)
+
+    def test_all_reduce_stats_are_phase_tagged(self):
+        config = SynthesisConfig(trials=2)
+        result = TacosSynthesizer(config).synthesize_with_stats(
+            build_ring(4), AllReduce(4), 4 * MB
+        )
+        assert [(entry["phase"], entry["seed"]) for entry in result.trial_stats] == [
+            ("reduce_scatter", 0),
+            ("reduce_scatter", 1),
+            ("all_gather", 0),
+            ("all_gather", 1),
+        ]
+
     def test_mismatched_pattern_size_rejected(self, synthesizer):
         with pytest.raises(SynthesisError):
             synthesizer.synthesize(build_ring(4), AllGather(5), 5 * MB)

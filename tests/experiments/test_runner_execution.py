@@ -23,11 +23,11 @@ def _rows(execution, workers):
 
 @pytest.mark.backend_equivalence
 class TestExperimentBackendEquivalence:
-    def test_measurements_identical_serial_thread_process(self):
+    def test_measurements_identical_serial_pool(self):
         serial = _rows("serial", None)
-        thread = _rows("thread", 2)
-        process = _rows("process", 2)
-        assert serial == thread == process  # dataclass equality: every float
+        pool = _rows("pool", 2)
+        workers_alone = _rows(None, 2)  # workers alone = pool
+        assert serial == pool == workers_alone  # dataclass equality: every float
 
     def test_rows_are_plain_data(self):
         for row in _rows("serial", None):
@@ -36,10 +36,10 @@ class TestExperimentBackendEquivalence:
 
 class TestRunnerFlags:
     def test_execution_flags_accepted(self, capsys):
-        assert runner_main(["fig10", "--execution", "thread", "--workers", "2"]) == 0
+        assert runner_main(["fig10", "--execution", "pool", "--workers", "2"]) == 0
         assert "completed" in capsys.readouterr().out
 
-    def test_workers_alone_implies_thread(self, capsys):
+    def test_workers_alone_implies_pool(self, capsys):
         assert runner_main(["fig10", "--workers", "2"]) == 0
         capsys.readouterr()
 

@@ -104,7 +104,7 @@ class TestChangedFallback:
 
 
 class TestFanOut:
-    @pytest.mark.parametrize("extra", [["--workers", "2"], ["--execution", "thread"]])
+    @pytest.mark.parametrize("extra", [["--workers", "2"], ["--execution", "pool"]])
     def test_parallel_report_matches_serial(self, tmp_path, capsys, extra):
         pyproject = _project(tmp_path, modules=4)
         base = ["--config", str(pyproject), "--no-baseline", "--format", "json"]
@@ -113,12 +113,12 @@ class TestFanOut:
         assert lint_main(base + extra) == 1
         assert capsys.readouterr().out == serial
 
-    def test_process_backend_report_matches_serial(self, tmp_path, capsys):
+    def test_pool_backend_report_matches_serial(self, tmp_path, capsys):
         pyproject = _project(tmp_path, modules=3)
         config = load_config(pyproject)
         serial = run_lint(config)
-        process = run_lint(config, workers=2, execution="process")
-        assert json.dumps(process.to_dict(), sort_keys=True) == json.dumps(
+        pool = run_lint(config, workers=2, execution="pool")
+        assert json.dumps(pool.to_dict(), sort_keys=True) == json.dumps(
             serial.to_dict(), sort_keys=True
         )
 

@@ -20,7 +20,6 @@ PYPROJECT = REPO_ROOT / "pyproject.toml"
 
 #: Every file under src/repro carrying an inline suppression directive.
 SUPPRESSED_FILES = [
-    "src/repro/api/runner.py",
     "src/repro/core/transfers.py",
     "src/repro/bench/reference.py",
     "src/repro/core/verification.py",
