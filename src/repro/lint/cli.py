@@ -22,7 +22,6 @@ from repro.api.parallel import BACKENDS
 from repro.errors import ReproError
 from repro.lint.baseline import Baseline, load_baseline, write_baseline
 from repro.lint.config import LintConfig, load_config
-from repro.lint.findings import Finding
 from repro.lint.rules import ALL_RULES, FAMILIES
 from repro.lint.runner import LintReport, run_lint
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import ast
 from fnmatch import fnmatchcase
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.lint.context import ModuleContext, ProjectIndex
 from repro.lint.findings import Finding

@@ -13,9 +13,9 @@ from repro.api import (
     ResultCache,
     RunSpec,
     TopologySpec,
+    broadcast,
     run_batch,
 )
-from repro.api import broadcast
 from repro.api.parallel import (
     BACKENDS,
     PoolBackend,
