@@ -1,8 +1,9 @@
 """Pluggable execution backends for every fan-out site in the pipeline.
 
 The paper's synthesizer is trial-based and embarrassingly parallel: best-of-N
-synthesis, batch sweeps (:func:`repro.api.runner.run_batch`), and benchmark
-grids (:mod:`repro.bench.runner`) are all independent work items.  This
+synthesis, batch sweeps (:func:`repro.api.runner.run_batch`), and the
+byte-identity check's scenario grids (:mod:`repro.bench.check`) are all
+independent work items.  This
 module is the single seam those sites fan out through, with two tiers:
 
 * :class:`SerialBackend` — a plain loop (the default);
@@ -28,12 +29,12 @@ layers can import it without cycles.
 
 from __future__ import annotations
 
-import atexit
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
+from multiprocessing import util as _mp_util
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 from repro.errors import ReproError
@@ -117,14 +118,14 @@ class PoolBackend(ExecutionBackend):
     bootstrap — on *every* fan-out, this backend keeps one long-lived
     :class:`~concurrent.futures.ProcessPoolExecutor` per requested worker
     count, created lazily on first use and reused by every later
-    fan-out of the same width, so repeated dispatches (sweeps, services, the
-    ``dispatch`` bench) pay it once.  Warm workers cannot change results:
+    fan-out of the same width, so repeated dispatches (sweeps, services,
+    best-of-N searches) pay it once.  Warm workers cannot change results:
     every trial is seeded explicitly and best-of selection is
     order-independent, so the determinism contract holds regardless of which
     worker ran what (see docs/determinism.md).
 
-    Lifecycle: pools are shut down at interpreter exit (``atexit``) or
-    explicitly via :meth:`shutdown` / :func:`shutdown_pools`.  A pool whose
+    Lifecycle: pools are shut down at process exit (a pool worker's exit
+    included) or explicitly via :meth:`shutdown` / :func:`shutdown_pools`.  A pool whose
     workers died (:class:`~concurrent.futures.process.BrokenProcessPool`) is
     discarded and re-forked once per ``map`` call — transient deaths recover,
     a task that reliably kills its worker still raises.  The instance is
@@ -187,7 +188,15 @@ class PoolBackend(ExecutionBackend):
                 self._pools[workers] = pool
                 if not self._atexit_registered:
                     self._atexit_registered = True
-                    atexit.register(self.shutdown)
+                    # A multiprocessing finalizer rather than ``atexit``: a
+                    # pool worker leaves through ``os._exit`` and never runs
+                    # ``atexit`` handlers, but it does run these finalizers
+                    # before joining its children, so the pools a worker
+                    # forked for a nested fan-out are shut down instead of
+                    # joined forever.  The priority runs it before the
+                    # queues' own finalizers (10) stop their feeder threads,
+                    # which would swallow the workers' stop sentinels.
+                    _mp_util.Finalize(self, self.shutdown, exitpriority=20)
             return pool
 
     def _discard(self, workers: int) -> None:
@@ -243,10 +252,9 @@ def effective_backend(
 
     An explicit ``execution`` wins; ``workers`` greater than 1 alone implies
     the pool backend (a requested pool width is never silently ignored);
-    otherwise ``None`` (callers treat that as serial).  Centralized so the
-    CLI's recorded report envelope, ``run_bench``, ``map_parallel``, and the
-    ambient :func:`execution_scope` can never drift apart on the promotion
-    rule.
+    otherwise ``None`` (callers treat that as serial).  Centralized so
+    ``run_bench``, ``map_parallel``, and the ambient :func:`execution_scope`
+    can never drift apart on the promotion rule.
     """
     backend = resolve_backend(execution)
     if backend is not None:

@@ -3,6 +3,10 @@ every fan-out site (the ``backend_equivalence`` marker is what CI's
 pool-backend smoke job selects)."""
 
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -359,6 +363,35 @@ class TestPoolLifecycle:
         # The next fan-out lazily re-creates the pool.
         assert backend.map(_square, range(4), max_workers=2) == [0, 1, 4, 9]
         shutdown_pools()
+
+    def test_process_exits_after_a_nested_fan_out(self):
+        # A pool worker that fans out forks a pool of its own.  Workers leave
+        # through os._exit, skipping atexit, so unless that inner pool is
+        # shut down by a multiprocessing finalizer the worker joins its idle
+        # children forever and the outer process never exits.
+        script = (
+            "from repro.api.parallel import BACKENDS\n"
+            "def inner(x):\n"
+            "    return x * x\n"
+            "def outer(x):\n"
+            "    return sum(BACKENDS['pool'].map(inner, range(x, x + 4), max_workers=2))\n"
+            "if __name__ == '__main__':\n"
+            "    print(BACKENDS['pool'].map(outer, range(2), max_workers=2))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        process = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)  # the hung workers too
+            process.communicate()
+            pytest.fail("the process hung at exit after a nested fan-out")
+        assert process.returncode == 0, stderr
+        assert stdout.strip() == "[14, 30]"
 
 
 @pytest.mark.backend_equivalence
