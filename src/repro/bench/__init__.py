@@ -1,45 +1,26 @@
-"""First-class benchmark subsystem for the synthesis core and the simulator.
+"""Frozen reference engines and the byte-identity check built on them.
 
-Four pieces:
+Two pieces:
 
 * :mod:`repro.bench.reference` — the frozen pre-refactor dict/set synthesis
   engine, the frozen dict-keyed :class:`ReferenceSimulator`, and the frozen
   object-path adapters/verifier, kept as the behavioural baselines;
-* :mod:`repro.bench.grid` — named scenario grids (``smoke``, ``fig19``,
-  ``full``, ``sim_stress``, ``pipeline``, ``dispatch``, ``search``)
-  crossing topology families, NPU counts, collective sizes, logical
-  schedules, end-to-end pipelines, pool dispatch overhead and
-  guided-vs-uniform search;
-* :mod:`repro.bench.runner` — times synthesis, simulation, full pipelines,
-  pool dispatch and search tiers over a grid, asserts fixed-seed output
-  equivalence (byte-identical across engines *and* across the serial and
-  pool backends), and emits a machine-readable ``BENCH_*.json`` report
-  (strict JSON);
-* :mod:`repro.bench.compare` — diffs two reports per scenario, flags median
-  regressions (the ``tacos-repro bench --compare`` trend gate), and walks
-  the recorded artifact chain (``tacos-repro bench --history``).
+* :mod:`repro.bench.check` — named scenarios (``smoke``, ``search`` and
+  ``full`` grids) that re-run the production paths against those baselines,
+  the serial against the pool backend and the guided against the uniform
+  search, and report per check whether the outputs are byte-identical.
 
-Run it via ``tacos-repro bench`` (``--smoke`` for the CI-sized grid,
-``--grid sim_stress`` for the simulator grid, ``--grid pipeline`` for the
-end-to-end grid, ``--compare`` for the trend check, ``--history`` for the
-cross-PR trajectory).
+Run it via ``tacos-repro bench`` (exit 0 when every check agrees, 1 when any
+disagrees).  It times nothing: ``perfbench/`` is the repository benchmark.
 """
 
-from repro.bench.compare import (
-    ScenarioDelta,
-    compare_reports,
-    find_previous_report,
-    load_history,
-    load_report,
-    speedup_history,
-)
-from repro.bench.grid import (
+from repro.bench.check import (
     GRIDS,
-    BenchScenario,
-    PipelineScenario,
-    SearchScenario,
-    SimScenario,
+    BenchRecord,
+    Scenario,
+    check_scenario,
     get_grid,
+    run_bench,
 )
 from repro.bench.reference import (
     REFERENCE_ENGINE,
@@ -48,28 +29,17 @@ from repro.bench.reference import (
     reference_schedule_to_messages,
     reference_verify_algorithm,
 )
-from repro.bench.runner import BenchRecord, run_bench, summarize, write_report
 
 __all__ = [
     "BenchRecord",
-    "BenchScenario",
     "GRIDS",
-    "PipelineScenario",
     "REFERENCE_ENGINE",
     "ReferenceSimulator",
-    "ScenarioDelta",
-    "SearchScenario",
-    "SimScenario",
-    "compare_reports",
-    "find_previous_report",
+    "Scenario",
+    "check_scenario",
     "get_grid",
-    "load_history",
-    "load_report",
     "reference_algorithm_to_messages",
     "reference_schedule_to_messages",
     "reference_verify_algorithm",
     "run_bench",
-    "speedup_history",
-    "summarize",
-    "write_report",
 ]

@@ -53,10 +53,8 @@ __all__ = [
     "ReferenceSimulator",
     "ReferenceTimeExpandedNetwork",
     "reference_algorithm_to_messages",
-    "reference_link_busy_time",
     "reference_run_matching_round",
     "reference_schedule_to_messages",
-    "reference_utilization_timeline",
     "reference_verify_algorithm",
 ]
 
@@ -421,16 +419,6 @@ class ReferenceSimulator:
             self._route_cache[cache_key] = route
         return route
 
-    @staticmethod
-    def utilization_timeline(result: SimulationResult, num_samples: int = 100):
-        """Frozen alias for :func:`reference_utilization_timeline`."""
-        return reference_utilization_timeline(result, num_samples)
-
-    @staticmethod
-    def link_busy_time(result: SimulationResult) -> Dict[Tuple[int, int], float]:
-        """Frozen alias for :func:`reference_link_busy_time`."""
-        return reference_link_busy_time(result)
-
     def _dijkstra_path(self, source: int, dest: int, message_size: float) -> List[int]:
         topology = self.topology
         if source == dest:
@@ -459,39 +447,6 @@ class ReferenceSimulator:
             path.append(previous[path[-1]])
         path.reverse()
         return path
-
-
-def reference_utilization_timeline(result: SimulationResult, num_samples: int = 100):
-    """Frozen pre-refactor Fig. 16(b) metric: nested interval scans.
-
-    The historical ``SimulationResult.utilization_timeline`` — one boolean
-    mask over all samples *per busy interval*, O(links x intervals x
-    samples) — before the columnar rewrite turned it into a vectorized event
-    sweep.  Note it also reproduces the historical zero-width-interval bug
-    (instantaneous transmissions are dropped); the benchmark only times it,
-    it never asserts metric equality across implementations.
-    """
-    import numpy as np
-
-    horizon = result.completion_time
-    times = np.linspace(0.0, horizon, num_samples) if horizon > 0 else np.zeros(num_samples)
-    utilization = np.zeros(num_samples)
-    if result.num_links == 0 or horizon <= 0:
-        return times, utilization
-    for intervals in result.link_busy_intervals.values():
-        for start, end in intervals:
-            busy = (times >= start) & (times < end)
-            utilization[busy] += 1.0
-    utilization /= result.num_links
-    return times, utilization
-
-
-def reference_link_busy_time(result: SimulationResult) -> Dict[Tuple[int, int], float]:
-    """Frozen pre-refactor per-link busy seconds: a Python sum per interval."""
-    return {
-        link: sum(end - start for start, end in intervals)
-        for link, intervals in result.link_busy_intervals.items()
-    }
 
 
 # ----------------------------------------------------------------------

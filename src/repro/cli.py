@@ -8,9 +8,10 @@ Subcommands:
 * ``simulate`` — time a baseline algorithm on a topology;
 * ``sweep`` — cross topologies x algorithms x sizes through
   :func:`repro.api.run_batch`, with optional parallelism and caching;
-* ``bench`` — time the synthesis core against the frozen pre-refactor
-  reference engine over a scenario grid, check fixed-seed output
-  equivalence, and write a ``BENCH_*.json`` report;
+* ``bench`` — check over a scenario grid that fixed-seed outputs are
+  byte-identical to the frozen reference engines, across the serial and
+  pool backends, and between guided and uniform search (exit 1 when any
+  check disagrees);
 * ``experiments`` — run the paper-reproduction experiments.
 
 Every run-producing subcommand accepts ``--spec FILE`` to execute a
@@ -28,7 +29,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.api import (
     ALGORITHMS,
@@ -161,78 +162,25 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--json", action="store_true", help="print results as JSON")
 
     bench = subparsers.add_parser(
-        "bench", help="benchmark the synthesis core and simulator against the pre-refactor engines"
+        "bench",
+        help="check the production paths byte for byte against the frozen reference "
+        "engines, the serial backend and the uniform search (times nothing)",
     )
     bench.add_argument(
-        "--grid",
-        choices=(
-            "smoke", "fig19", "full", "sim_stress", "pipeline", "dispatch", "search",
-        ),
-        default="fig19",
-        help="scenario grid (default: fig19; sim_stress exercises the simulator, "
-        "pipeline the end-to-end synthesize+verify+simulate+metrics chain, "
-        "dispatch the warm-pool dispatch overhead and payload-bytes plane, "
-        "search the guided-vs-uniform quality-per-wallclock races)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true", help="shorthand for --grid smoke (CI-sized)"
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=1, help="timing repetitions per engine (median kept)"
-    )
-    bench.add_argument(
-        "--out", default=".", help="directory for the BENCH_*.json report (default: .)"
-    )
-    bench.add_argument(
-        "--no-equivalence", action="store_true",
-        help="skip the fixed-seed output-equivalence check",
-    )
-    bench.add_argument(
-        "--no-reference", action="store_true",
-        help="skip the frozen object path entirely (no reference timings or "
-        "engine-equivalence checks) and include the flat-only scenarios too "
-        "large to ever time it on",
+        "--grid", choices=("smoke", "search", "full"), default="smoke",
+        help="scenario grid (default: smoke, one scenario per check kind; search: the "
+        "guided-vs-uniform races; full: every scenario the references are affordable on)",
     )
     bench.add_argument(
         "--workers", "-w", type=int, default=None,
-        help="fan scenarios out across a worker pool (timings then include "
-        "scheduling noise from concurrent neighbours)",
+        help="fan scenarios out across a worker pool",
     )
     bench.add_argument(
         "--execution", choices=sorted(BACKENDS), default=None,
         help="execution backend for the scenario fan-out "
         "(--workers alone implies pool)",
     )
-    bench.add_argument(
-        "--engine", default="flat", metavar="NAME",
-        help="synthesis engine for the timed (non-reference) side: flat "
-        "(default) or reference",
-    )
-    bench.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="exit non-zero if the median speedup falls below this factor",
-    )
-    bench.add_argument(
-        "--compare", nargs="?", const="auto", default=None, metavar="PREV_JSON",
-        help="compare against a previous BENCH report (default: the newest "
-        "benchmarks/results/BENCH_<grid>_*.json) and exit non-zero on a "
-        "median wall-clock regression beyond the threshold",
-    )
-    bench.add_argument(
-        "--compare-threshold", type=float, default=None, metavar="FRACTION",
-        help="median regression tolerance for --compare (default: 0.20 = 20%%)",
-    )
-    bench.add_argument(
-        "--history", action="store_true",
-        help="do not run the grid: walk the recorded benchmarks/results chain and "
-        "print the cross-PR median-speedup trajectory (with --compare, also diff "
-        "the two newest recorded reports of --grid per scenario)",
-    )
-    bench.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help="recorded-report directory for --history (default: benchmarks/results)",
-    )
-    bench.add_argument("--json", action="store_true", help="print the report as JSON")
+    bench.add_argument("--json", action="store_true", help="print the records as JSON")
 
     experiments = subparsers.add_parser(
         "experiments", help="run the paper-reproduction experiments"
@@ -433,343 +381,27 @@ def _cmd_sweep(arguments: argparse.Namespace) -> int:
     return 1 if failed == len(results) and results else 0
 
 
-def _format_speedup(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value:.2f}x"
-
-
-def _format_ms(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value * 1e3:.1f}"
-
-
-def _format_layers(layers: Dict[str, float]) -> str:
-    order = ("synthesize", "verify", "simulate", "metrics")
-    named = [layer for layer in order if layer in layers]
-    named += [layer for layer in sorted(layers) if layer not in order]
-    return " | ".join(f"{layer} {layers[layer] * 1e3:.1f}ms" for layer in named)
-
-
-def _resolve_comparison(
-    arguments: argparse.Namespace, grid: str, report: Dict[str, Any], path: Path
-) -> Tuple[int, Optional[Dict[str, Any]], Optional[Path]]:
-    """Resolve the --compare baseline and diff the fresh report against it.
-
-    Returns ``(exit_code, comparison, previous_path)``; errors are reported
-    on stderr with ``comparison`` left as ``None``.
-    """
-    from repro.bench.compare import (
-        DEFAULT_RESULTS_DIR,
-        DEFAULT_THRESHOLD,
-        compare_reports,
-        find_previous_report,
-        load_report,
-    )
-
-    threshold = (
-        arguments.compare_threshold
-        if arguments.compare_threshold is not None
-        else DEFAULT_THRESHOLD
-    )
-    if arguments.compare == "auto":
-        previous_path = find_previous_report(grid, DEFAULT_RESULTS_DIR, exclude=path)
-        if previous_path is None:
-            print(
-                f"error: no previous BENCH_{grid}_*.json under {DEFAULT_RESULTS_DIR} "
-                "to compare against (pass an explicit --compare PREV_JSON)",
-                file=sys.stderr,
-            )
-            return 2, None, None
-    else:
-        previous_path = Path(arguments.compare)
-    comparison = compare_reports(report, load_report(previous_path), threshold=threshold)
-    if comparison["baseline_grid"] not in (None, grid):
-        print(
-            f"warning: comparing grid {grid!r} against a {comparison['baseline_grid']!r} "
-            "baseline; only scenarios sharing a name are matched",
-            file=sys.stderr,
-        )
-    median_ratio = comparison["median_ratio"]
-    if median_ratio is None:
-        print("error: no comparable scenarios between the two reports", file=sys.stderr)
-        return 2, comparison, previous_path
-    if comparison["regressed"]:
-        print(
-            f"error: median wall clock regressed {(median_ratio - 1.0) * 100.0:+.1f}% "
-            f"(> {threshold * 100.0:.0f}% allowed)",
-            file=sys.stderr,
-        )
-        return 1, comparison, previous_path
-    return 0, comparison, previous_path
-
-
-def _print_comparison(comparison: Dict[str, Any], previous_path: Path) -> None:
-    header = f"{'scenario':<26} {'now':>12} {'prev':>12} {'delta':>8}"
-    print(f"\ncompare vs {previous_path}:")
-    print(header)
-    print("-" * len(header))
-    for delta in comparison["deltas"]:
-        ratio = delta["ratio"]
-        # Every ratio is oriented so > 1 means regression; dispatch records
-        # compare throughput (trials/sec, higher is better), everything else
-        # wall clock in ms.
-        change = "-" if ratio is None else f"{(ratio - 1.0) * 100.0:+.1f}%"
-        if delta.get("metric") == "trials_per_second":
-            now = f"{delta['current_seconds']:.1f}/s"
-            prev = f"{delta['previous_seconds']:.1f}/s"
-        elif delta.get("metric") == "guided_quality_at_budget":
-            # Search records compare synthesized collective time (a simulated
-            # quantity, microseconds scale), not bench wall clock.
-            now = f"{delta['current_seconds'] * 1e6:.2f}us"
-            prev = f"{delta['previous_seconds'] * 1e6:.2f}us"
-        else:
-            now = f"{delta['current_seconds'] * 1e3:.1f}ms"
-            prev = f"{delta['previous_seconds'] * 1e3:.1f}ms"
-        print(f"{delta['scenario']:<26} {now:>12} {prev:>12} {change:>8}")
-    for name in comparison["only_current"]:
-        print(f"{name:<26} (new scenario, no baseline)")
-    median_ratio = comparison["median_ratio"]
-    if median_ratio is not None:
-        print(
-            f"median wall-clock ratio {median_ratio:.3f} "
-            f"(threshold {1.0 + comparison['threshold']:.2f})"
-        )
-
-
-def _cmd_bench_history(arguments: argparse.Namespace) -> int:
-    """Walk the recorded report chain and print the speedup trajectory."""
-    from repro.bench.compare import (
-        DEFAULT_RESULTS_DIR,
-        DEFAULT_THRESHOLD,
-        compare_reports,
-        load_history,
-        load_report,
-        speedup_history,
-    )
-
-    directory = arguments.results_dir or DEFAULT_RESULTS_DIR
-    rows = speedup_history(directory)
-    if not rows:
-        print(f"error: no BENCH_*.json reports under {directory}", file=sys.stderr)
-        return 2
-
-    comparison: Optional[Dict[str, Any]] = None
-    previous_path: Optional[Path] = None
-    if arguments.compare is not None:
-        grid = "smoke" if arguments.smoke else arguments.grid
-        chain = load_history(directory, grid=grid)
-        if not chain:
-            print(
-                f"error: --history --compare found no recorded "
-                f"BENCH_{grid}_*.json reports under {directory}",
-                file=sys.stderr,
-            )
-            return 2
-        if arguments.compare == "auto":
-            # Diff the two newest recorded reports of the grid.
-            if len(chain) < 2:
-                print(
-                    f"error: --history --compare needs at least two recorded "
-                    f"BENCH_{grid}_*.json reports under {directory}",
-                    file=sys.stderr,
-                )
-                return 2
-            previous_path = chain[-2]["path"]
-            previous_report = chain[-2]["report"]
-        else:
-            # An explicit baseline: diff the newest recorded report against it.
-            previous_path = Path(arguments.compare)
-            previous_report = load_report(previous_path)
-        threshold = (
-            arguments.compare_threshold
-            if arguments.compare_threshold is not None
-            else DEFAULT_THRESHOLD
-        )
-        comparison = compare_reports(
-            chain[-1]["report"], previous_report, threshold=threshold
-        )
-
-    if arguments.json:
-        payload: Dict[str, Any] = {"history": rows}
-        if comparison is not None:
-            payload["comparison"] = comparison
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
-    else:
-        header = (
-            f"{'grid':<12} {'report':<38} {'version':>8} {'engine':>7} {'kernel':>7} "
-            f"{'median x':>9} {'sim x':>7} {'vs prev':>8}"
-        )
-        print(header)
-        print("-" * len(header))
-        for row in rows:
-            trajectory = row["median_speedup_vs_previous"]
-            # engine/kernel are v5 envelope fields; pre-v5 rows carry None.
-            print(
-                f"{row['grid'] or '-':<12} {row['file']:<38} {row['version'] or '-':>8} "
-                f"{row.get('engine') or '-':>7} {row.get('kernel') or '-':>7} "
-                f"{_format_speedup(row['median_speedup']):>9} "
-                f"{_format_speedup(row['median_simulation_speedup']):>7} "
-                f"{'-' if trajectory is None else f'{trajectory:.2f}x':>8}"
-            )
-        # Per-layer attribution (schema v4 pipeline records): the newest
-        # report of each grid that carries it.
-        newest_layers: Dict[str, Any] = {}
-        for row in rows:
-            if row.get("median_layer_seconds"):
-                newest_layers[row["grid"]] = row
-        for row in newest_layers.values():
-            print(
-                f"\nlayers ({row['grid']}, {row['file']}): "
-                f"{_format_layers(row['median_layer_seconds'])}"
-            )
-        if comparison is not None and previous_path is not None:
-            _print_comparison(comparison, previous_path)
-    if comparison is not None and comparison["regressed"]:
-        print("error: newest recorded report regressed against its predecessor", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_bench(arguments: argparse.Namespace) -> int:
-    from repro.bench import run_bench, write_report
+    from repro.bench import run_bench
 
-    if arguments.history:
-        return _cmd_bench_history(arguments)
-
-    grid = "smoke" if arguments.smoke else arguments.grid
-    # Resolve the effective backend through the one shared promotion rule
-    # (--workers alone implies the pool) so the report envelope records
-    # exactly what run_bench executes — parallel scheduling noise is never
-    # attributed to a serial run.
-    from repro.api.parallel import effective_backend
-
-    backend = effective_backend(arguments.execution, arguments.workers)
-    execution = backend.name if backend is not None else None
-    records = run_bench(
-        grid,
-        repeats=arguments.repeats,
-        check_equivalence=not arguments.no_equivalence,
-        workers=arguments.workers,
-        execution=execution,
-        include_reference=not arguments.no_reference,
-        engine=arguments.engine,
-    )
-    path, report = write_report(
-        records,
-        grid=grid,
-        repeats=arguments.repeats,
-        out_dir=arguments.out,
-        execution=execution,
-        workers=arguments.workers,
-        engine=arguments.engine,
-    )
-    summary = report["summary"]
-    compare_code = 0
-    comparison: Optional[Dict[str, Any]] = None
-    previous_path: Optional[Path] = None
-    if arguments.compare is not None:
-        compare_code, comparison, previous_path = _resolve_comparison(
-            arguments, grid, report, path
-        )
+    records = run_bench(arguments.grid, workers=arguments.workers, execution=arguments.execution)
     if arguments.json:
-        # Keep stdout a single JSON document: the comparison is embedded in
-        # the payload instead of printed as a table.
-        payload = dict(report)
-        if comparison is not None:
-            payload["comparison"] = comparison
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        print(json.dumps([record.to_dict() for record in records], indent=2, allow_nan=False))
     else:
-        header = (
-            f"{'scenario':<26} {'npus':>5} {'engine':>7} {'flat (ms)':>10} "
-            f"{'reference (ms)':>14} {'speedup':>8} {'sim x':>7} {'equal':>6}"
-        )
+        header = f"{'scenario':<32} {'kind':<10} {'npus':>5} {'equal':>6}"
         print(header)
         print("-" * len(header))
         for record in records:
-            checks = [
-                check
-                for check in (record.equivalent, record.simulation_equivalent)
-                if check is not None
-            ]
-            equal = "-" if not checks else ("yes" if all(checks) else "NO")
-            print(
-                f"{record.scenario:<26} {record.num_npus:>5} {record.engine:>7} "
-                f"{record.flat_seconds * 1e3:>10.1f} "
-                f"{_format_ms(record.reference_seconds):>14} {_format_speedup(record.speedup):>8} "
-                f"{_format_speedup(record.simulation_speedup):>7} {equal:>6}"
-            )
-        if summary["median_speedup"] is not None:
-            print(
-                f"\nmedian speedup {summary['median_speedup']:.2f}x "
-                f"(min {summary['min_speedup']:.2f}x, max {summary['max_speedup']:.2f}x); "
-                f"report: {path}"
-            )
-        else:
-            print(f"\nno finite speedups measured; report: {path}")
-        if summary["median_simulation_speedup"] is not None:
-            print(
-                f"median simulator speedup {summary['median_simulation_speedup']:.2f}x "
-                f"(min {summary['min_simulation_speedup']:.2f}x, "
-                f"max {summary['max_simulation_speedup']:.2f}x)"
-            )
-        if summary.get("median_dispatch_speedup") is not None:
-            reduction = summary.get("median_payload_bytes_reduction")
-            reduction_text = (
-                f"; payload bytes/trial down {reduction:.1f}x via broadcast"
-                if reduction is not None
-                else ""
-            )
-            print(
-                f"median warm/cold dispatch speedup "
-                f"{summary['median_dispatch_speedup']:.2f}x "
-                f"(min {summary['min_dispatch_speedup']:.2f}x, "
-                f"max {summary['max_dispatch_speedup']:.2f}x)"
-                f"{reduction_text}"
-            )
-        if summary.get("median_search_speedup") is not None:
-            pruned = summary.get("median_pruned_fraction")
-            pruned_text = (
-                f"; median pruned fraction {pruned * 100.0:.0f}%"
-                if pruned is not None
-                else ""
-            )
-            print(
-                f"median guided-search speedup "
-                f"{summary['median_search_speedup']:.2f}x "
-                f"(min {summary['min_search_speedup']:.2f}x, "
-                f"max {summary['max_search_speedup']:.2f}x)"
-                f"{pruned_text}"
-            )
-        if comparison is not None and previous_path is not None:
-            _print_comparison(comparison, previous_path)
-    if summary["all_equivalent"] is False:
-        print("error: synthesis engines disagree on fixed-seed outputs", file=sys.stderr)
-        return 1
-    if summary["all_simulation_equivalent"] is False:
-        print("error: simulator engines disagree on fixed-seed outputs", file=sys.stderr)
-        return 1
-    if summary.get("all_dispatch_equivalent") is False:
+            equal = "yes" if record.equivalent else "NO: " + ", ".join(record.failed_checks())
+            print(f"{record.scenario:<32} {record.kind:<10} {record.num_npus:>5} {equal:>6}")
+    failed = [record.scenario for record in records if not record.equivalent]
+    if failed:
         print(
-            "error: pool backend disagrees with serial on fixed-seed outputs",
+            f"error: {len(failed)} of {len(records)} scenarios disagree: {', '.join(failed)}",
             file=sys.stderr,
         )
         return 1
-    if summary.get("all_search_equivalent") is False:
-        print(
-            "error: guided search disagrees with uniform search on fixed-seed winners",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        arguments.min_speedup is not None
-        and summary["median_speedup"] is not None
-        and summary["median_speedup"] < arguments.min_speedup
-    ):
-        print(
-            f"error: median speedup {summary['median_speedup']:.2f}x is below "
-            f"the required {arguments.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return compare_code
+    return 0
 
 
 def _cmd_experiments(arguments: argparse.Namespace) -> int:

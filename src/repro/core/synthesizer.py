@@ -351,8 +351,8 @@ def _execute_trial(
 
     The returned stats dict carries ``seed``, ``rounds``, ``collective_time``
     (``None`` when pruned), ``pruned_at_round`` (``None`` when completed),
-    and ``wall_seconds`` — the bookkeeping the seed portfolio and the
-    ``search`` bench consume.
+    and ``wall_seconds`` — the bookkeeping the seed portfolio consumes and
+    ``synthesize --json`` reports.
     """
     started = _time.perf_counter()
     engine = payload.engine

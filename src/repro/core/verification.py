@@ -29,8 +29,8 @@ checker instead: at ~10-NPU scale the numpy setup cost dominates the work,
 and the loop path keeps tiny pipelines at least as fast as the pre-refactor
 object path.  Both paths produce identical verdicts — identical to each
 other and to the frozen object-path checker
-(:func:`repro.bench.reference.reference_verify_algorithm`); the benchmark
-pipeline asserts this per scenario and
+(:func:`repro.bench.reference.reference_verify_algorithm`); the pipeline
+check of ``tacos-repro bench`` asserts this per scenario and
 ``tests/core/test_verification_cutover.py`` pins the dispatch and the
 verdict equivalence across the cutover.
 """

@@ -20,7 +20,7 @@ from repro.lint.runner import LintReport
 
 __all__ = ["to_sarif"]
 
-_SCHEMA = "https://docs.oasis-open.org/sarif/sarif/v2.1.0/errata01/os/schemas/sarif-schema-2.1.0.json"
+_SARIF_SPEC_URI = "https://docs.oasis-open.org/sarif/sarif/v2.1.0/errata01/os/schemas/sarif-schema-2.1.0.json"
 
 
 def _result(finding: Finding, suppression_kind: str = "") -> Dict[str, Any]:
@@ -67,7 +67,7 @@ def to_sarif(report: LintReport, version: str) -> Dict[str, Any]:
         _result(finding, kind) for finding, kind in ordered
     ]
     return {
-        "$schema": _SCHEMA,
+        "$schema": _SARIF_SPEC_URI,
         "version": "2.1.0",
         "runs": [
             {

@@ -16,7 +16,8 @@ byte-identical to the uniform search over the same seed list:
   so a strong incumbent is established early and pruning bites harder.
 
 See docs/determinism.md ("Incumbent pruning is exact") for the exactness
-arguments and the ``search`` bench grid for the measured effect.
+arguments, the ``search`` grid of ``tacos-repro bench`` for the byte-identity
+check, and ``perfbench/``'s ``search-gather`` workload for the measured effect.
 """
 
 from repro.search.guided import GuidedSynthesizer

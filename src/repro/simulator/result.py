@@ -5,7 +5,7 @@ times and one of end times, in transmission order.  All time-series metrics
 (:meth:`SimulationResult.utilization_timeline`, :meth:`link_busy_time`,
 :meth:`busy_link_count_at`) run as vectorized event sweeps over those columns
 instead of nested Python loops, which keeps them cheap even for the 100k+
-message workloads of the ``sim_stress`` benchmark grid.
+message workloads of the ``full`` check grid's simulation scenarios.
 
 Zero-width intervals (``start == end``, produced by pure-latency ``beta == 0``
 links) are *instantaneous transmissions*: they carry bytes but occupy the link

@@ -397,25 +397,12 @@ class TestPoolLifecycle:
 @pytest.mark.backend_equivalence
 class TestBenchFanOutEquivalence:
     def test_bench_records_identical_across_backends(self):
-        from repro.bench import BenchScenario, SimScenario, run_bench
+        from repro.bench import run_bench
 
-        scenarios = [
-            BenchScenario("ring6-ag-1MB", "ring:6", "all_gather", MB),
-            SimScenario("sim-ring-mesh3x3-1MB", "mesh_2d:3,3", "ring", MB),
-        ]
-        def stable(records):
-            return [
-                {
-                    field: value
-                    for field, value in record.to_dict().items()
-                    if "seconds" not in field and field != "speedup"
-                    and "speedup" not in field
-                }
-                for record in records
-            ]
-
-        serial = run_bench(scenarios=scenarios)
-        workers_alone = run_bench(scenarios=scenarios, workers=2)  # workers alone = pool
-        pool = run_bench(scenarios=scenarios, workers=2, execution="pool")
-        assert stable(serial) == stable(workers_alone) == stable(pool)
+        # The smoke grid's backend scenario fans out on a pool of its own,
+        # so under the pool this also nests one fan-out inside another.
+        serial = run_bench("smoke")
+        workers_alone = run_bench("smoke", workers=2)  # workers alone = pool
+        pool = run_bench("smoke", workers=2, execution="pool")
+        assert serial == workers_alone == pool
         assert all(record.equivalent for record in pool)

@@ -1,28 +1,26 @@
-"""Tests for the benchmark subsystem: grids, runner, report, and the
-flat-vs-reference engine equivalence that proves the refactor behaviour-
-preserving."""
+"""Tests for the byte-identity check: the flat-vs-reference engine
+equivalence that proves the refactor behaviour-preserving, the grids, the
+per-check records, and that a perturbed side is reported as a mismatch."""
 
+import dataclasses
 import json
-from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.bench import (
     GRIDS,
-    BenchScenario,
     REFERENCE_ENGINE,
-    SimScenario,
-    compare_reports,
-    find_previous_report,
+    Scenario,
+    check,
+    check_scenario,
     get_grid,
-    load_report,
     run_bench,
-    write_report,
 )
-from repro.bench.runner import BenchRecord, summarize
 from repro.collectives import AllGather, AllReduce, AllToAll, Gather, ReduceScatter, Scatter
 from repro.core import FLAT_ENGINE, SynthesisConfig, TacosSynthesizer
 from repro.errors import ReproError
+from repro.simulator.adapters import simulate_algorithm
 from repro.topology import (
     build_3d_rfs,
     build_dgx1,
@@ -137,262 +135,142 @@ class TestForwardingEquivalence:
 # ----------------------------------------------------------------------
 class TestGrids:
     def test_known_grids(self):
-        assert set(GRIDS) == {
-            "smoke", "fig19", "full", "sim_stress", "pipeline", "dispatch", "search",
-        }
+        assert set(GRIDS) == {"smoke", "search", "full"}
 
     def test_unknown_grid_raises(self):
         with pytest.raises(ReproError):
             get_grid("nope")
 
-    def test_smoke_grid_is_small(self):
-        assert len(get_grid("smoke")) <= 9
+    def test_smoke_grid_has_one_scenario_per_kind(self):
+        kinds = [scenario.kind for scenario in get_grid("smoke")]
+        assert sorted(kinds) == ["backend", "pipeline", "search", "simulation"]
 
-    def test_smoke_grid_covers_all_kinds(self):
-        from repro.bench import (
-            PipelineScenario,
-            SearchScenario,
-        )
-        from repro.bench.grid import DispatchScenario
+    def test_search_grid_is_the_seven_races(self):
+        scenarios = get_grid("search")
+        assert len(scenarios) == 7
+        assert {scenario.kind for scenario in scenarios} == {"search"}
+        assert {scenario.seed for scenario in scenarios} == {7}
+        # The fig19 families with tight floors plus the forwarding-pass
+        # collectives, where incumbent pruning does the work.
+        collectives = {scenario.collective for scenario in scenarios}
+        assert {"all_gather", "all_reduce", "gather", "all_to_all"} <= collectives
 
-        kinds = {type(scenario) for scenario in get_grid("smoke")}
-        assert kinds == {
-            BenchScenario,
-            SimScenario,
-            PipelineScenario,
-            DispatchScenario,
-            SearchScenario,
-        }
-
-    def test_sim_stress_grid_shape(self):
-        scenarios = get_grid("sim_stress")
-        assert all(isinstance(scenario, SimScenario) for scenario in scenarios)
-        schedules = {scenario.schedule for scenario in scenarios}
-        assert schedules == {"ring", "direct", "rhd"}
-        assert any("16,16" in scenario.topology for scenario in scenarios)
-
-    def test_fig19_grid_covers_both_families(self):
-        names = [scenario.name for scenario in get_grid("fig19")]
-        assert any("mesh" in name for name in names)
-        assert any("hypercube" in name for name in names)
-
-    def test_full_grid_covers_four_families(self):
-        topologies = " ".join(scenario.topology for scenario in get_grid("full"))
-        for family in ("ring", "mesh", "torus", "switch"):
+    def test_full_grid_covers_every_referenced_family(self):
+        scenarios = get_grid("full")
+        assert {scenario.kind for scenario in scenarios} == {"pipeline", "simulation", "backend"}
+        topologies = " ".join(scenario.topology for scenario in scenarios)
+        for family in ("ring", "mesh_2d:24,24", "hypercube_3d:7", "torus", "switch", "dgx1"):
             assert family in topologies
+        schedules = {s.collective for s in scenarios if s.kind == "simulation"}
+        assert schedules == {"ring", "direct", "rhd"}
+        assert any(scenario.chunks_per_npu > 1 for scenario in scenarios)
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_scenario_names_are_unique(self, grid):
+        names = [scenario.name for scenario in get_grid(grid)]
+        assert len(names) == len(set(names))
 
     def test_scenarios_round_trip(self):
         scenario = get_grid("smoke")[0]
-        assert BenchScenario(**scenario.to_dict()) == scenario
+        assert Scenario(**dataclasses.asdict(scenario)) == scenario
 
 
 # ----------------------------------------------------------------------
-# Runner + report
+# Checks
 # ----------------------------------------------------------------------
-class TestRunnerAndReport:
+CHECK_NAMES = {
+    "pipeline": ["transfers", "collective_time", "verdict", "message_completion",
+                 "completion_time"],
+    "simulation": ["message_completion", "completion_time"],
+    "backend": ["winner_bytes"],
+    "search": ["winner_bytes", "collective_time"],
+}
+
+
+class TestChecks:
     @pytest.fixture(scope="class")
     def smoke_records(self):
-        return run_bench("smoke", repeats=1)
+        return run_bench("smoke")
 
-    def test_records_shape(self, smoke_records):
-        assert len(smoke_records) == len(get_grid("smoke"))
+    def test_smoke_grid_is_equivalent(self, smoke_records):
+        assert [record.scenario for record in smoke_records] == [
+            scenario.name for scenario in get_grid("smoke")
+        ]
         for record in smoke_records:
-            assert record.flat_seconds > 0
-            assert record.reference_seconds > 0
-            assert record.speedup > 0
-            assert record.num_transfers > 0
-            assert record.collective_time > 0
-            if record.kind == "dispatch":
-                # Dispatch records time the transport: nothing is simulated.
-                assert set(record.backend_seconds) == {"serial", "pool"}
-                assert record.dispatch_metrics["trials_per_second"] > 0
-            elif record.kind == "search":
-                # Search records race two synthesis tiers: nothing is simulated.
-                assert record.search_metrics["guided_quality_at_budget"] > 0
-            else:
-                assert record.simulated_collective_time > 0
+            assert list(record.checks) == CHECK_NAMES[record.kind]
+            assert record.equivalent is True
+            assert record.failed_checks() == []
+            assert record.num_npus > 0
 
-    def test_equivalence_holds_on_smoke_grid(self, smoke_records):
-        assert all(record.equivalent for record in smoke_records)
+    def test_record_has_four_fields(self, smoke_records):
+        for record in smoke_records:
+            assert list(record.to_dict()) == ["scenario", "kind", "num_npus", "checks"]
 
-    def test_summary(self, smoke_records):
-        summary = summarize(smoke_records)
-        assert summary["num_scenarios"] == len(smoke_records)
-        assert summary["all_equivalent"] is True
-        assert summary["median_speedup"] > 0
-
-    def test_write_report(self, smoke_records, tmp_path):
-        path, report = write_report(smoke_records, grid="smoke", repeats=1, out_dir=str(tmp_path))
-        assert path.name.startswith("BENCH_smoke_")
-        assert path.suffix == ".json"
-        loaded = json.loads(path.read_text())
-        assert loaded == json.loads(json.dumps(report))
-        assert loaded["schema"] == "tacos-repro-bench/v7"
-        assert loaded["summary"]["all_equivalent"] is True
-        assert loaded["summary"]["all_simulation_equivalent"] is True
-        assert len(loaded["records"]) == len(smoke_records)
-
-    def test_report_is_strict_json(self, smoke_records, tmp_path):
-        """A written report must never contain bare NaN / Infinity constants."""
-
-        def reject(constant):
-            raise AssertionError(f"non-finite constant {constant!r} in report")
-
-        path, _ = write_report(smoke_records, grid="smoke", repeats=1, out_dir=str(tmp_path))
-        json.loads(path.read_text(), parse_constant=reject)
-
-    def test_equivalence_can_be_skipped(self):
-        scenario = BenchScenario("tiny", "ring:4", "all_gather", MB)
-        records = run_bench(scenarios=[scenario], check_equivalence=False)
-        assert records[0].equivalent is None
-        assert records[0].simulation_equivalent is None
-
-    def test_sim_scenario_record(self):
-        scenario = SimScenario("sim-tiny", "mesh_2d:3,3", "direct", MB)
-        (record,) = run_bench(scenarios=[scenario])
+    def test_direct_schedule_on_mesh(self):
+        (record,) = run_bench(
+            scenarios=[Scenario("sim-tiny", "simulation", "mesh_2d:3,3", "direct", MB)]
+        )
         assert record.kind == "simulation"
         assert record.equivalent is True
-        assert record.simulation_equivalent is True
-        assert record.num_messages > 0
-        assert record.speedup == record.simulation_speedup
-        assert record.simulated_collective_time > 0
+
+    def test_sub_chunked_reduce_scatter_pipeline(self):
+        record = check_scenario(
+            Scenario("pipe-rs", "pipeline", "mesh_2d:3,3", "reduce_scatter", MB, chunks_per_npu=2)
+        )
+        assert record.checks == dict.fromkeys(CHECK_NAMES["pipeline"], True)
 
     def test_unknown_sim_schedule_raises(self):
         with pytest.raises(ReproError):
-            run_bench(scenarios=[SimScenario("bad", "ring:4", "nope", MB)])
+            run_bench(scenarios=[Scenario("bad", "simulation", "ring:4", "nope", MB)])
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ReproError, match="unknown scenario kind"):
+            check_scenario(Scenario("bad", "timing", "ring:4", "all_gather", MB))
 
 
-def _record(scenario="s", flat=1.0, reference=2.0, speedup=2.0, **overrides):
-    values = dict(
-        scenario=scenario,
-        kind="synthesis",
-        topology="ring:4",
-        collective="all_gather",
-        collective_size=MB,
-        num_npus=4,
-        num_links=8,
-        seed=0,
-        trials=1,
-        flat_seconds=flat,
-        reference_seconds=reference,
-        speedup=speedup,
-        equivalent=True,
-        num_transfers=10,
-        collective_time=1e-3,
-        rounds=3,
-        num_messages=10,
-        simulation_seconds=flat,
-        reference_simulation_seconds=reference,
-        simulation_speedup=speedup,
-        simulation_equivalent=True,
-        simulated_collective_time=1e-3,
-    )
-    values.update(overrides)
-    return BenchRecord(**values)
+# ----------------------------------------------------------------------
+# The check can fail: perturb one side and the named check flips
+# ----------------------------------------------------------------------
+class TestMismatchesAreReported:
+    def test_shifted_message_completion_fails_the_pipeline_check(
+        self, monkeypatch, capsys
+    ):
+        def perturbed(topology, algorithm, **kwargs):
+            result = simulate_algorithm(topology, algorithm, **kwargs)
+            first = next(iter(result.message_completion))
+            result.message_completion[first] += 1e-12
+            return result
 
+        monkeypatch.setattr(check, "simulate_algorithm", perturbed)
+        record = check_scenario(get_grid("smoke")[0])
+        assert record.kind == "pipeline"
+        assert record.equivalent is False
+        assert record.failed_checks() == ["message_completion"]
 
-class TestSpeedupSerialization:
-    """Regression: a zero flat wall clock must not leak `Infinity` into JSON."""
+        assert cli.main(["bench"]) == 1
+        captured = capsys.readouterr()
+        assert "NO: message_completion" in captured.out
+        assert "1 of 4 scenarios disagree: pipe-mesh3x3-ar-1MB" in captured.err
 
-    def test_summarize_skips_none_speedups(self):
-        records = [
-            _record("a", speedup=2.0, simulation_speedup=3.0),
-            _record("b", flat=0.0, speedup=None, simulation_speedup=None),
-        ]
-        summary = summarize(records)
-        assert summary["median_speedup"] == 2.0
-        assert summary["median_simulation_speedup"] == 3.0
+    def test_perturbed_guided_winner_fails_the_search_check(self, monkeypatch, capsys):
+        class PerturbedGuided(check.GuidedSynthesizer):
+            def synthesize(self, topology, pattern, collective_size):
+                return super().synthesize(topology, pattern, collective_size).shifted(1e-12)
 
-    def test_summarize_all_none(self):
-        summary = summarize([_record(flat=0.0, speedup=None, simulation_speedup=None)])
-        assert summary["median_speedup"] is None
-        assert summary["min_speedup"] is None
-        assert summary["max_speedup"] is None
+        monkeypatch.setattr(check, "GuidedSynthesizer", PerturbedGuided)
+        (scenario,) = [s for s in get_grid("smoke") if s.kind == "search"]
+        record = check_scenario(scenario)
+        assert record.equivalent is False
+        assert record.failed_checks() == ["winner_bytes", "collective_time"]
 
-    def test_write_report_with_none_speedup_round_trips(self, tmp_path):
-        records = [_record(flat=0.0, speedup=None, simulation_speedup=None)]
-        path, report = write_report(records, grid="smoke", repeats=1, out_dir=str(tmp_path))
-        loaded = load_report(path)
-        assert loaded["records"][0]["speedup"] is None
-
-    def test_write_report_rejects_non_finite_values(self, tmp_path):
-        # allow_nan=False makes a stray Infinity fail the write loudly
-        # instead of producing an unparseable artifact.
-        records = [_record(speedup=float("inf"))]
-        with pytest.raises(ValueError):
-            write_report(records, grid="smoke", repeats=1, out_dir=str(tmp_path))
-
-
-class TestCompare:
-    PR2_REPORT = (
-        Path(__file__).resolve().parents[2]
-        / "benchmarks"
-        / "results"
-        / "BENCH_fig19_20260728_175849.json"
-    )
-
-    def _report(self, records, tmp_path, grid="smoke"):
-        _, report = write_report(records, grid=grid, repeats=1, out_dir=str(tmp_path))
-        return report
-
-    def test_round_trips_against_pr2_schema_v1_report(self):
-        previous = load_report(self.PR2_REPORT)
-        comparison = compare_reports(previous, previous)
-        assert comparison["matched"] == len(previous["records"])
-        assert comparison["median_ratio"] == pytest.approx(1.0)
-        assert comparison["regressed"] is False
-
-    def test_detects_median_regression(self, tmp_path):
-        previous = self._report([_record("a"), _record("b")], tmp_path)
-        current = self._report(
-            [_record("a", flat=1.5), _record("b", flat=1.5)], tmp_path
+        assert cli.main(["bench", "--json"]) == 1
+        records = {record["scenario"]: record for record in json.loads(capsys.readouterr().out)}
+        assert records[scenario.name]["checks"] == {
+            "winner_bytes": False,
+            "collective_time": False,
+        }
+        assert all(
+            all(record["checks"].values())
+            for name, record in records.items()
+            if name != scenario.name
         )
-        comparison = compare_reports(current, previous)
-        assert comparison["median_ratio"] == pytest.approx(1.5)
-        assert comparison["regressed"] is True
-
-    def test_within_threshold_is_not_a_regression(self, tmp_path):
-        previous = self._report([_record("a")], tmp_path)
-        current = self._report([_record("a", flat=1.1)], tmp_path)
-        assert compare_reports(current, previous)["regressed"] is False
-
-    def test_unmatched_scenarios_reported(self, tmp_path):
-        previous = self._report([_record("a"), _record("gone")], tmp_path)
-        current = self._report([_record("a"), _record("new")], tmp_path)
-        comparison = compare_reports(current, previous)
-        assert comparison["only_current"] == ["new"]
-        assert comparison["only_previous"] == ["gone"]
-        assert comparison["matched"] == 1
-
-    def test_load_report_rejects_non_finite_constants(self, tmp_path):
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text('{"schema": "tacos-repro-bench/v2", "records": [{"speedup": Infinity}]}')
-        with pytest.raises(ReproError):
-            load_report(bad)
-
-    def test_load_report_rejects_foreign_json(self, tmp_path):
-        alien = tmp_path / "BENCH_alien.json"
-        alien.write_text('{"hello": 1}')
-        with pytest.raises(ReproError):
-            load_report(alien)
-
-    def test_find_previous_report_picks_newest_and_excludes(self, tmp_path):
-        older = tmp_path / "BENCH_smoke_20260101_000000.json"
-        newer = tmp_path / "BENCH_smoke_20260201_000000.json"
-        other_grid = tmp_path / "BENCH_fig19_20260301_000000.json"
-        for file in (older, newer, other_grid):
-            file.write_text("{}")
-        assert find_previous_report("smoke", tmp_path) == newer
-        assert find_previous_report("smoke", tmp_path, exclude=newer) == older
-        assert find_previous_report("smoke", tmp_path / "missing") is None
-
-    def test_find_previous_report_orders_same_second_suffixes(self, tmp_path):
-        """Regression: '-1' collision suffixes mark *newer* reports of the
-        same second, but '-' sorts before '.' lexicographically."""
-        base = tmp_path / "BENCH_smoke_20260101_000000.json"
-        first_suffix = tmp_path / "BENCH_smoke_20260101_000000-1.json"
-        second_suffix = tmp_path / "BENCH_smoke_20260101_000000-2.json"
-        for file in (base, first_suffix, second_suffix):
-            file.write_text("{}")
-        assert find_previous_report("smoke", tmp_path) == second_suffix
-        assert find_previous_report("smoke", tmp_path, exclude=second_suffix) == first_suffix
