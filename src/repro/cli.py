@@ -47,6 +47,7 @@ from repro.api import (
     run,
     run_batch,
 )
+from repro.bench import GRIDS, run_bench
 from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "engines, the serial backend and the uniform search (times nothing)",
     )
     bench.add_argument(
-        "--grid", choices=("smoke", "search", "full"), default="smoke",
+        "--grid", choices=sorted(GRIDS), default="smoke",
         help="scenario grid (default: smoke, one scenario per check kind; search: the "
         "guided-vs-uniform races; full: every scenario the references are affordable on)",
     )
@@ -382,8 +383,6 @@ def _cmd_sweep(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_bench(arguments: argparse.Namespace) -> int:
-    from repro.bench import run_bench
-
     records = run_bench(arguments.grid, workers=arguments.workers, execution=arguments.execution)
     if arguments.json:
         print(json.dumps([record.to_dict() for record in records], indent=2, allow_nan=False))
