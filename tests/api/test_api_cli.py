@@ -149,6 +149,49 @@ class TestBench:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_options_are_grid_workers_execution_and_json(self):
+        parser = cli.build_parser()
+        (subparsers,) = [
+            action for action in parser._actions if action.dest == "command"
+        ]
+        options = {
+            option
+            for action in subparsers.choices["bench"]._actions
+            for option in action.option_strings
+        }
+        assert options == {"-h", "--help", "--grid", "--workers", "-w", "--execution", "--json"}
+
+    def test_unknown_grid_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["bench", "--grid", "nope"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "nope" in err
+        assert all(grid in err for grid in ("full", "search", "smoke"))
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            ["--smoke"],
+            ["--repeats", "3"],
+            ["--out", "report.json"],
+            ["--no-equivalence"],
+            ["--no-reference"],
+            ["--engine", "flat"],
+            ["--min-speedup", "1.5"],
+            ["--compare", "auto"],
+            ["--compare-threshold", "0.1"],
+            ["--history"],
+            ["--results-dir", "results"],
+        ],
+        ids=lambda removed: removed[0],
+    )
+    def test_removed_timing_option_is_a_usage_error(self, capsys, removed):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["bench", *removed])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+
 
 class TestVersionAndHelp:
     def test_version_flag(self, capsys):

@@ -8,6 +8,9 @@ import json
 import pytest
 
 from repro import cli
+from repro.api.builtins import parse_topology_spec
+from repro.api.registry import COLLECTIVES
+from repro.api.runner import build_topology
 from repro.bench import (
     GRIDS,
     REFERENCE_ENGINE,
@@ -274,3 +277,180 @@ class TestMismatchesAreReported:
             for name, record in records.items()
             if name != scenario.name
         )
+
+
+def _pipeline_scenario(**params) -> Scenario:
+    fields = {
+        "name": "pipe-mesh3x3-ar-1MB",
+        "kind": "pipeline",
+        "topology": "mesh_2d:3,3",
+        "collective": "all_reduce",
+        "collective_size": MB,
+        **params,
+    }
+    return Scenario(**fields)
+
+
+class _ShiftedFlatSynthesizer(TacosSynthesizer):
+    """The flat engine's winner, every transfer 1e-12 s later."""
+
+    def synthesize(self, topology, pattern, collective_size):
+        algorithm = super().synthesize(topology, pattern, collective_size)
+        return algorithm.shifted(1e-12) if self.engine is FLAT_ENGINE else algorithm
+
+
+class _ShiftedPoolSynthesizer(TacosSynthesizer):
+    """The pool backend's winner, every transfer 1e-12 s later."""
+
+    def synthesize(self, topology, pattern, collective_size):
+        algorithm = super().synthesize(topology, pattern, collective_size)
+        return algorithm.shifted(1e-12) if self.config.execution == "pool" else algorithm
+
+
+def _late_completion(result):
+    result.completion_time += 1e-12
+    return result
+
+
+def _late_first_message(result):
+    first = next(iter(result.message_completion))
+    result.message_completion[first] += 1e-12
+    return result
+
+
+def _perturbed_simulator(perturb):
+    class Perturbed(check.CongestionAwareSimulator):
+        def run(self, messages, **kwargs):
+            return perturb(super().run(messages, **kwargs))
+
+    return Perturbed
+
+
+def _rejecting_verifier(algorithm, topology, pattern):
+    raise check.VerificationError("perturbed verdict")
+
+
+#: (case id, attribute of ``repro.bench.check`` to replace, replacement
+#: factory, scenario, the checks that must fail — and only those).
+PERTURBATIONS = [
+    (
+        "pipeline-flat-engine-shifted",
+        "TacosSynthesizer",
+        lambda: _ShiftedFlatSynthesizer,
+        _pipeline_scenario(),
+        ["transfers", "collective_time"],
+    ),
+    (
+        "pipeline-verdict",
+        "verify_algorithm",
+        lambda: _rejecting_verifier,
+        _pipeline_scenario(),
+        ["verdict"],
+    ),
+    (
+        "pipeline-completion-time",
+        "simulate_algorithm",
+        lambda: lambda topology, algorithm, **kwargs: _late_completion(
+            simulate_algorithm(topology, algorithm, **kwargs)
+        ),
+        _pipeline_scenario(),
+        ["completion_time"],
+    ),
+    (
+        "simulation-message-completion",
+        "CongestionAwareSimulator",
+        lambda: _perturbed_simulator(_late_first_message),
+        Scenario("sim-ring-mesh3x3-1MB", "simulation", "mesh_2d:3,3", "ring", MB),
+        ["message_completion"],
+    ),
+    (
+        "simulation-completion-time",
+        "CongestionAwareSimulator",
+        lambda: _perturbed_simulator(_late_completion),
+        Scenario("sim-rhd-ring8-1MB", "simulation", "ring:8", "rhd", MB),
+        ["completion_time"],
+    ),
+    (
+        "backend-pool-winner",
+        "TacosSynthesizer",
+        lambda: _ShiftedPoolSynthesizer,
+        Scenario("backend-ring8-ag-1MB-t4", "backend", "ring:8", "all_gather", MB, trials=4),
+        ["winner_bytes"],
+    ),
+]
+
+
+class TestEachCheckCanFail:
+    """Every named check is wired to its own comparison: perturbing one
+    side of one layer flips exactly the checks that compare that layer."""
+
+    @pytest.mark.parametrize(
+        "attribute,replacement,scenario,failing",
+        [case[1:] for case in PERTURBATIONS],
+        ids=[case[0] for case in PERTURBATIONS],
+    )
+    def test_perturbation_names_the_diverging_checks(
+        self, monkeypatch, attribute, replacement, scenario, failing
+    ):
+        assert check_scenario(scenario).equivalent is True
+        monkeypatch.setattr(check, attribute, replacement())
+        record = check_scenario(scenario)
+        assert record.equivalent is False
+        assert record.failed_checks() == failing
+        assert list(record.checks) == CHECK_NAMES[scenario.kind]
+
+
+# ----------------------------------------------------------------------
+# Scenario coverage beyond the smoke grid
+# ----------------------------------------------------------------------
+class TestSearchGridRaces:
+    @pytest.mark.parametrize(
+        "scenario", get_grid("search"), ids=[scenario.name for scenario in get_grid("search")]
+    )
+    def test_guided_winner_equals_uniform_winner(self, scenario):
+        record = check_scenario(scenario)
+        assert record.scenario == scenario.name
+        assert record.checks == {"winner_bytes": True, "collective_time": True}
+
+
+def _num_npus(scenario: Scenario) -> int:
+    return build_topology(parse_topology_spec(scenario.topology)).num_npus
+
+
+#: The ``full`` grid's scenarios that stay cheap enough for every test run;
+#: the larger ones (up to the 576-NPU mesh) run through ``--grid full``.
+AFFORDABLE_FULL = [scenario for scenario in get_grid("full") if _num_npus(scenario) <= 64]
+
+
+class TestAffordableFullGridScenarios:
+    def test_selection_spans_every_family_and_kind(self):
+        assert {scenario.kind for scenario in AFFORDABLE_FULL} == {
+            "pipeline",
+            "simulation",
+            "backend",
+        }
+        families = {scenario.topology.split(":")[0] for scenario in AFFORDABLE_FULL}
+        assert families == {"mesh_2d", "hypercube_3d", "torus_2d", "ring", "switch", "dgx1"}
+
+    @pytest.mark.parametrize(
+        "scenario", AFFORDABLE_FULL, ids=[scenario.name for scenario in AFFORDABLE_FULL]
+    )
+    def test_scenario_is_equivalent(self, scenario):
+        record = check_scenario(scenario)
+        assert record.num_npus == _num_npus(scenario)
+        assert record.checks == dict.fromkeys(CHECK_NAMES[scenario.kind], True)
+
+
+#: Every registered collective, on a mesh and on a torus (whose wrap-around
+#: links give the forwarding pass several downhill links per holder).
+COLLECTIVE_TOPOLOGIES = ["mesh_2d:3,3", "torus_2d:3,3"]
+
+
+class TestEveryCollectivePipeline:
+    @pytest.mark.parametrize("topology", COLLECTIVE_TOPOLOGIES)
+    @pytest.mark.parametrize("collective", sorted(COLLECTIVES.names()))
+    def test_pipeline_agrees_on_every_check(self, collective, topology):
+        record = check_scenario(
+            Scenario(f"pipe-{collective}", "pipeline", topology, collective, MB, seed=3)
+        )
+        assert record.checks == dict.fromkeys(CHECK_NAMES["pipeline"], True)
