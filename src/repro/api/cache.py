@@ -16,6 +16,13 @@ Two layers:
   corrupt or unreadable disk entries are treated as misses and logged as
   one WARNING each (an absent entry is a silent miss).
 
+One key per request: a request hashes its spec once and reads its entry
+with one ``open``.  :func:`~repro.api.runner.run` and
+:func:`~repro.api.runner.run_batch` compute the key and hand it to the
+:class:`ResultCache` reads and writes through their internal ``_key``
+argument; every other caller leaves it out and the cache hashes the spec.  Results are copied on the way in and on every
+hit, so no two callers share an ``extras`` dict or a ``trial_stats`` list.
+
 Beyond run results, the store persists synthesized algorithms
 (:meth:`ResultCache.put_algorithm` / :meth:`ResultCache.load_algorithm`), so
 repeated sessions — and concurrent sweep workers — share synthesis work, not
@@ -31,7 +38,6 @@ Artifacts in the earlier ``.npz`` layout are not read (they are misses).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import os
@@ -192,6 +198,9 @@ class ArtifactStore:
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
+        # Entry paths are plain strings under this prefix: joining a
+        # ``pathlib.Path`` per read costs more than the read's bookkeeping.
+        self._prefix = os.path.join(os.fspath(self.directory), "")
         self._tmp_counter = 0
         self._tmp_lock = threading.Lock()
 
@@ -203,33 +212,38 @@ class ArtifactStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         return _FileLock(self.directory / self.LOCK_NAME)
 
-    def _tmp_path(self, final: Path) -> Path:
+    def _path(self, name: str) -> str:
+        """The path of the entry file ``name`` in the store directory."""
+        return self._prefix + name
+
+    def _tmp_path(self, name: str) -> str:
         """A collision-free temporary name unique per process, thread, and call."""
         with self._tmp_lock:
             self._tmp_counter += 1
             serial = self._tmp_counter
-        return final.parent / (
-            f".{final.name}.{os.getpid()}.{threading.get_ident()}.{serial}.tmp"
-        )
+        return self._path(f".{name}.{os.getpid()}.{threading.get_ident()}.{serial}.tmp")
 
-    def _write_atomic(self, path: Path, data: bytes) -> None:
+    def _write_atomic(self, name: str, data: bytes) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self._tmp_path(path)
+        path = self._path(name)
+        tmp = self._tmp_path(name)
         try:
             with open(tmp, "wb") as handle:
                 handle.write(data)
             with self.lock():
                 os.replace(tmp, path)
         finally:
-            if tmp.exists():  # a failed write never leaves droppings
-                tmp.unlink()
+            if os.path.exists(tmp):  # a failed write never leaves droppings
+                os.unlink(tmp)
+        return Path(path)
+
+    def _read(self, name: str) -> bytes:
+        with open(self._path(name), "rb") as handle:
+            return handle.read()
 
     # ------------------------------------------------------------------
     # JSON documents
     # ------------------------------------------------------------------
-    def _json_path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
     def write_json(self, key: str, payload: Dict[str, Any], *, strict: bool = True) -> Path:
         """Persist ``payload`` under ``key`` as sorted JSON (atomic).
 
@@ -238,15 +252,13 @@ class ArtifactStore:
         legitimate non-finite values (e.g. the infinite bandwidth of a
         zero-time run result, which ``json.loads`` round-trips).
         """
-        path = self._json_path(key)
         text = json.dumps(payload, sort_keys=True, allow_nan=not strict)
-        self._write_atomic(path, text.encode("utf-8"))
-        return path
+        return self._write_atomic(f"{key}.json", text.encode("utf-8"))
 
     def read_json(self, key: str) -> Optional[Dict[str, Any]]:
         """The JSON document stored under ``key``, or ``None`` (corrupt = miss)."""
         try:
-            return json.loads(self._json_path(key).read_bytes())
+            return json.loads(self._read(f"{key}.json"))
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as exc:
@@ -256,19 +268,14 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Binary blobs
     # ------------------------------------------------------------------
-    def _blob_path(self, key: str, name: str) -> Path:
-        return self.directory / f"{key}.{name}.bin"
-
     def write_blob(self, key: str, name: str, data: bytes) -> Path:
         """Persist ``data`` under ``(key, name)`` as ``<key>.<name>.bin`` (atomic)."""
-        path = self._blob_path(key, name)
-        self._write_atomic(path, data)
-        return path
+        return self._write_atomic(f"{key}.{name}.bin", data)
 
     def read_blob(self, key: str, name: str) -> Optional[bytes]:
         """The bytes stored under ``(key, name)``, or ``None`` (unreadable = miss)."""
         try:
-            return self._blob_path(key, name).read_bytes()
+            return self._read(f"{key}.{name}.bin")
         except FileNotFoundError:
             return None
         except OSError as exc:
@@ -329,9 +336,15 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
-    def get(self, spec: "RunSpec") -> Optional["RunResult"]:
-        """Cached result for ``spec``, flagged ``cached=True``, or None."""
-        key = spec.spec_hash()
+    def get(self, spec: "RunSpec", *, _key: Optional[str] = None) -> Optional["RunResult"]:
+        """Cached result for ``spec``, flagged ``cached=True``, or None.
+
+        Every hit is a fresh copy: mutating it never changes the stored
+        entry or a later hit.  ``_key`` is internal to the run layer, which
+        passes the ``spec.spec_hash()`` it already computed; nothing checks
+        it, so other callers leave it out.
+        """
+        key = spec.spec_hash() if _key is None else _key
         with self._lock:
             result = self._memory.get(key)
         if result is None and self.store is not None:
@@ -344,28 +357,32 @@ class ResultCache:
                 self.misses += 1
                 return None
             self.hits += 1
-        return dataclasses.replace(result, cached=True)
+        return result.copy(cached=True)
 
-    def put(self, result: "RunResult") -> None:
-        """Store ``result`` under its spec's hash (memory and, if set, disk)."""
-        key = result.spec.spec_hash()
-        stored = dataclasses.replace(result, cached=False)
+    def put(self, result: "RunResult", *, _key: Optional[str] = None) -> None:
+        """Store a copy of ``result`` under its spec's hash (memory and, if set, disk).
+
+        ``_key`` is internal, as for :meth:`get`.
+        """
+        key = result.spec.spec_hash() if _key is None else _key
+        stored = result.copy()
         with self._lock:
             self._memory[key] = stored
         if self.store is not None:
             self.store.write_json(key, stored.to_dict(), strict=False)
 
-    def absorb(self, result: "RunResult") -> None:
+    def absorb(self, result: "RunResult", *, _key: Optional[str] = None) -> None:
         """Fold an externally computed result into the in-memory layer only.
 
         For results that are already persisted — e.g. computed by a worker
         process whose own :class:`ResultCache` wrote through the shared
         artifact store — so the calling cache gains the memory-layer hit
-        without re-serializing and re-writing the disk entry.
+        without re-serializing and re-writing the disk entry.  ``_key`` is
+        internal, as for :meth:`get`.
         """
-        key = result.spec.spec_hash()
+        key = result.spec.spec_hash() if _key is None else _key
         with self._lock:
-            self._memory[key] = dataclasses.replace(result, cached=False)
+            self._memory[key] = result.copy()
 
     def _read_disk(self, spec: "RunSpec", key: str) -> Optional["RunResult"]:
         from repro.api.runner import RunResult
@@ -389,17 +406,18 @@ class ResultCache:
     #: Blob name under which algorithm artifacts are stored.
     ALGORITHM_ARTIFACT = "algorithm"
 
-    def put_algorithm(self, spec: "RunSpec", algorithm: "CollectiveAlgorithm") -> None:
+    def put_algorithm(
+        self, spec: "RunSpec", algorithm: "CollectiveAlgorithm", *, _key: Optional[str] = None
+    ) -> None:
         """Persist a synthesized algorithm under the spec hash (:func:`encode_algorithm`).
 
         A no-op without a disk store (the in-memory layer caches results, not
-        algorithms).
+        algorithms).  ``_key`` is internal, as for :meth:`get`.
         """
         if self.store is None:
             return
-        self.store.write_blob(
-            spec.spec_hash(), self.ALGORITHM_ARTIFACT, encode_algorithm(algorithm)
-        )
+        key = spec.spec_hash() if _key is None else _key
+        self.store.write_blob(key, self.ALGORITHM_ARTIFACT, encode_algorithm(algorithm))
 
     def load_algorithm(self, spec: "RunSpec") -> Optional["CollectiveAlgorithm"]:
         """Rebuild the stored algorithm for ``spec``, or ``None`` when absent or corrupt."""

@@ -10,6 +10,7 @@ process-pool parallelism, and optional result caching.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -103,6 +104,20 @@ class RunResult:
         if self.trial_stats is not None:
             data["trial_stats"] = [dict(stats) for stats in self.trial_stats]
         return data
+
+    def copy(self, *, cached: bool = False) -> "RunResult":
+        """A copy flagged ``cached`` that shares no mutable container with this one.
+
+        ``extras`` and every ``trial_stats`` entry are copied, so mutating
+        the copy never changes this result (a cache hands one out per hit).
+        """
+        trial_stats = self.trial_stats
+        return dataclasses.replace(
+            self,
+            extras=dict(self.extras),
+            trial_stats=None if trial_stats is None else [dict(stats) for stats in trial_stats],
+            cached=cached,
+        )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], *, spec: Optional[RunSpec] = None) -> "RunResult":
@@ -210,10 +225,17 @@ def run(spec: RunSpec, *, cache: Optional[ResultCache] = None) -> RunResult:
     With a disk-backed cache, a synthesized algorithm's transfer columns are
     persisted alongside the result (``ResultCache.put_algorithm``), so later
     sessions — and concurrent sweep workers sharing the cache directory —
-    can reload the actual algorithm, not just its timing summary.
+    can reload the actual algorithm, not just its timing summary.  The
+    lookup, the result and the algorithm share one key: the spec is hashed
+    once.
     """
+    return _run(spec, cache, None if cache is None else spec.spec_hash())
+
+
+def _run(spec: RunSpec, cache: Optional[ResultCache], key: Optional[str]) -> RunResult:
+    """:func:`run` with ``key`` = ``spec.spec_hash()`` already computed by the caller."""
     if cache is not None:
-        hit = cache.get(spec)
+        hit = cache.get(spec, _key=key)
         if hit is not None:
             return hit
 
@@ -241,34 +263,37 @@ def run(spec: RunSpec, *, cache: Optional[ResultCache] = None) -> RunResult:
         trial_stats=artifact.trial_stats,
     )
     if cache is not None:
-        cache.put(result)
+        cache.put(result, _key=key)
         if artifact.algorithm is not None:
-            cache.put_algorithm(spec, artifact.algorithm)
+            cache.put_algorithm(spec, artifact.algorithm, _key=key)
     return result
 
 
-def _run_one(spec: RunSpec, cache: Optional[ResultCache], return_exceptions: bool) -> Any:
+def _run_one(
+    spec: RunSpec, key: str, cache: Optional[ResultCache], return_exceptions: bool
+) -> Any:
     """Run one batch spec; a :class:`ReproError` becomes the result on request."""
     if not return_exceptions:
-        return run(spec, cache=cache)
+        return _run(spec, cache, key)
     try:
-        return run(spec, cache=cache)
+        return _run(spec, cache, key)
     except ReproError as exc:
         return exc
 
 
 def _run_spec_chunk(
-    cache_directory: Optional[str], return_exceptions: bool, specs: List[RunSpec]
+    cache_directory: Optional[str], return_exceptions: bool, items: List[Tuple[str, RunSpec]]
 ) -> List[Any]:
     """Chunked batch work item: one task pickle per spec *chunk*, not per spec.
 
+    Each item is a ``(key, spec)`` pair, the key hashed once by the parent.
     The worker opens one :class:`ResultCache` for the whole chunk, so a
     chunk's specs share the in-memory layer on top of the shared on-disk
     store.  Results come back as a list in chunk order — concatenation in
     the parent reproduces the per-spec order exactly.
     """
     cache = ResultCache(cache_directory) if cache_directory is not None else None
-    return [_run_one(spec, cache, return_exceptions) for spec in specs]
+    return [_run_one(spec, key, cache, return_exceptions) for key, spec in items]
 
 
 def run_batch(
@@ -300,20 +325,24 @@ def run_batch(
     """
     specs = list(specs)
     index_of: Dict[str, int] = {}
-    unique: List[RunSpec] = []
+    unique: List[Tuple[str, RunSpec]] = []
     positions: List[int] = []
     for spec in specs:
         if not isinstance(spec, RunSpec):
             raise SpecError(f"run_batch expects RunSpec items, got {type(spec).__name__}")
+        # The dedupe key is the store key: it travels with the spec, so no
+        # later layer hashes the spec again.
         key = spec.spec_hash()
         if key not in index_of:
             index_of[key] = len(unique)
-            unique.append(spec)
+            unique.append((key, spec))
         positions.append(index_of[key])
 
     backend = effective_backend(execution, max_workers)
     if backend is None or backend.name == "serial":
-        results: List[Any] = [_run_one(spec, cache, return_exceptions) for spec in unique]
+        results: List[Any] = [
+            _run_one(spec, key, cache, return_exceptions) for key, spec in unique
+        ]
     else:
         # Serve what the calling cache already holds (its in-memory layer is
         # invisible to worker processes) and ship only the misses out.
@@ -321,8 +350,8 @@ def run_batch(
         pending = list(range(len(unique)))
         if cache is not None:
             pending = []
-            for index, spec in enumerate(unique):
-                hit = cache.get(spec)
+            for index, (key, spec) in enumerate(unique):
+                hit = cache.get(spec, _key=key)
                 if hit is not None:
                     results[index] = hit
                 else:
@@ -350,8 +379,9 @@ def run_batch(
                 # disk; the workers' own caches already persisted the disk
                 # entries (when a directory exists).
                 if cache is not None and isinstance(result, RunResult):
+                    key = unique[index][0]
                     if cache.directory is None:
-                        cache.put(result)
+                        cache.put(result, _key=key)
                     else:
-                        cache.absorb(result)
+                        cache.absorb(result, _key=key)
     return [results[position] for position in positions]

@@ -53,6 +53,10 @@ def _canonical(value: Any) -> Any:
     )
 
 
+#: The one encoder behind :meth:`_SpecBase.canonical_json` (built once, not per call).
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def _spec_dunder_hash(self) -> int:
     return hash(self.canonical_json())
 
@@ -84,9 +88,7 @@ class _SpecBase:
 
     def canonical_json(self) -> str:
         """Key-sorted, whitespace-free JSON used for hashing and cache keys."""
-        return json.dumps(
-            self._plain(), sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        return _CANONICAL_ENCODER.encode(self._plain())
 
     def _plain(self) -> Dict[str, Any]:
         """The fields as plain dictionaries, sharing (not copying) the values.
