@@ -24,7 +24,7 @@ the layer that diverged.  Three grids are provided: ``smoke`` (one scenario
 per kind, the default), ``search`` (seven guided-vs-uniform races) and
 ``full`` (every scenario the references are affordable on: the paper's
 Fig. 19 meshes and hypercubes up to 24x24, ring / torus / switch / DGX-1
-families, the simulator stress grid, large and sub-chunked pipelines and
+families, three-tier 3D-RFS systems up to 2x4x16, the simulator stress grid, large and sub-chunked pipelines and
 the backend races).  Nothing here is timed; ``perfbench/`` times the system.
 """
 
@@ -299,6 +299,17 @@ def _full_grid() -> List[Scenario]:
     scenarios.append(
         pipeline("dgx1-hetero-ar-64MB", "dgx1:heterogeneous=true", "all_reduce", 64 * _MB)
     )
+    # Three-tier 3D-RFS (Fig. 15 / Table V): at least 128 open pairs per
+    # round, so the deferral runs in the block prefilter, which DGX-1's 56
+    # pairs never reach.
+    scenarios += [
+        pipeline(f"rfs{name}-{short}-64MB", f"rfs_3d:{dims}", collective, 64 * _MB)
+        for name, dims, short, collective in (
+            ("2x4x4", "2,4,4", "ar", "all_reduce"),
+            ("2x4x8", "2,4,8", "ar", "all_reduce"),
+            ("2x4x16", "2,4,16", "ag", "all_gather"),
+        )
+    ]
     # Sub-chunked schedules and the Reduce-Scatter / Broadcast / All-to-All /
     # large All-Gather patterns.
     scenarios += [

@@ -164,11 +164,16 @@ class MatchingState:
         self._holders: List[List[int]] = [[] for _ in range(self.num_chunks)]
         #: Acquisitions not yet applied to pair states: (time, npu, chunk).
         self._activations: List[Tuple[float, int, int]] = []
+        #: One byte per (npu, chunk) pair mirroring ``acquisition != inf``
+        #: (held or scheduled, i.e. ``npu in holders[chunk]``).  Backs the
+        #: matching round's vectorized cheap-link deferral.
+        self._will_hold = bytearray(size)
         num_chunks = self.num_chunks
         for npu in sorted(precondition):
             for chunk in sorted(precondition[npu]):
                 if self._acquisition[npu * num_chunks + chunk] == inf:
                     self._holders[chunk].append(npu)
+                    self._will_hold[npu * num_chunks + chunk] = 1
                     self._activations.append((0.0, npu, chunk))
                 self._acquisition[npu * num_chunks + chunk] = 0.0
         self._activations.sort()
@@ -231,6 +236,7 @@ class MatchingState:
         if time < existing:
             if existing == inf:
                 insort(self._holders[chunk], npu)
+                self._will_hold[index] = 1
             self._acquisition[index] = time
             heappush(self._activations, (time, npu, chunk))
         if self._pair_state[index]:
@@ -726,27 +732,43 @@ def _run_direct_pass_blockwise(
     The permuted pending pairs are processed in blocks of
     :data:`_PREFILTER_BLOCK`; before each block one vectorized sweep over the
     incoming-link CSR drops every pair whose candidate set is empty *right
-    now*, and extracts the surviving pairs' candidate lists, so the Python
-    loop only touches pairs that plausibly match.
+    now*, or which the lower-cost-link rule (Sec. IV-F) defers right now, and
+    extracts the surviving pairs' candidate lists and cheapest candidate
+    costs, so the Python loop only touches pairs that plausibly match.
 
     Exactness argument (the determinism contract depends on it): within a
     pass-1 round, links only become busy (``free_times`` never decreases)
     and — because the caller guards ``time + min_link_cost > threshold`` —
     no transfer committed this round comes due within it, so the holder set
     visible to candidate checks (``acquisition <= threshold``, mirrored by
-    ``MatchingState._held``) is frozen for the whole round.  Both prefilter
+    ``MatchingState._held``) is frozen for the whole round.  Both candidate
     conditions are therefore monotone: a candidate invalid at block-filter
     time stays invalid, so per-pair candidate lists built at filter time,
     re-checked against live ``free_times``, equal the scalar loop's lists
-    element-for-element (both follow in-neighbour order).  Pairs dropped by
-    the prefilter are exactly those the scalar loop would pass over without
-    consuming the RNG, and a saturated span (``idle_total == 0``) stops both
-    loops before any further draw, so the RNG streams coincide.
+    element-for-element (both follow in-neighbour order).
+
+    The deferral is monotone as well.  A pair is deferred when the
+    cheaper-reachability region of its cheapest candidate cost meets the
+    chunk's holders (held or scheduled, mirrored by
+    ``MatchingState._will_hold``).  The live candidates are a subset of the
+    filter-time ones, so the live cheapest cost is no lower; regions only
+    grow with the cost; and holders only grow.  A pair deferred at filter
+    time is therefore deferred, or left without candidates, when the scalar
+    loop reaches it.  In the loop, a pair whose live cheapest cost still
+    equals its filter-time cost had a region disjoint from the filter-time
+    holders, so only the holders committed in this block since the filter
+    need checking; any other pair takes the full check.
+
+    Pairs dropped by the prefilter are exactly those the scalar loop would
+    pass over without consuming the RNG, and a saturated span
+    (``idle_total == 0``) stops both loops before any further draw, so the
+    RNG streams coincide.
     """
     num_chunks = state.num_chunks
     acquisition = state._acquisition
     pair_state = state._pair_state
     holders = state._holders
+    will_hold = state._will_hold
     activations = state._activations
     held = state._held
     link_costs = ten.link_costs
@@ -773,6 +795,13 @@ def _run_direct_pass_blockwise(
         return
     in_flat, in_indptr, sources_arr = ten.in_link_csr()
     num_links = len(free_times)
+    # An empty region dict (a single cost tier) never defers.
+    defer = prefer_lowest_cost and bool(cheap_regions)
+    if defer:
+        cost_np = ten.link_cost_array()
+        tier_costs, tier_masks = ten.topology.cheaper_reachability_masks(cheap_regions)
+        last_tier = len(tier_costs) - 1
+        holding = _np.frombuffer(will_hold, dtype=_np.bool_).reshape(state.num_npus, num_chunks)
 
     cursor = 0
     while cursor < total_kept and idle_total > 0:
@@ -797,25 +826,53 @@ def _run_direct_pass_blockwise(
         running = _np.empty(num_edges + 1, dtype=_np.intp)
         running[0] = 0
         _np.cumsum(valid, out=running[1:])
-        counts = running[indptr[1:]] - running[indptr[:-1]]
+        lows = running[indptr[:-1]]
+        counts = running[indptr[1:]] - lows
         keep = counts > 0
         if not keep.any():
             continue
-        codes_list = block[keep].tolist()
-        dest_list = dest_col[keep].tolist()
-        chunk_list = chunk_col[keep].tolist()
-        counts_list = counts[keep].tolist()
-        cand_flat = edges[valid].tolist()
-        base = 0
+        block = block[keep]
+        dest_col = dest_col[keep]
+        chunk_col = chunk_col[keep]
+        lows = lows[keep]
+        counts = counts[keep]
+        cand = edges[valid]
+        if defer:
+            # Each surviving pair's valid edges are one contiguous run of
+            # ``cand`` starting at its low, so one reduceat yields the
+            # cheapest candidate cost per pair.  Its tier has a region when
+            # the sorted tier costs hold that cost exactly (the scalar
+            # loop's ``cheap_regions.get(best_available)``).
+            cheapest_cost = _np.minimum.reduceat(cost_np[cand], lows)
+            tiers = _np.minimum(_np.searchsorted(tier_costs, cheapest_cost), last_tier)
+            rows = _np.flatnonzero(tier_costs[tiers] == cheapest_cost)
+            if len(rows):
+                meets = (
+                    tier_masks[tiers[rows], dest_col[rows]] & holding[:, chunk_col[rows]].T
+                ).any(axis=1)
+                if meets.any():
+                    survive = _np.ones(len(block), dtype=bool)
+                    survive[rows[meets]] = False
+                    block = block[survive]
+                    dest_col = dest_col[survive]
+                    chunk_col = chunk_col[survive]
+                    lows = lows[survive]
+                    counts = counts[survive]
+                    cheapest_cost = cheapest_cost[survive]
+            best_list = cheapest_cost.tolist()
+            # chunk -> destinations committed in this block since the filter.
+            added: Dict[int, List[int]] = {}
+        codes_list = block.tolist()
+        dest_list = dest_col.tolist()
+        chunk_list = chunk_col.tolist()
+        lows_list = lows.tolist()
+        counts_list = counts.tolist()
+        cand_flat = cand.tolist()
         for index in range(len(codes_list)):
-            span = counts_list[index]
-            low = base
-            base += span
             if idle_total == 0:
                 return  # span saturated: no remaining pair can match
-            code = codes_list[index]
-            if pair_state[code] == _SATISFIED:
-                continue
+            low = lows_list[index]
+            span = counts_list[index]
             candidates = [
                 link_id
                 for link_id in cand_flat[low : low + span]
@@ -823,21 +880,38 @@ def _run_direct_pass_blockwise(
             ]
             if not candidates:
                 continue
+            code = codes_list[index]
             dest = dest_list[index]
             chunk = chunk_list[index]
-            if prefer_lowest_cost and cheap_regions is not None:
-                # Lower-cost-link prioritization (Sec. IV-F), identical to
-                # the scalar loop's deferral.
-                best_available = min(map(link_costs.__getitem__, candidates))
-                region_by_dest = cheap_regions.get(best_available)
-                if region_by_dest is not None:
-                    if not region_by_dest[dest].isdisjoint(holders[chunk]):
-                        continue
             num_candidates = len(candidates)
+            if defer:
+                filtered_best = best_list[index]
+                if num_candidates == span:
+                    best = filtered_best
+                else:
+                    best = min(map(link_costs.__getitem__, candidates))
+                region_by_dest = cheap_regions.get(best)
+                if region_by_dest is not None:
+                    if best == filtered_best:
+                        # The filter found this region disjoint from the
+                        # holders: only this block's commits can have joined.
+                        joined = added.get(chunk)
+                        if joined is not None and not region_by_dest[dest].isdisjoint(joined):
+                            continue
+                    elif not region_by_dest[dest].isdisjoint(holders[chunk]):
+                        continue
             if num_candidates == 1:
                 link_id = candidates[0]
             elif uniform_cost or not prefer_lowest_cost:
                 link_id = candidates[rand_range(num_candidates)]
+            elif defer:
+                # _pick_link_id, reusing the cheapest cost computed above.
+                limit = best + _TIME_EPS
+                cheapest = [link_id for link_id in candidates if link_costs[link_id] <= limit]
+                if len(cheapest) == 1:
+                    link_id = cheapest[0]
+                else:
+                    link_id = cheapest[rand_range(len(cheapest))]
             else:
                 link_id = _pick_link_id(candidates, link_costs, rng, prefer_lowest_cost)
             # Inlined commit, same as the scalar loop.
@@ -849,6 +923,13 @@ def _run_direct_pass_blockwise(
             idle_total -= 1
             source = link_sources[link_id]
             insort(holders[chunk], dest)
+            will_hold[code] = 1
+            if defer:
+                committed = added.get(chunk)
+                if committed is None:
+                    added[chunk] = [dest]
+                else:
+                    committed.append(dest)
             acquisition[code] = end
             heappush(activations, (end, dest, chunk))
             pair_state[code] = _SATISFIED
@@ -902,6 +983,7 @@ def run_matching_round(
     acquisition = state._acquisition
     pair_state = state._pair_state
     holders = state._holders
+    will_hold = state._will_hold
     activations = state._activations
     link_costs = ten.link_costs
     link_sources = ten.link_sources
@@ -1023,6 +1105,7 @@ def run_matching_round(
         source = link_sources[link_id]
         idle_in_cache[dest] = None
         insort(holders[chunk], dest)
+        will_hold[code] = 1
         acquisition[code] = end
         heappush(activations, (end, dest, chunk))
         pair_state[code] = _SATISFIED
@@ -1080,6 +1163,7 @@ def run_matching_round(
             # Inlined grant: the neighbour was checked to not hold the chunk.
             insort(holders[chunk], neighbour)
             neighbour_code = neighbour * num_chunks + chunk
+            will_hold[neighbour_code] = 1
             acquisition[neighbour_code] = end
             heappush(activations, (end, neighbour, chunk))
             if pair_state[neighbour_code]:

@@ -97,6 +97,7 @@ class TimeExpandedNetwork:
         self._event_times: set = set()
         self._in_csr = None
         self._out_csr = None
+        self._cost_array = None
 
     # ------------------------------------------------------------------
     # Link ids (hot path)
@@ -141,6 +142,18 @@ class TimeExpandedNetwork:
             csr = (in_flat, in_indptr, sources)
             self._in_csr = csr
         return csr
+
+    def link_cost_array(self):
+        """:attr:`link_costs` as a float64 numpy array, built lazily per TEN.
+
+        Requires numpy (``None`` without it); the matching round's block
+        prefilter gathers candidate costs from it.
+        """
+        if _np is None:
+            return None
+        if self._cost_array is None:
+            self._cost_array = _np.array(self.link_costs, dtype=_np.float64)
+        return self._cost_array
 
     def out_neighbour_csr(self):
         """Numpy CSR view of :attr:`out_adjacency`, built lazily per TEN.

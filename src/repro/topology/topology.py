@@ -563,6 +563,30 @@ class Topology:
             lambda: self._compute_cheaper_regions(float(chunk_size)),
         )
 
+    def cheaper_reachability_masks(
+        self, regions: Dict[float, List[frozenset]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``regions`` (see :meth:`cheaper_reachability_regions`) as boolean masks.
+
+        Returns ``(tier_costs, masks)``: ``tier_costs`` holds the region
+        dict's costs in ascending order, and ``masks[tier, dest, npu]`` is
+        True when ``npu`` lies in ``regions[tier_costs[tier]][dest]``.  Cached
+        per topology and per region dict (by identity: a worker that decodes
+        its own copy of the dict gets its own masks); used by the matching
+        round's block prefilter to decide the Sec. IV-F deferral in numpy.
+        """
+        cached = self._derived_cache.get("cheap_region_masks")
+        if cached is None or cached[0] is not regions:
+            size = self._num_npus
+            tier_costs = sorted(regions)
+            masks = np.zeros((len(tier_costs), size, size), dtype=bool)
+            for tier, cost in enumerate(tier_costs):
+                for dest, region in enumerate(regions[cost]):
+                    masks[tier, dest, list(region)] = True
+            cached = (regions, np.array(tier_costs, dtype=np.float64), masks)
+            self._derived_cache["cheap_region_masks"] = cached
+        return cached[1], cached[2]
+
     def _compute_cheaper_regions(self, chunk_size: float) -> Dict[float, List[frozenset]]:
         from collections import deque
 

@@ -162,7 +162,9 @@ class TestGrids:
         scenarios = get_grid("full")
         assert {scenario.kind for scenario in scenarios} == {"pipeline", "simulation", "backend"}
         topologies = " ".join(scenario.topology for scenario in scenarios)
-        for family in ("ring", "mesh_2d:24,24", "hypercube_3d:7", "torus", "switch", "dgx1"):
+        for family in (
+            "ring", "mesh_2d:24,24", "hypercube_3d:7", "torus", "switch", "dgx1", "rfs_3d:2,4,16"
+        ):
             assert family in topologies
         schedules = {s.collective for s in scenarios if s.kind == "simulation"}
         assert schedules == {"ring", "direct", "rhd"}
@@ -430,7 +432,9 @@ class TestAffordableFullGridScenarios:
             "backend",
         }
         families = {scenario.topology.split(":")[0] for scenario in AFFORDABLE_FULL}
-        assert families == {"mesh_2d", "hypercube_3d", "torus_2d", "ring", "switch", "dgx1"}
+        assert families == {
+            "mesh_2d", "hypercube_3d", "torus_2d", "ring", "switch", "dgx1", "rfs_3d"
+        }
 
     @pytest.mark.parametrize(
         "scenario", AFFORDABLE_FULL, ids=[scenario.name for scenario in AFFORDABLE_FULL]
