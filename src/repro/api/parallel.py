@@ -156,14 +156,6 @@ class PoolBackend(ExecutionBackend):
             self._discard(workers)
             return list(self._pool(workers).map(fn, items))
 
-    def warm(self, workers: int) -> None:
-        """Fork the ``workers``-wide pool now (spin-up off the measured path)."""
-        width = max(1, int(workers))
-        pool = self._pool(width)
-        # submit/await one no-op round so the workers actually exist before
-        # warm-dispatch latency is measured.
-        list(pool.map(_pool_worker_ping, range(width)))
-
     def pool_widths(self) -> List[int]:
         """Worker counts with a live pool (observability/tests)."""
         with self._lock:
@@ -213,11 +205,6 @@ class PoolBackend(ExecutionBackend):
             self._owner_pid = os.getpid()
             self._pools = {}
             self._atexit_registered = False
-
-
-def _pool_worker_ping(index: int) -> int:
-    """No-op pool task used to warm workers and measure bare dispatch."""
-    return index
 
 
 #: The built-in backends, shared instances.  The pool backend owns the

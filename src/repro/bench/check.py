@@ -339,7 +339,9 @@ def _full_grid() -> List[Scenario]:
         Scenario("sim-rhd-mesh8x8-64MB", "simulation", "mesh_2d:8,8", "rhd", 64 * _MB),
         Scenario("sim-rhd-mesh16x16-64MB", "simulation", "mesh_2d:16,16", "rhd", 64 * _MB),
     ]
-    # Serial vs pool; all_reduce fans out twice per synthesis (RS + AG).
+    # Serial vs pool; all_reduce fans out twice per synthesis (RS + AG).  The
+    # 3D-RFS one ships cheap-link tiers and a link-reversed Reduce-Scatter
+    # topology across the process boundary.
     scenarios += [
         Scenario(
             f"backend-{name}-16MB-t{trials}", "backend", topology, collective, 16 * _MB,
@@ -350,6 +352,7 @@ def _full_grid() -> List[Scenario]:
             ("mesh8x8-ag", "mesh_2d:8,8", "all_gather", 8),
             ("mesh6x6-ar", "mesh_2d:6,6", "all_reduce", 8),
             ("ring16-bc", "ring:16", "broadcast", 16),
+            ("rfs2x4x4-ar", "rfs_3d:2,4,4", "all_reduce", 4),
         )
     ]
     return scenarios

@@ -142,7 +142,7 @@ class CollectivePattern(ABC):
 class FrozenPattern(CollectivePattern):
     """A pattern reconstituted from serialized pre/postcondition columns.
 
-    The broadcast plane (:meth:`repro.core.synthesizer.TrialPayload.to_bytes`)
+    The pool's trial payload (:meth:`repro.core.synthesizer.TrialPayload.to_bytes`)
     ships patterns as their observable *conditions* — exactly what one direct
     synthesis trial consumes: the name, the dimensions, and the two ownership
     maps.  A :class:`FrozenPattern` carries those verbatim and nothing else;
@@ -151,7 +151,7 @@ class FrozenPattern(CollectivePattern):
 
     Equality is by conditions, not by type: a frozen pattern equals the
     pattern it was frozen from whenever name, dimensions, and both ownership
-    maps match — that is what the broadcast round-trip suites assert.
+    maps match — that is what the payload round-trip suites assert.
     """
 
     requires_reduction = False

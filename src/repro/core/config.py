@@ -56,13 +56,8 @@ class SynthesisConfig:
         Exact: a pruned trial provably cannot win, and ties still resolve by
         seed index, so the selected winner is byte-identical with pruning on
         or off (see docs/determinism.md, "Incumbent pruning is exact").
-        Parallel backends share the incumbent across seed waves.
-    wave_size:
-        Seeds per pruning wave on the pool backend: the incumbent bound is
-        re-shared between consecutive waves.  ``None`` (the default) sizes
-        waves at twice the worker count.  Smaller waves prune harder but
-        synchronize more often; the winner is identical for any value.
-        Without ``incumbent_pruning`` every seed runs in one wave.
+        The pool backend shares the incumbent across seed waves of twice
+        the worker count.
     floor_termination:
         Stop the whole search the moment a completed trial meets the
         round-0 lower bound (the "floor": the :class:`~repro.core.matching.
@@ -85,7 +80,6 @@ class SynthesisConfig:
     trial_workers: Optional[int] = None
     execution: Optional[str] = None
     incumbent_pruning: bool = False
-    wave_size: Optional[int] = None
     floor_termination: bool = False
 
     def __post_init__(self) -> None:
@@ -97,10 +91,6 @@ class SynthesisConfig:
             raise SynthesisError(
                 "floor_termination requires incumbent_pruning (the floor is "
                 "the pruning bound evaluated before any transfer commits)"
-            )
-        if self.wave_size is not None and self.wave_size < 1:
-            raise SynthesisError(
-                f"wave_size must be at least 1 (or None), got {self.wave_size}"
             )
         if self.trial_workers is not None and self.trial_workers < 1:
             raise SynthesisError(

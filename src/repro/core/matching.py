@@ -62,13 +62,10 @@ from heapq import heappop, heappush
 from math import inf
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro.core.algorithm import ChunkTransfer
 from repro.ten.network import TimeExpandedNetwork
-
-try:  # soft dependency: the core stays importable without numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in the dev image
-    _np = None
 
 __all__ = ["MatchingState", "TrialBound", "run_matching_round", "shuffle_pairs"]
 
@@ -104,10 +101,8 @@ def shuffle_pairs(pending: List, rng: random.Random) -> List:
     generator seeded once per trial RNG with a single ``rng.getrandbits(64)``
     draw — a C-speed permutation instead of ``len(pending)`` Python-level
     ``_randbelow`` calls, which otherwise dominates both engines equally.
-    Without numpy every round falls back to ``rng.shuffle`` (same uniform
-    distribution, different — but still deterministic — permutations).
     """
-    if _np is None or len(pending) < _NUMPY_SHUFFLE_MIN:
+    if len(pending) < _NUMPY_SHUFFLE_MIN:
         rng.shuffle(pending)
         return pending
     permutation = _permuter(rng).permutation(len(pending))
@@ -180,8 +175,8 @@ class MatchingState:
 
         #: One byte per (npu, chunk) pair: _SATISFIED / _NEEDED / _MATCHABLE.
         self._pair_state = bytearray(size)
-        #: Unsatisfied pair codes in ascending (lexicographic) order; lazily
-        #: compacted by :meth:`_pending_codes` as pairs are granted.
+        #: Unsatisfied pair codes in ascending (lexicographic) order, as
+        #: they stood before the first grant.
         self._pair_codes: List[int] = []
         for npu in range(num_npus):
             needed = postcondition.get(npu, frozenset()) - precondition.get(npu, frozenset())
@@ -190,17 +185,15 @@ class MatchingState:
                 self._pair_state[code] = _NEEDED
                 self._pair_codes.append(code)
         self._unsatisfied_count = len(self._pair_codes)
-        #: numpy mirror of ``_pair_codes`` (compaction and permutation then
-        #: run at C speed); ``None`` without numpy.
-        self._codes_array = (
-            _np.array(self._pair_codes, dtype=_np.intp) if _np is not None else None
-        )
+        #: numpy mirror of ``_pair_codes``, lazily compacted by
+        #: :meth:`_pending_array` as pairs are granted.
+        self._codes_array = _np.array(self._pair_codes, dtype=_np.intp)
         #: numpy mirror of "acquisition has come due": ``_held[code]`` flips
         #: to True exactly when the pair's activation is popped in
         #: :meth:`activate_until`, i.e. when ``acquisition[code] <= time +
         #: eps`` for the round being activated.  Backs the matching round's
-        #: vectorized candidate prefilter; ``None`` without numpy.
-        self._held = _np.zeros(size, dtype=bool) if _np is not None else None
+        #: vectorized candidate prefilter.
+        self._held = _np.zeros(size, dtype=bool)
 
     # ------------------------------------------------------------------
     # Queries
@@ -273,7 +266,7 @@ class MatchingState:
             due.append(heappop(activations))
         num_chunks = self.num_chunks
         held = self._held
-        if out_csr is not None and held is not None and len(due) >= _BATCH_ACTIVATION_MIN:
+        if out_csr is not None and len(due) >= _BATCH_ACTIVATION_MIN:
             _, npus, chunks = zip(*due)
             npus = _np.array(npus, dtype=_np.intp)
             chunks = _np.array(chunks, dtype=_np.intp)
@@ -289,8 +282,7 @@ class MatchingState:
             return
         pair_state = self._pair_state
         for _, npu, chunk in due:
-            if held is not None:
-                held[npu * num_chunks + chunk] = True
+            held[npu * num_chunks + chunk] = True
             for neighbour in out_adjacency[npu]:
                 code = neighbour * num_chunks + chunk
                 if pair_state[code] == _NEEDED:
@@ -312,12 +304,7 @@ class MatchingState:
 
     def _pending_codes(self) -> List[int]:
         """Unsatisfied pair codes, ascending; compacts the internal store."""
-        if self._codes_array is not None:
-            return self._pending_array().tolist()
-        pair_state = self._pair_state
-        if len(self._pair_codes) != self._unsatisfied_count:
-            self._pair_codes = [code for code in self._pair_codes if pair_state[code]]
-        return list(self._pair_codes)
+        return self._pending_array().tolist()
 
     # ------------------------------------------------------------------
     # Compatibility views
@@ -457,13 +444,12 @@ class TrialBound:
         self._chunk_dest: Optional[List[int]] = None
         self._chunk_dist: Optional[List[int]] = None
         self._dist_hist: Optional[List[int]] = None
-        if _np is None or not isinstance(state, MatchingState):
+        if not isinstance(state, MatchingState):
             return
         csr_getter = getattr(ten, "in_link_csr", None)
-        csr = csr_getter() if csr_getter is not None else None
-        if csr is None:
+        if csr_getter is None:
             return
-        in_flat, in_indptr, _sources = csr
+        in_flat, in_indptr, _sources = csr_getter()
         num_npus = state.num_npus
         num_chunks = state.num_chunks
         degrees = _np.diff(in_indptr)
@@ -1015,8 +1001,7 @@ def run_matching_round(
     # Pass 1 — Alg. 1: direct matches onto destinations that request a chunk.
     # ------------------------------------------------------------------
     if (
-        _np is not None
-        and not collect_deferred
+        not collect_deferred
         and state._unsatisfied_count >= _NUMPY_SHUFFLE_MIN
         and time + ten.min_link_cost > threshold
     ):

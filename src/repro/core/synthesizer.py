@@ -10,6 +10,7 @@ time; an All-Reduce is a Reduce-Scatter followed by an All-Gather.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import struct
 import time as _time
@@ -97,9 +98,9 @@ class TrialPayload:
     """Everything one randomized synthesis trial needs, minus its seed.
 
     Built once per :meth:`TacosSynthesizer._synthesize_direct` call and shared
-    by every trial of the fan-out.  The payload (and the built-in engines) is
-    picklable, so the same object drives serial loops and — via the
-    module-level :func:`_run_trial_task` — process pools.
+    by every trial of the fan-out.  Serial loops use the object directly;
+    process pools receive it as :meth:`to_bytes` and decode it once per
+    worker (see :func:`_run_trial_chunk`).
     """
 
     topology: Topology
@@ -113,7 +114,7 @@ class TrialPayload:
     max_rounds: int
 
     def to_bytes(self) -> bytes:
-        """Serialize to the broadcast plane's columnar wire format.
+        """Serialize to the columnar wire format pool workers decode.
 
         Everything a trial consumes crosses as validated LE64 columns: the
         topology via :meth:`~repro.topology.topology.Topology.to_bytes`, the
@@ -122,17 +123,16 @@ class TrialPayload:
         cheaper-reachability regions as flat integer/float columns, and the
         engine *by registry name*.  Chunk sets are emitted sorted, so equal
         payloads always produce identical bytes — the blob's content hash is
-        a payload identity the broadcast plane and worker caches key on.
+        a payload identity the worker cache keys on.
 
         Raises :class:`~repro.errors.SynthesisError` when the engine is not
-        the registered engine of its name (an anonymous or shadowed engine
-        cannot be resolved on the worker side); callers fall back to the
-        per-item pickle transport then.
+        the registered engine of its name: an anonymous or shadowed engine
+        cannot be resolved on the worker side, so it can only run serially.
         """
         if ENGINES.get(self.engine.name) is not self.engine:
             raise SynthesisError(
                 f"engine {self.engine.name!r} is not the registered engine of that "
-                "name; broadcast serialization ships engines by registry name"
+                "name; pool workers receive engines by registry name"
             )
         topology_blob = self.topology.to_bytes()
         pattern = self.pattern
@@ -435,7 +435,7 @@ def _execute_trial(
     }
 
 
-# Worker-side decoded-payload cache, keyed by the blob's content hash.  A warm
+# Worker-side decoded-payload cache, keyed by the blob's SHA-256.  A warm
 # PoolBackend worker decodes each distinct payload once and then serves every
 # later chunk of the same fan-out — and of *later* fan-outs over the same
 # inputs — from here.  Content addressing makes this safe: equal key implies
@@ -445,47 +445,33 @@ _PAYLOAD_CACHE: "OrderedDict[str, TrialPayload]" = OrderedDict()
 _PAYLOAD_CACHE_LIMIT = 8
 
 
-def _fetch_payload(ref) -> TrialPayload:
-    """Resolve a broadcast ref to a decoded payload via the per-process cache."""
-    payload = _PAYLOAD_CACHE.get(ref.key)
-    if payload is not None:
-        _PAYLOAD_CACHE.move_to_end(ref.key)
-        return payload
-    from repro.api.broadcast import fetch  # deferred: avoids an import cycle
-
-    payload = TrialPayload.from_bytes(fetch(ref))
-    _PAYLOAD_CACHE[ref.key] = payload
-    while len(_PAYLOAD_CACHE) > _PAYLOAD_CACHE_LIMIT:
-        _PAYLOAD_CACHE.popitem(last=False)
-    return payload
-
-
-def _run_trial_task(
-    payload: TrialPayload, seed: int, incumbent: Optional[float] = None
-) -> Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]]:
-    """Process-pool trial task: a completed algorithm crosses back as column bytes.
-
-    Returning ``TransferTable.to_bytes()`` instead of the object graph keeps
-    the inter-process transport compact and bit-exact — the parent rebuilds
-    an identical algorithm with :func:`_decode_trial_outcome`.
-    """
-    algorithm, stats = _execute_trial(payload, seed, incumbent)
-    if algorithm is None:
-        return None, stats
-    return (algorithm.table.to_bytes(), dict(algorithm.metadata)), stats
-
-
 def _run_trial_chunk(
-    ref, incumbent: Optional[float], seeds: List[int]
+    key: str, blob: bytes, incumbent: Optional[float], seeds: List[int]
 ) -> List[Tuple[Optional[Tuple[bytes, dict]], Dict[str, Any]]]:
-    """Thin chunked trial task: a broadcast ref, the shared incumbent, seeds.
+    """Chunked pool trial task: the payload blob, its key, the incumbent, seeds.
 
-    This is what actually crosses the process boundary on the broadcast
-    path — per chunk, one tiny :class:`~repro.api.broadcast.BlobRef` and a
-    list of integer seeds, instead of one full payload pickle per trial.
+    The blob is decoded only when ``key`` is not yet in the worker's
+    :data:`_PAYLOAD_CACHE`, so a warm worker reuses one decoded payload (and
+    its topology caches) across chunks, waves and fan-outs.  A completed
+    algorithm crosses back as ``TransferTable.to_bytes()`` rather than an
+    object graph, compact and bit-exact; the parent rebuilds it with
+    :func:`_decode_trial_outcome`.
     """
-    payload = _fetch_payload(ref)
-    return [_run_trial_task(payload, seed, incumbent) for seed in seeds]
+    payload = _PAYLOAD_CACHE.get(key)
+    if payload is None:
+        payload = _PAYLOAD_CACHE[key] = TrialPayload.from_bytes(blob)
+        while len(_PAYLOAD_CACHE) > _PAYLOAD_CACHE_LIMIT:
+            _PAYLOAD_CACHE.popitem(last=False)
+    else:
+        _PAYLOAD_CACHE.move_to_end(key)
+    outcomes = []
+    for seed in seeds:
+        algorithm, stats = _execute_trial(payload, seed, incumbent)
+        packed = None
+        if algorithm is not None:
+            packed = (algorithm.table.to_bytes(), dict(algorithm.metadata))
+        outcomes.append((packed, stats))
+    return outcomes
 
 
 def _decode_trial_outcome(
@@ -533,8 +519,8 @@ def _search_floor(payload: TrialPayload) -> Optional[float]:
     Evaluated before any transfer commits, the bound depends only on the
     topology and the collective — not on a trial's random choices — so it is
     a valid lower bound on *every* trial's final collective time.  Returns
-    ``None`` when the bound degenerates to zero (no numpy, no owed chunks),
-    in which case floor termination can never fire.
+    ``None`` when the bound degenerates to zero (no owed chunks), in which
+    case floor termination can never fire.
     """
     engine = payload.engine
     ten = engine.ten_factory(payload.topology, payload.chunk_size)
@@ -554,22 +540,22 @@ def _run_trials(
     workers: Optional[int],
     *,
     prune: bool,
-    wave_size: Optional[int],
     floor: Optional[float] = None,
 ) -> List[Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]]:
     """Seed-ordered trial fan-out with per-trial stats and incumbent sharing.
 
     Serial execution threads the incumbent through every trial (maximal
     pruning).  Parallel backends run the seeds in consecutive *waves* and
-    re-share the best completed time between waves — a wave only ever sees an
-    incumbent at least as large as the final one, so sharing it late prunes
-    less but never differently (any pruned trial is provably worse than some
-    completed trial).  Without pruning there is no incumbent to share, so
-    every seed runs in a single wave.  The pool tier reuses the broadcast
-    plane: one payload blob for all waves, thin ``(ref, incumbent, seeds)``
-    chunk tasks, and completed algorithms back as columnar bytes; payloads
-    that cannot be serialized by name (an unregistered custom engine) fall
-    back to the per-trial pickle transport.
+    re-share the best completed time between waves of twice the worker
+    count — a wave only ever sees an incumbent at least as large as the
+    final one, so sharing it late prunes less but never differently (any
+    pruned trial is provably worse than some completed trial).  Without
+    pruning there is no incumbent to share, so every seed runs in a single
+    wave.  The pool tier serializes the payload once per fan-out
+    (:meth:`TrialPayload.to_bytes`, so an unregistered engine raises
+    :class:`~repro.errors.SynthesisError` here), ships it with every
+    ``(key, blob, incumbent, seeds)`` chunk task, and gets completed
+    algorithms back as columnar bytes.
 
     When ``floor`` is given (the round-0 bound, see :func:`_search_floor`)
     and the incumbent reaches it, every remaining seed is skipped outright:
@@ -604,47 +590,21 @@ def _run_trials(
 
     width = len(seeds)
     if prune:
-        width = wave_size
-        if width is None:
-            width = 2 * (workers if workers else default_worker_count())
-        width = max(width, 1)
+        width = 2 * (workers if workers else default_worker_count())
 
-    try:
-        blob = payload.to_bytes()
-    except SynthesisError:
-        blob = None  # unregistered engine: per-trial pickle fallback
-    ref = None
-    if blob is not None:
-        from repro.api import broadcast  # deferred: avoids an import cycle
-
-        ref = broadcast.publish(blob)
-    try:
-        for start in range(0, len(seeds), width):
-            wave = seeds[start : start + width]
-            shared = incumbent if prune else None
-            if ref is not None:
-                packed_chunks = backend.map(
-                    partial(_run_trial_chunk, ref, shared),
-                    chunk_items(wave, workers),
-                    max_workers=workers,
-                )
-                packed = [item for chunk in packed_chunks for item in chunk]
-            else:
-                packed = backend.map(
-                    partial(_run_trial_task, payload, incumbent=shared),
-                    wave,
-                    max_workers=workers,
-                )
-            wave_outcomes = [_decode_trial_outcome(payload, item) for item in packed]
-            absorb(wave_outcomes)
-            if at_floor() and start + width < len(seeds):
-                outcomes.extend(_floor_skip_stats(s) for s in seeds[start + width :])
-                break
-    finally:
-        if ref is not None:
-            from repro.api import broadcast
-
-            broadcast.release(ref)
+    blob = payload.to_bytes()
+    key = hashlib.sha256(blob).hexdigest()
+    for start in range(0, len(seeds), width):
+        wave = seeds[start : start + width]
+        packed_chunks = backend.map(
+            partial(_run_trial_chunk, key, blob, incumbent if prune else None),
+            chunk_items(wave, workers),
+            max_workers=workers,
+        )
+        absorb([_decode_trial_outcome(payload, item) for chunk in packed_chunks for item in chunk])
+        if at_floor() and start + width < len(seeds):
+            outcomes.extend(_floor_skip_stats(s) for s in seeds[start + width :])
+            break
     return outcomes
 
 
@@ -874,7 +834,6 @@ class TacosSynthesizer:
             backend,
             workers,
             prune=self.config.incumbent_pruning,
-            wave_size=self.config.wave_size,
             floor=floor,
         )
 

@@ -26,13 +26,10 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from repro.errors import SynthesisError
 from repro.topology.topology import Topology
-
-try:  # soft dependency: the TEN stays usable without numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in the dev image
-    _np = None
 
 __all__ = ["TimeExpandedNetwork"]
 
@@ -120,11 +117,9 @@ class TimeExpandedNetwork:
         Returns ``(in_flat, in_indptr, link_sources)`` where the incoming link
         ids of NPU ``d`` are ``in_flat[in_indptr[d]:in_indptr[d + 1]]`` in the
         same in-neighbour order as :meth:`in_link_ids`, and ``link_sources``
-        is the per-link source-NPU array.  Requires numpy (``None`` without
-        it); used by the matching round's vectorized candidate prefilter.
+        is the per-link source-NPU array.  Used by the matching round's
+        vectorized candidate prefilter.
         """
-        if _np is None:
-            return None
         csr = self._in_csr
         if csr is None:
             in_ids = self._in_ids
@@ -146,11 +141,8 @@ class TimeExpandedNetwork:
     def link_cost_array(self):
         """:attr:`link_costs` as a float64 numpy array, built lazily per TEN.
 
-        Requires numpy (``None`` without it); the matching round's block
-        prefilter gathers candidate costs from it.
+        The matching round's block prefilter gathers candidate costs from it.
         """
-        if _np is None:
-            return None
         if self._cost_array is None:
             self._cost_array = _np.array(self.link_costs, dtype=_np.float64)
         return self._cost_array
@@ -160,11 +152,9 @@ class TimeExpandedNetwork:
 
         Returns ``(out_flat, out_indptr)`` where the out-neighbours of NPU
         ``s`` are ``out_flat[out_indptr[s]:out_indptr[s + 1]]`` in the order
-        of ``out_adjacency[s]``.  Requires numpy (``None`` without it); used
-        by the matching state's batched pair activation.
+        of ``out_adjacency[s]``.  Used by the matching state's batched pair
+        activation.
         """
-        if _np is None:
-            return None
         csr = self._out_csr
         if csr is None:
             adjacency = self.out_adjacency

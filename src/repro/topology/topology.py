@@ -646,9 +646,10 @@ class Topology:
         the UTF-8 name, then four raw columns in link-id (insertion) order —
         sources and dests as ``<i8``, alphas and betas as ``<f8`` (bit-exact,
         so costs round-trip to the float, including ``beta == 0``
-        pure-latency links).  This is the broadcast-plane wire format
-        (:mod:`repro.api.broadcast`): the same topology always serializes to
-        the same bytes, so the blob's content hash is a topology identity.
+        pure-latency links).  The pool's trial payload embeds it
+        (:meth:`repro.core.synthesizer.TrialPayload.to_bytes`): the same
+        topology always serializes to the same bytes, so the blob's content
+        hash is a topology identity.
         """
         arrays = self.link_arrays()
         name_bytes = self.name.encode("utf-8")

@@ -17,7 +17,6 @@ from repro.api import (
     ResultCache,
     RunSpec,
     TopologySpec,
-    broadcast,
     run_batch,
 )
 from repro.api.parallel import (
@@ -33,6 +32,7 @@ from repro.api.parallel import (
 )
 from repro.collectives import AllGather, Gather
 from repro.core import SynthesisConfig, TacosSynthesizer
+from repro.core.synthesizer import SynthesisEngine
 from repro.errors import ReproError, SynthesisError
 from repro.topology import build_mesh, build_ring
 
@@ -274,7 +274,7 @@ class TestTrialFanOutEquivalence:
     @pytest.mark.parametrize("pruning", [False, True], ids=["uniform", "pruned"])
     def test_failed_pool_fan_out_leaks_nothing(self, pruning):
         # Every trial overruns max_rounds inside a pool worker: the error
-        # must reach the caller and the broadcast segment must be released.
+        # must reach the caller, and the pool must stay usable afterwards.
         config = SynthesisConfig(
             trials=4,
             trial_workers=2,
@@ -284,7 +284,22 @@ class TestTrialFanOutEquivalence:
         )
         with pytest.raises(SynthesisError, match="exceeded 1 time spans"):
             TacosSynthesizer(config).synthesize(build_mesh([3, 3]), Gather(9), MB)
-        assert broadcast.published_segments() == 0
+        assert BACKENDS["pool"].map(_square, range(4), max_workers=2) == [0, 1, 4, 9]
+
+    def test_unregistered_engine_runs_serially_but_not_on_the_pool(self):
+        # Pool workers resolve the engine by registry name, so an anonymous
+        # engine cannot cross the process boundary; a serial run needs no
+        # serialization and accepts it.
+        ghost = SynthesisEngine(name="ghost")
+        topology = build_ring(4)
+        serial = TacosSynthesizer(SynthesisConfig(trials=2), engine=ghost).synthesize(
+            topology, AllGather(4), MB
+        )
+        flat = TacosSynthesizer(SynthesisConfig(trials=2)).synthesize(topology, AllGather(4), MB)
+        assert serial.table.to_bytes() == flat.table.to_bytes()
+        pooled = SynthesisConfig(trials=2, trial_workers=2, execution="pool")
+        with pytest.raises(SynthesisError, match="registry name"):
+            TacosSynthesizer(pooled, engine=ghost).synthesize(topology, AllGather(4), MB)
 
 
 @pytest.mark.backend_equivalence
@@ -341,7 +356,7 @@ class TestPoolLifecycle:
     def test_worker_death_recovers_with_correct_results(self):
         backend = PoolBackend()
         try:
-            backend.warm(2)
+            assert backend.map(_square, range(2), max_workers=2) == [0, 1]
             # Kill the warm workers out from under the backend: the next map
             # hits BrokenProcessPool, re-forks once, and still returns the
             # right answers.

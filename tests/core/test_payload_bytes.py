@@ -1,6 +1,6 @@
 """Round-trip of the trial-payload wire format (``TrialPayload.to_bytes``).
 
-This is the blob the broadcast plane ships once per fan-out; its content
+This is the blob a pool fan-out ships with every chunk task; its content
 hash is the payload's identity, so serialization must be deterministic and
 the round-trip exact — topology columns, pattern conditions, hop tables,
 cheaper-reachability tiers (float-exact cost keys), and the engine by

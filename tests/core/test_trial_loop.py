@@ -8,7 +8,9 @@ engines, and for the wave fan-out that carries trials to a backend.
 """
 
 import dataclasses
+import hashlib
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -23,10 +25,12 @@ from repro.collectives import (
     ReduceScatter,
     Scatter,
 )
-from repro.core import SynthesisConfig, TacosSynthesizer
+from repro.core import SynthesisConfig, TacosSynthesizer, synthesizer
 from repro.core.synthesizer import (
     FLAT_ENGINE,
     TrialPayload,
+    _execute_trial,
+    _run_trial_chunk,
     _run_trials,
     resolve_engine,
 )
@@ -133,7 +137,6 @@ class TestTrialStatsAlwaysPopulated:
             "trial_workers",
             "execution",
             "incumbent_pruning",
-            "wave_size",
             "floor_termination",
         ]
 
@@ -188,13 +191,15 @@ class TestWaveFanOut:
 
     def _outcomes(self, backend, *, prune):
         payload = _payload(build_mesh_2d(3, 3), Gather(9), 9 * MB)
-        return _run_trials(payload, self.SEEDS, backend, 2, prune=prune, wave_size=1)
+        return _run_trials(payload, self.SEEDS, backend, 1, prune=prune)
 
-    @pytest.mark.parametrize("prune, waves", [(False, 1), (True, 5)], ids=["uniform", "pruned"])
-    def test_wave_count_follows_pruning(self, prune, waves):
+    @pytest.mark.parametrize(
+        "prune, wave_sizes", [(False, [5]), (True, [2, 2, 1])], ids=["uniform", "pruned"]
+    )
+    def test_wave_count_follows_pruning(self, prune, wave_sizes):
         backend = _RecordingBackend()
         outcomes = self._outcomes(backend, prune=prune)
-        assert len(backend.calls) == waves
+        assert [sum(len(chunk) for chunk in call) for call in backend.calls] == wave_sizes
         assert [stats["seed"] for _, stats in outcomes] == self.SEEDS
 
     def test_unpruned_waves_match_serial_loop(self):
@@ -205,6 +210,53 @@ class TestWaveFanOut:
         ]
         for (fan_algorithm, _), (serial_algorithm, _) in zip(fanned, serial):
             assert fan_algorithm.table.to_bytes() == serial_algorithm.table.to_bytes()
+
+
+def _blob(payload):
+    blob = payload.to_bytes()
+    return hashlib.sha256(blob).hexdigest(), blob
+
+
+class TestPayloadWorkerCache:
+    """A pool worker decodes each distinct payload blob once, keyed by its hash."""
+
+    @pytest.fixture(autouse=True)
+    def decodes(self, monkeypatch):
+        monkeypatch.setattr(synthesizer, "_PAYLOAD_CACHE", OrderedDict())
+        calls = []
+        original = TrialPayload.from_bytes
+
+        def counting(data):
+            calls.append(data)
+            return original(data)
+
+        monkeypatch.setattr(TrialPayload, "from_bytes", staticmethod(counting))
+        return calls
+
+    def test_same_key_decodes_once_and_a_new_key_decodes_again(self, decodes):
+        ring = _payload(build_ring(4), AllGather(4), 4 * MB)
+        mesh = _payload(build_mesh_2d(3, 3), Gather(9), 9 * MB)
+        for seeds in ([0], [1, 2]):
+            _run_trial_chunk(*_blob(ring), None, seeds)
+        assert len(decodes) == 1
+        [(packed, stats)] = _run_trial_chunk(*_blob(mesh), None, [3])
+        assert len(decodes) == 2
+        algorithm, expected = _execute_trial(mesh, 3, None)
+        assert packed[0] == algorithm.table.to_bytes()
+        assert stats["rounds"] == expected["rounds"]
+
+    def test_cache_is_bounded(self, decodes):
+        limit = synthesizer._PAYLOAD_CACHE_LIMIT
+        blobs = [
+            _blob(_payload(build_ring(4), AllGather(4), (index + 1) * MB))
+            for index in range(limit + 1)
+        ]
+        for key, blob in blobs:
+            assert _run_trial_chunk(key, blob, None, []) == []
+        assert len(decodes) == limit + 1
+        assert list(synthesizer._PAYLOAD_CACHE) == [key for key, _ in blobs[1:]]
+        _run_trial_chunk(*blobs[0], None, [])
+        assert len(decodes) == limit + 2
 
 
 class TestTrialExecution:

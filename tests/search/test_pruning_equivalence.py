@@ -34,7 +34,6 @@ def _winner_bytes(topology, pattern, size, **config_kwargs):
 _PRUNING_VARIANTS = (
     {"incumbent_pruning": True},
     {"incumbent_pruning": True, "floor_termination": True},
-    {"incumbent_pruning": True, "floor_termination": True, "wave_size": 2},
 )
 
 
@@ -151,7 +150,7 @@ class TestBackendEquivalence:
     @pytest.fixture(scope="class")
     def reference(self):
         topology = build_mesh([3, 3])
-        pattern = AllGather(9)
+        pattern = Gather(9)
         algorithm = TacosSynthesizer(SynthesisConfig(seed=1, trials=6)).synthesize(
             topology, pattern, self.SIZE
         )
@@ -167,13 +166,15 @@ class TestBackendEquivalence:
             execution=execution,
             incumbent_pruning=True,
             floor_termination=True,
-            wave_size=2,
         )
         result = TacosSynthesizer(config).synthesize_with_stats(
             topology, pattern, self.SIZE
         )
         assert result.algorithm.table.to_bytes() == expected
         assert len(result.trial_stats) == 6
+        # Two pool workers run waves of four seeds.  The floor is not met in
+        # the first wave, so the second runs against the first's incumbent.
+        assert result.trial_stats[4]["pruned_at_round"] != 0
 
     def test_wave_floor_skip_matches_serial_stats(self, reference):
         # A tied ring search under waves: the floor fires after the first
@@ -189,7 +190,6 @@ class TestBackendEquivalence:
                 execution=backend,
                 incumbent_pruning=True,
                 floor_termination=True,
-                wave_size=2,
             )
             return TacosSynthesizer(config).synthesize_with_stats(
                 topology, pattern, self.SIZE

@@ -1,7 +1,7 @@
 """Bitwise round-trip of the topology wire format (``Topology.to_bytes``).
 
-The broadcast plane (:mod:`repro.api.broadcast`) keys blobs by content hash,
-so equal topologies must serialize to identical bytes and the round-trip must
+Pool workers key the trial payload that embeds it by content hash, so equal
+topologies must serialize to identical bytes and the round-trip must
 be exact — including heterogeneous link costs and ``beta == 0`` pure-latency
 links, whose ``<f8`` columns must survive bit-for-bit.
 """
