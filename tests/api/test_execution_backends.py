@@ -30,11 +30,11 @@ from repro.api.parallel import (
     resolve_backend,
     shutdown_pools,
 )
-from repro.collectives import AllGather, Gather
+from repro.collectives import AllGather, Gather, ReduceScatter
 from repro.core import SynthesisConfig, TacosSynthesizer
 from repro.core.synthesizer import SynthesisEngine
 from repro.errors import ReproError, SynthesisError
-from repro.topology import build_mesh, build_ring
+from repro.topology import build_3d_rfs, build_dgx1, build_mesh, build_ring
 
 MB = 1e6
 
@@ -270,6 +270,28 @@ class TestTrialFanOutEquivalence:
         serial = stats("serial")
         assert [entry[0] for entry in serial] == list(range(6))
         assert stats("pool") == serial
+
+    @pytest.mark.parametrize(
+        "topology_factory, pattern_cls",
+        [
+            (lambda: build_dgx1(heterogeneous=True), AllGather),
+            (lambda: build_3d_rfs(2, 4, 4), ReduceScatter),
+        ],
+        ids=["dgx1-hetero-allgather", "rfs2x4x4-reducescatter"],
+    )
+    def test_heterogeneous_payload_crosses_the_pool(self, topology_factory, pattern_cls):
+        # Cheap-region tiers and (for Reduce-Scatter) the reversed topology
+        # of the dual All-Gather travel in the blob to the pool workers.
+        topology = topology_factory()
+        pattern = pattern_cls(topology.num_npus)
+        results = {
+            execution: TacosSynthesizer(
+                SynthesisConfig(seed=0, trials=4, trial_workers=2, execution=execution)
+            ).synthesize(topology, pattern, 16 * MB)
+            for execution in ("serial", "pool")
+        }
+        assert results["pool"].table.to_bytes() == results["serial"].table.to_bytes()
+        assert results["pool"].metadata == results["serial"].metadata
 
     @pytest.mark.parametrize("pruning", [False, True], ids=["uniform", "pruned"])
     def test_failed_pool_fan_out_leaks_nothing(self, pruning):

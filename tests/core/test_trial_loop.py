@@ -29,12 +29,13 @@ from repro.core import SynthesisConfig, TacosSynthesizer, synthesizer
 from repro.core.synthesizer import (
     FLAT_ENGINE,
     TrialPayload,
+    _decode_trial_outcome,
     _execute_trial,
     _run_trial_chunk,
     _run_trials,
     resolve_engine,
 )
-from repro.topology import build_dgx1, build_mesh_2d, build_ring
+from repro.topology import build_3d_rfs, build_dgx1, build_mesh_2d, build_ring
 from tests.conftest import random_connected_topology
 
 MB = 1e6
@@ -161,25 +162,28 @@ class TestEnginesShareTheLoop:
 
 
 class _RecordingBackend(SerialBackend):
-    """In-process backend that counts the waves the trial loop hands it."""
+    """In-process backend that records each wave and its task the trial loop hands it."""
 
     def __init__(self):
         self.calls = []
+        self.fns = []
 
     def map(self, fn, items, *, max_workers=None):
         items = list(items)
         self.calls.append(items)
+        self.fns.append(fn)
         return [fn(item) for item in items]
 
 
-def _payload(topology, pattern, collective_size):
+def _payload(topology, pattern, collective_size, *, cheap=False):
+    chunk_size = pattern.chunk_size(collective_size)
     return TrialPayload(
         topology=topology,
         pattern=pattern,
         collective_size=collective_size,
-        chunk_size=pattern.chunk_size(collective_size),
+        chunk_size=chunk_size,
         hop_distances=topology.hop_distances(),
-        cheap_regions=None,
+        cheap_regions=topology.cheaper_reachability_regions(chunk_size) if cheap else None,
         engine=FLAT_ENGINE,
         prefer_lowest_cost=True,
         max_rounds=SynthesisConfig().max_rounds,
@@ -257,6 +261,88 @@ class TestPayloadWorkerCache:
         assert list(synthesizer._PAYLOAD_CACHE) == [key for key, _ in blobs[1:]]
         _run_trial_chunk(*blobs[0], None, [])
         assert len(decodes) == limit + 2
+
+
+class TestInlineTransport:
+    """The pool fan-out ships one content-keyed blob with every chunk task."""
+
+    SEEDS = list(range(5))
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        calls = []
+        original = TrialPayload.to_bytes
+
+        def counting(payload):
+            calls.append(payload)
+            return original(payload)
+
+        monkeypatch.setattr(TrialPayload, "to_bytes", counting)
+        return calls
+
+    def test_one_blob_per_fan_out_keyed_by_its_hash(self, encodes):
+        payload = _payload(build_mesh_2d(3, 3), Gather(9), 9 * MB)
+        backend = _RecordingBackend()
+        _run_trials(payload, self.SEEDS, backend, 1, prune=True)
+        assert len(backend.fns) == 3  # waves of two: the blob is shared by all
+        assert len(encodes) == 1
+        blob = backend.fns[0].args[1]
+        assert blob == payload.to_bytes()
+        for fn in backend.fns:
+            assert fn.func is _run_trial_chunk
+            key, wave_blob = fn.args[:2]
+            assert wave_blob is blob
+            assert key == hashlib.sha256(blob).hexdigest()
+
+    def test_later_waves_carry_the_incumbent(self):
+        payload = _payload(build_mesh_2d(3, 3), Gather(9), 9 * MB)
+        backend = _RecordingBackend()
+        outcomes = _run_trials(payload, self.SEEDS, backend, 1, prune=True)
+        incumbents = [fn.args[2] for fn in backend.fns]
+        assert incumbents[0] is None
+        first_wave = [a.collective_time for a, _ in outcomes[:2] if a is not None]
+        assert incumbents[1] == min(first_wave)
+        assert all(later <= earlier for earlier, later in zip(incumbents[1:], incumbents[2:]))
+        uniform = _RecordingBackend()
+        _run_trials(payload, self.SEEDS, uniform, 1, prune=False)
+        assert [fn.args[2] for fn in uniform.fns] == [None]
+
+    def test_serial_loop_never_serializes(self, encodes):
+        payload = _payload(build_ring(4), AllGather(4), 4 * MB)
+        assert len(_run_trials(payload, [0, 1, 2], None, None, prune=True)) == 3
+        # One seed runs in-process even when a backend is given.
+        backend = _RecordingBackend()
+        assert len(_run_trials(payload, [0], backend, 2, prune=True)) == 1
+        assert backend.calls == []
+        assert encodes == []
+
+    @pytest.mark.parametrize(
+        "topology_factory, pattern_factory",
+        [
+            (lambda: build_3d_rfs(2, 4, 4), lambda n: AllGather(n)),
+            (lambda: build_3d_rfs(2, 4, 4).reversed(), lambda n: AllGather(n)),
+            (lambda: build_dgx1(heterogeneous=True), lambda n: AllGather(n)),
+        ],
+        ids=["rfs2x4x4-allgather", "rfs2x4x4-reversed-allgather", "dgx1-hetero-allgather"],
+    )
+    def test_heterogeneous_chunk_outcomes_equal_serial_trials(
+        self, topology_factory, pattern_factory, monkeypatch
+    ):
+        # Cheap-region tiers (float cost keys) and reversed link columns go
+        # through the blob; the decoded outcomes must equal in-process trials.
+        monkeypatch.setattr(synthesizer, "_PAYLOAD_CACHE", OrderedDict())
+        topology = topology_factory()
+        payload = _payload(topology, pattern_factory(topology.num_npus), 16 * MB, cheap=True)
+        assert payload.cheap_regions
+        seeds = [0, 3]
+        packed = _run_trial_chunk(*_blob(payload), None, seeds)
+        for seed, outcome in zip(seeds, packed):
+            decoded, stats = _decode_trial_outcome(payload, outcome)
+            expected, expected_stats = _execute_trial(payload, seed, None)
+            assert decoded.table.to_bytes() == expected.table.to_bytes()
+            assert decoded.collective_time == expected.collective_time
+            assert decoded.metadata == expected.metadata
+            assert _trial_key(stats) == _trial_key(expected_stats)
 
 
 class TestTrialExecution:
