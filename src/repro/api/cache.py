@@ -17,11 +17,19 @@ Two layers:
   one WARNING each (an absent entry is a silent miss).
 
 One key per request: a request hashes its spec once and reads its entry
-with one ``open``.  :func:`~repro.api.runner.run` and
+once.  :func:`~repro.api.runner.run` and
 :func:`~repro.api.runner.run_batch` compute the key and hand it to the
 :class:`ResultCache` reads and writes through their internal ``_key``
-argument; every other caller leaves it out and the cache hashes the spec.  Results are copied on the way in and on every
-hit, so no two callers share an ``extras`` dict or a ``trial_stats`` list.
+argument; every other caller leaves it out and the cache hashes the spec.
+
+A hit does only the work its bytes need.  The entry is read unbuffered:
+``os.open``, one ``os.read`` sized by ``os.fstat``, then reads until end of
+file, so a file larger than ``fstat`` reported still comes back whole.
+Documents are parsed by one shared :class:`json.JSONDecoder` and algorithm
+headers by one shared strict decoder.  Results are copied on the way in
+and on every hit (:meth:`~repro.api.runner.RunResult.copy`, a dict copy of
+the instance), so no two callers share an ``extras`` dict or a
+``trial_stats`` list.
 
 Beyond run results, the store persists synthesized algorithms
 (:meth:`ResultCache.put_algorithm` / :meth:`ResultCache.load_algorithm`), so
@@ -32,12 +40,14 @@ prefix, a little-endian ``uint32`` header length, a strict-JSON header
 (``num_npus``, ``chunk_size``, ``collective_size``, ``pattern_name``,
 ``topology_name``, ``metadata``), then the
 :meth:`~repro.core.transfers.TransferTable.to_bytes` payload.  Loading it is
-one read plus :func:`decode_algorithm`; the float columns are bit-exact.
+one read plus :func:`decode_algorithm`, which decodes each column straight
+from the blob into an array of its own; the float columns are bit-exact.
 Artifacts in the earlier ``.npz`` layout are not read (they are misses).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import os
@@ -109,6 +119,20 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"non-finite number {name} in the header")
 
 
+#: Parses every JSON document the store reads.  The store writes UTF-8, so
+#: documents are decoded as such, not passed through ``json.loads``'s
+#: encoding detection.
+_JSON_DECODER = json.JSONDecoder()
+#: Parses algorithm headers, which are strict JSON: NaN and Infinity raise.
+#: Built once; ``json.loads(..., parse_constant=...)`` builds one per call.
+_HEADER_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+#: ``os.open`` flags of a store read (``O_BINARY`` matters where it exists).
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+#: Bytes asked for by each read past the size ``fstat`` reported: small, as
+#: on a hit the first such read only confirms the end of the file.
+_READ_TAIL = io.DEFAULT_BUFFER_SIZE
+
+
 def decode_algorithm_header(data: bytes) -> Tuple[Dict[str, Any], int]:
     """The validated JSON header of an :func:`encode_algorithm` artifact.
 
@@ -125,7 +149,7 @@ def decode_algorithm_header(data: bytes) -> Tuple[Dict[str, Any], int]:
     end = prefix + length
     if len(data) < end:
         raise ValueError(f"header declares {length} bytes, artifact has {len(data) - prefix}")
-    header = json.loads(data[prefix:end], parse_constant=_reject_constant)
+    header = _HEADER_DECODER.decode(str(data[prefix:end], "utf-8"))
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
     for name, kind in _HEADER_FIELDS:
@@ -238,8 +262,21 @@ class ArtifactStore:
         return Path(path)
 
     def _read(self, name: str) -> bytes:
-        with open(self._path(name), "rb") as handle:
-            return handle.read()
+        """The whole entry file ``name``: one unbuffered read sized by ``fstat``.
+
+        Reads on until end of file, so a file that grew after the ``fstat``
+        (or a short read) still comes back whole.
+        """
+        fd = os.open(self._path(name), _READ_FLAGS)
+        try:
+            parts = [os.read(fd, os.fstat(fd).st_size)]
+            while True:
+                tail = os.read(fd, _READ_TAIL)
+                if not tail:
+                    return b"".join(parts)  # one part: returned as is, not copied
+                parts.append(tail)
+        finally:
+            os.close(fd)
 
     # ------------------------------------------------------------------
     # JSON documents
@@ -258,7 +295,7 @@ class ArtifactStore:
     def read_json(self, key: str) -> Optional[Dict[str, Any]]:
         """The JSON document stored under ``key``, or ``None`` (corrupt = miss)."""
         try:
-            return json.loads(self._read(f"{key}.json"))
+            return _JSON_DECODER.decode(self._read(f"{key}.json").decode("utf-8"))
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as exc:

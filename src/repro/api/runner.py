@@ -10,7 +10,6 @@ process-pool parallelism, and optional result caching.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -110,14 +109,18 @@ class RunResult:
 
         ``extras`` and every ``trial_stats`` entry are copied, so mutating
         the copy never changes this result (a cache hands one out per hit).
+        The other fields are taken over from the instance ``__dict__`` in
+        one copy: no ``__init__`` runs and no field list is spelled out.
         """
+        clone = object.__new__(type(self))
+        state = clone.__dict__
+        state.update(self.__dict__)
+        state["extras"] = dict(self.extras)
         trial_stats = self.trial_stats
-        return dataclasses.replace(
-            self,
-            extras=dict(self.extras),
-            trial_stats=None if trial_stats is None else [dict(stats) for stats in trial_stats],
-            cached=cached,
-        )
+        if trial_stats is not None:
+            state["trial_stats"] = [dict(stats) for stats in trial_stats]
+        state["cached"] = cached
+        return clone
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], *, spec: Optional[RunSpec] = None) -> "RunResult":

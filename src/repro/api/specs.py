@@ -19,10 +19,12 @@ across a JSON round-trip::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import SpecError
 from repro.topology.topology import Topology
@@ -54,7 +56,26 @@ def _canonical(value: Any) -> Any:
 
 
 #: The one encoder behind :meth:`_SpecBase.canonical_json` (built once, not per call).
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+#: ``_canonical`` rebuilds every ``params`` value as fresh lists and dicts, so a
+#: spec document holds no cycle and the encoder's cycle check is skipped.
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _nested_fields(cls: type) -> Tuple[str, ...]:
+    """The fields of spec class ``cls`` declared to hold a nested spec.
+
+    Computed once per class from the field annotations; ``RunSpec`` checks
+    on construction that each of them holds an instance of its type.
+    """
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        item.name
+        for item in dataclasses.fields(cls)
+        if isinstance(hints[item.name], type) and issubclass(hints[item.name], _SpecBase)
+    )
 
 
 def _spec_dunder_hash(self) -> int:
@@ -96,12 +117,13 @@ class _SpecBase:
         Serializes byte-for-byte like :meth:`to_dict`: ``params`` are already
         canonical from ``__post_init__``, so only nested specs need
         converting, and the deep copy :func:`dataclasses.asdict` makes is
-        wasted on a document that is only hashed.
+        wasted on a document that is only hashed.  A frozen spec's instance
+        ``__dict__`` holds exactly its fields, so one dict copy takes them
+        all; the nested ones come from the per-class :func:`_nested_fields`.
         """
-        plain = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            plain[name] = value._plain() if isinstance(value, _SpecBase) else value
+        plain = self.__dict__.copy()
+        for name in _nested_fields(type(self)):
+            plain[name] = plain[name]._plain()
         return plain
 
     def spec_hash(self) -> str:

@@ -19,6 +19,12 @@ Every run-producing subcommand accepts ``--spec FILE`` to execute a
 emit machine-readable results.  For backward compatibility, unrecognized
 leading arguments (e.g. ``tacos-repro fig10``) are forwarded to
 ``experiments``.
+
+Exit codes: 0 on success; 1 when execution fails (a
+:class:`~repro.errors.SynthesisError`, :class:`~repro.errors.SimulationError`
+or :class:`~repro.errors.VerificationError`, or a ``bench`` check that
+disagrees); 2 for a usage error (an unknown name, bad parameters or a
+malformed ``--spec`` document).
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from repro.api import (
     run_batch,
 )
 from repro.bench import GRIDS, run_bench
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError, SynthesisError, VerificationError
 
 __all__ = ["main", "build_parser"]
 
@@ -416,6 +422,11 @@ def _cmd_experiments(arguments: argparse.Namespace) -> int:
     return experiments_main(argv)
 
 
+#: Errors of a run that was well specified but failed (exit 1); every other
+#: :class:`~repro.errors.ReproError` is a usage error (exit 2).
+_EXECUTION_ERRORS = (SynthesisError, SimulationError, VerificationError)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Command-line entry point; returns a process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -449,6 +460,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # pipe; silence the interpreter's flush-on-exit complaint and leave.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except _EXECUTION_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

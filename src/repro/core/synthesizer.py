@@ -411,9 +411,14 @@ def _execute_trial(
                 }
         next_time = ten.next_event_after(current_time)
         if next_time is None:
+            if not topology.is_connected():
+                raise SynthesisError(
+                    f"synthesis of {pattern.name} on {topology.name} stalled at "
+                    f"t={current_time:.3e}s: the topology is not strongly connected"
+                )
             raise SynthesisError(
-                f"synthesis of {pattern.name} on {topology.name} stalled at t={current_time:.3e}s; "
-                "is the topology strongly connected?"
+                f"synthesis of {pattern.name} on {topology.name} stalled at "
+                f"t={current_time:.3e}s with chunks still undelivered"
             )
         current_time = next_time
 

@@ -183,9 +183,11 @@ class TransferTable:
         Raises :class:`ValueError` on a bad magic, a truncated or oversized
         payload, or columns violating the table invariant (a transfer ending
         before it starts) — a corrupt or foreign buffer never produces a
-        silently wrong table.
+        silently wrong table.  ``data`` may be any byte buffer, such as a
+        ``memoryview`` slice of a larger blob: each column is read straight
+        from it into an array of its own, so the table never aliases it.
         """
-        data = bytes(data)
+        data = memoryview(data).cast("B")
         header = len(_BYTES_MAGIC) + 8
         if len(data) < header or data[: len(_BYTES_MAGIC)] != _BYTES_MAGIC:
             raise ValueError("not a TransferTable byte payload (bad magic)")

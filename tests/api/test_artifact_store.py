@@ -4,6 +4,7 @@ directory."""
 
 import json
 import logging
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 
@@ -19,6 +20,9 @@ from repro.api import (
     ResultCache,
     RunSpec,
     TopologySpec,
+    build_algorithm_artifact,
+    build_collective,
+    build_topology,
     run,
 )
 from repro.api.cache import _ALGORITHM_MAGIC, _HEADER_LENGTH, encode_algorithm
@@ -371,6 +375,113 @@ class TestCorruptEntryLogging:
         # The miss is recomputed and overwrites the corrupt entry.
         assert run(spec, cache=cache).collective_time > 0
         assert ResultCache(tmp_path).get(spec) is not None
+
+
+# ----------------------------------------------------------------------
+# The raw reader: os.open + fstat-sized os.read, then reads until EOF
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def large_algorithm():
+    """3D-RFS 2x4x16 All-Reduce: 32,512 transfers, an artifact over 1 MiB."""
+    spec = RunSpec(
+        topology=TopologySpec("rfs_3d", {"ring_size": 2, "fc_size": 4, "switch_size": 16}),
+        collective=CollectiveSpec("all_reduce", collective_size=64 * MB),
+        algorithm=AlgorithmSpec("tacos", {"trials": 1}),
+    )
+    topology = build_topology(spec.topology)
+    pattern = build_collective(spec.collective, topology.num_npus)
+    algorithm = build_algorithm_artifact(
+        spec.algorithm, topology, pattern, spec.collective.collective_size
+    ).algorithm
+    assert algorithm.num_transfers == 32_512
+    return spec, algorithm
+
+
+def _under_reporting_fstat(report):
+    """An ``os.fstat`` whose ``st_size`` is ``report(true size)``; records calls."""
+    real_fstat = os.fstat
+    calls = []
+
+    def fstat(fd):
+        fields = list(real_fstat(fd))
+        calls.append(fields[6])
+        fields[6] = report(fields[6])  # st_size
+        return os.stat_result(fields)
+
+    return fstat, calls
+
+
+_UNDER_REPORTS = {
+    "zero": lambda size: 0,
+    "half": lambda size: size // 2,
+    "one-short": lambda size: max(size - 1, 0),
+}
+
+
+class TestRawReader:
+    def test_missing_entries_are_silent_misses(self, tmp_path, caplog):
+        store = ArtifactStore(tmp_path / "never-created")
+        with caplog.at_level(logging.DEBUG, logger="repro.api.cache"):
+            assert store.read_json("absent") is None
+            assert store.read_blob("absent", "algorithm") is None
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("entry", ["empty", "invalid-utf8", "directory"])
+    def test_unreadable_result_document_is_one_warning_and_a_miss(
+        self, tmp_path, caplog, entry
+    ):
+        spec = _spec()
+        path = tmp_path / f"{spec.spec_hash()}.json"
+        if entry == "empty":
+            path.write_bytes(b"")
+        elif entry == "invalid-utf8":
+            path.write_bytes(b'{"algorithm": "\xff\xfe"}')
+        else:
+            path.mkdir()
+        cache = ResultCache(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="repro.api.cache"):
+            assert cache.get(spec) is None
+        assert [record.levelno for record in caplog.records] == [logging.WARNING]
+        message = caplog.records[0].getMessage()
+        assert spec.spec_hash() in message and "treating it as a miss" in message
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_large_algorithm_blob_reads_back_byte_identical(self, tmp_path, large_algorithm):
+        spec, algorithm = large_algorithm
+        ResultCache(tmp_path).put_algorithm(spec, algorithm)
+        key = spec.spec_hash()
+        on_disk = (tmp_path / f"{key}.algorithm.bin").read_bytes()
+        assert len(on_disk) > 1 << 20
+        assert on_disk == encode_algorithm(algorithm)
+        assert ArtifactStore(tmp_path).read_blob(key, ResultCache.ALGORITHM_ARTIFACT) == on_disk
+        loaded = ResultCache(tmp_path).load_algorithm(spec)
+        assert loaded.table.to_bytes() == algorithm.table.to_bytes()
+        assert loaded.metadata == json.loads(json.dumps(algorithm.metadata))
+
+    @pytest.mark.parametrize("report", sorted(_UNDER_REPORTS))
+    def test_under_reported_size_is_still_read_whole(
+        self, tmp_path, monkeypatch, large_algorithm, report
+    ):
+        spec, algorithm = large_algorithm
+        store = ArtifactStore(tmp_path)
+        document = {"name": "x" * 5000, "values": list(range(100))}
+        store.write_json("doc", document)
+        blob = encode_algorithm(algorithm)
+        store.write_blob("big", "algorithm", blob)
+        fstat, calls = _under_reporting_fstat(_UNDER_REPORTS[report])
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fstat", fstat)
+            assert store.read_json("doc") == document
+            assert store.read_blob("big", "algorithm") == blob
+        assert calls == [(tmp_path / "doc.json").stat().st_size, len(blob)]
+
+    def test_short_reads_are_continued_to_the_end(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path)
+        data = bytes(range(256)) * 300
+        store.write_blob("k1", "payload", data)
+        real_read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, size: real_read(fd, min(size, 1000)))
+        assert store.read_blob("k1", "payload") == data
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 once, hits never alias the stored entry, and the store reads back the same
 bytes wherever its directory lives."""
 
+import dataclasses
 import hashlib
 import inspect
 import os
@@ -14,6 +15,7 @@ from repro.api import (
     CollectiveSpec,
     ResultCache,
     RunSpec,
+    RunResult,
     TopologySpec,
     run,
     run_batch,
@@ -178,6 +180,69 @@ class TestHitsDoNotAlias:
         cache.absorb(result)
         _mutate(result)
         assert _untouched(cache.get(spec))
+
+
+def _full_result():
+    """A result with a non-default value in every field."""
+    return RunResult(
+        spec=_spec(),
+        algorithm="tacos",
+        topology="Ring(4)",
+        collective="AllReduce",
+        num_npus=4,
+        collective_size=MB,
+        collective_time=2.5e-5,
+        bandwidth_gbps=40.0,
+        synthesis_seconds=0.125,
+        extras={"trials": 2.0, "avg_link_utilization": 0.5},
+        trial_stats=[
+            {"seed": 0, "rounds": 7, "collective_time": 2.5e-5},
+            {"seed": 1, "rounds": 8, "collective_time": 3.0e-5},
+        ],
+        cached=True,
+    )
+
+
+class TestRunResultCopy:
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_every_field_is_carried_and_cached_is_the_requested_flag(self, cached):
+        source = _full_result()
+        copy = source.copy(cached=cached)
+        assert type(copy) is RunResult
+        for item in dataclasses.fields(RunResult):
+            if item.name == "cached":
+                assert copy.cached is cached
+            else:
+                assert getattr(copy, item.name) == getattr(source, item.name), item.name
+        assert copy == source  # ``cached`` is excluded from equality
+        assert source.cached is True
+
+    def test_containers_are_new_objects(self):
+        source = _full_result()
+        copy = source.copy()
+        assert copy.extras is not source.extras
+        assert copy.trial_stats is not source.trial_stats
+        for copied, original in zip(copy.trial_stats, source.trial_stats):
+            assert copied is not original
+        assert copy.spec is source.spec  # frozen: shared, never mutated
+
+    def test_mutating_the_copy_leaves_the_source(self):
+        source = _full_result()
+        expected = source.to_dict()
+        copy = source.copy()
+        copy.extras["trials"] = -1.0
+        copy.extras["added"] = 1.0
+        copy.trial_stats[0]["rounds"] = 999
+        copy.trial_stats[1].clear()
+        copy.trial_stats.append({"seed": 9})
+        copy.collective_time = 1.0
+        assert source.to_dict() == expected
+
+    def test_no_trial_stats_stays_none(self):
+        source = dataclasses.replace(_full_result(), trial_stats=None)
+        copy = source.copy(cached=True)
+        assert copy.trial_stats is None and copy.cached is True
+        assert copy == source
 
 
 # ----------------------------------------------------------------------

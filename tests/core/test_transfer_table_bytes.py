@@ -101,3 +101,52 @@ class TestValidation:
         decoded = TransferTable.from_bytes(table.to_bytes())
         decoded.starts[0] = 42.0  # must not raise (no read-only frombuffer view)
         assert decoded.starts[0] == 42.0
+
+
+def _sample_table():
+    return TransferTable.from_columns(
+        [0.0, 1.5, 2.0], [1.5, 3.0, 2.5], [0, 1, 2], [3, 4, 5], [6, 7, 8]
+    )
+
+
+class TestBufferSlices:
+    """``decode_algorithm`` hands ``from_bytes`` a ``memoryview`` slice of its blob."""
+
+    PREFIX = b"header bytes before the table"
+
+    def _slice(self, payload):
+        return memoryview(self.PREFIX + payload)[len(self.PREFIX):]
+
+    def test_columns_equal_the_source_and_own_writable_memory(self):
+        table = _sample_table()
+        view = self._slice(table.to_bytes())
+        decoded = TransferTable.from_bytes(view)
+        for column in ("starts", "ends", "chunks", "sources", "dests"):
+            original = getattr(table, column)
+            restored = getattr(decoded, column)
+            assert restored.dtype == original.dtype
+            assert restored.tobytes() == original.tobytes()
+            assert restored.flags.owndata and restored.flags.writeable
+            assert not np.shares_memory(restored, np.frombuffer(view.obj, dtype=np.uint8))
+        decoded.starts[0] = 42.0
+        assert table.starts[0] == 0.0
+
+    def test_bytearray_source_can_change_after_decoding(self):
+        table = _sample_table()
+        buffer = bytearray(self.PREFIX + table.to_bytes())
+        decoded = TransferTable.from_bytes(memoryview(buffer)[len(self.PREFIX):])
+        buffer[len(self.PREFIX):] = bytes(len(buffer) - len(self.PREFIX))
+        assert decoded.to_bytes() == table.to_bytes()
+
+    def test_truncated_slice_rejected(self):
+        with pytest.raises(ValueError, match="bytes"):
+            TransferTable.from_bytes(self._slice(_sample_table().to_bytes()[:-1]))
+
+    def test_oversized_slice_rejected(self):
+        with pytest.raises(ValueError, match="bytes"):
+            TransferTable.from_bytes(self._slice(_sample_table().to_bytes() + b"\x00" * 8))
+
+    def test_bad_magic_slice_rejected(self):
+        payload = _sample_table().to_bytes()
+        with pytest.raises(ValueError, match="magic"):
+            TransferTable.from_bytes(self._slice(b"XXXXXXXX" + payload[8:]))
