@@ -29,8 +29,6 @@ not be compared):
 Do not "optimize" this module; its slowness is the point.
 """
 
-# repro-lint: disable-file=C301,C302,C303 -- frozen pre-columnar reference engine: the row-object loops ARE the benchmark baseline, and the determinism contract above is what keeps it comparable
-
 from __future__ import annotations
 
 import heapq

@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser(
         "lint",
         help="run the static invariant analyzer (determinism, process-safety, "
-        "columnar hot paths, artifact hygiene, registry contracts)",
+        "artifact hygiene, registry contracts)",
         add_help=False,
     )
     return parser

@@ -551,9 +551,6 @@ class TrialBound:
         self._dist_top = len(dist_hist) - 1
 
     def update(self, transfers) -> None:
-        # repro-lint: disable-scope=C301,C302 -- one round's freshly committed
-        # transfers arrive as a short row list from the matcher, never a
-        # materialized TransferTable slice
         """Fold one round's committed transfers into the incremental tracking.
 
         Counts and weights only ever fall: a transfer satisfies at most one

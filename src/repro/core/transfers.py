@@ -237,7 +237,7 @@ class TransferTable:
         from repro.core.algorithm import ChunkTransfer
 
         return list(
-            map(  # repro-lint: disable=C303 -- this IS the documented compat view; callers opt out of the columnar hot path on purpose
+            map(
                 ChunkTransfer._make,
                 zip(
                     self.starts.tolist(),

@@ -444,7 +444,6 @@ def _small_check_links(
     topology: Topology,
     check_link_timing: bool,
 ) -> None:
-    # repro-lint: disable-scope=C301,C302 -- small-table fallback below
     # SMALL_TABLE_CUTOVER: plain row loops beat numpy setup cost here by design
     for transfer in transfers:
         if not topology.has_link(transfer.source, transfer.dest):
@@ -461,7 +460,6 @@ def _small_check_links(
 
 
 def _small_check_no_link_overlap(transfers: List[ChunkTransfer]) -> None:
-    # repro-lint: disable-scope=C301,C302 -- small-table fallback below
     # SMALL_TABLE_CUTOVER: plain row loops beat numpy setup cost here by design
     occupancy: Dict[Tuple[int, int], List[ChunkTransfer]] = {}
     for transfer in transfers:
@@ -478,7 +476,6 @@ def _small_check_no_link_overlap(transfers: List[ChunkTransfer]) -> None:
 def _small_verify_non_reducing(
     algorithm: CollectiveAlgorithm, pattern: CollectivePattern
 ) -> None:
-    # repro-lint: disable-scope=C301,C302 -- small-table fallback below
     # SMALL_TABLE_CUTOVER: plain row loops beat numpy setup cost here by design
     precondition = pattern.precondition()
     arrival: Dict[Tuple[int, int], float] = {}
@@ -511,7 +508,6 @@ def _small_verify_non_reducing(
 def _small_verify_reduction(
     algorithm: CollectiveAlgorithm, pattern: CollectivePattern
 ) -> None:
-    # repro-lint: disable-scope=C301,C302 -- small-table fallback below
     # SMALL_TABLE_CUTOVER: plain row loops beat numpy setup cost here by design
     transfers = algorithm.transfers
     inbound: Dict[Tuple[int, int], List[ChunkTransfer]] = {}
@@ -574,7 +570,6 @@ def _small_verify_reduction(
 
 
 def _small_verify_all_reduce(algorithm: CollectiveAlgorithm, pattern: AllReduce) -> None:
-    # repro-lint: disable-scope=C301,C302,C303 -- small-table fallback below
     # SMALL_TABLE_CUTOVER: the phase split rebuilds a handful of rows; columnar
     # construction would cost more than it saves at these sizes
     boundary = algorithm.metadata.get("phase_boundary")

@@ -1,7 +1,7 @@
 """Paper-reproduction experiments: one module per table or figure.
 
-See DESIGN.md for the experiment index (which module reproduces which table
-or figure with which parameters) and EXPERIMENTS.md for measured results.
+Each module's docstring names the table or figure it reproduces and its
+parameters; see EXPERIMENTS.md for measured results.
 """
 
 from repro.experiments import (

@@ -7,44 +7,38 @@ stdlib-``ast`` analyzer that machine-checks the invariants those dynamic
 gates have historically caught only after the fact (the PR 1 unordered-set
 Graham-anomaly test, the PR 5 one-ulp float-association Dijkstra flip).
 
-Five rule families, each a visitor over a shared per-module analysis
+Four rule families, each a visitor over a shared per-module analysis
 context (:class:`~repro.lint.context.ModuleContext`) with import and scope
 resolution, plus a project-wide symbol index for cross-module checks:
 
 * **D — determinism**: unordered iteration feeding order-sensitive sinks,
-  unseeded module-level RNG, wall-clock reads, float-accumulation-order
-  hazards in modules tagged ``deterministic``;
+  unseeded module-level RNG, and — in the modules listed in
+  :data:`~repro.lint.config.DETERMINISTIC_MODULES` — wall-clock reads and
+  float-accumulation-order hazards;
 * **P — process-safety**: callables crossing the
   :class:`~repro.api.parallel.ExecutionBackend` seam must be module-level
   (picklable) defs; worker payload classes must avoid unpicklable fields;
-* **C — columnar hot path**: Python row loops, per-row attribute access,
-  and ``ChunkTransfer`` materialization in modules tagged ``hot``;
+  no ad-hoc executors per call;
 * **J — artifact hygiene**: ``json.dump(s)`` without an explicit
   ``allow_nan`` decision, any pickle use;
 * **R — registry contracts**: ``@register``-decorated plugins must match
   their registry's builder signature contract.
 
-Configuration lives in ``pyproject.toml`` (``[tool.repro-lint]``); inline
-``# repro-lint: disable=RULE -- reason`` suppressions require a trailing
-reason, and a checked-in baseline file grandfathers legacy findings so the
-CI gate is zero-new-findings from day one.
+Intentional exemptions are inline ``# repro-lint: disable=RULE -- reason``
+directives, which require the trailing reason (the S family checks them).
+The gate fails on any finding a directive does not cover.
 
 Run it as ``tacos-repro lint`` or ``python -m repro.lint``.
 """
 
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
-from repro.lint.config import LintConfig, load_config
+from repro.lint.config import DETERMINISTIC_MODULES, LintConfig
 from repro.lint.findings import Finding
-from repro.lint.runner import LintReport, lint_paths, run_lint
+from repro.lint.runner import LintReport, run_lint
 
 __all__ = [
-    "Baseline",
+    "DETERMINISTIC_MODULES",
     "Finding",
     "LintConfig",
     "LintReport",
-    "lint_paths",
-    "load_baseline",
-    "load_config",
     "run_lint",
-    "write_baseline",
 ]

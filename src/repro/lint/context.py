@@ -2,18 +2,19 @@
 
 Every rule family operates on a :class:`ModuleContext`: the parsed AST plus
 import resolution (local alias -> dotted qualified name, including relative
-imports), the module-level symbol table, the module's configured tags, and
-source access for snippet extraction.  Cross-module checks (the R family
-resolving a registered builder through package re-exports) go through
-:class:`ProjectIndex`, which is built once over all analyzed modules.
+imports), the module-level symbol table, whether the module is
+deterministic, and source access for snippet extraction.  Cross-module
+checks (the R family resolving a registered builder through package
+re-exports) go through :class:`ProjectIndex`, which is built once over all
+analyzed modules.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.dataflow import SetTaint
@@ -23,7 +24,7 @@ __all__ = [
     "FunctionInfo",
     "ModuleContext",
     "ProjectIndex",
-    "ProjectSummaries",
+    "function_info",
     "module_name_for",
 ]
 
@@ -65,8 +66,7 @@ class ModuleContext:
         self.lines = source.splitlines()
         self.tree = tree
         self.module_name = module_name
-        self.config = config
-        self.tags = config.module_tags(module_name)
+        self.deterministic = config.is_deterministic(module_name)
         self.is_package = path.name == "__init__.py"
         #: local alias -> dotted qualified name ("np" -> "numpy",
         #: "map_parallel" -> "repro.api.parallel.map_parallel").
@@ -146,13 +146,7 @@ class ModuleContext:
             return self.lines[line - 1].strip()
         return ""
 
-    def finding(
-        self,
-        rule: str,
-        node: ast.AST,
-        message: str,
-        fix: Optional[Tuple[Tuple[int, int, int, int, str], ...]] = None,
-    ) -> Finding:
+    def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0) + 1
         return Finding(
@@ -163,28 +157,7 @@ class ModuleContext:
             message=message,
             snippet=self.snippet(line),
             module=self.module_name,
-            fix=fix,
         )
-
-    # ------------------------------------------------------------------
-    # Scope walking
-    # ------------------------------------------------------------------
-    def function_scopes(self) -> Iterator[Tuple[ast.AST, List[ast.AST]]]:
-        """Yield ``(scope_node, enclosing_chain)`` for every function scope.
-
-        ``enclosing_chain`` lists the enclosing function scopes from the
-        outermost inward (empty for module-level defs).
-        """
-
-        def walk(node: ast.AST, chain: List[ast.AST]) -> Iterator[Tuple[ast.AST, List[ast.AST]]]:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                    yield child, list(chain)
-                    yield from walk(child, chain + [child])
-                else:
-                    yield from walk(child, chain)
-
-        yield from walk(self.tree, [])
 
 
 @dataclass(frozen=True)
@@ -204,7 +177,7 @@ class FunctionInfo:
         return self.has_varkw or name in self.positional or name in self.keyword_only
 
 
-def _function_info(qualified_name: str, args: ast.arguments) -> FunctionInfo:
+def function_info(qualified_name: str, args: ast.arguments) -> FunctionInfo:
     return FunctionInfo(
         qualified_name=qualified_name,
         positional=tuple(arg.arg for arg in (*args.posonlyargs, *args.args)),
@@ -214,36 +187,18 @@ def _function_info(qualified_name: str, args: ast.arguments) -> FunctionInfo:
     )
 
 
-@dataclass
-class ProjectSummaries:
-    """The picklable cross-module facts a worker needs to run every rule.
-
-    This is the entire surface rules consume from :class:`ProjectIndex`:
-    callable signatures, import alias chains, and the one-level
-    "returns a set" summaries the flow-sensitive D family follows across
-    module boundaries.  Plain dicts of frozen dataclasses and strings, so it
-    crosses the process boundary under the ``--workers`` fan-out.
-    """
-
-    functions: Dict[str, FunctionInfo] = dataclass_field(default_factory=dict)
-    aliases: Dict[str, str] = dataclass_field(default_factory=dict)
-    set_returning: Dict[str, str] = dataclass_field(default_factory=dict)
-
-
 class ProjectIndex:
     """Cross-module symbol table over every analyzed module.
 
     Resolution follows import re-export chains (``repro.topology.builders``
     re-exporting ``build_ring`` from ``.ring``) up to a small depth bound, so
     registry-contract rules can check builders registered in one module but
-    defined in another.  Worker processes rebuild an equivalent index from
-    the picklable :class:`ProjectSummaries` via :meth:`from_summaries`.
+    defined in another.
     """
 
     _MAX_HOPS = 8
 
     def __init__(self, contexts: Dict[str, ModuleContext]) -> None:
-        self.contexts = contexts
         self._functions: Dict[str, FunctionInfo] = {}
         self._aliases: Dict[str, str] = {}
         self._set_returning: Dict[str, str] = {}
@@ -252,31 +207,15 @@ class ProjectIndex:
             for name, node in context.module_defs.items():
                 qualified = f"{context.module_name}.{name}"
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self._functions[qualified] = _function_info(qualified, node.args)
+                    self._functions[qualified] = function_info(qualified, node.args)
                     if taint.returns_set(node.body):
                         self._set_returning[qualified] = (
                             f"a set returned by {name}()"
                         )
                 elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
-                    self._functions[qualified] = _function_info(qualified, node.value.args)
+                    self._functions[qualified] = function_info(qualified, node.value.args)
             for local, target in context.imports.items():
                 self._aliases[f"{context.module_name}.{local}"] = target
-
-    @classmethod
-    def from_summaries(cls, summaries: ProjectSummaries) -> "ProjectIndex":
-        index = cls.__new__(cls)
-        index.contexts = {}
-        index._functions = dict(summaries.functions)
-        index._aliases = dict(summaries.aliases)
-        index._set_returning = dict(summaries.set_returning)
-        return index
-
-    def summaries(self) -> ProjectSummaries:
-        return ProjectSummaries(
-            functions=dict(self._functions),
-            aliases=dict(self._aliases),
-            set_returning=dict(self._set_returning),
-        )
 
     def _resolve_chain(self, qualified_name: Optional[str]) -> Optional[str]:
         """Follow alias chains to a name present in any fact table."""

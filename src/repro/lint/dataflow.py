@@ -20,10 +20,8 @@ layers, all over stdlib :mod:`ast` only:
   reassignment and by the ``sorted(...)`` sanitizer, reported at
   order-sensitive sinks.
 
-The K family reuses the first two layers with its own transfer function
-(RNG-draw / ``mt_export`` facts), so this module deliberately knows nothing
-about rules or findings: it reports sinks as plain :class:`SinkHit` records
-and leaves messages to the callers.
+The module knows nothing about rules or findings: it reports sinks as
+plain :class:`SinkHit` records and leaves messages to the callers.
 """
 
 from __future__ import annotations
@@ -104,16 +102,6 @@ class CFG:
 
     def successors(self, index: int) -> Tuple[int, ...]:
         return tuple(self.nodes[index].succs)
-
-    def describe(self) -> List[str]:
-        """Human/test-readable dump: ``index kind[@line] -> successors``."""
-        lines = []
-        for node in self.nodes:
-            line = getattr(node.ast_node, "lineno", None)
-            location = f"@{line}" if line is not None else ""
-            succs = ",".join(str(succ) for succ in node.succs)
-            lines.append(f"{node.index} {node.kind}{location} -> {succs}")
-        return lines
 
 
 class _LoopFrame:
@@ -437,9 +425,6 @@ class SinkHit:
 
     expr: ast.expr
     origin: str
-    #: True when the sink expression is literally ``X.keys()`` — the
-    #: autofixable redundant-view case.
-    is_keys_call: bool
 
 
 class SetTaint:
@@ -589,11 +574,6 @@ class SetTaint:
         cfg = build_cfg(body, name)
         return cfg, run_forward(cfg, self.transfer, seed)
 
-    def exit_state(self, body: Sequence[ast.stmt]) -> State:
-        """The join of all paths' final states (used as a module seed)."""
-        cfg, in_states = self.analyze(body)
-        return in_states[CFG.EXIT] or {}
-
     def returns_set(self, body: Sequence[ast.stmt]) -> bool:
         """True when any return path's value is set-origin (summary phase)."""
         cfg, in_states = self.analyze(body)
@@ -625,14 +605,7 @@ class SetTaint:
         origin = self.origin_of(expr, state)
         if origin is None:
             return None
-        is_keys = (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr == "keys"
-            and not expr.args
-            and not expr.keywords
-        )
-        return SinkHit(expr=expr, origin=origin, is_keys_call=is_keys)
+        return SinkHit(expr=expr, origin=origin)
 
     def _scan_expr(self, expr: ast.expr, state: State) -> Iterator[SinkHit]:
         if isinstance(expr, ast.Lambda):

@@ -1,27 +1,19 @@
-"""The :class:`Finding` record every rule emits, and its baseline fingerprint."""
+"""The :class:`Finding` record every rule emits."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict
 
-__all__ = ["Finding", "FixEdit"]
-
-#: One autofix edit: (start_line, start_col, end_line, end_col, replacement)
-#: with ast conventions — 1-based lines, 0-based UTF-8 byte columns.  A pure
-#: insertion has start == end.
-FixEdit = Tuple[int, int, int, int, str]
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True)
 class Finding:
     """One rule violation at a source location.
 
-    ``snippet`` is the stripped source line; the baseline matches findings by
-    ``(rule, path, snippet)`` rather than line number, so unrelated edits that
-    shift a grandfathered finding up or down the file do not invalidate it.
-    ``fix`` optionally carries machine-applicable edits for ``--fix``; it is
-    deliberately excluded from the fingerprint.
+    ``snippet`` is the stripped source line, so a report reads on its own
+    without the file open next to it.
     """
 
     rule: str
@@ -31,16 +23,6 @@ class Finding:
     message: str
     snippet: str = ""
     module: str = ""
-    fix: Optional[Tuple[FixEdit, ...]] = None
-
-    @property
-    def family(self) -> str:
-        """The rule family letter (``"D"`` for ``D101``, ...)."""
-        return self.rule[:1]
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.snippet)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -51,35 +33,7 @@ class Finding:
             "message": self.message,
             "snippet": self.snippet,
             "module": self.module,
-            "fixable": self.fix is not None,
         }
-
-    def to_cache_dict(self) -> Dict[str, Any]:
-        """Lossless serialization for the incremental findings cache."""
-        entry = self.to_dict()
-        del entry["fixable"]
-        if self.fix is not None:
-            entry["fix"] = [list(edit) for edit in self.fix]
-        return entry
-
-    @classmethod
-    def from_cache_dict(cls, entry: Mapping[str, Any]) -> "Finding":
-        fix: Optional[Tuple[FixEdit, ...]] = None
-        if entry.get("fix") is not None:
-            fix = tuple(
-                (int(edit[0]), int(edit[1]), int(edit[2]), int(edit[3]), str(edit[4]))
-                for edit in entry["fix"]
-            )
-        return cls(
-            rule=str(entry["rule"]),
-            path=str(entry["path"]),
-            line=int(entry["line"]),
-            col=int(entry["col"]),
-            message=str(entry["message"]),
-            snippet=str(entry.get("snippet", "")),
-            module=str(entry.get("module", "")),
-            fix=fix,
-        )
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"

@@ -8,13 +8,12 @@ suppression validation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.lint.context import ModuleContext, ProjectIndex
 from repro.lint.findings import Finding
 from repro.lint.rules import (
     artifacts,
-    columnar,
     determinism,
     process_safety,
     registry_contracts,
@@ -26,7 +25,6 @@ __all__ = ["ALL_RULES", "FAMILIES", "run_rules"]
 FAMILIES: List[Tuple[str, str, object]] = [
     ("D", "determinism", determinism),
     ("P", "process-safety", process_safety),
-    ("C", "columnar hot path", columnar),
     ("J", "artifact hygiene", artifacts),
     ("R", "registry contracts", registry_contracts),
 ]
@@ -51,14 +49,7 @@ def _collect_rules() -> Dict[str, str]:
 ALL_RULES: Dict[str, str] = _collect_rules()
 
 
-def run_rules(
-    context: ModuleContext, index: ProjectIndex, disabled: Iterable[str] = ()
-) -> Iterator[Finding]:
-    """Run every enabled rule family over one module."""
-    off = {code.upper() for code in disabled}
+def run_rules(context: ModuleContext, index: ProjectIndex) -> Iterator[Finding]:
+    """Run every rule family over one module."""
     for _, _, module in FAMILIES:
-        if all(code in off for code in module.RULES):
-            continue
-        for finding in module.check(context, index):
-            if finding.rule not in off:
-                yield finding
+        yield from module.check(context, index)

@@ -14,10 +14,10 @@ blobs + strict-JSON design exists precisely to avoid it.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator
 
 from repro.lint.context import ModuleContext, ProjectIndex
-from repro.lint.findings import Finding, FixEdit
+from repro.lint.findings import Finding
 
 __all__ = ["RULES", "check"]
 
@@ -32,21 +32,6 @@ _PICKLE_MODULES = {"pickle", "cPickle", "_pickle", "dill", "cloudpickle", "shelv
 def check(context: ModuleContext, index: ProjectIndex) -> Iterator[Finding]:
     yield from _check_json_calls(context)
     yield from _check_pickle(context)
-
-
-def _allow_nan_fix(node: ast.Call) -> Optional[Tuple[FixEdit, ...]]:
-    """Insert ``, allow_nan=False`` after the call's last argument."""
-    ends = []
-    for argument in (*node.args, *node.keywords):
-        end_lineno = getattr(argument, "end_lineno", None)
-        end_col = getattr(argument, "end_col_offset", None)
-        if end_lineno is None or end_col is None:
-            return None
-        ends.append((end_lineno, end_col))
-    if not ends:
-        return None
-    line, col = max(ends)
-    return ((line, col, line, col, ", allow_nan=False"),)
 
 
 def _check_json_calls(context: ModuleContext) -> Iterator[Finding]:
@@ -67,7 +52,6 @@ def _check_json_calls(context: ModuleContext) -> Iterator[Finding]:
             "non-standard NaN/Infinity literals on non-finite input; pass "
             "allow_nan=False for strict artifacts (or allow_nan=True to "
             "document that the payload may carry non-finite floats)",
-            fix=_allow_nan_fix(node),
         )
 
 

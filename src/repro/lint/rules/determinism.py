@@ -24,11 +24,11 @@ Reassigning a name to a non-set kills the taint, as does passing it through
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Set
 
 from repro.lint.context import ModuleContext, ProjectIndex
 from repro.lint.dataflow import CFG, SetTaint, SinkHit, assigned_names
-from repro.lint.findings import Finding, FixEdit
+from repro.lint.findings import Finding
 
 __all__ = ["RULES", "check"]
 
@@ -38,6 +38,9 @@ RULES: Dict[str, str] = {
     "D103": "wall-clock read inside a module tagged deterministic",
     "D104": "unparenthesized a+b+c float accumulation over cost terms (association hazard)",
 }
+
+#: Operand-name fragments treated as cost-model terms by D104.
+COST_TERMS = ("alpha", "beta", "cost", "dist", "distance", "latency", "delay")
 
 #: Wall-clock calls that are nondeterministic regardless of arguments.
 _WALL_CLOCK_ALWAYS = {
@@ -70,7 +73,7 @@ _NP_RANDOM_CONSTRUCTORS = {
 def check(context: ModuleContext, index: ProjectIndex) -> Iterator[Finding]:
     yield from _check_set_iteration(context, index)
     yield from _check_rng(context)
-    if "deterministic" in context.tags:
+    if context.deterministic:
         yield from _check_wall_clock(context)
         yield from _check_float_association(context)
 
@@ -90,31 +93,13 @@ def _scope_parameters(scope: ast.AST) -> Set[str]:
     return names
 
 
-def _keys_removal_fix(
-    context: ModuleContext, call: ast.Call
-) -> Optional[tuple]:
-    """Edit replacing ``X.keys()`` with ``X`` (the redundant-view autofix)."""
-    receiver = call.func.value  # type: ignore[attr-defined]
-    receiver_text = ast.get_source_segment(context.source, receiver)
-    end_lineno = getattr(call, "end_lineno", None)
-    end_col = getattr(call, "end_col_offset", None)
-    if receiver_text is None or end_lineno is None or end_col is None:
-        return None
-    edit: FixEdit = (call.lineno, call.col_offset, end_lineno, end_col, receiver_text)
-    return (edit,)
-
-
 def _sink_finding(context: ModuleContext, hit: SinkHit) -> Finding:
-    fix = None
-    if hit.is_keys_call and isinstance(hit.expr, ast.Call):
-        fix = _keys_removal_fix(context, hit.expr)
     return context.finding(
         "D101",
         hit.expr,
         f"iterating {hit.origin} feeds an order-sensitive sink; "
         "wrap it in sorted(...) (or keep an explicitly ordered "
         "structure) so the traversal order is deterministic",
-        fix=fix,
     )
 
 
@@ -227,25 +212,24 @@ def _add_chain_leaves(node: ast.AST, leaves: List[ast.AST]) -> None:
         leaves.append(node)
 
 
-def _is_cost_term(node: ast.AST, cost_terms: Set[str]) -> bool:
+def _is_cost_term(node: ast.AST) -> bool:
     if isinstance(node, ast.Name):
-        return _matches_cost_term(node.id, cost_terms)
+        return _matches_cost_term(node.id)
     if isinstance(node, ast.Attribute):
-        return _matches_cost_term(node.attr, cost_terms)
+        return _matches_cost_term(node.attr)
     if isinstance(node, ast.Subscript):
-        return _is_cost_term(node.value, cost_terms)
+        return _is_cost_term(node.value)
     if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
-        return _is_cost_term(node.left, cost_terms) or _is_cost_term(node.right, cost_terms)
+        return _is_cost_term(node.left) or _is_cost_term(node.right)
     return False
 
 
-def _matches_cost_term(identifier: str, cost_terms: Set[str]) -> bool:
+def _matches_cost_term(identifier: str) -> bool:
     lowered = identifier.lower()
-    return any(term in lowered for term in cost_terms)
+    return any(term in lowered for term in COST_TERMS)
 
 
 def _check_float_association(context: ModuleContext) -> Iterator[Finding]:
-    cost_terms = set(context.config.cost_terms)
     parents: Dict[int, ast.AST] = {}
     for node in ast.walk(context.tree):
         for child in ast.iter_child_nodes(node):
@@ -261,7 +245,7 @@ def _check_float_association(context: ModuleContext) -> Iterator[Finding]:
         _add_chain_leaves(node, leaves)
         if len(leaves) < 3:
             continue
-        cost_leaves = [leaf for leaf in leaves if _is_cost_term(leaf, cost_terms)]
+        cost_leaves = [leaf for leaf in leaves if _is_cost_term(leaf)]
         if len(cost_leaves) < 2:
             continue
         yield context.finding(

@@ -35,6 +35,36 @@ RULES: Dict[str, str] = {
     "outside the execution-backend modules",
 }
 
+#: Qualified names whose first positional argument is a mapped callable that
+#: may cross a process boundary.
+FANOUT_FUNCTIONS = ("repro.api.parallel.map_parallel",)
+
+#: ``receiver.method`` call shapes treated as fan-out seams when the
+#: receiver is not statically resolvable (``backend.map(fn, ...)``).
+FANOUT_METHODS = ("map",)
+FANOUT_RECEIVERS = ("backend",)
+
+#: Class-name suffixes identifying worker payload classes for P202.
+PAYLOAD_SUFFIXES = ("Payload",)
+
+#: Pool/executor constructors P203 watches for.
+EXECUTOR_FACTORIES = frozenset(
+    {
+        "concurrent.futures.ProcessPoolExecutor",
+        "concurrent.futures.ThreadPoolExecutor",
+        "concurrent.futures.process.ProcessPoolExecutor",
+        "concurrent.futures.thread.ThreadPoolExecutor",
+        "multiprocessing.Pool",
+        "multiprocessing.pool.Pool",
+        "multiprocessing.pool.ThreadPool",
+        "multiprocessing.dummy.Pool",
+    }
+)
+
+#: Modules exempt from P203: the execution-backend seam itself owns pool
+#: construction and lifecycle.
+EXECUTOR_MODULES = ("repro.api.parallel",)
+
 #: Annotation names (bare or qualified tail) that cannot cross a process
 #: boundary via pickle.
 _UNPICKLABLE_ANNOTATIONS = {
@@ -85,12 +115,12 @@ class _Scope:
 
 def _is_fanout_call(call: ast.Call, context: ModuleContext) -> bool:
     qualified = context.qualified_name(call.func)
-    if qualified is not None and qualified in context.config.fanout_functions:
+    if qualified is not None and qualified in FANOUT_FUNCTIONS:
         return True
     func = call.func
-    if isinstance(func, ast.Attribute) and func.attr in context.config.fanout_methods:
+    if isinstance(func, ast.Attribute) and func.attr in FANOUT_METHODS:
         receiver = func.value
-        if isinstance(receiver, ast.Name) and receiver.id in context.config.fanout_receivers:
+        if isinstance(receiver, ast.Name) and receiver.id in FANOUT_RECEIVERS:
             return True
     return False
 
@@ -191,9 +221,8 @@ def _annotation_names(node: ast.AST) -> Iterator[str]:
 
 
 def _check_payload_classes(context: ModuleContext) -> Iterator[Finding]:
-    suffixes = tuple(context.config.payload_suffixes)
     for node in ast.walk(context.tree):
-        if not isinstance(node, ast.ClassDef) or not node.name.endswith(suffixes):
+        if not isinstance(node, ast.ClassDef) or not node.name.endswith(PAYLOAD_SUFFIXES):
             continue
         for statement in node.body:
             annotation: Optional[ast.AST] = None
@@ -254,22 +283,17 @@ def _is_map_shaped(name: str) -> bool:
 def _check_executor_construction(context: ModuleContext) -> Iterator[Finding]:
     """P203: an executor born inside a loop or a ``map``-shaped function.
 
-    The execution-backend modules (``executor-modules`` config, default
-    ``repro.api.parallel``) are exempt — owning pool construction and
+    The execution-backend modules (:data:`EXECUTOR_MODULES`) are exempt — owning pool construction and
     lifecycle is exactly their job; everywhere else a per-call executor
     silently pays worker spin-up on every fan-out that the persistent
     pool backend amortizes.  Conservative by construction: only
     constructor calls that resolve to a known executor factory
-    (``executor-factories`` config) are flagged, and only when they sit
+    (:data:`EXECUTOR_FACTORIES`) are flagged, and only when they sit
     lexically inside a ``for``/``while`` body or a function whose name
     matches a ``map`` shape.
     """
-    if any(
-        fnmatchcase(context.module_name, pattern)
-        for pattern in context.config.executor_modules
-    ):
+    if any(fnmatchcase(context.module_name, pattern) for pattern in EXECUTOR_MODULES):
         return
-    factories = set(context.config.executor_factories)
 
     def walk(node: ast.AST, loop_depth: int, map_function: Optional[str]) -> Iterator[Finding]:
         for child in ast.iter_child_nodes(node):
@@ -285,7 +309,7 @@ def _check_executor_construction(context: ModuleContext) -> Iterator[Finding]:
                 child_map = child.name if _is_map_shaped(child.name) else map_function
             elif isinstance(child, ast.Call):
                 qualified = context.qualified_name(child.func)
-                if qualified in factories and (loop_depth > 0 or map_function is not None):
+                if qualified in EXECUTOR_FACTORIES and (loop_depth > 0 or map_function is not None):
                     where = (
                         "inside a loop"
                         if loop_depth > 0

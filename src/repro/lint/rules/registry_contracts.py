@@ -15,10 +15,9 @@ are still checked, through the package re-export chain).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.config import REGISTRY_CONTRACTS
-from repro.lint.context import FunctionInfo, ModuleContext, ProjectIndex
+from repro.lint.context import FunctionInfo, ModuleContext, ProjectIndex, function_info
 from repro.lint.findings import Finding
 
 __all__ = ["RULES", "check"]
@@ -26,6 +25,21 @@ __all__ = ["RULES", "check"]
 RULES: Dict[str, str] = {
     "R501": "registered algorithm builder does not accept the registry's positional contract",
     "R502": "topology builder lacks a parameter named in its positional=() metadata",
+}
+
+#: Builder contracts, keyed by the registry object's qualified name.
+#: ``min_positional`` is the number of leading positional parameters the
+#: registered callable must accept; ``check_positional_metadata`` checks
+#: that ``positional=(...)`` names are parameters of the registered builder.
+REGISTRY_CONTRACTS: Dict[str, Dict[str, Any]] = {
+    "repro.api.registry.ALGORITHMS": {
+        "min_positional": 3,
+        "contract": "fn(topology, pattern, collective_size, **params)",
+    },
+    "repro.api.registry.TOPOLOGIES": {
+        "check_positional_metadata": True,
+        "contract": "fn(**params) with declared positional names",
+    },
 }
 
 
@@ -104,21 +118,11 @@ def _resolve_target(
     if target is None:
         return None
     if isinstance(target, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return _info_from_args(f"{context.module_name}.{target.name}", target.args)
+        return function_info(f"{context.module_name}.{target.name}", target.args)
     if isinstance(target, ast.Lambda):
-        return _info_from_args(f"{context.module_name}.<lambda>", target.args)
+        return function_info(f"{context.module_name}.<lambda>", target.args)
     qualified = context.qualified_name(target)
     return index.resolve_function(qualified)
-
-
-def _info_from_args(qualified_name: str, args: ast.arguments) -> FunctionInfo:
-    return FunctionInfo(
-        qualified_name=qualified_name,
-        positional=tuple(arg.arg for arg in (*args.posonlyargs, *args.args)),
-        keyword_only=tuple(arg.arg for arg in args.kwonlyargs),
-        has_vararg=args.vararg is not None,
-        has_varkw=args.kwarg is not None,
-    )
 
 
 def _positional_metadata(call: ast.Call) -> List[Tuple[str, ast.keyword]]:

@@ -6,9 +6,9 @@ Three scopes:
   ``x = list(items)  # repro-lint: disable=D101 -- insertion order is the contract here``
 * function/class scope — a standalone comment *inside* a ``def`` or
   ``class`` body suppresses the named rules for that whole definition:
-  ``# repro-lint: disable-scope=C301,C302 -- small-table path, loops are the design``
+  ``# repro-lint: disable-scope=D104 -- parity with the frozen twin's association``
 * file scope — a standalone comment anywhere in the module:
-  ``# repro-lint: disable-file=C301,C302 -- frozen reference engine, exempt by design``
+  ``# repro-lint: disable-file=J401 -- fixture: exercising the suppression machinery``
 
 Every suppression **requires** a trailing reason after ``--``.  A
 suppression without one does not suppress anything and additionally raises
@@ -56,23 +56,16 @@ class Suppressions:
     )
     #: malformed/unknown-code directives, reported as S-findings.
     problems: List[Finding] = field(default_factory=list)
-    #: (rule, line) pairs that matched at least one finding — used to flag
-    #: nothing today, kept for a future unused-suppression rule.
-    used: Set[Tuple[str, int]] = field(default_factory=set)
 
     def suppresses(self, finding: Finding) -> bool:
         if finding.rule in self.file_wide:
-            self.used.add((finding.rule, 0))
             return True
-        lines = self.by_line.get(finding.rule)
-        if lines and finding.line in lines:
-            self.used.add((finding.rule, finding.line))
+        if finding.line in self.by_line.get(finding.rule, ()):
             return True
-        for start, end in self.by_range.get(finding.rule, ()):
-            if start <= finding.line <= end:
-                self.used.add((finding.rule, start))
-                return True
-        return False
+        return any(
+            start <= finding.line <= end
+            for start, end in self.by_range.get(finding.rule, ())
+        )
 
     def resolve_scopes(self, tree: ast.Module, path: str, module: str) -> None:
         """Attach each ``disable-scope`` directive to its enclosing def/class.

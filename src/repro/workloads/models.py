@@ -12,7 +12,7 @@ All-Reduced matters.  Each descriptor therefore records
   breakdown (communication-dominated for GNMT/Turing-NLG/MSFT-1T,
   compute-heavier for ResNet-50).
 
-The numbers are documented substitutions (see DESIGN.md): they fix the
+The numbers are documented substitutions: they fix the
 *scale* of the workload, while who-wins comparisons across collective
 algorithms are driven entirely by the simulated communication time.
 """

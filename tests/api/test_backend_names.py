@@ -10,7 +10,6 @@ import pytest
 from repro.api.parallel import BACKENDS
 from repro.cli import build_parser as build_cli_parser
 from repro.experiments.runner import main as runner_main
-from repro.lint.cli import build_parser as build_lint_parser
 
 
 def _cli(*prefix):
@@ -19,10 +18,6 @@ def _cli(*prefix):
         return arguments.execution
 
     return parse
-
-
-def _lint(name):
-    return build_lint_parser().parse_args(["--execution", name]).execution
 
 
 def _runner(name):
@@ -36,7 +31,6 @@ ENTRY_POINTS = {
     "sweep": _cli("sweep", "-t", "ring:4"),
     "bench": _cli("bench"),
     "experiments": _cli("experiments"),
-    "lint": _lint,
     "runner": _runner,
 }
 

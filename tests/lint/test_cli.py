@@ -1,7 +1,9 @@
-"""Exit-code sweep for ``tacos-repro lint`` / ``python -m repro.lint``.
+"""Exit-code sweep and report contract for ``tacos-repro lint`` /
+``python -m repro.lint``.
 
 The contract (PR 1, shared by every subcommand): 0 clean, 1 findings,
-2 bad arguments / unreadable inputs.
+2 bad arguments / unreadable inputs.  The CLI takes exactly ``paths``,
+``--json`` and ``--list-rules``.
 """
 
 import json
@@ -11,31 +13,59 @@ import pytest
 
 from repro.cli import main as tacos_main
 from repro.lint.cli import main as lint_main
+from repro.lint.config import LintConfig
+from repro.lint.runner import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+#: Flags the single-pass analyzer no longer has, each with a plausible
+#: argument.  Every one must be a usage error, not a silent no-op.
+REMOVED_FLAGS = {
+    "--strict": [],
+    "--config": ["pyproject.toml"],
+    "--baseline": ["lint-baseline.json"],
+    "--no-baseline": [],
+    "--update-baseline": [],
+    "--disable": ["J401"],
+    "--changed": [],
+    "--fix": [],
+    "--workers": ["2"],
+    "--execution": ["serial"],
+    "--no-cache": [],
+    "--format": ["json"],
+}
 
 
-def _write_project(tmp_path, body="x = 1\n"):
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.repro-lint]\npaths = ["pkg"]\n'
-    )
+def _write_package(tmp_path, body="x = 1\n", modules=1):
     package = tmp_path / "pkg"
     package.mkdir()
-    (package / "mod.py").write_text(body)
-    return tmp_path / "pyproject.toml"
+    for index in range(modules):
+        (package / f"mod{index}.py").write_text(body)
+    return package
+
+
+DIRTY = "import json\ny = json.dumps({})\n"
 
 
 class TestExitCodes:
-    def test_clean_project_exits_0(self, tmp_path, capsys):
-        pyproject = _write_project(tmp_path)
-        assert lint_main(["--config", str(pyproject)]) == 0
-        assert "0 finding(s)" in capsys.readouterr().out
+    def test_clean_package_exits_0(self, tmp_path, capsys):
+        package = _write_package(tmp_path)
+        assert lint_main([str(package)]) == 0
+        assert "1 file(s) checked: 0 finding(s), 0 suppressed" in capsys.readouterr().out
 
     def test_findings_exit_1(self, tmp_path, capsys):
-        pyproject = _write_project(tmp_path, "import json\ny = json.dumps({})\n")
-        assert lint_main(["--config", str(pyproject)]) == 1
+        package = _write_package(tmp_path, DIRTY)
+        assert lint_main([str(package)]) == 1
         assert "J401" in capsys.readouterr().out
+
+    def test_syntax_error_exits_2(self, tmp_path, capsys):
+        package = _write_package(tmp_path, "def broken(:\n")
+        assert lint_main([str(package)]) == 2
+        assert "E000" in capsys.readouterr().err
+
+    def test_missing_path_exits_2(self, tmp_path, capsys):
+        assert lint_main([str(tmp_path / "gone")]) == 2
+        assert "gone" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert lint_main(["--definitely-not-a-flag"]) == 2
@@ -45,76 +75,77 @@ class TestExitCodes:
         assert lint_main(["--help"]) == 0
         assert "determinism" in capsys.readouterr().out
 
-    def test_missing_config_exits_2(self, tmp_path, capsys):
-        assert lint_main(["--config", str(tmp_path / "nope.toml")]) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize("flag", sorted(REMOVED_FLAGS))
+    def test_removed_flag_exits_2(self, tmp_path, capsys, flag):
+        package = _write_package(tmp_path)
+        assert lint_main([flag, *REMOVED_FLAGS[flag], str(package)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_bad_lint_path_exits_2(self, tmp_path, capsys):
-        pyproject = _write_project(tmp_path)
-        assert lint_main(["--config", str(pyproject), str(tmp_path / "gone")]) == 2
-        capsys.readouterr()
-
-    def test_unknown_disable_code_exits_2(self, tmp_path, capsys):
-        pyproject = _write_project(tmp_path)
-        assert lint_main(["--config", str(pyproject), "--disable", "Z999"]) == 2
-        assert "Z999" in capsys.readouterr().err
-
-    def test_syntax_error_exits_2(self, tmp_path, capsys):
-        pyproject = _write_project(tmp_path, "def broken(:\n")
-        assert lint_main(["--config", str(pyproject)]) == 2
-        assert "E000" in capsys.readouterr().err
-
-    def test_malformed_config_exits_2(self, tmp_path, capsys):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text("[tool.repro-lint]\npaths = 7\n")
-        assert lint_main(["--config", str(pyproject)]) == 2
-        capsys.readouterr()
-
-    def test_disable_silences_the_family(self, tmp_path, capsys):
-        pyproject = _write_project(tmp_path, "import json\ny = json.dumps({})\n")
-        assert lint_main(["--config", str(pyproject), "--disable", "J401"]) == 0
-        capsys.readouterr()
+    def test_relative_paths_resolve_against_the_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _write_package(tmp_path, DIRTY)
+        monkeypatch.chdir(tmp_path)
+        assert lint_main(["pkg"]) == 1
+        assert "mod0.py" in capsys.readouterr().out
 
 
-class TestBaselineFlow:
-    def test_update_baseline_then_strict_is_clean(self, tmp_path, capsys):
-        pyproject = _write_project(tmp_path, "import json\ny = json.dumps({})\n")
-        assert lint_main(["--config", str(pyproject), "--update-baseline"]) == 0
-        assert (tmp_path / "lint-baseline.json").is_file()
-        assert lint_main(["--config", str(pyproject), "--strict"]) == 0
-        capsys.readouterr()
-
-    def test_no_baseline_reports_everything(self, tmp_path, capsys):
-        pyproject = _write_project(tmp_path, "import json\ny = json.dumps({})\n")
-        assert lint_main(["--config", str(pyproject), "--update-baseline"]) == 0
-        assert lint_main(["--config", str(pyproject), "--no-baseline"]) == 1
-        capsys.readouterr()
-
-    def test_stale_entry_fails_only_strict(self, tmp_path, capsys):
-        pyproject = _write_project(tmp_path, "import json\ny = json.dumps({})\n")
-        assert lint_main(["--config", str(pyproject), "--update-baseline"]) == 0
-        (tmp_path / "pkg" / "mod.py").write_text("x = 1\n")  # debt fixed
-        assert lint_main(["--config", str(pyproject)]) == 0
-        assert lint_main(["--config", str(pyproject), "--strict"]) == 1
-        capsys.readouterr()
-
+class TestJsonReport:
     def test_json_report_is_strict_json(self, tmp_path, capsys):
-        pyproject = _write_project(tmp_path, "import json\ny = json.dumps({})\n")
-        assert lint_main(["--config", str(pyproject), "--json"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["summary"]["new"] == 1
+        package = _write_package(tmp_path, DIRTY)
+        assert lint_main(["--json", str(package)]) == 1
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        document = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert sorted(document) == ["files_checked", "new", "summary", "suppressed"]
+        assert document["files_checked"] == 1
+        assert document["summary"] == {"new": 1, "suppressed": 0}
         assert document["new"][0]["rule"] == "J401"
+        assert sorted(document["new"][0]) == [
+            "col",
+            "line",
+            "message",
+            "module",
+            "path",
+            "rule",
+            "snippet",
+        ]
+
+    def test_report_is_identical_from_src_and_from_the_repo_root(
+        self, monkeypatch, capsys
+    ):
+        reports = []
+        for cwd in (REPO_ROOT / "src", REPO_ROOT):
+            monkeypatch.chdir(cwd)
+            assert lint_main(["--json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        document = json.loads(reports[0])
+        assert document["summary"] == {"new": 0, "suppressed": 1}
+
+
+class TestPathNormalization:
+    def test_paths_are_root_relative_posix_from_any_cwd(self, tmp_path, monkeypatch):
+        _write_package(tmp_path, DIRTY, modules=2)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        report = run_lint(LintConfig(root=tmp_path, paths=("pkg",)))
+        assert sorted({f.path for f in report.new}) == ["pkg/mod0.py", "pkg/mod1.py"]
+        assert sorted({f.module for f in report.new}) == ["pkg.mod0", "pkg.mod1"]
 
 
 class TestTacosCliIntegration:
     def test_lint_subcommand_forwards(self, tmp_path, capsys):
-        pyproject = _write_project(tmp_path, "import json\ny = json.dumps({})\n")
-        assert tacos_main(["lint", "--config", str(pyproject)]) == 1
+        package = _write_package(tmp_path, DIRTY)
+        assert tacos_main(["lint", str(package)]) == 1
         assert "J401" in capsys.readouterr().out
 
-    def test_lint_subcommand_strict_on_repo_is_clean(self, capsys):
-        assert tacos_main(["lint", "--strict", "--config", str(REPO_ROOT / "pyproject.toml")]) == 0
-        capsys.readouterr()
+    def test_lint_subcommand_on_repo_is_clean(self, capsys):
+        assert tacos_main(["lint"]) == 0
+        assert "0 finding(s), 1 suppressed" in capsys.readouterr().out
 
     def test_lint_listed_in_help(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -125,8 +156,9 @@ class TestTacosCliIntegration:
     def test_list_rules(self, capsys):
         assert tacos_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("D101", "P201", "C301", "J401", "R501", "S001"):
+        for code in ("D101", "P203", "J401", "R502", "S003", "E000"):
             assert code in out
+        assert "C301" not in out
 
     def test_bad_spec_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "spec.json"
