@@ -40,7 +40,7 @@ from repro.collectives.gather_scatter import AllToAll, Gather, Scatter
 from repro.collectives.pattern import CollectivePattern
 from repro.collectives.reduce_scatter import ReduceScatter
 from repro.core.config import SynthesisConfig
-from repro.core.synthesizer import TacosSynthesizer, resolve_engine
+from repro.core.synthesizer import TacosSynthesizer
 from repro.errors import RegistryError, SpecError, TopologyError
 from repro.search import GuidedSynthesizer
 from repro.topology.builders import (
@@ -355,13 +355,8 @@ def _check_dims(name: str, dims: Sequence[int], topology: Topology) -> None:
 def _tacos(
     topology: Topology, pattern: CollectivePattern, collective_size: float, **params: Any
 ) -> AlgorithmArtifact:
-    # `engine` is a registry name (flat / reference), not a
-    # SynthesisConfig field: resolve it here so `-p engine=reference` (and the
-    # CLI's --engine sugar) works through specs, caches, and pickled batches.
-    engine_name = params.pop("engine", None)
-    engine = resolve_engine(str(engine_name)) if engine_name is not None else None
     config = SynthesisConfig(**params) if params else None
-    synthesizer = TacosSynthesizer(config, engine=engine)
+    synthesizer = TacosSynthesizer(config)
     stats = synthesizer.synthesize_with_stats(topology, pattern, collective_size)
     return AlgorithmArtifact(
         algorithm=stats.algorithm,
@@ -378,22 +373,17 @@ def _tacos(
 def _guided(
     topology: Topology, pattern: CollectivePattern, collective_size: float, **params: Any
 ) -> AlgorithmArtifact:
-    # Same engine seam as the tacos entry; `store_dir` points the seed
-    # portfolio at an artifact-store directory (e.g. the --cache-dir of
-    # earlier runs) and `portfolio_limit` caps the front-loaded seeds.
-    # Pruning and floor termination default on — pass
+    # `store_dir` points the seed portfolio at an artifact-store directory
+    # (e.g. the --cache-dir of earlier runs) and `portfolio_limit` caps the
+    # front-loaded seeds.  Pruning and floor termination default on — pass
     # `incumbent_pruning=false` to get the uniform best-of-N search.
-    engine_name = params.pop("engine", None)
-    engine = resolve_engine(str(engine_name)) if engine_name is not None else None
     store_dir = params.pop("store_dir", None)
     portfolio_limit = int(params.pop("portfolio_limit", 8))
     params.setdefault("incumbent_pruning", True)
     params.setdefault("floor_termination", bool(params["incumbent_pruning"]))
     config = SynthesisConfig(**params)
     store = ArtifactStore(store_dir) if store_dir else None
-    synthesizer = GuidedSynthesizer(
-        config, engine, store=store, portfolio_limit=portfolio_limit
-    )
+    synthesizer = GuidedSynthesizer(config, store=store, portfolio_limit=portfolio_limit)
     stats = synthesizer.synthesize_with_stats(topology, pattern, collective_size)
     return AlgorithmArtifact(
         algorithm=stats.algorithm,

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.algorithm import ChunkTransfer
 from repro.core.matching import shuffle_pairs
-from repro.core.synthesizer import SynthesisEngine, register_engine
+from repro.core.synthesizer import SynthesisEngine
 from repro.errors import SimulationError, SynthesisError, TopologyError
 from repro.simulator.messages import Message, validate_messages
 from repro.simulator.result import SimulationResult
@@ -275,13 +275,11 @@ def reference_run_matching_round(
 
 
 #: The pre-refactor core packaged for :class:`repro.core.synthesizer.TacosSynthesizer`.
-REFERENCE_ENGINE = register_engine(
-    SynthesisEngine(
-        name="reference",
-        ten_factory=ReferenceTimeExpandedNetwork,
-        state_factory=ReferenceMatchingState,
-        matching_round=reference_run_matching_round,
-    )
+REFERENCE_ENGINE = SynthesisEngine(
+    name="reference",
+    ten_factory=ReferenceTimeExpandedNetwork,
+    state_factory=ReferenceMatchingState,
+    matching_round=reference_run_matching_round,
 )
 
 

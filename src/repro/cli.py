@@ -135,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(pool = persistent multi-core process pool; default: serial, "
         "or pool when --workers is above 1)",
     )
-    synthesize.add_argument(
-        "--engine", default=None, metavar="NAME",
-        help="synthesis engine: flat (default) or reference",
-    )
 
     simulate = subparsers.add_parser(
         "simulate", help="time a baseline algorithm (default algorithm: ring)"
@@ -316,10 +312,6 @@ def _cmd_run_one(arguments: argparse.Namespace, *, default_collective: str) -> i
                 spec.algorithm, name=ALGORITHMS.canonical_name(synthesizer)
             ),
         )
-    if getattr(arguments, "engine", None):
-        # Sugar for `-p engine=NAME`: the engine choice travels inside the
-        # algorithm params, so saved specs and cache keys capture it.
-        spec.algorithm.params["engine"] = arguments.engine
     if arguments.save_spec:
         Path(arguments.save_spec).write_text(spec.to_json(indent=2) + "\n")
     cache = ResultCache(arguments.cache_dir) if arguments.cache_dir else None

@@ -60,7 +60,7 @@ import random
 from bisect import insort
 from heapq import heappop, heappush
 from math import inf
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as _np
 
@@ -211,14 +211,6 @@ class MatchingState:
         """Whether ``npu`` holds or is already scheduled to receive ``chunk``."""
         return self._acquisition[npu * self.num_chunks + chunk] != inf
 
-    def is_needed(self, npu: int, chunk: int) -> bool:
-        """Whether the postcondition (npu, chunk) is still unsatisfied."""
-        return self._pair_state[npu * self.num_chunks + chunk] != _SATISFIED
-
-    def holders(self, chunk: int) -> Sequence[int]:
-        """NPUs holding or scheduled to receive ``chunk``, ascending (read-only)."""
-        return self._holders[chunk]
-
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
@@ -288,11 +280,6 @@ class MatchingState:
                 if pair_state[code] == _NEEDED:
                     pair_state[code] = _MATCHABLE
 
-    def pending_pairs(self) -> List[Tuple[int, int]]:
-        """The unsatisfied (dest, chunk) pairs in lexicographic order."""
-        num_chunks = self.num_chunks
-        return [divmod(code, num_chunks) for code in self._pending_codes()]
-
     def _pending_array(self):
         """Unsatisfied pair codes as a compacted ascending numpy array."""
         array = self._codes_array
@@ -317,20 +304,6 @@ class MatchingState:
         return {
             divmod(code, num_chunks) for code in self._pair_codes if pair_state[code]
         }
-
-    @property
-    def holdings(self) -> List[Dict[int, float]]:
-        """Per-NPU ``{chunk: acquisition_time}`` snapshot (compatibility view)."""
-        acquisition = self._acquisition
-        num_chunks = self.num_chunks
-        return [
-            {
-                chunk: acquisition[npu * num_chunks + chunk]
-                for chunk in range(num_chunks)
-                if acquisition[npu * num_chunks + chunk] != inf
-            }
-            for npu in range(self.num_npus)
-        ]
 
     @property
     def done(self) -> bool:

@@ -32,13 +32,10 @@ from repro.topology.topology import Topology
 
 __all__ = [
     "SynthesisEngine",
-    "ENGINES",
     "FLAT_ENGINE",
     "SynthesisResult",
     "TacosSynthesizer",
     "TrialPayload",
-    "register_engine",
-    "resolve_engine",
     "synthesize",
 ]
 
@@ -50,9 +47,11 @@ class SynthesisEngine:
     An engine bundles the three ingredients of one synthesis trial: the TEN
     factory, the matching-state factory, and the per-span matching round.
     The default :data:`FLAT_ENGINE` is the array-backed implementation; the
-    benchmark subsystem plugs in the frozen pre-refactor dict/set engine
-    (:data:`repro.bench.reference.REFERENCE_ENGINE`) to prove the two produce
-    identical algorithms on fixed seeds.
+    benchmark subsystem and the tests pass the frozen pre-refactor dict/set
+    engine (:data:`repro.bench.reference.REFERENCE_ENGINE`) as an object to
+    prove the two produce identical algorithms on fixed seeds.  Engines are
+    not looked up by name: any engine runs serially, and the pool tier runs
+    :data:`FLAT_ENGINE` only (see :meth:`TrialPayload.to_bytes`).
     """
 
     name: str
@@ -63,34 +62,6 @@ class SynthesisEngine:
 
 #: Default engine: flat array-backed state, CSR-indexed TEN.
 FLAT_ENGINE = SynthesisEngine(name="flat")
-
-#: By-name registry of synthesis engines (the ``--engine`` CLI/bench seam).
-#: The frozen reference engine registers itself on import of
-#: :mod:`repro.bench.reference`.
-ENGINES: Dict[str, SynthesisEngine] = {}
-
-
-def register_engine(engine: SynthesisEngine) -> SynthesisEngine:
-    """Add ``engine`` to :data:`ENGINES` under its name; returns it."""
-    ENGINES[engine.name] = engine
-    return engine
-
-
-register_engine(FLAT_ENGINE)
-
-
-def resolve_engine(name: str) -> SynthesisEngine:
-    """Look up an engine by name; unknown names raise :class:`SynthesisError`."""
-    if name == "reference" and name not in ENGINES:
-        # The frozen baseline lives in the bench subsystem; pull it in on
-        # demand so `--engine reference` works from any entry point.
-        import repro.bench.reference  # noqa: F401
-
-    try:
-        return ENGINES[name]
-    except KeyError:
-        known = ", ".join(sorted(ENGINES))
-        raise SynthesisError(f"unknown synthesis engine {name!r} (known: {known})") from None
 
 
 @dataclass(frozen=True)
@@ -120,25 +91,25 @@ class TrialPayload:
         topology via :meth:`~repro.topology.topology.Topology.to_bytes`, the
         pattern as its pre/postcondition CSR columns (rebuilt as a
         :class:`~repro.collectives.pattern.FrozenPattern`), hop distances and
-        cheaper-reachability regions as flat integer/float columns, and the
-        engine *by registry name*.  Chunk sets are emitted sorted, so equal
-        payloads always produce identical bytes — the blob's content hash is
-        a payload identity the worker cache keys on.
+        cheaper-reachability regions as flat integer/float columns.  The
+        engine does not cross: workers always run :data:`FLAT_ENGINE`.
+        Chunk sets are emitted sorted, so equal payloads always produce
+        identical bytes — the blob's content hash is a payload identity the
+        worker cache keys on.
 
         Raises :class:`~repro.errors.SynthesisError` when the engine is not
-        the registered engine of its name: an anonymous or shadowed engine
-        cannot be resolved on the worker side, so it can only run serially.
+        :data:`FLAT_ENGINE`: any other engine (the frozen reference one, or
+        an ad-hoc :class:`SynthesisEngine`) can only run serially.
         """
-        if ENGINES.get(self.engine.name) is not self.engine:
+        if self.engine is not FLAT_ENGINE:
             raise SynthesisError(
-                f"engine {self.engine.name!r} is not the registered engine of that "
-                "name; pool workers receive engines by registry name"
+                f"engine {self.engine.name!r} cannot run in a process pool; "
+                "pool workers run the flat engine only"
             )
         topology_blob = self.topology.to_bytes()
         pattern = self.pattern
         name_bytes = pattern.name.encode("utf-8")
         num_npus = pattern.num_npus
-        engine_bytes = self.engine.name.encode("utf-8")
         parts = [
             _PAYLOAD_MAGIC,
             struct.pack("<Q", len(topology_blob)),
@@ -163,8 +134,6 @@ class TrialPayload:
             for cost, per_dest in self.cheap_regions.items():
                 parts.append(struct.pack("<d", float(cost)))
                 parts.append(_pack_region_columns(per_dest, self.topology.num_npus))
-        parts.append(struct.pack("<Q", len(engine_bytes)))
-        parts.append(engine_bytes)
         parts.append(struct.pack("<BQ", 1 if self.prefer_lowest_cost else 0, self.max_rounds))
         return b"".join(parts)
 
@@ -175,8 +144,8 @@ class TrialPayload:
         The pattern comes back as a
         :class:`~repro.collectives.pattern.FrozenPattern` (same observable
         conditions, no size rule — the chunk size travels precomputed) and
-        the engine resolves through the registry by name, so a worker runs
-        exactly the engine the parent selected.
+        the engine is always :data:`FLAT_ENGINE`, the only one
+        :meth:`to_bytes` serializes.
         """
         reader = _PayloadReader(data)
         reader.expect_magic(_PAYLOAD_MAGIC)
@@ -203,12 +172,8 @@ class TrialPayload:
             for _ in range(tiers):
                 (cost,) = reader.unpack("<d")
                 cheap_regions[cost] = reader.read_region_columns(topology.num_npus)
-        engine_name = reader.read_sized().decode("utf-8")
         prefer_lowest_cost, max_rounds = reader.unpack("<BQ")
         reader.expect_exhausted()
-        engine = ENGINES.get(engine_name)
-        if engine is None:
-            engine = resolve_engine(engine_name)
         pattern = FrozenPattern(
             pattern_name,
             int(num_npus),
@@ -224,14 +189,14 @@ class TrialPayload:
             chunk_size=float(chunk_size),
             hop_distances=hop_distances,
             cheap_regions=cheap_regions,
-            engine=engine,
+            engine=FLAT_ENGINE,
             prefer_lowest_cost=bool(prefer_lowest_cost),
             max_rounds=int(max_rounds),
         )
 
 
 #: Magic prefix of the :meth:`TrialPayload.to_bytes` wire format.
-_PAYLOAD_MAGIC = b"TACOSPL1"
+_PAYLOAD_MAGIC = b"TACOSPL2"
 
 
 def _pack_ownership(ownership: ChunkOwnership, num_npus: int) -> bytes:
@@ -557,8 +522,8 @@ def _run_trials(
     pruned trial is provably worse than some completed trial).  Without
     pruning there is no incumbent to share, so every seed runs in a single
     wave.  The pool tier serializes the payload once per fan-out
-    (:meth:`TrialPayload.to_bytes`, so an unregistered engine raises
-    :class:`~repro.errors.SynthesisError` here), ships it with every
+    (:meth:`TrialPayload.to_bytes`, so any engine but :data:`FLAT_ENGINE`
+    raises :class:`~repro.errors.SynthesisError` here), ships it with every
     ``(key, blob, incumbent, seeds)`` chunk task, and gets completed
     algorithms back as columnar bytes.
 

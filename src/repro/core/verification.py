@@ -17,49 +17,38 @@ All checks raise :class:`~repro.errors.VerificationError` with a descriptive
 message; :func:`verify_algorithm` returns ``True`` on success so it can be
 used directly in assertions.
 
-Large algorithms are checked by vectorized column sweeps over the
-:class:`~repro.core.transfers.TransferTable` — link resolution is one gather
-through the topology's dense :meth:`~repro.topology.topology.Topology.link_id_matrix`,
-causality is a segmented prefix-min over ``(holder, chunk)`` groups, and
-reduction coverage follows each chunk's contribution chain by pointer
-doubling — so verifying a 100k-transfer algorithm costs a handful of numpy
-passes instead of per-transfer dict churn.  Small algorithms (fewer than
-:data:`SMALL_TABLE_CUTOVER` transfers) dispatch to an equivalent plain-loop
-checker instead: at ~10-NPU scale the numpy setup cost dominates the work,
-and the loop path keeps tiny pipelines at least as fast as the pre-refactor
-object path.  Both paths produce identical verdicts — identical to each
-other and to the frozen object-path checker
-(:func:`repro.bench.reference.reference_verify_algorithm`); the pipeline
+Every algorithm, whatever its size, is checked by vectorized column sweeps
+over the :class:`~repro.core.transfers.TransferTable` — link resolution is
+one gather through the topology's dense
+:meth:`~repro.topology.topology.Topology.link_id_matrix`, causality is a
+segmented prefix-min over ``(holder, chunk)`` groups, and reduction coverage
+follows each chunk's contribution chain by pointer doubling — so verifying a
+100k-transfer algorithm costs a handful of numpy passes instead of
+per-transfer dict churn.  Its verdicts and messages are identical to the
+frozen object-path checker
+(:func:`repro.bench.reference.reference_verify_algorithm`): the pipeline
 check of ``tacos-repro bench`` asserts this per scenario and
-``tests/core/test_verification_cutover.py`` pins the dispatch and the
-verdict equivalence across the cutover.
+``tests/core/test_verification_equivalence.py`` compares ``(verdict,
+message)`` pairs on valid and corrupted algorithms of every collective.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set
 
 import numpy as np
 
 from repro.collectives.all_reduce import AllReduce
 from repro.collectives.pattern import CollectivePattern
-from repro.core.algorithm import ChunkTransfer, CollectiveAlgorithm
+from repro.core.algorithm import CollectiveAlgorithm
 from repro.core.transfers import TransferTable
 from repro.errors import VerificationError
 from repro.topology.topology import Topology
 
-__all__ = ["SMALL_TABLE_CUTOVER", "verify_algorithm"]
+__all__ = ["verify_algorithm"]
 
 #: Tolerance used when comparing floating-point times.
 _TIME_EPS = 1e-9
-
-#: Below this many transfers the plain-loop verifier wins: the vectorized
-#: path pays a near-constant ~0.2 ms of numpy setup per check, which at
-#: ~10-NPU pipeline scale (tens to low hundreds of transfers) exceeds the
-#: loop cost itself.  Measured crossover on the bench host lies well above
-#: this value for every check, so the cutover is conservative in the
-#: direction that can only help.
-SMALL_TABLE_CUTOVER = 512
 
 
 def verify_algorithm(
@@ -71,10 +60,6 @@ def verify_algorithm(
 ) -> bool:
     """Verify ``algorithm`` implements ``pattern`` on ``topology``.
 
-    Dispatches on size: algorithms with fewer than
-    :data:`SMALL_TABLE_CUTOVER` transfers run the plain-loop checks, larger
-    ones the vectorized column sweeps.  Verdicts are identical either way.
-
     Parameters
     ----------
     check_link_timing:
@@ -82,18 +67,6 @@ def verify_algorithm(
         one chunk on its link.  Disable for schedules produced by simulation
         (where queueing delays stretch transfer windows).
     """
-    if algorithm.num_transfers < SMALL_TABLE_CUTOVER:
-        return _verify_small(algorithm, topology, pattern, check_link_timing)
-    return _verify_columnar(algorithm, topology, pattern, check_link_timing)
-
-
-def _verify_columnar(
-    algorithm: CollectiveAlgorithm,
-    topology: Topology,
-    pattern: CollectivePattern,
-    check_link_timing: bool,
-) -> bool:
-    """The vectorized column-sweep path (any size; default above the cutover)."""
     _check_links(algorithm, topology, check_link_timing)
     _check_no_link_overlap(algorithm)
 
@@ -169,13 +142,19 @@ def _chunk_stride(table: TransferTable, pattern: CollectivePattern) -> int:
 
 
 def _pair_codes(mapping: Dict[int, frozenset], stride: int) -> np.ndarray:
-    """Sorted ``npu * stride + chunk`` codes of a pre/postcondition mapping."""
+    """Sorted ``npu * stride + chunk`` codes of a pre/postcondition mapping.
+
+    The codes are distinct by construction (one per ``(npu, chunk)`` pair,
+    ``chunk < stride``), so a sort suffices.  The checker sorts rather than
+    calls ``np.unique`` throughout: the first ``np.unique`` call of a process
+    imports ``numpy.ma``, about 1 MB of resident memory.
+    """
     codes = [
         npu * stride + chunk for npu, chunks in mapping.items() for chunk in chunks
     ]
     if not codes:
         return np.zeros(0, dtype=np.int64)
-    return np.unique(np.asarray(codes, dtype=np.int64))
+    return np.sort(np.asarray(codes, dtype=np.int64))
 
 
 def _segmented_cummin(values: np.ndarray, segment_keys: np.ndarray) -> np.ndarray:
@@ -257,7 +236,9 @@ def _check_forward_causality(
 def _check_postcondition(algorithm: CollectiveAlgorithm, pattern: CollectivePattern) -> None:
     table = algorithm.table
     stride = _chunk_stride(table, pattern)
-    delivered = np.unique(
+    # Sorted with repeats: the searchsorted membership test below needs no
+    # dedup (see _pair_codes).
+    delivered = np.sort(
         np.concatenate(
             (
                 _pair_codes(pattern.precondition(), stride),
@@ -407,210 +388,3 @@ def _verify_all_reduce(algorithm: CollectiveAlgorithm, pattern: AllReduce) -> No
         topology_name=algorithm.topology_name,
     )
     _verify_non_reducing(all_gather, pattern.all_gather_phase())
-
-
-# ----------------------------------------------------------------------
-# Small-table path: plain loops, zero numpy setup cost
-# ----------------------------------------------------------------------
-# Semantically a line-for-line mirror of the vectorized checks above (and of
-# the frozen object-path checker the columnar verifier is benchmarked
-# against); error classes and message formats match the columnar path, so a
-# caller cannot observe which side of the cutover ran except through speed.
-
-
-def _verify_small(
-    algorithm: CollectiveAlgorithm,
-    topology: Topology,
-    pattern: CollectivePattern,
-    check_link_timing: bool,
-) -> bool:
-    """Plain-loop verification for tables below :data:`SMALL_TABLE_CUTOVER`."""
-    transfers = algorithm.transfers
-    _small_check_links(transfers, algorithm.chunk_size, topology, check_link_timing)
-    _small_check_no_link_overlap(transfers)
-
-    if isinstance(pattern, AllReduce):
-        _small_verify_all_reduce(algorithm, pattern)
-    elif pattern.requires_reduction:
-        _small_verify_reduction(algorithm, pattern)
-    else:
-        _small_verify_non_reducing(algorithm, pattern)
-    return True
-
-
-def _small_check_links(
-    transfers: List[ChunkTransfer],
-    chunk_size: float,
-    topology: Topology,
-    check_link_timing: bool,
-) -> None:
-    # SMALL_TABLE_CUTOVER: plain row loops beat numpy setup cost here by design
-    for transfer in transfers:
-        if not topology.has_link(transfer.source, transfer.dest):
-            raise VerificationError(
-                f"transfer {transfer} uses a nonexistent link on {topology.name}"
-            )
-        if check_link_timing:
-            expected = topology.link(transfer.source, transfer.dest).cost(chunk_size)
-            if abs(transfer.duration - expected) > max(_TIME_EPS, expected * 1e-6):
-                raise VerificationError(
-                    f"transfer {transfer} takes {transfer.duration:.3e}s "
-                    f"but the link cost is {expected:.3e}s"
-                )
-
-
-def _small_check_no_link_overlap(transfers: List[ChunkTransfer]) -> None:
-    # SMALL_TABLE_CUTOVER: plain row loops beat numpy setup cost here by design
-    occupancy: Dict[Tuple[int, int], List[ChunkTransfer]] = {}
-    for transfer in transfers:
-        occupancy.setdefault(transfer.link, []).append(transfer)
-    for link, entries in occupancy.items():
-        entries.sort(key=lambda transfer: transfer.start)
-        for earlier, later in zip(entries, entries[1:]):
-            if later.start < earlier.end - _TIME_EPS:
-                raise VerificationError(
-                    f"link {link} carries two chunks at overlapping times: {earlier} and {later}"
-                )
-
-
-def _small_verify_non_reducing(
-    algorithm: CollectiveAlgorithm, pattern: CollectivePattern
-) -> None:
-    # SMALL_TABLE_CUTOVER: plain row loops beat numpy setup cost here by design
-    precondition = pattern.precondition()
-    arrival: Dict[Tuple[int, int], float] = {}
-    for npu, chunks in precondition.items():
-        for chunk in chunks:
-            arrival[(npu, chunk)] = 0.0
-    for transfer in sorted(algorithm.transfers, key=lambda item: (item.start, item.end)):
-        key = (transfer.source, transfer.chunk)
-        if key not in arrival or arrival[key] > transfer.start + _TIME_EPS:
-            raise VerificationError(
-                f"forward causality violated: {transfer.source} sends chunk "
-                f"{transfer.chunk} at {transfer.start:.3e}s before holding it"
-            )
-        dest_key = (transfer.dest, transfer.chunk)
-        arrival[dest_key] = min(arrival.get(dest_key, float("inf")), transfer.end)
-
-    holdings = {npu: set(chunks) for npu, chunks in precondition.items()}
-    for npu in range(algorithm.num_npus):
-        holdings.setdefault(npu, set())
-    for transfer in algorithm.transfers:
-        holdings[transfer.dest].add(transfer.chunk)
-    for npu, required in pattern.postcondition().items():
-        missing = set(required) - holdings.get(npu, set())
-        if missing:
-            raise VerificationError(
-                f"NPU {npu} is missing chunks {sorted(missing)} at the end of {algorithm.pattern_name}"
-            )
-
-
-def _small_verify_reduction(
-    algorithm: CollectiveAlgorithm, pattern: CollectivePattern
-) -> None:
-    # SMALL_TABLE_CUTOVER: plain row loops beat numpy setup cost here by design
-    transfers = algorithm.transfers
-    inbound: Dict[Tuple[int, int], List[ChunkTransfer]] = {}
-    for transfer in transfers:
-        inbound.setdefault((transfer.dest, transfer.chunk), []).append(transfer)
-    for transfer in transfers:
-        for incoming in inbound.get((transfer.source, transfer.chunk), []):
-            if incoming.end > transfer.start + _TIME_EPS:
-                raise VerificationError(
-                    f"reduction causality violated: {transfer.source} forwards chunk "
-                    f"{transfer.chunk} at {transfer.start:.3e}s before the "
-                    f"partial from {incoming.source} arrives at {incoming.end:.3e}s"
-                )
-
-    postcondition = pattern.postcondition()
-    owners: Dict[int, Set[int]] = {}
-    for npu, chunks in postcondition.items():
-        for chunk in chunks:
-            owners.setdefault(chunk, set()).add(npu)
-    by_chunk: Dict[int, List[ChunkTransfer]] = {}
-    for transfer in transfers:
-        by_chunk.setdefault(transfer.chunk, []).append(transfer)
-
-    for chunk, chunk_owners in owners.items():
-        if len(chunk_owners) != 1:
-            raise VerificationError(
-                f"reduction chunk {chunk} has {len(chunk_owners)} final owners; expected exactly one"
-            )
-        owner = next(iter(chunk_owners))
-        chunk_transfers = by_chunk.get(chunk, [])
-
-        sends_per_npu: Dict[int, int] = {}
-        for transfer in chunk_transfers:
-            sends_per_npu[transfer.source] = sends_per_npu.get(transfer.source, 0) + 1
-        for npu in range(pattern.num_npus):
-            expected = 0 if npu == owner else 1
-            actual = sends_per_npu.get(npu, 0)
-            if actual != expected:
-                raise VerificationError(
-                    f"NPU {npu} sends its partial of chunk {chunk} {actual} times; "
-                    f"expected {expected}"
-                )
-
-        reached = {owner}
-        frontier = [owner]
-        chunk_inbound: Dict[int, List[ChunkTransfer]] = {}
-        for transfer in chunk_transfers:
-            chunk_inbound.setdefault(transfer.dest, []).append(transfer)
-        while frontier:
-            node = frontier.pop()
-            for transfer in chunk_inbound.get(node, []):
-                if transfer.source not in reached:
-                    reached.add(transfer.source)
-                    frontier.append(transfer.source)
-        missing = sorted(set(range(pattern.num_npus)) - reached)
-        if missing:
-            raise VerificationError(
-                f"partials of chunk {chunk} from NPUs {missing} never reach owner {owner}"
-            )
-
-
-def _small_verify_all_reduce(algorithm: CollectiveAlgorithm, pattern: AllReduce) -> None:
-    # SMALL_TABLE_CUTOVER: the phase split rebuilds a handful of rows; columnar
-    # construction would cost more than it saves at these sizes
-    boundary = algorithm.metadata.get("phase_boundary")
-    if boundary is None:
-        raise VerificationError(
-            "All-Reduce algorithm lacks the phase_boundary metadata required for verification"
-        )
-    reduce_scatter_transfers = []
-    all_gather_transfers = []
-    for transfer in algorithm.transfers:
-        if transfer.end <= boundary + _TIME_EPS:
-            reduce_scatter_transfers.append(transfer)
-        else:
-            all_gather_transfers.append(
-                ChunkTransfer._make(
-                    (
-                        transfer.start - boundary,
-                        transfer.end - boundary,
-                        transfer.chunk,
-                        transfer.source,
-                        transfer.dest,
-                    )
-                )
-            )
-
-    reduce_scatter = CollectiveAlgorithm(
-        transfers=reduce_scatter_transfers,
-        num_npus=algorithm.num_npus,
-        chunk_size=algorithm.chunk_size,
-        collective_size=algorithm.collective_size,
-        pattern_name="ReduceScatter",
-        topology_name=algorithm.topology_name,
-    )
-    _small_verify_reduction(reduce_scatter, pattern.reduce_scatter_phase())
-
-    all_gather = CollectiveAlgorithm(
-        transfers=all_gather_transfers,
-        num_npus=algorithm.num_npus,
-        chunk_size=algorithm.chunk_size,
-        collective_size=algorithm.collective_size,
-        pattern_name="AllGather",
-        topology_name=algorithm.topology_name,
-    )
-    _small_verify_non_reducing(all_gather, pattern.all_gather_phase())

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TopologyError
 from repro.simulator.messages import Message, validate_messages
 from repro.simulator.result import SimulationResult
 from repro.topology.topology import Topology
@@ -63,6 +63,8 @@ __all__ = ["CongestionAwareSimulator"]
 
 #: C-level attribute readers for the per-message setup columns.
 _get_message_id = attrgetter("message_id")
+_get_source = attrgetter("source")
+_get_dest = attrgetter("dest")
 _get_size = attrgetter("size")
 _get_depends_on = attrgetter("depends_on")
 
@@ -88,7 +90,6 @@ class CongestionAwareSimulator:
     ) -> None:
         self.topology = topology
         self.routing_message_size = routing_message_size
-        self._route_cache: Dict[Tuple[int, int, float], List[int]] = {}
         self._link_route_cache: Dict[Tuple[int, int, float], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -105,7 +106,10 @@ class CongestionAwareSimulator:
         is recorded per transmission; ends, per-link grouping, and byte
         counters are reconstructed vectorized after the loop with the exact
         same float operands, keeping outputs byte-identical to the frozen
-        reference engine.
+        reference engine.  Routes come from the same resolver as
+        :meth:`run_flat` (:meth:`_resolve_routes_flat` over ``sources`` /
+        ``dests`` columns read off the messages), so the two entry points
+        differ only in how they read their input.
         """
         messages = list(messages)
         validate_messages(messages)
@@ -137,9 +141,12 @@ class CongestionAwareSimulator:
                 dtype=np.int64,
                 count=num_edges,
             )
-        routes = self._resolve_routes(messages)
+        ids = None if identity_ids else message_ids
+        sources = np.fromiter(map(_get_source, messages), dtype=np.int64, count=num_messages)
+        dests = np.fromiter(map(_get_dest, messages), dtype=np.int64, count=num_messages)
+        routes = self._resolve_routes_flat(sources, dests, sizes_arr, ids)
         return self._execute(
-            message_ids if not identity_ids else None,
+            ids,
             sizes_arr,
             missing_deps,
             dep_flat,
@@ -550,20 +557,6 @@ class CongestionAwareSimulator:
 
         return completion, event_positions, event_starts, completed
 
-    def _resolve_routes(self, messages: Sequence[Message]) -> List[Tuple[int, ...]]:
-        """Per-message link-id routes, resolved through the route cache."""
-        route_cache = self._link_route_cache
-        weight_override = self.routing_message_size
-        routes: List[Tuple[int, ...]] = []
-        append = routes.append
-        for message in messages:
-            weight = message.size if weight_override is None else weight_override
-            route = route_cache.get((message.source, message.dest, weight))
-            if route is None:
-                route = self._route_links(message)
-            append(route)
-        return routes
-
     @staticmethod
     def _collect_link_stats(
         arrays,
@@ -621,17 +614,6 @@ class CongestionAwareSimulator:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _weight_size(self, message: Message) -> float:
-        if self.routing_message_size is not None:
-            return self.routing_message_size
-        return message.size
-
-    def _route_links(self, message: Message) -> Tuple[int, ...]:
-        """Shortest physical path for ``message`` as a tuple of link ids."""
-        return self._route_links_pair(
-            message.source, message.dest, self._weight_size(message), message.message_id
-        )
-
     def _route_links_pair(
         self, source: int, dest: int, weight_size: float, message_id
     ) -> Tuple[int, ...]:
@@ -639,9 +621,10 @@ class CongestionAwareSimulator:
 
         Resolved through the topology's cached shortest-path tree for
         ``(source, weight_size)``; cached per endpoint pair and size.
-        Degenerate (empty) routes raise without being stored, so a bad
-        message cannot poison the cache for later messages sharing the same
-        endpoint pair.
+        Degenerate (empty) and unreachable routes raise
+        :class:`~repro.errors.SimulationError` naming ``message_id`` without
+        being stored, so a bad message cannot poison the cache for later
+        messages sharing the same endpoint pair.
         """
         cache_key = (source, dest, weight_size)
         route = self._link_route_cache.get(cache_key)
@@ -650,7 +633,13 @@ class CongestionAwareSimulator:
                 raise SimulationError(
                     f"message {message_id} has a degenerate route [{source}]"
                 )
-            route = tuple(self.topology.shortest_path_links(source, dest, weight_size))
+            try:
+                route = tuple(self.topology.shortest_path_links(source, dest, weight_size))
+            except TopologyError as exc:
+                raise SimulationError(
+                    f"message {message_id} cannot be routed: no path from NPU {source} "
+                    f"to NPU {dest} on {self.topology.name}"
+                ) from exc
             if not route:
                 raise SimulationError(
                     f"message {message_id} has a degenerate route {route}"
@@ -659,51 +648,52 @@ class CongestionAwareSimulator:
         return route
 
     def _resolve_routes_flat(
-        self, sources: np.ndarray, dests: np.ndarray, sizes_arr: np.ndarray
+        self,
+        sources: np.ndarray,
+        dests: np.ndarray,
+        sizes_arr: np.ndarray,
+        message_ids: Optional[List[int]] = None,
     ) -> List[Tuple[int, ...]]:
         """Per-message routes for a columnar workload, one Dijkstra per pair.
 
+        The single route resolver behind :meth:`run` and :meth:`run_flat`.
         For the uniform-weight case (a routing-size override, or all payloads
         equal — every adapter-produced workload) the distinct ``(source,
         dest)`` pairs are found with one ``np.unique`` and each pair is
         resolved once; the per-message route list is then a C-speed gather.
+        Errors name a message by ``message_ids[position]`` (by its position
+        when ``message_ids`` is ``None``); an NPU outside the topology raises
+        :class:`~repro.errors.TopologyError` before any route is resolved.
         """
         num_messages = int(sources.shape[0])
         if not num_messages:
             return []
+        ids = message_ids if message_ids is not None else range(num_messages)
+        stride = self.topology.num_npus
+        outside = (sources < 0) | (sources >= stride) | (dests < 0) | (dests >= stride)
+        if outside.any():
+            # Checked before the pair encoding below, which would alias them.
+            index = int(np.flatnonzero(outside)[0])
+            raise TopologyError(
+                f"message {ids[index]} ({int(sources[index])} -> {int(dests[index])}) "
+                f"names an NPU outside {self.topology.name} with {stride} NPUs"
+            )
         weight_override = self.routing_message_size
         uniform = weight_override is not None or bool((sizes_arr == sizes_arr[0]).all())
         if not uniform:
             return [
-                self._route_links_pair(int(source), int(dest), float(size), index)
-                for index, (source, dest, size) in enumerate(
-                    zip(sources.tolist(), dests.tolist(), sizes_arr.tolist())
+                self._route_links_pair(source, dest, size, message_id)
+                for source, dest, size, message_id in zip(
+                    sources.tolist(), dests.tolist(), sizes_arr.tolist(), ids
                 )
             ]
         weight = float(weight_override if weight_override is not None else sizes_arr[0])
-        stride = self.topology.num_npus
         codes = sources * stride + dests
         unique_codes, inverse = np.unique(codes, return_inverse=True)
         first_of_code = np.zeros(unique_codes.shape[0], dtype=np.int64)
         first_of_code[inverse[::-1]] = np.arange(num_messages - 1, -1, -1, dtype=np.int64)
         pair_routes = [
-            self._route_links_pair(code // stride, code % stride, weight, int(first))
+            self._route_links_pair(code // stride, code % stride, weight, ids[first])
             for code, first in zip(unique_codes.tolist(), first_of_code.tolist())
         ]
         return [pair_routes[group] for group in inverse.tolist()]
-
-    def _route(self, message: Message) -> List[int]:
-        """Shortest physical path for ``message`` as NPU indices (cached).
-
-        Kept for callers and tests that inspect routes; the hot path works on
-        :meth:`_route_links` link ids.
-        """
-        weight_size = self._weight_size(message)
-        cache_key = (message.source, message.dest, weight_size)
-        route = self._route_cache.get(cache_key)
-        if route is None:
-            link_route = self._route_links(message)
-            dests = self.topology.link_arrays().dests
-            route = [message.source] + [dests[link_id] for link_id in link_route]
-            self._route_cache[cache_key] = route
-        return route

@@ -107,10 +107,6 @@ class TimeExpandedNetwork:
         """Ids of all links into ``dest`` (read-only, in-neighbour order)."""
         return self._in_ids[dest]
 
-    def out_link_ids(self, source: int) -> List[int]:
-        """Ids of all links out of ``source`` (read-only, out-neighbour order)."""
-        return self._out_ids[source]
-
     def in_link_csr(self):
         """Numpy CSR view of the incoming-link adjacency, built lazily per TEN.
 

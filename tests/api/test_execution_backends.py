@@ -30,6 +30,7 @@ from repro.api.parallel import (
     resolve_backend,
     shutdown_pools,
 )
+from repro.bench.reference import REFERENCE_ENGINE
 from repro.collectives import AllGather, Gather, ReduceScatter
 from repro.core import SynthesisConfig, TacosSynthesizer
 from repro.core.synthesizer import SynthesisEngine
@@ -308,20 +309,25 @@ class TestTrialFanOutEquivalence:
             TacosSynthesizer(config).synthesize(build_mesh([3, 3]), Gather(9), MB)
         assert BACKENDS["pool"].map(_square, range(4), max_workers=2) == [0, 1, 4, 9]
 
-    def test_unregistered_engine_runs_serially_but_not_on_the_pool(self):
-        # Pool workers resolve the engine by registry name, so an anonymous
-        # engine cannot cross the process boundary; a serial run needs no
-        # serialization and accepts it.
-        ghost = SynthesisEngine(name="ghost")
+    @pytest.mark.parametrize(
+        "engine",
+        [REFERENCE_ENGINE, SynthesisEngine(name="ghost")],
+        ids=["reference", "ghost"],
+    )
+    def test_non_flat_engine_runs_serially_but_not_on_the_pool(self, engine):
+        # Pool workers run the flat engine only, so no other engine crosses
+        # the process boundary; a serial run needs no serialization, accepts
+        # it, and (both engines being byte-identical to flat) returns the
+        # flat winner.
         topology = build_ring(4)
-        serial = TacosSynthesizer(SynthesisConfig(trials=2), engine=ghost).synthesize(
+        serial = TacosSynthesizer(SynthesisConfig(trials=2), engine=engine).synthesize(
             topology, AllGather(4), MB
         )
         flat = TacosSynthesizer(SynthesisConfig(trials=2)).synthesize(topology, AllGather(4), MB)
         assert serial.table.to_bytes() == flat.table.to_bytes()
         pooled = SynthesisConfig(trials=2, trial_workers=2, execution="pool")
-        with pytest.raises(SynthesisError, match="registry name"):
-            TacosSynthesizer(pooled, engine=ghost).synthesize(topology, AllGather(4), MB)
+        with pytest.raises(SynthesisError, match="flat engine only"):
+            TacosSynthesizer(pooled, engine=engine).synthesize(topology, AllGather(4), MB)
 
 
 @pytest.mark.backend_equivalence

@@ -3,17 +3,17 @@
 This is the blob a pool fan-out ships with every chunk task; its content
 hash is the payload's identity, so serialization must be deterministic and
 the round-trip exact — topology columns, pattern conditions, hop tables,
-cheaper-reachability tiers (float-exact cost keys), and the engine by
-registry name.
+cheaper-reachability tiers (float-exact cost keys).  The engine does not
+cross: only :data:`FLAT_ENGINE` serializes, and every decoded payload runs it.
 """
 
 import pytest
 
+from repro.bench.reference import REFERENCE_ENGINE
 from repro.collectives import AllGather, AllReduce
 from repro.collectives.pattern import FrozenPattern
 from repro.core import SynthesisConfig
 from repro.core.synthesizer import (
-    ENGINES,
     FLAT_ENGINE,
     SynthesisEngine,
     TrialPayload,
@@ -106,21 +106,17 @@ class TestRoundTrip:
 
 
 class TestValidation:
-    def test_unregistered_engine_refuses_to_serialize(self):
-        ghost = SynthesisEngine(name="ghost")
-        assert "ghost" not in ENGINES
+    @pytest.mark.parametrize(
+        "engine",
+        [REFERENCE_ENGINE, SynthesisEngine(name="ghost"), SynthesisEngine(name="flat")],
+        ids=["reference", "ghost", "flat-namesake"],
+    )
+    def test_only_the_flat_engine_serializes(self, engine):
+        # Workers always run FLAT_ENGINE, so any other engine object — even
+        # one that shares its name — must refuse to cross the pool boundary.
         payload = _payload(build_ring(4), AllGather(4))
-        payload = TrialPayload(**{**payload.__dict__, "engine": ghost})
-        with pytest.raises(SynthesisError, match="registry name"):
-            payload.to_bytes()
-
-    def test_shadowed_engine_refuses_to_serialize(self):
-        # Same name as a registered engine, different object: shipping it by
-        # name would silently run different code on the worker.
-        impostor = SynthesisEngine(name="flat")
-        payload = _payload(build_ring(4), AllGather(4))
-        payload = TrialPayload(**{**payload.__dict__, "engine": impostor})
-        with pytest.raises(SynthesisError, match="registry name"):
+        payload = TrialPayload(**{**payload.__dict__, "engine": engine})
+        with pytest.raises(SynthesisError, match="flat engine only"):
             payload.to_bytes()
 
     def test_bad_magic_rejected(self):

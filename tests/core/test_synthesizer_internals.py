@@ -9,8 +9,7 @@ down on explicit heterogeneous topologies.
 import pytest
 
 from repro.collectives import AllGather, AllReduce, AllToAll, Broadcast, Gather, Scatter
-from repro.core.synthesizer import ENGINES, FLAT_ENGINE, TacosSynthesizer, resolve_engine
-from repro.errors import SynthesisError
+from repro.core.synthesizer import TacosSynthesizer
 from repro.topology import Topology, build_dgx1, build_ring
 
 
@@ -113,17 +112,3 @@ class TestHopDistances:
         topology.add_link(1, 2, alpha=1e-6, bandwidth_gbps=50.0)
         distances = topology.hop_distances()
         assert distances[2][0] == topology.num_npus + 1  # no way back
-
-
-class TestEngineRegistry:
-    def test_known_engines(self):
-        assert "flat" in ENGINES
-        assert resolve_engine("flat") is FLAT_ENGINE
-
-    def test_reference_engine_lazily_importable(self):
-        assert resolve_engine("reference").name == "reference"
-
-    @pytest.mark.parametrize("name", ["vectorised", "native"])
-    def test_unknown_engine_raises(self, name):
-        with pytest.raises(SynthesisError, match="unknown synthesis engine"):
-            resolve_engine(name)

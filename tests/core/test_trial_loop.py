@@ -15,6 +15,7 @@ from collections import OrderedDict
 import pytest
 
 from repro.api.parallel import BACKENDS, SerialBackend
+from repro.bench.reference import REFERENCE_ENGINE
 from repro.collectives import (
     AllGather,
     AllReduce,
@@ -33,7 +34,6 @@ from repro.core.synthesizer import (
     _execute_trial,
     _run_trial_chunk,
     _run_trials,
-    resolve_engine,
 )
 from repro.topology import build_3d_rfs, build_dgx1, build_mesh_2d, build_ring
 from tests.conftest import random_connected_topology
@@ -152,9 +152,9 @@ class TestEnginesShareTheLoop:
         flat = TacosSynthesizer(config, engine=FLAT_ENGINE).synthesize_with_stats(
             topology, AllGather(8), 4 * MB
         )
-        reference = TacosSynthesizer(
-            config, engine=resolve_engine("reference")
-        ).synthesize_with_stats(topology, AllGather(8), 4 * MB)
+        reference = TacosSynthesizer(config, engine=REFERENCE_ENGINE).synthesize_with_stats(
+            topology, AllGather(8), 4 * MB
+        )
         assert reference.algorithm.table.to_bytes() == flat.algorithm.table.to_bytes()
         assert [_trial_key(e) for e in reference.trial_stats] == [
             _trial_key(e) for e in flat.trial_stats

@@ -1,7 +1,8 @@
 """CLI exit codes: 1 when a well-specified run fails, 2 for a usage error.
 
 A stall names what happened: a topology that is not strongly connected says
-so, and any other stall says the synthesis stalled.
+so, and any other stall says the synthesis stalled.  A message the simulator
+cannot route names itself and both NPUs.
 """
 
 import json
@@ -19,7 +20,7 @@ from repro.errors import (
 )
 
 
-def _two_islands(path):
+def _two_islands(path, collective="all_gather", algorithm=None):
     """A custom 4-NPU topology made of two 2-NPU islands with no link between them."""
     link = [5e-7, 5e-11]
     document = {
@@ -30,8 +31,10 @@ def _two_islands(path):
                 "links": [[0, 1, *link], [1, 0, *link], [2, 3, *link], [3, 2, *link]],
             },
         },
-        "collective": {"name": "all_gather", "collective_size": 1e6},
+        "collective": {"name": collective, "collective_size": 1e6},
     }
+    if algorithm is not None:
+        document["algorithm"] = {"name": algorithm}
     path.write_text(json.dumps(document))
     return path
 
@@ -46,6 +49,14 @@ class TestExecutionFailuresExit1:
         assert cli.main(["synthesize", "--spec", str(_two_islands(tmp_path / "islands.json"))]) == 1
         err = capsys.readouterr().err
         assert "stalled" in err and "not strongly connected" in err
+        assert "Traceback" not in err
+
+    def test_unroutable_simulated_message_names_both_npus(self, tmp_path, capsys):
+        # A ring over NPUs 0..3 has hops between the islands (1-2 and 3-0).
+        spec = _two_islands(tmp_path / "islands.json", "all_reduce", algorithm="ring")
+        assert cli.main(["simulate", "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot be routed: no path from NPU 0 to NPU 3" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("error", [SynthesisError, SimulationError, VerificationError])
@@ -69,6 +80,25 @@ class TestUsageErrorsExit2:
         assert cli.main(["synthesize", "--spec", str(spec)]) == 2
         err = capsys.readouterr().err
         assert "invalid RunSpec JSON" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthesize", "-t", "ring:4", "-p", "engine=reference"],
+            ["synthesize", "-t", "ring:4", "--synthesizer", "guided", "-p", "engine=flat"],
+            ["synthesize", "-t", "ring:4", "--engine", "flat"],
+        ],
+        ids=["tacos-param", "guided-param", "flag"],
+    )
+    def test_engine_is_not_an_option(self, capsys, argv):
+        # Engines are objects passed to the synthesizer, not a user knob: the
+        # parameter is an unknown SynthesisConfig field and the flag is gone.
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects an unknown flag by exiting
+            code = exc.code
+        assert code == 2
+        assert "engine" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error", [SpecError, RegistryError, TopologyError])
     def test_every_usage_error(self, monkeypatch, capsys, error):

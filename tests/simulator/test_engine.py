@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TopologyError
 from repro.simulator import CongestionAwareSimulator, Message
 from repro.topology import Topology, build_fully_connected, build_ring
 
@@ -148,37 +148,72 @@ class TestAccounting:
     def test_unroutable_message_raises(self):
         topology = line_topology()  # no path from 2 back to 0
         simulator = CongestionAwareSimulator(topology)
-        with pytest.raises(Exception):
-            simulator.run([Message(message_id=0, source=2, dest=0, size=MB)])
+        messages = [
+            Message(message_id=4, source=0, dest=1, size=MB),
+            Message(message_id=9, source=2, dest=0, size=MB),
+        ]
+        with pytest.raises(
+            SimulationError, match="message 9 cannot be routed: no path from NPU 2 to NPU 0"
+        ):
+            simulator.run(messages)
+
+    def test_unroutable_flat_message_raises(self):
+        simulator = CongestionAwareSimulator(line_topology())
+        with pytest.raises(SimulationError, match="message 1 cannot be routed"):
+            simulator.run_flat([0, 2], [1, 0], MB, [0, 0, 0], [])
+
+    @pytest.mark.parametrize("source, dest", [(0, 3), (-1, 2)])
+    def test_npu_outside_the_topology_raises(self, source, dest):
+        simulator = CongestionAwareSimulator(line_topology())
+        messages = [
+            Message(message_id=0, source=0, dest=1, size=MB),
+            Message(message_id=6, source=source, dest=dest, size=MB),
+        ]
+        with pytest.raises(TopologyError, match="message 6 .* names an NPU outside Line3"):
+            simulator.run(messages)
+        assert not simulator._link_route_cache
+
+    def test_flat_npu_outside_the_topology_is_not_aliased(self):
+        # 0 -> 6 on a 4-NPU ring has the pair code of 1 -> 2; it must raise,
+        # not route over link (1, 2).
+        simulator = CongestionAwareSimulator(build_ring(4))
+        with pytest.raises(TopologyError, match=r"message 0 \(0 -> 6\)"):
+            simulator.run_flat([0], [6], MB, [0, 0], [])
 
 
 class TestRouteValidation:
-    def test_degenerate_route_raises_without_poisoning_cache(self):
-        """Regression: a <2-hop route must be rejected *before* it is cached.
+    def test_degenerate_pair_raises_without_poisoning_cache(self):
+        """Regression: an empty route must be rejected *before* it is cached.
 
-        ``Message`` itself rejects ``source == dest``, so drive ``_route``
-        with a message-shaped object directly the way a buggy adapter could.
+        ``Message`` and ``run_flat`` both reject ``source == dest``, so drive
+        the resolver directly the way a buggy caller could.
         """
-        from types import SimpleNamespace
-
-        topology = line_topology()
-        simulator = CongestionAwareSimulator(topology)
-        degenerate = SimpleNamespace(message_id=7, source=1, dest=1, size=MB)
-        with pytest.raises(SimulationError):
-            simulator._route(degenerate)
+        simulator = CongestionAwareSimulator(line_topology())
+        with pytest.raises(SimulationError, match="message 7 has a degenerate route"):
+            simulator._route_links_pair(1, 1, MB, 7)
         # The degenerate route must not have been stored.
-        assert (1, 1, MB) not in simulator._route_cache
+        assert (1, 1, MB) not in simulator._link_route_cache
         # And it must keep raising on every retry, not just the first one.
         with pytest.raises(SimulationError):
-            simulator._route(degenerate)
+            simulator._route_links_pair(1, 1, MB, 7)
 
-    def test_valid_routes_are_cached_once(self):
+    def test_unreachable_pair_raises_without_poisoning_cache(self):
+        simulator = CongestionAwareSimulator(line_topology())
+        for _ in range(2):
+            with pytest.raises(SimulationError, match="no path from NPU 2 to NPU 0"):
+                simulator._route_links_pair(2, 0, MB, 3)
+        assert not simulator._link_route_cache
+
+    def test_valid_pairs_are_cached_once(self):
         topology = line_topology()
         simulator = CongestionAwareSimulator(topology)
-        message = Message(message_id=0, source=0, dest=2, size=MB)
-        route = simulator._route(message)
-        assert route == [0, 1, 2]
-        assert simulator._route(message) is route  # served from the cache
+        route = simulator._route_links_pair(0, 2, MB, 0)
+        arrays = topology.link_arrays()
+        hops = [(arrays.sources[link], arrays.dests[link]) for link in route]
+        assert hops == [(0, 1), (1, 2)]
+        assert simulator._link_route_cache == {(0, 2, MB): route}
+        # Served from the cache: the same object for any later message.
+        assert simulator._route_links_pair(0, 2, MB, 5) is route
 
 
 class TestZeroWidthIntervals:
