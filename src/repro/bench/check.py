@@ -20,12 +20,13 @@ outputs with exact equality, never a tolerance.  Four kinds exist:
   portfolio); the winners must agree.
 
 Each :class:`BenchRecord` maps every check name to a bool, so a failure names
-the layer that diverged.  Three grids are provided: ``smoke`` (one scenario
-per kind, the default), ``search`` (seven guided-vs-uniform races) and
-``full`` (every scenario the references are affordable on: the paper's
-Fig. 19 meshes and hypercubes up to 24x24, ring / torus / switch / DGX-1
-families, three-tier 3D-RFS systems up to 2x4x16, the simulator stress grid, large and sub-chunked pipelines and
-the backend races).  Nothing here is timed; ``perfbench/`` times the system.
+the layer that diverged.  Three grids are provided: ``smoke`` (every kind,
+plus multi-trial Gather and Scatter pipelines; the default), ``search``
+(seven guided-vs-uniform races) and ``full`` (every scenario the references
+are affordable on: the paper's Fig. 19 meshes and hypercubes up to 24x24,
+ring / torus / switch / DGX-1 families, three-tier 3D-RFS systems up to
+2x4x16, the simulator stress grid, large and sub-chunked pipelines and the
+backend races).  Nothing here is timed; ``perfbench/`` times the system.
 """
 
 from __future__ import annotations
@@ -235,6 +236,15 @@ def _search(name: str, topology: str, collective: str, size: float, **params) ->
 def _smoke_grid() -> List[Scenario]:
     return [
         Scenario("pipe-mesh3x3-ar-1MB", "pipeline", "mesh_2d:3,3", "all_reduce", 1 * _MB),
+        # Multi-trial forwarding runs: trials after the first start from
+        # copies of one round-0 template, and commits push activations
+        # through the watch mask, both checked against the reference engine.
+        Scenario(
+            "pipe-mesh4x4-gather-1MB-t4", "pipeline", "mesh_2d:4,4", "gather", 1 * _MB, trials=4
+        ),
+        Scenario(
+            "pipe-mesh4x4-scatter-1MB-t4", "pipeline", "mesh_2d:4,4", "scatter", 1 * _MB, trials=4
+        ),
         Scenario("sim-ring-mesh3x3-1MB", "simulation", "mesh_2d:3,3", "ring", 1 * _MB),
         Scenario(
             "backend-mesh4x4-ag-1MB-t4", "backend", "mesh_2d:4,4", "all_gather", 1 * _MB, trials=4

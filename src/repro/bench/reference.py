@@ -76,6 +76,16 @@ class ReferenceTimeExpandedNetwork:
         }
         self._event_heap: List[float] = []
 
+    def copy(self) -> "ReferenceTimeExpandedNetwork":
+        """Same TEN, shared link costs, copied free times and event heap."""
+        clone = ReferenceTimeExpandedNetwork.__new__(ReferenceTimeExpandedNetwork)
+        clone.topology = self.topology
+        clone.chunk_size = self.chunk_size
+        clone._link_cost = self._link_cost
+        clone._link_next_free = dict(self._link_next_free)
+        clone._event_heap = list(self._event_heap)
+        return clone
+
     def link_cost(self, key: Tuple[int, int]) -> float:
         return self._link_cost[key]
 
@@ -139,6 +149,14 @@ class ReferenceMatchingState:
             needed = postcondition.get(npu, frozenset()) - precondition.get(npu, frozenset())
             for chunk in needed:
                 self.unsatisfied.add((npu, chunk))
+
+    def copy(self) -> "ReferenceMatchingState":
+        """Same ownership and postconditions, copied holdings and pair set."""
+        clone = ReferenceMatchingState.__new__(ReferenceMatchingState)
+        clone.num_npus = self.num_npus
+        clone.holdings = [dict(holding) for holding in self.holdings]
+        clone.unsatisfied = set(self.unsatisfied)
+        return clone
 
     def holds(self, npu: int, chunk: int, time: float) -> bool:
         acquired = self.holdings[npu].get(chunk)

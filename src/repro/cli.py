@@ -171,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--grid", choices=sorted(GRIDS), default="smoke",
-        help="scenario grid (default: smoke, one scenario per check kind; search: the "
+        help="scenario grid (default: smoke, every check kind plus multi-trial forwarding "
+        "pipelines; search: the "
         "guided-vs-uniform races; full: every scenario the references are affordable on)",
     )
     bench.add_argument(

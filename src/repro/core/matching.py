@@ -27,11 +27,14 @@ single int code ``dest * num_chunks + chunk`` carrying a one-byte pair state:
 * ``_MATCHABLE`` — open with at least one adjacent holder; only these pairs
   pay for candidate collection.
 
-Pair states are promoted incrementally: every acquisition is pushed onto a
-time-ordered activation heap, and at the start of each span the acquisitions
-that have come due promote the pairs of their out-neighbours (large batches
-in one numpy pass over the TEN's out-neighbour CSR; promotion is idempotent
-and order-free, so the bytes match the scalar loop).  Combined with
+Pair states are promoted incrementally: every acquisition that can promote
+a pair is pushed onto a time-ordered activation heap, and at the start of
+each span the acquisitions that have come due promote the pairs of their
+out-neighbours (large batches in one numpy pass over the TEN's out-neighbour
+CSR; promotion is idempotent and order-free, so the bytes match the scalar
+loop).  On forwarding patterns a static watch mask
+(:meth:`MatchingState.watch_activations`) keeps acquisitions on relay NPUs,
+whose out-neighbours owe nothing, off the heap.  Combined with
 per-NPU idle-link caching and an idle-link budget that stops the scan once
 the span is saturated, a matching round touches each hopeless pair O(1)
 times instead of re-deriving its empty candidate set.
@@ -96,18 +99,31 @@ def shuffle_pairs(pending: List, rng: random.Random) -> List:
     """Uniformly permute ``pending`` in place; return it.
 
     This is the determinism-contract permutation shared by the flat and the
-    reference engines.  Small rounds use ``rng.shuffle``.  Large rounds (at
-    least :data:`_NUMPY_SHUFFLE_MIN` pairs) are permuted by a numpy
-    generator seeded once per trial RNG with a single ``rng.getrandbits(64)``
-    draw — a C-speed permutation instead of ``len(pending)`` Python-level
-    ``_randbelow`` calls, which otherwise dominates both engines equally.
+    reference engines.  Small rounds run ``random.Random.shuffle``'s
+    Fisher-Yates walk with its ``_randbelow`` rejection loop inlined: the
+    same ``getrandbits(k)`` calls in the same order (``k`` = bit length of
+    the bound, a draw ``>=`` the bound is redrawn), so the permutation and
+    the RNG state afterwards equal ``rng.shuffle(pending)``'s, without two
+    Python-level calls per element.  Large rounds (at least
+    :data:`_NUMPY_SHUFFLE_MIN` pairs) are permuted by a numpy generator
+    seeded once per trial RNG with a single ``rng.getrandbits(64)`` draw — a
+    C-speed permutation instead of ``len(pending)`` Python-level draws,
+    which otherwise dominates both engines equally.
     """
-    if len(pending) < _NUMPY_SHUFFLE_MIN:
-        rng.shuffle(pending)
+    size = len(pending)
+    if size < _NUMPY_SHUFFLE_MIN:
+        getrandbits = rng.getrandbits
+        for last in range(size - 1, 0, -1):
+            bound = last + 1
+            bits = bound.bit_length()
+            pick = getrandbits(bits)
+            while pick >= bound:
+                pick = getrandbits(bits)
+            pending[last], pending[pick] = pending[pick], pending[last]
         return pending
-    permutation = _permuter(rng).permutation(len(pending))
+    permutation = _permuter(rng).permutation(size)
     if type(pending[0]) is int:  # flat engine: C-speed gather over int codes
-        codes = _np.fromiter(pending, dtype=_np.intp, count=len(pending))
+        codes = _np.fromiter(pending, dtype=_np.intp, count=size)
         pending[:] = codes[permutation].tolist()
     else:  # reference engine: tuple pairs
         pending[:] = [pending[index] for index in permutation.tolist()]
@@ -158,6 +174,8 @@ class MatchingState:
         #: Per chunk, the NPUs holding or scheduled to receive it (ascending).
         self._holders: List[List[int]] = [[] for _ in range(self.num_chunks)]
         #: Acquisitions not yet applied to pair states: (time, npu, chunk).
+        #: With a watch mask (:meth:`watch_activations`) the matching round
+        #: pushes only watched acquisitions; unwatched ones promote nothing.
         self._activations: List[Tuple[float, int, int]] = []
         #: One byte per (npu, chunk) pair mirroring ``acquisition != inf``
         #: (held or scheduled, i.e. ``npu in holders[chunk]``).  Backs the
@@ -192,8 +210,62 @@ class MatchingState:
         #: to True exactly when the pair's activation is popped in
         #: :meth:`activate_until`, i.e. when ``acquisition[code] <= time +
         #: eps`` for the round being activated.  Backs the matching round's
-        #: vectorized candidate prefilter.
+        #: vectorized candidate prefilter, which reads it only at
+        #: in-neighbours of open pairs — codes a watch mask always keeps —
+        #: so under a mask it is exact wherever it is read.
         self._held = _np.zeros(size, dtype=bool)
+        #: Optional static watch mask, one byte per (npu, chunk): set when an
+        #: out-neighbour of ``npu`` initially owes ``chunk``.  ``None`` = every
+        #: acquisition is pushed.  See :meth:`watch_activations`.
+        self._watch: Optional[bytearray] = None
+
+    def watch_activations(self, out_adjacency: List[List[int]]) -> None:
+        """Push future commit-time activations only where they can promote a pair.
+
+        Builds the static watch mask from the pairs owed *now*, so call it
+        before any grant.  An acquisition of ``(npu, chunk)`` promotes only
+        ``(neighbour, chunk)`` pairs that are still ``_NEEDED``, for
+        out-neighbours of ``npu``; a pair never returns to ``_NEEDED``, so
+        when no out-neighbour of ``npu`` owes ``chunk`` at the start, that
+        acquisition can never promote anything and its heap entry is waste.
+        On rooted and personalized patterns (Gather, Scatter, All-to-All)
+        most acquisitions land on relay NPUs, which is what the mask skips.
+        """
+        num_npus, num_chunks = self.num_npus, self.num_chunks
+        owed = (
+            _np.frombuffer(self._pair_state, dtype=_np.uint8).reshape(num_npus, num_chunks)
+            == _NEEDED
+        )
+        watch = _np.zeros((num_npus, num_chunks), dtype=bool)
+        for npu, neighbours in enumerate(out_adjacency):
+            if neighbours:
+                watch[npu] = owed[neighbours].any(axis=0)
+        self._watch = bytearray(watch.tobytes())
+
+    def copy(self) -> "MatchingState":
+        """An independent state with the same ownership, pairs and pending activations.
+
+        Static tables — the initial pair codes, the pending-code array (only
+        ever replaced, never written) and the watch mask — are shared; the
+        acquisition times, holder lists, activation heap and the per-pair
+        bytes are copied, so mutating either state leaves the other as it
+        was.  The synthesizer copies one round-0 template per trial instead
+        of rebuilding it from the pattern.
+        """
+        clone = MatchingState.__new__(MatchingState)
+        clone.num_npus = self.num_npus
+        clone.num_chunks = self.num_chunks
+        clone._acquisition = self._acquisition.copy()
+        clone._holders = [holders.copy() for holders in self._holders]
+        clone._activations = self._activations.copy()
+        clone._will_hold = self._will_hold.copy()
+        clone._pair_state = self._pair_state.copy()
+        clone._pair_codes = self._pair_codes
+        clone._unsatisfied_count = self._unsatisfied_count
+        clone._codes_array = self._codes_array
+        clone._held = self._held.copy()
+        clone._watch = self._watch
+        return clone
 
     # ------------------------------------------------------------------
     # Queries
@@ -523,6 +595,24 @@ class TrialBound:
         self._dist_hist = dist_hist
         self._dist_top = len(dist_hist) - 1
 
+    def copy(self, state: "MatchingState") -> "TrialBound":
+        """This bound over ``state``, a :meth:`MatchingState.copy` of the one it tracks.
+
+        The per-NPU degrees and costs, the hop rows and the tracking
+        classification (single origins, single destinations) are static and
+        shared; the running counts, terms and histogram are copied, so
+        :meth:`update` on either bound leaves the other as it was.
+        """
+        clone = TrialBound.__new__(TrialBound)
+        for name in TrialBound.__slots__:
+            value = getattr(self, name, None)
+            if value is not None and name in _TRIAL_BOUND_MUTABLE:
+                value = value.copy()
+            setattr(clone, name, value)
+        if self._state is not None:
+            clone._state = state
+        return clone
+
     def update(self, transfers) -> None:
         """Fold one round's committed transfers into the incremental tracking.
 
@@ -639,6 +729,19 @@ class TrialBound:
         return bound
 
 
+#: :class:`TrialBound` slots that :meth:`TrialBound.update` writes in place.
+_TRIAL_BOUND_MUTABLE = (
+    "_owed_pair",
+    "_owed_at",
+    "_in_terms",
+    "_chunk_dist",
+    "_dist_hist",
+    "_departed",
+    "_undeparted_at",
+    "_out_terms",
+)
+
+
 def _pick_link_id(
     candidates: List[int],
     link_costs: List[float],
@@ -649,9 +752,9 @@ def _pick_link_id(
 
     Mirrors the reference engine's ``_pick_link`` exactly, including its RNG
     consumption: one uniform draw per choice among two or more links
-    (``randrange(n)`` and ``choice`` consume the identical single
-    ``_randbelow(n)`` draw), no draw when a single link remains (part of the
-    determinism contract).
+    (``choice`` and ``randrange(n)`` both make the single ``_randbelow(n)``
+    call this makes directly), no draw when a single link remains (part of
+    the determinism contract).
     """
     if prefer_lowest_cost and len(candidates) > 1:
         best = min(map(link_costs.__getitem__, candidates))
@@ -659,10 +762,10 @@ def _pick_link_id(
         cheapest = [link_id for link_id in candidates if link_costs[link_id] <= threshold]
         if len(cheapest) == 1:
             return cheapest[0]
-        return cheapest[rng.randrange(len(cheapest))]
+        return cheapest[rng._randbelow(len(cheapest))]
     if len(candidates) == 1:
         return candidates[0]
-    return candidates[rng.randrange(len(candidates))]
+    return candidates[rng._randbelow(len(candidates))]
 
 
 #: Pairs per candidate-prefilter block in :func:`_run_direct_pass_blockwise`.
@@ -736,7 +839,8 @@ def _run_direct_pass_blockwise(
     uniform_cost = ten.uniform_cost
     tuple_new = tuple.__new__
     transfer_cls = ChunkTransfer
-    rand_range = rng.randrange
+    # ``randrange(n)`` for n > 0 is exactly this one ``_randbelow(n)`` call.
+    rand_range = rng._randbelow
 
     codes = state._pending_array()
     permutation = _permuter(rng).permutation(len(codes))
@@ -941,6 +1045,9 @@ def run_matching_round(
     holders = state._holders
     will_hold = state._will_hold
     activations = state._activations
+    # Commits push an activation only for watched codes (see
+    # MatchingState.watch_activations); the blockwise pass pushes them all.
+    watch = state._watch
     link_costs = ten.link_costs
     link_sources = ten.link_sources
     link_dests = ten.link_dests
@@ -965,7 +1072,8 @@ def run_matching_round(
     uniform_cost = ten.uniform_cost
     tuple_new = tuple.__new__
     transfer_cls = ChunkTransfer
-    rand_range = rng.randrange
+    # ``randrange(n)`` for n > 0 is exactly this one ``_randbelow(n)`` call.
+    rand_range = rng._randbelow
 
     # ------------------------------------------------------------------
     # Pass 1 — Alg. 1: direct matches onto destinations that request a chunk.
@@ -1062,7 +1170,8 @@ def run_matching_round(
         insort(holders[chunk], dest)
         will_hold[code] = 1
         acquisition[code] = end
-        heappush(activations, (end, dest, chunk))
+        if watch is None or watch[code]:
+            heappush(activations, (end, dest, chunk))
         pair_state[code] = _SATISFIED
         state._unsatisfied_count -= 1
         transfers.append(tuple_new(transfer_cls, (time, end, chunk, source, dest)))
@@ -1120,7 +1229,8 @@ def run_matching_round(
             neighbour_code = neighbour * num_chunks + chunk
             will_hold[neighbour_code] = 1
             acquisition[neighbour_code] = end
-            heappush(activations, (end, neighbour, chunk))
+            if watch is None or watch[neighbour_code]:
+                heappush(activations, (end, neighbour, chunk))
             if pair_state[neighbour_code]:
                 pair_state[neighbour_code] = _SATISFIED
                 state._unsatisfied_count -= 1

@@ -302,8 +302,51 @@ class _PayloadReader:
 _PRUNE_REL_EPS = 1e-9
 
 
+class _TrialTemplate:
+    """The round-0 state every trial of one fan-out starts from.
+
+    Holds the engine's TEN, its matching state and, when ``with_bound``, the
+    round-0 :class:`TrialBound` — everything a trial would otherwise rebuild
+    from the payload, identical for every seed because no RNG has been drawn
+    yet.  A fan-out builds one, runs every trial but the last on a
+    :meth:`copy` and hands the last trial the template itself, so a
+    one-seed synthesis builds exactly one state and copies nothing.  It
+    lives for one fan-out: trials mutate what they are given.
+    """
+
+    __slots__ = ("ten", "state", "bound")
+
+    def __init__(self, payload: TrialPayload, with_bound: bool) -> None:
+        engine = payload.engine
+        pattern = payload.pattern
+        self.ten = engine.ten_factory(payload.topology, payload.chunk_size)
+        self.state = engine.state_factory(
+            payload.topology.num_npus, pattern.precondition(), pattern.postcondition()
+        )
+        if payload.hop_distances is not None and isinstance(self.state, MatchingState):
+            self.state.watch_activations(self.ten.out_adjacency)
+        self.bound = (
+            TrialBound(self.ten, self.state, payload.hop_distances) if with_bound else None
+        )
+
+    def copy(self, with_bound: bool) -> "_TrialTemplate":
+        """Independent copies of the TEN, the state and (if asked) the bound."""
+        clone = _TrialTemplate.__new__(_TrialTemplate)
+        clone.ten = self.ten.copy()
+        clone.state = self.state.copy()
+        clone.bound = (
+            self.bound.copy(clone.state) if with_bound and self.bound is not None else None
+        )
+        return clone
+
+
 def _execute_trial(
-    payload: TrialPayload, seed: int, incumbent: Optional[float] = None
+    payload: TrialPayload,
+    seed: int,
+    incumbent: Optional[float] = None,
+    template: Optional[_TrialTemplate] = None,
+    *,
+    keep_template: bool = False,
 ) -> Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]:
     """One randomized synthesis run (Alg. 2) with per-trial bookkeeping.
 
@@ -314,27 +357,34 @@ def _execute_trial(
     picks the same winner as the unpruned search.  Without an incumbent the
     loop does no bound bookkeeping at all.
 
+    The trial starts from ``template`` (built fresh when ``None``) and
+    mutates it, unless ``keep_template`` asks for the trial to run on a
+    copy so the template can start later trials.  It prunes only when the
+    template carries a bound, which the fan-outs build whenever they pass
+    an incumbent.
+
     The returned stats dict carries ``seed``, ``rounds``, ``collective_time``
     (``None`` when pruned), ``pruned_at_round`` (``None`` when completed),
     and ``wall_seconds`` — the bookkeeping the seed portfolio consumes and
     ``synthesize --json`` reports.
     """
     started = _time.perf_counter()
-    engine = payload.engine
+    if template is None:
+        template = _TrialTemplate(payload, with_bound=incumbent is not None)
+    elif keep_template:
+        template = template.copy(with_bound=incumbent is not None)
     topology = payload.topology
     pattern = payload.pattern
-    ten = engine.ten_factory(topology, payload.chunk_size)
-    state = engine.state_factory(
-        topology.num_npus, pattern.precondition(), pattern.postcondition()
-    )
-    matching_round = engine.matching_round
+    ten = template.ten
+    state = template.state
+    matching_round = payload.engine.matching_round
     rng = random.Random(seed)
 
     prune_limit = 0.0
     bound = None
     if incumbent is not None:
         prune_limit = incumbent + abs(incumbent) * _PRUNE_REL_EPS
-        bound = TrialBound(ten, state, payload.hop_distances)
+        bound = template.bound
 
     transfers = []
     committed_end = 0.0
@@ -435,8 +485,11 @@ def _run_trial_chunk(
     else:
         _PAYLOAD_CACHE.move_to_end(key)
     outcomes = []
-    for seed in seeds:
-        algorithm, stats = _execute_trial(payload, seed, incumbent)
+    template = _TrialTemplate(payload, with_bound=incumbent is not None)
+    for index, seed in enumerate(seeds):
+        algorithm, stats = _execute_trial(
+            payload, seed, incumbent, template, keep_template=index + 1 < len(seeds)
+        )
         packed = None
         if algorithm is not None:
             packed = (algorithm.table.to_bytes(), dict(algorithm.metadata))
@@ -483,23 +536,17 @@ def _floor_skip_stats(seed: int) -> Tuple[None, Dict[str, Any]]:
     }
 
 
-def _search_floor(payload: TrialPayload) -> Optional[float]:
-    """The round-0 :class:`~repro.core.matching.TrialBound` of ``payload``.
+def _search_floor(template: _TrialTemplate) -> Optional[float]:
+    """The value of the template's round-0 :class:`~repro.core.matching.TrialBound`.
 
     Evaluated before any transfer commits, the bound depends only on the
     topology and the collective — not on a trial's random choices — so it is
     a valid lower bound on *every* trial's final collective time.  Returns
     ``None`` when the bound degenerates to zero (no owed chunks), in which
-    case floor termination can never fire.
+    case floor termination can never fire.  Evaluation mutates nothing the
+    trials read, so the template's bound still starts a trial afterwards.
     """
-    engine = payload.engine
-    ten = engine.ten_factory(payload.topology, payload.chunk_size)
-    state = engine.state_factory(
-        payload.topology.num_npus,
-        payload.pattern.precondition(),
-        payload.pattern.postcondition(),
-    )
-    floor = TrialBound(ten, state, payload.hop_distances).value(0.0, 0.0)
+    floor = template.bound.value(0.0, 0.0)
     return floor if floor > 0.0 else None
 
 
@@ -510,7 +557,7 @@ def _run_trials(
     workers: Optional[int],
     *,
     prune: bool,
-    floor: Optional[float] = None,
+    floor_termination: bool = False,
 ) -> List[Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]]:
     """Seed-ordered trial fan-out with per-trial stats and incumbent sharing.
 
@@ -527,14 +574,26 @@ def _run_trials(
     ``(key, blob, incumbent, seeds)`` chunk task, and gets completed
     algorithms back as columnar bytes.
 
-    When ``floor`` is given (the round-0 bound, see :func:`_search_floor`)
-    and the incumbent reaches it, every remaining seed is skipped outright:
-    no trial can be *strictly* better than the floor, and the strict-``<``
+    With ``floor_termination`` (which requires ``prune``), once the
+    incumbent reaches the floor — the round-0 bound, see
+    :func:`_search_floor` — every remaining seed is skipped outright: no
+    trial can be *strictly* better than the floor, and the strict-``<``
     best-of selection never replaces the incumbent on a tie, so the winner
     is unchanged.
+
+    Serial trials start from one :class:`_TrialTemplate` built here (pool
+    chunks build theirs in :func:`_run_trial_chunk`); the floor is read
+    from its bound.
     """
     outcomes: List[Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]] = []
     incumbent: Optional[float] = None
+    serial = backend is None or len(seeds) <= 1
+    template = None
+    floor = None
+    if serial or floor_termination:
+        template = _TrialTemplate(payload, with_bound=prune)
+        if floor_termination:
+            floor = _search_floor(template)
 
     def absorb(wave_outcomes) -> None:
         nonlocal incumbent
@@ -548,9 +607,13 @@ def _run_trials(
     def at_floor() -> bool:
         return floor is not None and incumbent is not None and incumbent <= floor
 
-    if backend is None or len(seeds) <= 1:
+    if serial:
         for index, seed in enumerate(seeds):
-            absorb([_execute_trial(payload, seed, incumbent if prune else None)])
+            last = index + 1 == len(seeds)
+            outcome = _execute_trial(
+                payload, seed, incumbent if prune else None, template, keep_template=not last
+            )
+            absorb([outcome])
             if at_floor() and index + 1 < len(seeds):
                 outcomes.extend(_floor_skip_stats(s) for s in seeds[index + 1 :])
                 break
@@ -795,16 +858,13 @@ class TacosSynthesizer:
         )
         seeds = self._trial_seeds(topology)
         backend, workers = self._trial_execution()
-        floor = None
-        if self.config.floor_termination:
-            floor = _search_floor(payload)
         outcomes = _run_trials(
             payload,
             seeds,
             backend,
             workers,
             prune=self.config.incumbent_pruning,
-            floor=floor,
+            floor_termination=self.config.floor_termination,
         )
 
         # First-strictly-better selection over the seed-ordered outcomes: the

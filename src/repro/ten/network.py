@@ -96,6 +96,23 @@ class TimeExpandedNetwork:
         self._out_csr = None
         self._cost_array = None
 
+    def copy(self) -> "TimeExpandedNetwork":
+        """An independent TEN over the same topology and chunk size.
+
+        The link numbering, adjacency, costs and numpy CSR views are static
+        and shared (both CSRs are built here first, so every copy reuses
+        them); the free times and the event heap are copied, so occupying a
+        link in either TEN leaves the other as it was.
+        """
+        self.in_link_csr()
+        self.out_neighbour_csr()
+        clone = TimeExpandedNetwork.__new__(TimeExpandedNetwork)
+        clone.__dict__.update(self.__dict__)
+        clone.free_times = self.free_times.copy()
+        clone._event_heap = self._event_heap.copy()
+        clone._event_times = self._event_times.copy()
+        return clone
+
     # ------------------------------------------------------------------
     # Link ids (hot path)
     # ------------------------------------------------------------------

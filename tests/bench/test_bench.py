@@ -144,9 +144,22 @@ class TestGrids:
         with pytest.raises(ReproError):
             get_grid("nope")
 
-    def test_smoke_grid_has_one_scenario_per_kind(self):
-        kinds = [scenario.kind for scenario in get_grid("smoke")]
-        assert sorted(kinds) == ["backend", "pipeline", "search", "simulation"]
+    def test_smoke_grid_covers_every_kind_and_multi_trial_forwarding(self):
+        scenarios = get_grid("smoke")
+        assert {scenario.kind for scenario in scenarios} == {
+            "backend",
+            "pipeline",
+            "search",
+            "simulation",
+        }
+        # Forwarding pipelines with several trials: the trial templates and
+        # the watch mask are checked against the reference engine in CI.
+        forwarding = {
+            scenario.collective
+            for scenario in scenarios
+            if scenario.kind == "pipeline" and scenario.trials > 1
+        }
+        assert forwarding == {"gather", "scatter"}
 
     def test_search_grid_is_the_seven_races(self):
         scenarios = get_grid("search")
@@ -255,7 +268,11 @@ class TestMismatchesAreReported:
         assert cli.main(["bench"]) == 1
         captured = capsys.readouterr()
         assert "NO: message_completion" in captured.out
-        assert "1 of 4 scenarios disagree: pipe-mesh3x3-ar-1MB" in captured.err
+        # Every pipeline scenario of the smoke grid simulates, so all three fail.
+        assert (
+            "3 of 6 scenarios disagree: pipe-mesh3x3-ar-1MB, pipe-mesh4x4-gather-1MB-t4, "
+            "pipe-mesh4x4-scatter-1MB-t4" in captured.err
+        )
 
     def test_perturbed_guided_winner_fails_the_search_check(self, monkeypatch, capsys):
         class PerturbedGuided(check.GuidedSynthesizer):

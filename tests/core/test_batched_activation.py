@@ -6,12 +6,11 @@ acquisitions in one numpy pass over the TEN's out-neighbour CSR, writing
 trials, these tests replay the same activation on a copy of the state with
 the scalar loop (no CSR) and require identical ``_pair_state`` bytes,
 ``_held`` flags and remaining activation heap — on batches both above and
-below :data:`~repro.core.matching._BATCH_ACTIVATION_MIN`.
+below :data:`~repro.core.matching._BATCH_ACTIVATION_MIN`.  The copy is
+:meth:`MatchingState.copy`, the one the synthesizer starts trials from.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 import pytest
@@ -26,14 +25,6 @@ MB = 1e6
 _original_activate = MatchingState.activate_until
 
 
-def _snapshot(state: MatchingState) -> MatchingState:
-    clone = copy.copy(state)
-    clone._pair_state = bytearray(state._pair_state)
-    clone._held = state._held.copy()
-    clone._activations = list(state._activations)
-    return clone
-
-
 @pytest.fixture
 def checked_activation(monkeypatch):
     """Check every activation against the scalar loop; return the batch sizes."""
@@ -41,7 +32,7 @@ def checked_activation(monkeypatch):
 
     def checked(self, time, out_adjacency, out_csr=None):
         assert out_csr is not None  # the matching round supplies the CSR
-        scalar = _snapshot(self)
+        scalar = self.copy()
         threshold = time + matching._TIME_EPS
         batch_sizes.append(sum(1 for entry in self._activations if entry[0] <= threshold))
         _original_activate(scalar, time, out_adjacency)

@@ -10,7 +10,10 @@ the bound against the incumbent with ``>``, so the two must agree exactly
 (``==`` on floats), not approximately — otherwise a pruning decision could
 move.  Only the tracking *classification* (which chunks have a single
 origin, which have a single owed destination) is snapshotted at
-construction, as the incremental bound does.
+construction, as the incremental bound does.  The trials start the way the
+synthesizer starts them: every seed but the last from a
+:meth:`~repro.core.matching.TrialBound.copy` of one round-0 template bound,
+so the hook covers ``copy()`` as well as ``__init__``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.collectives import AllGather, AllToAll, Gather, Scatter
 from repro.core.matching import TrialBound
-from repro.core.synthesizer import _execute_trial
+from repro.core.synthesizer import _execute_trial, _TrialTemplate
 from repro.topology import build_3d_rfs, build_mesh_2d, build_torus_2d
 from tests.core.test_trial_bound_soundness import _PATTERNS, _asymmetric_topology, _payload
 
@@ -115,13 +118,25 @@ class ScratchBound:
 def _assert_incremental_equals_scratch(monkeypatch, payload, seeds) -> int:
     """Run unpruned trials comparing every evaluation; return evaluations checked."""
     original_init = TrialBound.__init__
+    original_copy = TrialBound.copy
     original_value = TrialBound.value
+    # id(bound) -> (bound, its ScratchBound, the TEN and hop rows it was built on)
     scratch = {}
     checked = [0]
+    copies = [0]
 
     def init(self, ten, state, hop_distances=None):
         original_init(self, ten, state, hop_distances)
-        scratch[id(self)] = (self, ScratchBound(ten, state, hop_distances))
+        scratch[id(self)] = (self, ScratchBound(ten, state, hop_distances), ten, hop_distances)
+
+    def copy(self, state):
+        clone = original_copy(self, state)
+        _, _, ten, hop_distances = scratch[id(self)]
+        # The copy's state is the template's round-0 state, so a scratch
+        # bound over it snapshots the same classification.
+        scratch[id(clone)] = (clone, ScratchBound(ten, state, hop_distances), ten, hop_distances)
+        copies[0] += 1
+        return clone
 
     def value(self, time, committed_end):
         got = original_value(self, time, committed_end)
@@ -132,23 +147,24 @@ def _assert_incremental_equals_scratch(monkeypatch, payload, seeds) -> int:
 
     with monkeypatch.context() as patch:
         patch.setattr(TrialBound, "__init__", init)
+        patch.setattr(TrialBound, "copy", copy)
         patch.setattr(TrialBound, "value", value)
-        for seed in seeds:
-            scratch.clear()
+        # Also the round-0 value, which floor termination compares against.
+        value(_TrialTemplate(payload, with_bound=True).bound, 0.0, 0.0)
+        template = _TrialTemplate(payload, with_bound=True)
+        seeds = list(seeds)
+        for index, seed in enumerate(seeds):
             # An infinite incumbent evaluates the bound after every round
             # without ever pruning, so every round of the trial is compared.
-            algorithm, _ = _execute_trial(payload, seed, incumbent=math.inf)
-            assert algorithm is not None
-            # Also the round-0 value, which floor termination compares against.
-            fresh = TrialBound.__new__(TrialBound)
-            ten = payload.engine.ten_factory(payload.topology, payload.chunk_size)
-            state = payload.engine.state_factory(
-                payload.topology.num_npus,
-                payload.pattern.precondition(),
-                payload.pattern.postcondition(),
+            algorithm, _ = _execute_trial(
+                payload,
+                seed,
+                math.inf,
+                template,
+                keep_template=index + 1 < len(seeds),
             )
-            init(fresh, ten, state, payload.hop_distances)
-            value(fresh, 0.0, 0.0)
+            assert algorithm is not None
+    assert copies[0] == len(seeds) - 1
     return checked[0]
 
 

@@ -1,8 +1,9 @@
 """The single randomized trial loop behind every synthesis.
 
-Uniform best-of-N is the ``prune=False, floor=None`` case of the stats loop:
-every seed runs to completion, every trial leaves a stats entry, and the
-winner is the first trial (in seed order) with the smallest collective time.
+Uniform best-of-N is the ``prune=False, floor_termination=False`` case of
+the stats loop: every seed runs to completion, every trial leaves a stats
+entry, and the winner is the first trial (in seed order) with the smallest
+collective time.
 These tests pin that contract for each collective, for both synthesis
 engines, and for the wave fan-out that carries trials to a backend.
 """

@@ -132,12 +132,15 @@ class TestCorruptedAlgorithmsFailOnBothPaths:
         )
         assert _assert_same_verdict(broken, topology, pattern) is False
 
-    def test_causality_violation(self):
+    def test_pulled_forward_transfer_overlaps_on_its_link(self):
         topology = build_mesh_2d(3, 3)
         pattern = AllGather(9)
         algorithm = _synthesize(topology, pattern)
         # Find a forwarded transfer (source does not own the chunk initially)
-        # and pull it before the chunk can have arrived.
+        # and pull it to t=0, before the chunk can have arrived.  Its link
+        # already carries a chunk at t=0, so the overlap check rejects it
+        # before causality is looked at; forward causality on its own is
+        # test_earliest_transfer_with_unheld_chunk_violates_causality.
         precondition = pattern.precondition()
         target = next(
             (index, t)
@@ -152,6 +155,8 @@ class TestCorruptedAlgorithmsFailOnBothPaths:
         assert (
             _assert_same_verdict(broken, topology, pattern, check_link_timing=False) is False
         )
+        with pytest.raises(VerificationError, match="carries two chunks at overlapping times"):
+            verify_algorithm(broken, topology, pattern, check_link_timing=False)
 
     def test_missing_postcondition_chunk(self):
         topology = build_mesh_2d(3, 3)
@@ -267,8 +272,8 @@ def test_large_table_variants_match_reference(variant):
 def test_earliest_transfer_with_unheld_chunk_violates_causality(side):
     # The earliest transfer sends a chunk its source does not hold yet: same
     # link, same window, so only the forward-causality sweep can object (the
-    # pulled-forward transfer of test_causality_violation trips the overlap
-    # check first).  The 6x6 table has over a thousand rows.
+    # transfer of test_pulled_forward_transfer_overlaps_on_its_link trips the
+    # overlap check first).  The 6x6 table has over a thousand rows.
     num_npus = side * side
     topology = build_mesh_2d(side, side)
     pattern = AllGather(num_npus)
