@@ -410,45 +410,34 @@ class TrialBound:
        meshes) this term is tight from round one, which is what lets losing
        trials die early rather than at their own finish line.
 
-    3. **Hop-distance chains and work conservation** (forwarding patterns).
-       For a chunk with a *single* unsatisfied destination (personalized
-       patterns: All-to-All, Gather, Scatter), any delivery chain leaves the
-       committed schedule at some holder ``m`` and still needs
-       ``hop_distances[m][dest]`` distinct uncommitted hops, each occupying
-       a link for at least the global minimum cost and each starting after
-       its predecessor — so the trial cannot finish before ``time +
-       min_dist * min_cost`` for *every* such chunk (the straggler chain
-       that dominates losing Gather/All-to-All trials, where the capacity
-       term goes blind because only a handful of chunks remain owed).
-       Summing the same per-chunk transfer counts instead and spreading
-       them over the network's ``num_links`` links gives the complementary
-       work-conservation form ``time + total_transfers * min_cost /
-       num_links`` (chunks owing several destinations contribute one
-       transfer per owed destination — each delivery lands the chunk on a
-       distinct new node).  The per-chunk distances shrink only when a
+    3. **Hop-distance chains** (forwarding patterns).  For a chunk with a
+       *single* unsatisfied destination (personalized patterns: All-to-All,
+       Gather, Scatter), any delivery chain leaves the committed schedule at
+       some holder ``m`` and still needs ``hop_distances[m][dest]`` distinct
+       uncommitted hops, each occupying a link for at least the global
+       minimum cost and each starting after its predecessor — so the trial
+       cannot finish before ``time + min_dist * min_cost`` for *every* such
+       chunk (the straggler chain that dominates losing Gather/All-to-All
+       trials, where the capacity term goes blind because only a handful of
+       chunks remain owed).  The per-chunk distances shrink only when a
        commit creates a closer holder, which :meth:`update` applies from
        each round's transfers.
 
-    4. **Per-source out-link capacity.**  A still-owed chunk held by a
-       *single* NPU must make its first uncommitted hop out of that NPU
-       (every delivery chain starts at a committed holder).  A source still
-       holding ``n`` such undeparted chunks over ``deg_out`` outgoing links
-       must push ``ceil(n / deg_out)`` of them over one link sequentially —
-       the mirror image of component 2, and the term that sees a Scatter
-       root (or the scatter half of All-to-All) falling behind on draining
-       long before the per-destination terms notice.  :meth:`update` marks
-       a chunk departed on its first committed transfer.
+    These are the terms that decide prunes.  A per-source out-link capacity
+    term and a work-conservation term (hop counts spread over all links)
+    never changed a prune, a floor skip or a winner over 444 guided
+    syntheses, so the bound no longer carries them (the per-term record is
+    checked in under ``benchmarks/results/``).
 
     The capacity and distance components are maintained incrementally over
     the flat engine's state: :meth:`update` folds each round's transfers into
-    per-destination owed counts, per-source undeparted counts, the integer
-    sum of the per-pair distances and a histogram of them, so :meth:`value`
-    costs O(1) per round.  Every term is an exact integer count times a
-    per-NPU cost, so the floats equal a from-scratch numpy evaluation bit for
-    bit (see docs/determinism.md).  For engines with other state layouts
-    (the frozen reference engine) the bound degrades to the committed-work
-    component alone — still exact, just later pruning.  Evaluation never
-    consumes RNG and never mutates the TEN or the state.
+    per-destination owed counts and a histogram of the per-pair distances,
+    so :meth:`value` costs O(1) per round.  Every term is an exact integer
+    count times a per-NPU cost, so the floats equal a from-scratch numpy
+    evaluation bit for bit (see docs/determinism.md).  For engines with
+    other state layouts (the frozen reference engine) the bound degrades to
+    the committed-work component alone — still exact, just later pruning.
+    Evaluation never consumes RNG and never mutates the TEN or the state.
     """
 
     __slots__ = (
@@ -464,18 +453,9 @@ class TrialBound:
         "_hop_rows",
         "_chunk_dest",
         "_chunk_dist",
-        "_dist_sum",
         "_dist_hist",
         "_dist_top",
         "_min_cost",
-        "_per_link_cost",
-        "_origin",
-        "_departed",
-        "_undeparted_at",
-        "_out_degrees",
-        "_min_out_cost",
-        "_out_terms",
-        "_out_remaining",
     )
 
     def __init__(
@@ -510,9 +490,6 @@ class TrialBound:
         self._state = state
         self._num_chunks = num_chunks
         self._min_cost = ten.min_link_cost
-        self._per_link_cost = (
-            ten.min_link_cost / len(ten.link_costs) if ten.link_costs else 0.0
-        )
 
         # In-capacity tracking: which pairs are still owed, and how many per
         # destination; each destination's term is ``ceil(owed / deg) * cost``.
@@ -531,40 +508,12 @@ class TrialBound:
         ]
         self._in_remaining: Optional[float] = None  # None = recompute the max
 
-        # Out-capacity tracking: owed chunks whose full holder set is one NPU
-        # must make their first hop out of it.  Count them per source.
-        owed_chunks = sorted({code % num_chunks for code in codes})
-        origin = [-1] * num_chunks
-        undeparted_at = [0] * num_npus
-        for chunk in owed_chunks:
-            holders = state._holders[chunk]
-            if len(holders) == 1:
-                origin[chunk] = holders[0]
-                undeparted_at[holders[0]] += 1
-        sources = _np.asarray(ten.link_sources, dtype=_np.intp)
-        out_degrees = _np.bincount(sources, minlength=num_npus)
-        min_out_cost = _np.zeros(num_npus, dtype=_np.float64)
-        if costs.size:
-            min_out_cost = _np.full(num_npus, _np.inf)
-            _np.minimum.at(min_out_cost, sources, costs)
-            min_out_cost[out_degrees == 0] = 0.0
-        self._origin = origin
-        self._departed = [False] * num_chunks
-        self._undeparted_at = undeparted_at
-        self._out_degrees = _np.maximum(out_degrees, 1).tolist()
-        self._min_out_cost = min_out_cost.tolist()
-        self._out_terms = [
-            -(-count // degree) * cost
-            for count, degree, cost in zip(undeparted_at, self._out_degrees, self._min_out_cost)
-        ]
-        self._out_remaining: Optional[float] = None
-
         if hop_distances is None:
             return
         # Distance tracking for single-destination chunks: dest per chunk
         # (-1 = untracked) and the current min hop distance over holders.
         # Every owed pair weighs ``max(dist, 1)`` (untracked chunks: 1); the
-        # weights' integer sum and histogram back the two distance terms.
+        # weights' histogram backs the chain term.
         owed_dest = [-1] * num_chunks
         for code in codes:
             dest, chunk = divmod(code, num_chunks)
@@ -581,17 +530,12 @@ class TrialBound:
             )
         # Weights only fall, so the initial largest one sizes the histogram.
         dist_hist = [0] * (max(chunk_dist, default=0) + 2)
-        dist_sum = 0
         for code in codes:
             weight = chunk_dist[code % num_chunks]
-            if weight < 1:
-                weight = 1
-            dist_sum += weight
-            dist_hist[weight] += 1
+            dist_hist[weight if weight > 1 else 1] += 1
         self._hop_rows = hop_distances
         self._chunk_dest = owed_dest
         self._chunk_dist = chunk_dist
-        self._dist_sum = dist_sum
         self._dist_hist = dist_hist
         self._dist_top = len(dist_hist) - 1
 
@@ -599,8 +543,8 @@ class TrialBound:
         """This bound over ``state``, a :meth:`MatchingState.copy` of the one it tracks.
 
         The per-NPU degrees and costs, the hop rows and the tracking
-        classification (single origins, single destinations) are static and
-        shared; the running counts, terms and histogram are copied, so
+        classification (single destinations) are static and shared; the
+        running counts, terms and histogram are copied, so
         :meth:`update` on either bound leaves the other as it was.
         """
         clone = TrialBound.__new__(TrialBound)
@@ -617,9 +561,9 @@ class TrialBound:
         """Fold one round's committed transfers into the incremental tracking.
 
         Counts and weights only ever fall: a transfer satisfies at most one
-        owed pair, departs at most one chunk, and can only shorten a chunk's
-        distance.  A per-NPU term that falls from the cached maximum marks the
-        maximum for recomputation in :meth:`value`.
+        owed pair and can only shorten a chunk's distance.  A per-NPU term
+        that falls from the cached maximum marks the maximum for
+        recomputation in :meth:`value`.
         """
         if self._state is None or not transfers:
             return
@@ -634,15 +578,7 @@ class TrialBound:
         hop_rows = self._hop_rows
         chunk_dist = self._chunk_dist
         dist_hist = self._dist_hist
-        origin = self._origin
-        departed = self._departed
-        undeparted_at = self._undeparted_at
-        out_degrees = self._out_degrees
-        min_out_cost = self._min_out_cost
-        out_terms = self._out_terms
-        out_remaining = self._out_remaining
         satisfied = 0
-        dist_delta = 0
         for _start, _end, chunk, _source, node in transfers:
             code = node * num_chunks + chunk
             if owed_pair[code]:
@@ -657,21 +593,7 @@ class TrialBound:
                     in_terms[node] = term
                 if chunk_dest is not None:
                     weight = chunk_dist[chunk]
-                    if weight < 1:
-                        weight = 1
-                    dist_delta -= weight
-                    dist_hist[weight] -= 1
-            if not departed[chunk]:
-                departed[chunk] = True
-                source = origin[chunk]
-                if source >= 0:
-                    count = undeparted_at[source] - 1
-                    undeparted_at[source] = count
-                    term = -(-count // out_degrees[source]) * min_out_cost[source]
-                    if term != out_terms[source]:
-                        if out_terms[source] == out_remaining:
-                            out_remaining = None
-                        out_terms[source] = term
+                    dist_hist[weight if weight > 1 else 1] -= 1
             if chunk_dest is None:
                 continue
             dest = chunk_dest[chunk]
@@ -685,14 +607,10 @@ class TrialBound:
                     weight = hops if hops > 1 else 1
                     old_weight = old if old > 1 else 1
                     if weight != old_weight:
-                        dist_delta += weight - old_weight
                         dist_hist[old_weight] -= 1
                         dist_hist[weight] += 1
         self._pending -= satisfied
         self._in_remaining = in_remaining
-        self._out_remaining = out_remaining
-        if chunk_dest is not None:
-            self._dist_sum += dist_delta
 
     def value(self, time: float, committed_end: float) -> float:
         """The bound after the round at ``time``; ``committed_end`` = max transfer end so far."""
@@ -702,13 +620,6 @@ class TrialBound:
         remaining = self._in_remaining
         if remaining is None:
             remaining = self._in_remaining = max(self._in_terms)
-        if remaining > 0.0:
-            candidate = time + remaining
-            if candidate > bound:
-                bound = candidate
-        remaining = self._out_remaining
-        if remaining is None:
-            remaining = self._out_remaining = max(self._out_terms)
         if remaining > 0.0:
             candidate = time + remaining
             if candidate > bound:
@@ -723,9 +634,6 @@ class TrialBound:
             candidate = time + float(top) * self._min_cost
             if candidate > bound:
                 bound = candidate
-            candidate = time + float(self._dist_sum) * self._per_link_cost
-            if candidate > bound:
-                bound = candidate
         return bound
 
 
@@ -736,9 +644,6 @@ _TRIAL_BOUND_MUTABLE = (
     "_in_terms",
     "_chunk_dist",
     "_dist_hist",
-    "_departed",
-    "_undeparted_at",
-    "_out_terms",
 )
 
 

@@ -3,14 +3,15 @@
 :class:`~repro.core.matching.TrialBound` keeps its capacity and distance
 terms as running counts that :meth:`~repro.core.matching.TrialBound.update`
 folds each round's transfers into.  :class:`ScratchBound` below is the
-from-scratch formula: every call re-derives the owed pairs, the undeparted
-chunks and the per-chunk hop distances from the live matching state with
-numpy, and evaluates the same four components.  Incumbent pruning compares
-the bound against the incumbent with ``>``, so the two must agree exactly
+from-scratch formula: every call re-derives the owed pairs and the
+per-chunk hop distances from the live matching state with numpy, and
+evaluates the same three components (committed work, per-destination
+in-link capacity, hop-distance chain).  Incumbent pruning compares the
+bound against the incumbent with ``>``, so the two must agree exactly
 (``==`` on floats), not approximately — otherwise a pruning decision could
-move.  Only the tracking *classification* (which chunks have a single
-origin, which have a single owed destination) is snapshotted at
-construction, as the incremental bound does.  The trials start the way the
+move.  Only the tracking *classification* (which chunks have a single owed
+destination) is snapshotted at construction, as the incremental bound
+does.  The trials start the way the
 synthesizer starts them: every seed but the last from a
 :meth:`~repro.core.matching.TrialBound.copy` of one round-0 template bound,
 so the hook covers ``copy()`` as well as ``__init__``.
@@ -37,7 +38,7 @@ MB = 1e6
 
 
 class ScratchBound:
-    """From-scratch numpy evaluation of the four ``TrialBound`` components."""
+    """From-scratch numpy evaluation of the three ``TrialBound`` components."""
 
     def __init__(self, ten, state, hop_distances):
         in_flat, in_indptr, _sources = ten.in_link_csr()
@@ -53,31 +54,15 @@ class ScratchBound:
             starts[empty] = 0
             min_in_cost = np.minimum.reduceat(gathered, starts)
             min_in_cost[empty] = 0.0
-        sources = np.asarray(ten.link_sources, dtype=np.intp)
-        out_degrees = np.bincount(sources, minlength=num_npus)
-        min_out_cost = np.zeros(num_npus, dtype=np.float64)
-        if costs.size:
-            min_out_cost = np.full(num_npus, np.inf)
-            np.minimum.at(min_out_cost, sources, costs)
-            min_out_cost[out_degrees == 0] = 0.0
         self.state = state
         self.num_npus = num_npus
         self.num_chunks = num_chunks
         self.degrees = np.maximum(degrees, 1)
         self.min_in_cost = min_in_cost
-        self.out_degrees = np.maximum(out_degrees, 1)
-        self.min_out_cost = min_out_cost
         self.min_cost = ten.min_link_cost
-        self.per_link_cost = ten.min_link_cost / len(ten.link_costs) if ten.link_costs else 0.0
         self.hop_distances = hop_distances
 
         codes = state._pending_codes()
-        # Chunks whose whole holder set is one NPU at the start.
-        self.origin = {}
-        for chunk in sorted({code % num_chunks for code in codes}):
-            holders = state._holders[chunk]
-            if len(holders) == 1:
-                self.origin[chunk] = holders[0]
         # Chunks owed by exactly one destination at the start.
         dests = {}
         for code in codes:
@@ -96,14 +81,6 @@ class ScratchBound:
         remaining = float((spans * self.min_in_cost).max())
         if remaining > 0.0:
             bound = max(bound, time + remaining)
-        undeparted = np.zeros(self.num_npus, dtype=np.intp)
-        for chunk, source in self.origin.items():
-            if len(state._holders[chunk]) == 1:
-                undeparted[source] += 1
-        out_spans = -(-undeparted // self.out_degrees)
-        remaining = float((out_spans * self.min_out_cost).max())
-        if remaining > 0.0:
-            bound = max(bound, time + remaining)
         if self.hop_distances is not None and self.min_cost > 0.0:
             chunk_dist = np.zeros(self.num_chunks, dtype=np.float64)
             for chunk, dest in self.chunk_dest.items():
@@ -111,7 +88,6 @@ class ScratchBound:
                 chunk_dist[chunk] = min(self.hop_distances[h][dest] for h in holders)
             distances = np.maximum(chunk_dist[codes % self.num_chunks], 1.0)
             bound = max(bound, time + float(distances.max()) * self.min_cost)
-            bound = max(bound, time + float(distances.sum()) * self.per_link_cost)
         return bound
 
 
@@ -188,8 +164,8 @@ def test_incremental_bound_equals_scratch_on_named_workloads(
 
 def test_incremental_bound_equals_scratch_with_multi_destination_chunks(monkeypatch):
     # Forwarding patterns owe every chunk to one destination.  Forcing hop
-    # distances onto an All-Gather makes the distance terms also weigh
-    # chunks owed to several destinations (untracked, weight 1 each).
+    # distances onto an All-Gather makes the chain term also weigh chunks
+    # owed to several destinations (untracked, weight 1 each).
     topology = build_mesh_2d(3, 3)
     payload = dataclasses.replace(
         _payload(topology, AllGather(9), 4 * MB), hop_distances=topology.hop_distances()

@@ -8,12 +8,18 @@ the bound itself: every round of *unpruned* trials records the bound the
 pruning loop evaluates, and each recorded value — plus the round-0 floor
 that floor termination compares against — must stay at or below the
 trial's final time (up to the pruning comparison's relative slack).
+
+The bound is the maximum of three terms (committed work, per-destination
+in-link capacity, hop-distance chain).  The named workloads also record
+which term alone sets each evaluated value, so every term is checked for
+soundness on rounds where it is the one that would decide a prune.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +38,20 @@ MB = 1e6
 SLACK = 1e-9
 
 _original_value = TrialBound.value
+
+#: The terms :meth:`TrialBound.value` takes the maximum of.
+KEPT_TERMS = {"committed", "in_capacity", "chain"}
+
+
+def _terms(bound: TrialBound, time: float, committed_end: float) -> dict:
+    """Each live term of ``bound`` at ``time``, read from its running counts."""
+    terms = {"committed": max(time, committed_end)}
+    if bound._state is not None and bound._pending:
+        terms["in_capacity"] = time + max(bound._in_terms)
+        if bound._chunk_dest is not None and bound._min_cost > 0.0:
+            top = max(weight for weight, count in enumerate(bound._dist_hist) if count)
+            terms["chain"] = time + top * bound._min_cost
+    return terms
 
 
 def _payload(topology, pattern, collective_size, prefer_lowest_cost=True) -> TrialPayload:
@@ -69,9 +89,19 @@ def _floor(payload: TrialPayload) -> float:
 
 
 def _assert_sound(
-    monkeypatch, topology, pattern, collective_size, seeds, prefer_lowest_cost=True
+    monkeypatch,
+    topology,
+    pattern,
+    collective_size,
+    seeds,
+    prefer_lowest_cost=True,
+    binding=None,
 ) -> int:
-    """Run unpruned trials recording every round's bound; return rounds checked."""
+    """Run unpruned trials recording every round's bound; return rounds checked.
+
+    With a ``binding`` counter, each evaluation whose value is set by one
+    term alone counts that term.
+    """
     payload = _payload(topology, pattern, collective_size, prefer_lowest_cost)
     floor = _floor(payload)
     recorded = []
@@ -79,6 +109,12 @@ def _assert_sound(
     def recording_value(self, time, committed_end):
         value = _original_value(self, time, committed_end)
         recorded.append(value)
+        if binding is not None:
+            terms = _terms(self, time, committed_end)
+            assert value == max(terms.values()), (terms, value)
+            setting = [name for name, term in terms.items() if term == value]
+            if len(setting) == 1:
+                binding[setting[0]] += 1
         return value
 
     checked = 0
@@ -99,21 +135,41 @@ def _assert_sound(
     return checked
 
 
-@pytest.mark.parametrize(
-    "name,topology_factory,pattern_cls,size",
-    [
-        ("rfs2x4x4-all_gather", lambda: build_3d_rfs(2, 4, 4), AllGather, 64 * MB),
-        ("rfs2x2x4-gather", lambda: build_3d_rfs(2, 2, 4), Gather, 16 * MB),
-        ("mesh6x6-gather", lambda: build_mesh_2d(6, 6), Gather, 4 * MB),
-        ("torus5x5-all_to_all", lambda: build_torus_2d(5, 5), AllToAll, 4 * MB),
-    ],
-)
-def test_bound_sound_on_named_workloads(monkeypatch, name, topology_factory, pattern_cls, size):
+#: (name, topology, pattern, size, terms that alone set some evaluated value)
+_NAMED_WORKLOADS = [
+    (
+        "rfs2x4x4-all_gather",
+        lambda: build_3d_rfs(2, 4, 4),
+        AllGather,
+        64 * MB,
+        {"committed", "in_capacity"},
+    ),
+    ("rfs2x2x4-gather", lambda: build_3d_rfs(2, 2, 4), Gather, 16 * MB, {"committed"}),
+    ("mesh6x6-gather", lambda: build_mesh_2d(6, 6), Gather, 4 * MB, {"in_capacity", "chain"}),
+    ("torus5x5-all_to_all", lambda: build_torus_2d(5, 5), AllToAll, 4 * MB, {"chain"}),
+]
+
+
+def test_named_workloads_cover_every_kept_term():
+    assert set().union(*(workload[-1] for workload in _NAMED_WORKLOADS)) == KEPT_TERMS
+
+
+@pytest.mark.parametrize("name,topology_factory,pattern_cls,size,binds", _NAMED_WORKLOADS)
+def test_bound_sound_on_named_workloads(
+    monkeypatch, name, topology_factory, pattern_cls, size, binds
+):
     topology = topology_factory()
+    binding = Counter()
     checked = _assert_sound(
-        monkeypatch, topology, pattern_cls(topology.num_npus), size, seeds=range(4)
+        monkeypatch,
+        topology,
+        pattern_cls(topology.num_npus),
+        size,
+        seeds=range(4),
+        binding=binding,
     )
     assert checked > 0
+    assert binds <= set(binding), dict(binding)
 
 
 def _asymmetric_topology(rng: random.Random, num_npus: int, latency_links: int) -> Topology:

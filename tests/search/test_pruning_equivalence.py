@@ -68,8 +68,8 @@ def test_all_gather_winner_is_pruning_invariant(
     trials=st.integers(min_value=1, max_value=4),
 )
 def test_gather_winner_is_pruning_invariant(num_npus, extra_links, seed, trials):
-    # Gather exercises the forwarding path, whose bound components
-    # (hop-distance chain, work conservation) do the heavy lifting.
+    # Gather exercises the forwarding path, where the bound's hop-distance
+    # chain does the heavy lifting.
     rng = random.Random(seed)
     topology = random_connected_topology(num_npus, rng, extra_links=extra_links)
     pattern = Gather(num_npus)
