@@ -75,7 +75,11 @@ def sweep_busy_link_counts(times: np.ndarray, columns: _Columns) -> np.ndarray:
             continue
         bins = np.searchsorted(times, starts[zero_width], side="right") - 1
         np.clip(bins, 0, num_samples - 1, out=bins)
-        bins = np.unique(bins)
+        # Distinct bins, ascending: sort, then keep each run's first entry.
+        # (A bare ``np.unique`` gives the same values but imports
+        # ``numpy.ma`` on its first call in a process.)
+        bins.sort()
+        bins = bins[np.concatenate(([True], bins[1:] != bins[:-1]))]
         wide_starts = starts[~zero_width]
         if wide_starts.size:
             # Drop bins where this link is already counted via a
