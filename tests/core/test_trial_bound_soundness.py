@@ -40,7 +40,7 @@ SLACK = 1e-9
 _original_value = TrialBound.value
 
 #: The terms :meth:`TrialBound.value` takes the maximum of.
-KEPT_TERMS = {"committed", "in_capacity", "chain"}
+BOUND_TERMS = {"committed", "in_capacity", "chain"}
 
 
 def _terms(bound: TrialBound, time: float, committed_end: float) -> dict:
@@ -150,8 +150,8 @@ _NAMED_WORKLOADS = [
 ]
 
 
-def test_named_workloads_cover_every_kept_term():
-    assert set().union(*(workload[-1] for workload in _NAMED_WORKLOADS)) == KEPT_TERMS
+def test_named_workloads_cover_every_bound_term():
+    assert set().union(*(workload[-1] for workload in _NAMED_WORKLOADS)) == BOUND_TERMS
 
 
 @pytest.mark.parametrize("name,topology_factory,pattern_cls,size,binds", _NAMED_WORKLOADS)
