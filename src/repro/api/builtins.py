@@ -15,7 +15,6 @@ from repro.analysis.ideal import (
     ideal_all_reduce_time,
     ideal_reduce_scatter_time,
 )
-from repro.api.cache import ArtifactStore
 from repro.api.registry import (
     ALGORITHMS,
     COLLECTIVES,
@@ -81,10 +80,14 @@ def build_custom_topology(
     """
     topology = Topology(int(num_npus), name=str(topology_name))
     for entry in links:
-        if len(entry) != 4:
-            raise TopologyError(f"custom link entries must be [source, dest, alpha, beta], got {entry!r}")
-        source, dest, alpha, beta = entry
-        topology.add_link(int(source), int(dest), alpha=float(alpha), beta=float(beta))
+        try:
+            source, dest, alpha, beta = entry
+            source, dest, alpha, beta = int(source), int(dest), float(alpha), float(beta)
+        except (TypeError, ValueError):
+            raise TopologyError(
+                f"custom link entries must be [source, dest, alpha, beta], got {entry!r}"
+            ) from None
+        topology.add_link(source, dest, alpha=alpha, beta=beta)
     return topology
 
 
@@ -231,7 +234,7 @@ SYNTHESIZERS.register("tacos", TacosSynthesizer, description="TACOS TEN-matching
 SYNTHESIZERS.register(
     "guided",
     GuidedSynthesizer,
-    description="Guided TACOS search: portfolio-primed, incumbent-pruned, floor-terminated",
+    description="Guided TACOS search: incumbent-pruned, floor-terminated",
 )
 SYNTHESIZERS.register(
     "taccl_like",
@@ -368,23 +371,17 @@ def _tacos(
 
 @ALGORITHMS.register(
     "guided",
-    description="Guided TACOS search: portfolio-primed, incumbent-pruned, floor-terminated",
+    description="Guided TACOS search: incumbent-pruned, floor-terminated",
 )
 def _guided(
     topology: Topology, pattern: CollectivePattern, collective_size: float, **params: Any
 ) -> AlgorithmArtifact:
-    # `store_dir` points the seed portfolio at an artifact-store directory
-    # (e.g. the --cache-dir of earlier runs) and `portfolio_limit` caps the
-    # front-loaded seeds.  Pruning and floor termination default on — pass
-    # `incumbent_pruning=false` to get the uniform best-of-N search.
-    store_dir = params.pop("store_dir", None)
-    portfolio_limit = int(params.pop("portfolio_limit", 8))
+    # Pruning and floor termination default on; `incumbent_pruning=false`
+    # gives the uniform best-of-N search.
     params.setdefault("incumbent_pruning", True)
     params.setdefault("floor_termination", bool(params["incumbent_pruning"]))
     config = SynthesisConfig(**params)
-    store = ArtifactStore(store_dir) if store_dir else None
-    synthesizer = GuidedSynthesizer(config, store=store, portfolio_limit=portfolio_limit)
-    stats = synthesizer.synthesize_with_stats(topology, pattern, collective_size)
+    stats = GuidedSynthesizer(config).synthesize_with_stats(topology, pattern, collective_size)
     return AlgorithmArtifact(
         algorithm=stats.algorithm,
         synthesis_seconds=stats.wall_clock_seconds,
@@ -393,7 +390,6 @@ def _guided(
             "rounds": float(stats.rounds),
             "full_trials": float(stats.full_trials),
             "pruned_trials": float(stats.pruned_trials),
-            "portfolio_seeds": float(len(synthesizer.last_portfolio_seeds)),
         },
         trial_stats=stats.trial_stats,
     )

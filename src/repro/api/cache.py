@@ -70,7 +70,6 @@ __all__ = [
     "ArtifactStore",
     "ResultCache",
     "decode_algorithm",
-    "decode_algorithm_header",
     "encode_algorithm",
 ]
 
@@ -133,7 +132,7 @@ _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 _READ_TAIL = io.DEFAULT_BUFFER_SIZE
 
 
-def decode_algorithm_header(data: bytes) -> Tuple[Dict[str, Any], int]:
+def _decode_algorithm_header(data: bytes) -> Tuple[Dict[str, Any], int]:
     """The validated JSON header of an :func:`encode_algorithm` artifact.
 
     Returns the header and the offset at which the transfer table starts.
@@ -164,13 +163,13 @@ def decode_algorithm(data: bytes) -> "CollectiveAlgorithm":
     """Rebuild the algorithm in an :func:`encode_algorithm` artifact.
 
     Raises :class:`ValueError` when the header is invalid (see
-    :func:`decode_algorithm_header`) or the table is truncated, has trailing
+    :func:`_decode_algorithm_header`) or the table is truncated, has trailing
     bytes, or holds a transfer ending before it starts.
     """
     from repro.core.algorithm import CollectiveAlgorithm
     from repro.core.transfers import TransferTable
 
-    header, offset = decode_algorithm_header(data)
+    header, offset = _decode_algorithm_header(data)
     return CollectiveAlgorithm.from_table(
         TransferTable.from_bytes(memoryview(data)[offset:]),
         num_npus=header["num_npus"],

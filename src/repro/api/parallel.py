@@ -176,7 +176,7 @@ class PoolBackend(ExecutionBackend):
             self._reset_if_forked()
             pool = self._pools.get(workers)
             if pool is None:
-                pool = ProcessPoolExecutor(max_workers=workers)
+                pool = ProcessPoolExecutor(max_workers=workers, initializer=_leave_scope)
                 self._pools[workers] = pool
                 if not self._atexit_registered:
                     self._atexit_registered = True
@@ -255,6 +255,16 @@ def effective_backend(
 # Ambient execution policy
 # ----------------------------------------------------------------------
 _SCOPE = threading.local()
+
+
+def _leave_scope() -> None:
+    """Pool-worker initializer: drop the ambient policy inherited by fork.
+
+    A forked worker starts with a copy of the forking thread's state, so a
+    pool first used inside an :func:`execution_scope` would otherwise run
+    every task under that scope and nest fan-outs in its workers.
+    """
+    _SCOPE.value = None
 
 
 def current_execution() -> Tuple[Optional[ExecutionBackend], Optional[int]]:

@@ -16,8 +16,8 @@ outputs with exact equality, never a tolerance.  Four kinds exist:
   backend; the winners' :meth:`~repro.core.transfers.TransferTable.to_bytes`
   must agree;
 * ``search`` — the same best-of-N synthesis as a uniform search and as a
-  guided search (incumbent pruning and floor termination, no seed
-  portfolio); the winners must agree.
+  guided search (incumbent pruning and floor termination); the winners
+  must agree.
 
 Each :class:`BenchRecord` maps every check name to a bool, so a failure names
 the layer that diverged.  Three grids are provided: ``smoke`` (every kind,
@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.api.builtins import parse_topology_spec
-from repro.api.parallel import BackendSpec, effective_backend
+from repro.api.parallel import BackendSpec, effective_backend, execution_scope
 from repro.api.registry import COLLECTIVES
 from repro.api.runner import build_topology
 from repro.baselines import direct_all_reduce, rhd_all_reduce, ring_all_reduce
@@ -172,17 +172,13 @@ def _check_simulation(scenario: Scenario, topology: Topology) -> Dict[str, bool]
 
 def _check_backend(scenario: Scenario, topology: Topology) -> Dict[str, bool]:
     pattern = _pattern(scenario, topology)
+    config = SynthesisConfig(seed=scenario.seed, trials=scenario.trials)
     winners = {}
     for execution, workers in (("serial", None), ("pool", scenario.workers)):
-        config = SynthesisConfig(
-            seed=scenario.seed,
-            trials=scenario.trials,
-            trial_workers=workers,
-            execution=execution,
-        )
-        algorithm = TacosSynthesizer(config, engine=FLAT_ENGINE).synthesize(
-            topology, pattern, scenario.collective_size
-        )
+        with execution_scope(execution, workers):
+            algorithm = TacosSynthesizer(config, engine=FLAT_ENGINE).synthesize(
+                topology, pattern, scenario.collective_size
+            )
         winners[execution] = algorithm.table.to_bytes()
     return {"winner_bytes": winners["serial"] == winners["pool"]}
 

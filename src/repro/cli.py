@@ -120,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--synthesizer",
         choices=("tacos", "guided"),
         default=None,
-        help="search tier: tacos (uniform best-of-N) or guided (portfolio-primed, "
-        "incumbent-pruned, floor-terminated; same winners, fewer full trials). "
+        help="search tier: tacos (uniform best-of-N) or guided (incumbent-pruned, "
+        "floor-terminated; same winners, fewer full trials). "
         "Travels as the spec's algorithm name, so the two tiers hash and cache "
         "separately.",
     )

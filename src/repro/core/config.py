@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import SynthesisError
 
@@ -13,6 +12,10 @@ __all__ = ["SynthesisConfig"]
 @dataclass(frozen=True)
 class SynthesisConfig:
     """Knobs controlling the randomized TACOS search.
+
+    How the trials execute (serial or on the process pool) is not a field:
+    it comes from the ambient :func:`~repro.api.parallel.execution_scope`,
+    and the selected algorithm is byte-identical either way.
 
     Attributes
     ----------
@@ -37,19 +40,6 @@ class SynthesisConfig:
     max_rounds:
         Safety bound on the number of time spans; exceeded only if synthesis
         cannot make progress (e.g. disconnected topology).
-    trial_workers:
-        Pool size for dispatching independent randomized trials through the
-        shared execution backends (:mod:`repro.api.parallel`).  ``None`` (the
-        default) defers to the ambient
-        :func:`~repro.api.parallel.execution_scope` policy — serial when none
-        is installed; 1 forces serial.  With the default ``execution`` a
-        larger value selects the persistent process pool.  Either way the
-        selected algorithm is byte-identical because every trial is seeded
-        deterministically and the best-of-trials choice is order-independent.
-    execution:
-        Execution backend for the trial fan-out: ``"serial"``, ``"pool"`` (a
-        persistent process pool kept warm across fan-outs), or ``None`` (the
-        default) to follow ``trial_workers`` / the ambient scope.
     incumbent_pruning:
         Abort a trial the moment a lower bound on its final collective time
         *strictly* exceeds the best completed trial so far (the incumbent).
@@ -77,8 +67,6 @@ class SynthesisConfig:
     prefer_lowest_cost_links: bool = True
     enable_forwarding: bool = True
     max_rounds: int = 1_000_000
-    trial_workers: Optional[int] = None
-    execution: Optional[str] = None
     incumbent_pruning: bool = False
     floor_termination: bool = False
 
@@ -91,14 +79,6 @@ class SynthesisConfig:
             raise SynthesisError(
                 "floor_termination requires incumbent_pruning (the floor is "
                 "the pruning bound evaluated before any transfer commits)"
-            )
-        if self.trial_workers is not None and self.trial_workers < 1:
-            raise SynthesisError(
-                f"trial_workers must be at least 1 (or None), got {self.trial_workers}"
-            )
-        if self.execution is not None and self.execution not in ("serial", "pool"):
-            raise SynthesisError(
-                f"execution must be serial or pool (or None), got {self.execution!r}"
             )
 
     def trial_seed(self, trial: int) -> int:

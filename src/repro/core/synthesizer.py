@@ -365,8 +365,7 @@ def _execute_trial(
 
     The returned stats dict carries ``seed``, ``rounds``, ``collective_time``
     (``None`` when pruned), ``pruned_at_round`` (``None`` when completed),
-    and ``wall_seconds`` — the bookkeeping the seed portfolio consumes and
-    ``synthesize --json`` reports.
+    and ``wall_seconds`` — the bookkeeping ``synthesize --json`` reports.
     """
     started = _time.perf_counter()
     if template is None:
@@ -824,7 +823,7 @@ class TacosSynthesizer:
         reachability regions) are resolved once here — cached on the topology
         — and shared read-only by every trial.  Independent trials fan out
         through the pluggable execution backends (:mod:`repro.api.parallel`):
-        serial or pool, per the config or the ambient
+        serial or pool, per the ambient
         :func:`~repro.api.parallel.execution_scope`.  Every trial is seeded
         deterministically (:meth:`SynthesisConfig.trial_seed`) and the
         best-of-trials selection below is order-independent, so the chosen
@@ -856,7 +855,7 @@ class TacosSynthesizer:
             prefer_lowest_cost=self.config.prefer_lowest_cost_links,
             max_rounds=self.config.max_rounds,
         )
-        seeds = self._trial_seeds(topology)
+        seeds = [self.config.trial_seed(trial) for trial in range(self.config.trials)]
         backend, workers = self._trial_execution()
         outcomes = _run_trials(
             payload,
@@ -889,43 +888,18 @@ class TacosSynthesizer:
             trial_stats=[stats for _, stats in outcomes],
         )
 
-    def _trial_seeds(self, topology: Topology) -> List[int]:
-        """The per-trial seed list, in selection (tie-break) order.
+    @staticmethod
+    def _trial_execution():
+        """The ``(backend, workers)`` pair governing the trial fan-out.
 
-        The uniform search runs ``seed + i`` for ``i in range(trials)``.
-        Subclasses may reorder or substitute seeds — the guided tier
-        (:class:`repro.search.GuidedSynthesizer`) front-loads winning seeds of
-        previously synthesized specs on the same topology family — but the
-        list length is the trial budget and earlier entries win ties.
+        Read from the ambient :func:`~repro.api.parallel.execution_scope`
+        policy; ``(None, None)`` (serial) when none is installed or the
+        scope selects the serial backend.
         """
-        return [self.config.trial_seed(trial) for trial in range(self.config.trials)]
+        from repro.api.parallel import current_execution  # deferred: import cycle
 
-    def _trial_execution(self):
-        """Resolve the ``(backend, workers)`` pair governing the trial fan-out.
-
-        Explicit config fields win; with neither set, the ambient
-        :func:`~repro.api.parallel.execution_scope` policy applies (serial
-        when none is installed).  ``trial_workers`` alone selects the pool
-        backend, like every other fan-out site.
-        """
-        from repro.api.parallel import (  # deferred: avoids an import cycle
-            current_execution,
-            resolve_backend,
-        )
-
-        config = self.config
-        if config.execution is not None:
-            backend = resolve_backend(config.execution)
-            workers = config.trial_workers
-            if backend.name == "serial":
-                return None, None
-            return backend, workers
-        if config.trial_workers is not None:
-            if config.trial_workers <= 1:
-                return None, None
-            return resolve_backend("pool"), config.trial_workers
         backend, workers = current_execution()
-        if backend is not None and backend.name == "serial":
+        if backend is None or backend.name == "serial":
             return None, None
         return backend, workers
 

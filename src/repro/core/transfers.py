@@ -12,8 +12,8 @@ consumes:
   postcondition / reduction checks as vectorized sweeps over the columns;
 * :mod:`repro.simulator.adapters` derives the simulator's dependency CSR
   with vectorized grouping and feeds the engine's flat hop columns directly;
-* the exporters (:mod:`repro.export.algorithm_json`,
-  :mod:`repro.export.msccl_xml`) and the analysis metrics read the columns
+* the algorithm artifact (:meth:`to_bytes`), the MSCCL-XML exporter
+  (:mod:`repro.export.msccl_xml`) and the analysis metrics read the columns
   without materializing tuples.
 
 The tuple view (:class:`~repro.core.algorithm.ChunkTransfer` lists) remains

@@ -1,28 +1,11 @@
-"""Persistence and interchange formats for algorithms and topologies."""
+"""Interchange formats for synthesized algorithms.
 
-from repro.export.algorithm_json import (
-    algorithm_from_dict,
-    algorithm_to_dict,
-    load_algorithm_json,
-    save_algorithm_json,
-)
+Algorithms persist through the artifact store
+(:meth:`~repro.api.cache.ResultCache.put_algorithm`) and topologies as
+``"custom"`` specs (:func:`~repro.api.specs.topology_to_spec`); this package
+holds the MSCCL-style XML export for collective communication libraries.
+"""
+
 from repro.export.msccl_xml import algorithm_to_msccl_xml, save_msccl_xml
-from repro.export.topology_json import (
-    load_topology_json,
-    save_topology_json,
-    topology_from_dict,
-    topology_to_dict,
-)
 
-__all__ = [
-    "algorithm_from_dict",
-    "algorithm_to_dict",
-    "algorithm_to_msccl_xml",
-    "load_algorithm_json",
-    "load_topology_json",
-    "save_algorithm_json",
-    "save_msccl_xml",
-    "save_topology_json",
-    "topology_from_dict",
-    "topology_to_dict",
-]
+__all__ = ["algorithm_to_msccl_xml", "save_msccl_xml"]

@@ -1,9 +1,9 @@
-"""Guided synthesis search: incumbent pruning, floors, and seed portfolios.
+"""Guided synthesis search: incumbent pruning and floor termination.
 
 The uniform TACOS search (:class:`~repro.core.synthesizer.TacosSynthesizer`)
 runs ``trials`` independent randomized matchings and keeps the best.  This
-package layers three exact accelerations on top — the winner is always
-byte-identical to the uniform search over the same seed list:
+package layers two exact accelerations on top — the winner is byte-identical
+to the uniform search over the same seed list:
 
 * **Incumbent pruning** (``SynthesisConfig.incumbent_pruning``) — a trial
   aborts the moment a monotone lower bound on its final collective time
@@ -11,9 +11,11 @@ byte-identical to the uniform search over the same seed list:
 * **Floor termination** (``SynthesisConfig.floor_termination``) — the whole
   search stops once a completed trial meets the round-0 bound, which bounds
   every trial from below.
-* **Seed portfolios** (:class:`GuidedSynthesizer`) — winning seeds of
-  previously synthesized specs on the same topology family are tried first,
-  so a strong incumbent is established early and pruning bites harder.
+
+The one exception is a search in which the uniform tier stalls and raises
+:class:`~repro.errors.SynthesisError`: pruning can abort the stalling trials
+before they stall, so :class:`GuidedSynthesizer` returns the best completed
+trial where the uniform search has no winner.
 
 See docs/determinism.md ("Incumbent pruning is exact") for the exactness
 arguments, the ``search`` grid of ``tacos-repro bench`` for the byte-identity
@@ -21,6 +23,5 @@ check, and ``perfbench/``'s ``search-gather`` workload for the measured effect.
 """
 
 from repro.search.guided import GuidedSynthesizer
-from repro.search.portfolio import topology_family, winning_seeds
 
-__all__ = ["GuidedSynthesizer", "topology_family", "winning_seeds"]
+__all__ = ["GuidedSynthesizer"]

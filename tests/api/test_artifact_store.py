@@ -153,6 +153,18 @@ class TestResultCacheOnStore:
         pattern = COLLECTIVES.get("all_reduce")(4, 1)
         assert verify_algorithm(loaded, topology, pattern)
 
+    def test_non_json_metadata_is_stored_as_its_string(self, tmp_path):
+        # The header stays strict JSON: a value JSON cannot carry (here a
+        # callable) is written as its str() instead of failing the write.
+        algorithm = _small_algorithm()
+        algorithm.metadata["callable"] = len
+        cache = ResultCache(tmp_path)
+        cache.put_algorithm(_spec(), algorithm)
+        loaded = ResultCache(tmp_path).load_algorithm(_spec())
+        assert loaded is not None
+        assert loaded.metadata["callable"] == str(len)
+        assert loaded.table.to_bytes() == algorithm.table.to_bytes()
+
     def test_clear_disk_removes_algorithm_payloads(self, tmp_path):
         cache = ResultCache(tmp_path)
         run(_spec(), cache=cache)
@@ -253,6 +265,7 @@ _PREFIX = len(_ALGORITHM_MAGIC) + _HEADER_LENGTH.size
 
 CORRUPTIONS = {
     "bad-magic": lambda blob: b"NOTTACOS" + blob[len(_ALGORITHM_MAGIC) :],
+    "other-version": lambda blob: _ALGORITHM_MAGIC[:-1] + b"9" + blob[len(_ALGORITHM_MAGIC) :],
     "empty": lambda blob: b"",
     "truncated-header-length": lambda blob: blob[: _PREFIX - 1],
     "truncated-header": lambda blob: blob[: _PREFIX + 5],

@@ -44,6 +44,11 @@ def _square(value):
     return value * value
 
 
+def _ambient_policy(_):
+    backend, workers = current_execution()
+    return (backend.name if backend is not None else None, workers)
+
+
 def _boom(value):
     raise RuntimeError(f"boom {value}")
 
@@ -114,9 +119,11 @@ class TestBackends:
             assert current_execution()[0] is None
 
     @pytest.mark.parametrize("name", ["gpu", "thread", "process"])
-    def test_config_rejects_unknown_execution(self, name):
-        with pytest.raises(SynthesisError):
-            SynthesisConfig(execution=name)
+    def test_scope_rejects_unknown_execution(self, name):
+        with pytest.raises(ReproError, match="unknown execution backend"):
+            with execution_scope(execution=name):
+                pass  # pragma: no cover - the scope must not open
+        assert current_execution() == (None, None)
 
 
 # ----------------------------------------------------------------------
@@ -217,15 +224,15 @@ class TestTrialFanOutEquivalence:
     def test_best_of_n_synthesis_byte_identical(self):
         topology = build_ring(6)
         pattern = AllGather(6)
+        config = SynthesisConfig(seed=0, trials=4)
         outcomes = {}
-        for name, config in {
-            "serial": SynthesisConfig(seed=0, trials=4),
-            "workers-alone": SynthesisConfig(seed=0, trials=4, trial_workers=2),
-            "pool": SynthesisConfig(
-                seed=0, trials=4, trial_workers=2, execution="pool"
-            ),
+        for name, scope in {
+            "serial": {},
+            "workers-alone": {"workers": 2},
+            "pool": {"execution": "pool", "workers": 2},
         }.items():
-            outcomes[name] = TacosSynthesizer(config).synthesize(topology, pattern, MB)
+            with execution_scope(**scope):
+                outcomes[name] = TacosSynthesizer(config).synthesize(topology, pattern, MB)
         serial = outcomes["serial"]
         for name, algorithm in outcomes.items():
             assert algorithm.transfers == serial.transfers, name
@@ -241,28 +248,15 @@ class TestTrialFanOutEquivalence:
             scoped = TacosSynthesizer(config).synthesize(topology, pattern, MB)
         assert scoped.table.to_bytes() == baseline.table.to_bytes()
 
-    def test_explicit_serial_config_ignores_scope(self):
-        topology = build_ring(4)
-        pattern = AllGather(4)
-        config = SynthesisConfig(seed=2, trials=2, execution="serial")
-        with execution_scope(execution="pool", workers=2):
-            algorithm = TacosSynthesizer(config).synthesize(topology, pattern, MB)
-        baseline = TacosSynthesizer(
-            SynthesisConfig(seed=2, trials=2)
-        ).synthesize(topology, pattern, MB)
-        assert algorithm.transfers == baseline.transfers
-
     def test_trial_stats_identical_across_backends(self):
         # Uniform search: every seed runs to completion on both tiers.  (A
         # pruned pool search shares its incumbent per wave, so it may prune
         # later than the serial scan; only its winner is pinned.)
         def stats(execution):
-            config = SynthesisConfig(
-                seed=0, trials=6, trial_workers=2, execution=execution
-            )
-            result = TacosSynthesizer(config).synthesize_with_stats(
-                build_mesh([3, 3]), Gather(9), MB
-            )
+            with execution_scope(execution, 2):
+                result = TacosSynthesizer(
+                    SynthesisConfig(seed=0, trials=6)
+                ).synthesize_with_stats(build_mesh([3, 3]), Gather(9), MB)
             return [
                 (entry["seed"], entry["rounds"], entry["collective_time"], entry["pruned_at_round"])
                 for entry in result.trial_stats
@@ -285,12 +279,12 @@ class TestTrialFanOutEquivalence:
         # of the dual All-Gather travel in the blob to the pool workers.
         topology = topology_factory()
         pattern = pattern_cls(topology.num_npus)
-        results = {
-            execution: TacosSynthesizer(
-                SynthesisConfig(seed=0, trials=4, trial_workers=2, execution=execution)
-            ).synthesize(topology, pattern, 16 * MB)
-            for execution in ("serial", "pool")
-        }
+        results = {}
+        for execution in ("serial", "pool"):
+            with execution_scope(execution, 2):
+                results[execution] = TacosSynthesizer(
+                    SynthesisConfig(seed=0, trials=4)
+                ).synthesize(topology, pattern, 16 * MB)
         assert results["pool"].table.to_bytes() == results["serial"].table.to_bytes()
         assert results["pool"].metadata == results["serial"].metadata
 
@@ -298,15 +292,10 @@ class TestTrialFanOutEquivalence:
     def test_failed_pool_fan_out_leaks_nothing(self, pruning):
         # Every trial overruns max_rounds inside a pool worker: the error
         # must reach the caller, and the pool must stay usable afterwards.
-        config = SynthesisConfig(
-            trials=4,
-            trial_workers=2,
-            execution="pool",
-            max_rounds=1,
-            incumbent_pruning=pruning,
-        )
-        with pytest.raises(SynthesisError, match="exceeded 1 time spans"):
-            TacosSynthesizer(config).synthesize(build_mesh([3, 3]), Gather(9), MB)
+        config = SynthesisConfig(trials=4, max_rounds=1, incumbent_pruning=pruning)
+        with execution_scope("pool", 2):
+            with pytest.raises(SynthesisError, match="exceeded 1 time spans"):
+                TacosSynthesizer(config).synthesize(build_mesh([3, 3]), Gather(9), MB)
         assert BACKENDS["pool"].map(_square, range(4), max_workers=2) == [0, 1, 4, 9]
 
     @pytest.mark.parametrize(
@@ -325,14 +314,29 @@ class TestTrialFanOutEquivalence:
         )
         flat = TacosSynthesizer(SynthesisConfig(trials=2)).synthesize(topology, AllGather(4), MB)
         assert serial.table.to_bytes() == flat.table.to_bytes()
-        pooled = SynthesisConfig(trials=2, trial_workers=2, execution="pool")
-        with pytest.raises(SynthesisError, match="flat engine only"):
-            TacosSynthesizer(pooled, engine=engine).synthesize(topology, AllGather(4), MB)
+        with execution_scope("pool", 2):
+            with pytest.raises(SynthesisError, match="flat engine only"):
+                TacosSynthesizer(SynthesisConfig(trials=2), engine=engine).synthesize(
+                    topology, AllGather(4), MB
+                )
 
 
 @pytest.mark.backend_equivalence
 class TestPoolLifecycle:
     """The persistent tier's contract: warm reuse, thread safety, recovery."""
+
+    def test_workers_forked_inside_a_scope_start_without_it(self):
+        # The pool forks on first use; a worker must not inherit the ambient
+        # policy of the thread that forked it, or every later task on the
+        # warm pool (e.g. a reference-engine synthesis) would fan out again.
+        backend = PoolBackend()
+        try:
+            with execution_scope("pool", 2):
+                inside = backend.map(_ambient_policy, range(4), max_workers=2)
+            outside = backend.map(_ambient_policy, range(4), max_workers=2)
+        finally:
+            backend.shutdown()
+        assert inside == outside == [(None, None)] * 4
 
     def test_pool_reused_across_consecutive_fan_outs(self):
         backend = PoolBackend()

@@ -13,8 +13,8 @@ from repro.api.specs import (
     parse_size,
     topology_to_spec,
 )
-from repro.errors import SpecError
-from repro.topology import build_mesh, build_ring
+from repro.errors import SpecError, TopologyError
+from repro.topology import Topology, build_dgx1, build_dragonfly, build_mesh, build_ring
 
 
 def make_run_spec(**overrides):
@@ -129,6 +129,66 @@ class TestTopologyToSpec:
         spec = topology_to_spec(topology)
         sources_dests = [(link[0], link[1]) for link in spec.params["links"]]
         assert sources_dests == list(topology.link_keys())
+
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda: build_dragonfly(3, 4), lambda: build_dgx1(heterogeneous=True)],
+        ids=["dragonfly-3x4", "dgx1-hetero"],
+    )
+    def test_json_round_trip_keeps_every_link_exactly(self, factory):
+        from repro.api.runner import build_topology
+
+        topology = factory()
+        text = topology_to_spec(topology).to_json()
+        rebuilt = build_topology(TopologySpec.from_json(text))
+        assert rebuilt == topology
+        assert rebuilt.name == topology.name
+        # Same order and bit-identical alpha/beta: the synthesizer's
+        # tie-breaking sees the same network.
+        assert [
+            (link.source, link.dest, link.alpha, link.beta) for link in rebuilt.links()
+        ] == [(link.source, link.dest, link.alpha, link.beta) for link in topology.links()]
+
+    def test_pure_latency_link_is_strict_json(self):
+        # A beta=0 link has infinite bandwidth; the spec carries beta itself,
+        # so no bare `Infinity` constant reaches the document.
+        from repro.api.runner import build_topology
+
+        topology = Topology(2, name="control-plane")
+        topology.add_link(0, 1, alpha=1e-6, beta=0.0)
+        text = topology_to_spec(topology).to_json()
+
+        def reject(constant):
+            raise AssertionError(f"non-finite constant {constant!r} in the spec")
+
+        json.loads(text, parse_constant=reject)
+        rebuilt = build_topology(TopologySpec.from_json(text))
+        assert rebuilt == topology
+        assert rebuilt.link(0, 1).beta == 0.0
+
+    @pytest.mark.parametrize(
+        "links",
+        [[[0]], [[0, 1, 1e-6]], [[0, 1, "fast", 1e-11]], [7], [[0, 5, 1e-6, 1e-11]]],
+        ids=["one-field", "three-fields", "non-numeric", "not-a-list", "npu-out-of-range"],
+    )
+    def test_malformed_link_entry_rejected(self, links):
+        from repro.api.runner import build_topology
+
+        spec = TopologySpec(name="custom", params={"num_npus": 2, "links": links})
+        with pytest.raises(TopologyError):
+            build_topology(spec)
+
+    def test_rebuilt_topology_synthesizes_the_same_winner(self):
+        from repro.api.runner import build_topology
+        from repro.collectives import AllGather
+        from repro.core import TacosSynthesizer, verify_algorithm
+
+        topology = build_mesh((2, 3))
+        rebuilt = build_topology(TopologySpec.from_json(topology_to_spec(topology).to_json()))
+        expected = TacosSynthesizer().synthesize(topology, AllGather(6), 6e6)
+        algorithm = TacosSynthesizer().synthesize(rebuilt, AllGather(6), 6e6)
+        assert algorithm.table.to_bytes() == expected.table.to_bytes()
+        assert verify_algorithm(algorithm, rebuilt, AllGather(6))
 
 
 class TestParseSize:

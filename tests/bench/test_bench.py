@@ -9,6 +9,7 @@ import pytest
 
 from repro import cli
 from repro.api.builtins import parse_topology_spec
+from repro.api.parallel import current_execution
 from repro.api.registry import COLLECTIVES
 from repro.api.runner import build_topology
 from repro.bench import (
@@ -323,7 +324,9 @@ class _ShiftedPoolSynthesizer(TacosSynthesizer):
 
     def synthesize(self, topology, pattern, collective_size):
         algorithm = super().synthesize(topology, pattern, collective_size)
-        return algorithm.shifted(1e-12) if self.config.execution == "pool" else algorithm
+        backend, _ = current_execution()
+        pooled = backend is not None and backend.name == "pool"
+        return algorithm.shifted(1e-12) if pooled else algorithm
 
 
 def _late_completion(result):

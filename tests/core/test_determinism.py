@@ -8,6 +8,7 @@ topologies alike, and the serial and parallel trial paths must agree.
 
 import pytest
 
+from repro.api.parallel import execution_scope
 from repro.collectives import AllGather, AllReduce, Gather
 from repro.core import SynthesisConfig, TacosSynthesizer
 from repro.topology import build_dgx1, build_mesh_2d, build_ring
@@ -67,9 +68,9 @@ class TestFixedSeedDeterminism:
     def test_parallel_trials_select_the_same_algorithm_as_serial(self):
         topology = build_mesh_2d(3, 3)
         pattern = AllReduce(9)
-        serial = _synthesize(topology, pattern, SynthesisConfig(seed=2, trials=4))
-        parallel = _synthesize(
-            topology, pattern, SynthesisConfig(seed=2, trials=4, trial_workers=4)
-        )
+        config = SynthesisConfig(seed=2, trials=4)
+        serial = _synthesize(topology, pattern, config)
+        with execution_scope(workers=4):
+            parallel = _synthesize(topology, pattern, config)
         assert serial.transfers == parallel.transfers
         assert serial.collective_time == parallel.collective_time

@@ -15,7 +15,7 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.api.parallel import BACKENDS, SerialBackend
+from repro.api.parallel import BACKENDS, SerialBackend, execution_scope
 from repro.bench.reference import REFERENCE_ENGINE
 from repro.collectives import (
     AllGather,
@@ -136,8 +136,6 @@ class TestTrialStatsAlwaysPopulated:
             "prefer_lowest_cost_links",
             "enable_forwarding",
             "max_rounds",
-            "trial_workers",
-            "execution",
             "incumbent_pruning",
             "floor_termination",
         ]
@@ -348,17 +346,23 @@ class TestInlineTransport:
 
 class TestTrialExecution:
     @pytest.mark.parametrize(
-        "fields, expected",
+        "scope, expected",
         [
-            ({"trial_workers": 2}, ("pool", 2)),
-            ({"trial_workers": 1}, (None, None)),
-            ({"execution": "serial", "trial_workers": 4}, (None, None)),
+            (None, (None, None)),
+            ({"workers": 2}, ("pool", 2)),
+            ({"workers": 1}, (None, None)),
+            ({"execution": "serial", "workers": 4}, (None, None)),
             ({"execution": "pool"}, ("pool", None)),
         ],
-        ids=["workers-alone-pool", "one-worker-serial", "explicit-serial", "explicit-pool"],
+        ids=["no-scope", "workers-alone-pool", "one-worker-serial", "serial", "pool"],
     )
-    def test_resolution(self, fields, expected):
-        backend, workers = TacosSynthesizer(SynthesisConfig(**fields))._trial_execution()
+    def test_resolution(self, scope, expected):
+        synthesizer = TacosSynthesizer(SynthesisConfig())
+        if scope is None:
+            backend, workers = synthesizer._trial_execution()
+        else:
+            with execution_scope(**scope):
+                backend, workers = synthesizer._trial_execution()
         name = backend.name if backend is not None else None
         assert (name, workers) == expected
         if backend is not None:

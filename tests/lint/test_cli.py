@@ -123,7 +123,7 @@ class TestJsonReport:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
         document = json.loads(reports[0])
-        assert document["summary"] == {"new": 0, "suppressed": 1}
+        assert document["summary"] == {"new": 0, "suppressed": 0}
 
 
 class TestPathNormalization:
@@ -145,7 +145,7 @@ class TestTacosCliIntegration:
 
     def test_lint_subcommand_on_repo_is_clean(self, capsys):
         assert tacos_main(["lint"]) == 0
-        assert "0 finding(s), 1 suppressed" in capsys.readouterr().out
+        assert "0 finding(s), 0 suppressed" in capsys.readouterr().out
 
     def test_lint_listed_in_help(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,27 +1,23 @@
-"""The guided synthesis tier: config defaults, portfolios, registry, CLI.
+"""The guided synthesis tier: config defaults, registry, CLI.
 
 The load-bearing guarantee: guided search over the *same seed list* selects
 a winner byte-identical to the uniform search — pruning and floor
 termination only skip work that provably cannot change the strict-``<``
-best-of selection.  Portfolios reorder/substitute seeds, which is allowed to
-change the winner; those tests assert the mechanics (front-loading, budget
-preservation), not byte identity.
+best-of selection.  The seed list is ``seed + i`` on both tiers, so a spec
+alone fixes the winner.
 """
 
-import dataclasses
+import inspect
 import json
 
 import pytest
 
 from repro import cli
 from repro.api import ALGORITHMS, SYNTHESIZERS
-from repro.api.cache import ResultCache
 from repro.api.runner import run
 from repro.api.specs import AlgorithmSpec, CollectiveSpec, RunSpec, TopologySpec
 from repro.collectives import AllGather
 from repro.core import SynthesisConfig, TacosSynthesizer
-from repro.core.algorithm import CollectiveAlgorithm
-from repro.core.transfers import TransferTable
 from repro.errors import SynthesisError
 from repro.search import GuidedSynthesizer
 from repro.topology import build_mesh
@@ -54,7 +50,7 @@ class TestConfigDefaults:
             SynthesisConfig(floor_termination=True, incumbent_pruning=False)
 
 
-class TestGuidedWithoutStore:
+class TestGuidedSearch:
     def test_winner_matches_uniform_byte_for_byte(self):
         topology = build_mesh([4, 4])
         pattern = AllGather(16)
@@ -71,7 +67,7 @@ class TestGuidedWithoutStore:
         result = guided.synthesize_with_stats(topology, pattern, 4e6)
         assert result.algorithm.table.to_bytes() == expected.table.to_bytes()
         assert result.algorithm.collective_time == expected.collective_time
-        assert guided.last_portfolio_seeds == []
+        assert [stats["seed"] for stats in result.trial_stats] == list(range(3, 11))
 
     def test_trial_stats_account_for_every_seed(self):
         topology = build_mesh([3, 3])
@@ -83,85 +79,13 @@ class TestGuidedWithoutStore:
         assert result.full_trials >= 1  # the winner always completes
 
 
-class TestGuidedWithPortfolio:
-    def _seeded_store(self, tmp_path, seeds, topology_name="Mesh(6x6)"):
-        # Entries written by the real producer; the seeds go to the specs in
-        # sorted hash order, which is the order the portfolio scans the store.
-        cache = ResultCache(tmp_path / "store")
-        specs = sorted(
-            (dataclasses.replace(_mesh_spec(), label=f"k{index}") for index in range(len(seeds))),
-            key=RunSpec.spec_hash,
-        )
-        for spec, seed in zip(specs, seeds):
-            cache.store.write_json(spec.spec_hash(), {"topology": topology_name})
-            algorithm = CollectiveAlgorithm.from_table(
-                TransferTable.empty(),
-                num_npus=36,
-                chunk_size=1e6,
-                collective_size=36e6,
-                pattern_name="AllGather",
-                topology_name=topology_name,
-                metadata={"seed": seed},
-            )
-            cache.put_algorithm(spec, algorithm)
-        return cache.store
+class TestNoHiddenInputs:
+    def test_constructor_takes_only_config_and_engine(self):
+        assert list(inspect.signature(GuidedSynthesizer).parameters) == ["config", "engine"]
 
-    def test_portfolio_seeds_front_loaded(self, tmp_path):
-        store = self._seeded_store(tmp_path, [103, 207])
-        guided = GuidedSynthesizer(
-            SynthesisConfig(seed=0, trials=6, incumbent_pruning=True),
-            store=store,
-        )
-        topology = build_mesh([6, 6])
-        seeds = guided._trial_seeds(topology)
-        assert seeds[:2] == [103, 207]
-        assert len(seeds) == 6  # budget-preserving substitution
-        assert guided.last_portfolio_seeds == [103, 207]
-
-    def test_portfolio_overlap_deduplicates(self, tmp_path):
-        # Seed 2 is already in the base list 0..5: it moves to the front
-        # instead of appearing twice, and the budget still holds.
-        store = self._seeded_store(tmp_path, [2, 400])
-        guided = GuidedSynthesizer(
-            SynthesisConfig(seed=0, trials=6, incumbent_pruning=True),
-            store=store,
-        )
-        seeds = guided._trial_seeds(build_mesh([6, 6]))
-        assert seeds[:2] == [2, 400]
-        assert len(seeds) == len(set(seeds)) == 6
-
-    def test_foreign_family_is_ignored(self, tmp_path):
-        store = self._seeded_store(tmp_path, [99], topology_name="Ring(16)")
-        guided = GuidedSynthesizer(
-            SynthesisConfig(seed=0, trials=4, incumbent_pruning=True),
-            store=store,
-        )
-        seeds = guided._trial_seeds(build_mesh([6, 6]))
-        assert seeds == list(range(4))
-        assert guided.last_portfolio_seeds == []
-
-    def test_portfolio_limit_caps_front_loading(self, tmp_path):
-        store = self._seeded_store(tmp_path, [100, 200, 300, 400])
-        guided = GuidedSynthesizer(
-            SynthesisConfig(seed=0, trials=8, incumbent_pruning=True),
-            store=store,
-            portfolio_limit=2,
-        )
-        seeds = guided._trial_seeds(build_mesh([6, 6]))
-        assert seeds[:2] == [100, 200]
-        assert 300 not in seeds and 400 not in seeds
-
-    def test_end_to_end_portfolio_from_cached_runs(self, tmp_path):
-        # A cached run on the Mesh family seeds the portfolio of the next
-        # guided run on a sibling mesh.
-        cache = ResultCache(tmp_path / "cache")
-        run(_mesh_spec(trials=3, seed=5), cache=cache)
-        guided = GuidedSynthesizer(
-            SynthesisConfig(seed=0, trials=4, incumbent_pruning=True),
-            store=cache.store,
-        )
-        guided.synthesize_with_stats(build_mesh([4, 4]), AllGather(16), 1e6)
-        assert guided.last_portfolio_seeds  # mined from the cached run
+    def test_no_seed_list_hook(self):
+        assert not hasattr(TacosSynthesizer, "_trial_seeds")
+        assert not hasattr(GuidedSynthesizer, "_trial_seeds")
 
 
 class TestRegistryAndSpecs:
@@ -222,3 +146,17 @@ class TestCli:
         assert cli.main(argv) == 0
         uniform = json.loads(capsys.readouterr().out)
         assert guided["collective_time"] == uniform["collective_time"]
+
+    @pytest.mark.parametrize("synthesizer", ["tacos", "guided"])
+    @pytest.mark.parametrize(
+        "param",
+        ["store_dir=cache", "portfolio_limit=4", "trial_workers=2", "execution=pool"],
+    )
+    def test_removed_params_are_usage_errors(self, capsys, synthesizer, param):
+        # Neither a store's contents nor the execution backend is a search
+        # input: these params name no SynthesisConfig field, so they fail
+        # like any unknown param instead of being silently accepted.
+        argv = ["synthesize", "-t", "mesh:3x3", "-c", "all_gather",
+                "--synthesizer", synthesizer, "-p", param]
+        assert cli.main(argv) == 2
+        assert param.partition("=")[0] in capsys.readouterr().err

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api.parallel import execution_scope
 from repro.collectives import AllGather, AllReduce, Gather
 from repro.core import SynthesisConfig, TacosSynthesizer
 from repro.topology import build_mesh, build_ring
@@ -160,16 +161,12 @@ class TestBackendEquivalence:
     def test_pruned_winner_matches_reference(self, execution, reference):
         topology, pattern, expected = reference
         config = SynthesisConfig(
-            seed=1,
-            trials=6,
-            trial_workers=2,
-            execution=execution,
-            incumbent_pruning=True,
-            floor_termination=True,
+            seed=1, trials=6, incumbent_pruning=True, floor_termination=True
         )
-        result = TacosSynthesizer(config).synthesize_with_stats(
-            topology, pattern, self.SIZE
-        )
+        with execution_scope(execution, 2):
+            result = TacosSynthesizer(config).synthesize_with_stats(
+                topology, pattern, self.SIZE
+            )
         assert result.algorithm.table.to_bytes() == expected
         assert len(result.trial_stats) == 6
         # Two pool workers run waves of four seeds.  The floor is not met in
@@ -184,16 +181,12 @@ class TestBackendEquivalence:
 
         def stats_for(backend):
             config = SynthesisConfig(
-                seed=0,
-                trials=6,
-                trial_workers=2,
-                execution=backend,
-                incumbent_pruning=True,
-                floor_termination=True,
+                seed=0, trials=6, incumbent_pruning=True, floor_termination=True
             )
-            return TacosSynthesizer(config).synthesize_with_stats(
-                topology, pattern, self.SIZE
-            )
+            with execution_scope(backend, 2):
+                return TacosSynthesizer(config).synthesize_with_stats(
+                    topology, pattern, self.SIZE
+                )
 
         serial = stats_for("serial")
         parallel = stats_for("pool")
