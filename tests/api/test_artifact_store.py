@@ -153,6 +153,35 @@ class TestResultCacheOnStore:
         pattern = COLLECTIVES.get("all_reduce")(4, 1)
         assert verify_algorithm(loaded, topology, pattern)
 
+    @pytest.mark.parametrize(
+        "collective",
+        [
+            "all_gather",
+            "all_reduce",
+            "all_to_all",
+            "broadcast",
+            "gather",
+            "reduce",
+            "reduce_scatter",
+            "scatter",
+        ],
+    )
+    def test_reloaded_algorithm_of_every_collective_verifies(self, tmp_path, collective):
+        from repro.core.verification import verify_algorithm
+
+        spec = RunSpec(
+            topology=TopologySpec(name="mesh_2d", params={"rows": 3, "cols": 3}),
+            collective=CollectiveSpec(name=collective, collective_size=9 * MB),
+            algorithm=AlgorithmSpec(name="tacos"),
+        )
+        result = run(spec, cache=ResultCache(tmp_path))
+        loaded = ResultCache(tmp_path).load_algorithm(spec)
+        assert loaded is not None
+        assert loaded.collective_time == pytest.approx(result.collective_time)
+        topology = build_topology(spec.topology)
+        pattern = build_collective(spec.collective, topology.num_npus)
+        assert verify_algorithm(loaded, topology, pattern)
+
     def test_non_json_metadata_is_stored_as_its_string(self, tmp_path):
         # The header stays strict JSON: a value JSON cannot carry (here a
         # callable) is written as its str() instead of failing the write.

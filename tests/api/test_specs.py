@@ -114,6 +114,42 @@ class TestValidation:
             RunSpec.from_dict({"collective": {"name": "all_gather"}})
 
 
+# One small instance of every registered topology builder except "custom".
+SMALL_BUILDER_PARAMS = {
+    "binary_hypercube": {"dimension": 3},
+    "dgx1": {},
+    "dragonfly": {"num_groups": 3, "group_size": 2},
+    "fully_connected": {"num_npus": 4},
+    "hypercube_3d": {"x": 2, "y": 2, "z": 2},
+    "mesh": {"dims": [2, 3]},
+    "mesh_2d": {"rows": 3, "cols": 3},
+    "mesh_3d": {"x": 2, "y": 2, "z": 2},
+    "rfs_3d": {"ring_size": 2, "fc_size": 2, "switch_size": 2},
+    "ring": {"num_npus": 5},
+    "switch": {"num_npus": 4},
+    "switch_2d": {"first_size": 2, "second_size": 4},
+    "torus": {"dims": [3, 3]},
+    "torus_2d": {"rows": 3, "cols": 4},
+    "torus_3d": {"x": 2, "y": 2, "z": 3},
+    "uni_ring": {"num_npus": 5},
+}
+
+
+def _assert_json_round_trip_is_exact(topology):
+    """``topology_to_spec`` -> JSON -> build gives back ``topology`` exactly."""
+    from repro.api.runner import build_topology
+
+    text = topology_to_spec(topology).to_json()
+    rebuilt = build_topology(TopologySpec.from_json(text))
+    assert rebuilt == topology
+    assert rebuilt.name == topology.name
+    # Same order and bit-identical alpha/beta: the synthesizer's
+    # tie-breaking sees the same network.
+    assert [(link.source, link.dest, link.alpha, link.beta) for link in rebuilt.links()] == [
+        (link.source, link.dest, link.alpha, link.beta) for link in topology.links()
+    ]
+
+
 class TestTopologyToSpec:
     def test_round_trips_an_arbitrary_topology(self):
         from repro.api.runner import build_topology
@@ -136,18 +172,20 @@ class TestTopologyToSpec:
         ids=["dragonfly-3x4", "dgx1-hetero"],
     )
     def test_json_round_trip_keeps_every_link_exactly(self, factory):
+        _assert_json_round_trip_is_exact(factory())
+
+    @pytest.mark.parametrize("name", sorted(SMALL_BUILDER_PARAMS))
+    def test_every_registered_builder_round_trips_exactly(self, name):
         from repro.api.runner import build_topology
 
-        topology = factory()
-        text = topology_to_spec(topology).to_json()
-        rebuilt = build_topology(TopologySpec.from_json(text))
-        assert rebuilt == topology
-        assert rebuilt.name == topology.name
-        # Same order and bit-identical alpha/beta: the synthesizer's
-        # tie-breaking sees the same network.
-        assert [
-            (link.source, link.dest, link.alpha, link.beta) for link in rebuilt.links()
-        ] == [(link.source, link.dest, link.alpha, link.beta) for link in topology.links()]
+        topology = build_topology(TopologySpec(name=name, params=SMALL_BUILDER_PARAMS[name]))
+        _assert_json_round_trip_is_exact(topology)
+
+    def test_the_builder_table_covers_the_registry(self):
+        from repro.api.registry import TOPOLOGIES
+
+        # "custom" is the round trip's own target, covered above.
+        assert sorted(SMALL_BUILDER_PARAMS) == sorted(set(TOPOLOGIES.names()) - {"custom"})
 
     def test_pure_latency_link_is_strict_json(self):
         # A beta=0 link has infinite bandwidth; the spec carries beta itself,
