@@ -241,6 +241,12 @@ def _smoke_grid() -> List[Scenario]:
         Scenario(
             "pipe-mesh4x4-scatter-1MB-t4", "pipeline", "mesh_2d:4,4", "scatter", 1 * _MB, trials=4
         ),
+        # Ring All-to-All saturates most spans (26 of 43 rounds over the four
+        # trials at seed 0), so the TEN's busy-link count drives the
+        # saturation exit; the reference engine keeps its own TEN.
+        Scenario(
+            "pipe-ring8-a2a-1MB-t4", "pipeline", "ring:8", "all_to_all", 1 * _MB, trials=4
+        ),
         Scenario("sim-ring-mesh3x3-1MB", "simulation", "mesh_2d:3,3", "ring", 1 * _MB),
         Scenario(
             "backend-mesh4x4-ag-1MB-t4", "backend", "mesh_2d:4,4", "all_gather", 1 * _MB, trials=4

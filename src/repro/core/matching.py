@@ -218,6 +218,9 @@ class MatchingState:
         #: out-neighbour of ``npu`` initially owes ``chunk``.  ``None`` = every
         #: acquisition is pushed.  See :meth:`watch_activations`.
         self._watch: Optional[bytearray] = None
+        #: Static per-link probe offsets ``link_dest * num_chunks`` for the
+        #: forwarding pass; see :meth:`link_dest_offsets`.
+        self._link_dest_offsets: Optional[List[int]] = None
 
     def watch_activations(self, out_adjacency: List[List[int]]) -> None:
         """Push future commit-time activations only where they can promote a pair.
@@ -242,11 +245,25 @@ class MatchingState:
                 watch[npu] = owed[neighbours].any(axis=0)
         self._watch = bytearray(watch.tobytes())
 
+    def link_dest_offsets(self, link_dests: List[int]) -> List[int]:
+        """``link_dests[link_id] * num_chunks`` per link id, built on first call.
+
+        The forwarding pass probes a candidate link's neighbour at
+        ``offsets[link_id] + chunk`` in the acquisition array.  The table is
+        static, so a trial template builds it once and every copy shares it.
+        """
+        offsets = self._link_dest_offsets
+        if offsets is None:
+            num_chunks = self.num_chunks
+            offsets = self._link_dest_offsets = [dest * num_chunks for dest in link_dests]
+        return offsets
+
     def copy(self) -> "MatchingState":
         """An independent state with the same ownership, pairs and pending activations.
 
         Static tables — the initial pair codes, the pending-code array (only
-        ever replaced, never written) and the watch mask — are shared; the
+        ever replaced, never written), the watch mask and the link probe
+        offsets — are shared; the
         acquisition times, holder lists, activation heap and the per-pair
         bytes are copied, so mutating either state leaves the other as it
         was.  The synthesizer copies one round-0 template per trial instead
@@ -265,6 +282,7 @@ class MatchingState:
         clone._codes_array = self._codes_array
         clone._held = self._held.copy()
         clone._watch = self._watch
+        clone._link_dest_offsets = self._link_dest_offsets
         return clone
 
     # ------------------------------------------------------------------
@@ -431,8 +449,14 @@ class TrialBound:
 
     The capacity and distance components are maintained incrementally over
     the flat engine's state: :meth:`update` folds each round's transfers into
-    per-destination owed counts and a histogram of the per-pair distances,
-    so :meth:`value` costs O(1) per round.  Every term is an exact integer
+    per-destination owed counts and a histogram of the owed pairs'
+    distances, so :meth:`value` costs O(1) per round.  The histogram counts
+    only distances of 2 or more: a chain of at most one hop ends by
+    ``time + min_cost``, and the in-capacity term of the pair's destination
+    is already ``time + ceil(owed / deg) * min_in_cost`` with ``owed >= 1``
+    and ``min_in_cost >= min_cost``, so such a chain never sets the bound.
+    For the same reason a satisfied pair never leaves the histogram: it was
+    satisfied from an adjacent holder.  Every term is an exact integer
     count times a per-NPU cost, so the floats equal a from-scratch numpy
     evaluation bit for bit (see docs/determinism.md).  For engines with
     other state layouts (the frozen reference engine) the bound degrades to
@@ -512,8 +536,8 @@ class TrialBound:
             return
         # Distance tracking for single-destination chunks: dest per chunk
         # (-1 = untracked) and the current min hop distance over holders.
-        # Every owed pair weighs ``max(dist, 1)`` (untracked chunks: 1); the
-        # weights' histogram backs the chain term.
+        # The histogram of owed pairs' distances backs the chain term; it
+        # counts only distances of at least 2 (see the class docstring).
         owed_dest = [-1] * num_chunks
         for code in codes:
             dest, chunk = divmod(code, num_chunks)
@@ -528,11 +552,12 @@ class TrialBound:
             chunk_dist[chunk] = (
                 min(hop_distances[holder][dest] for holder in holders) if holders else 0
             )
-        # Weights only fall, so the initial largest one sizes the histogram.
+        # Distances only fall, so the initial largest one sizes the histogram.
         dist_hist = [0] * (max(chunk_dist, default=0) + 2)
         for code in codes:
-            weight = chunk_dist[code % num_chunks]
-            dist_hist[weight if weight > 1 else 1] += 1
+            dist = chunk_dist[code % num_chunks]
+            if dist > 1:
+                dist_hist[dist] += 1
         self._hop_rows = hop_distances
         self._chunk_dest = owed_dest
         self._chunk_dist = chunk_dist
@@ -591,9 +616,8 @@ class TrialBound:
                     if in_terms[node] == in_remaining:
                         in_remaining = None
                     in_terms[node] = term
-                if chunk_dest is not None:
-                    weight = chunk_dist[chunk]
-                    dist_hist[weight if weight > 1 else 1] -= 1
+                # The pair was satisfied from an adjacent holder, so its
+                # distance is at most 1 and the histogram never counted it.
             if chunk_dest is None:
                 continue
             dest = chunk_dest[chunk]
@@ -603,12 +627,10 @@ class TrialBound:
             old = chunk_dist[chunk]
             if hops < old:
                 chunk_dist[chunk] = hops
-                if owed_pair[dest * num_chunks + chunk]:
-                    weight = hops if hops > 1 else 1
-                    old_weight = old if old > 1 else 1
-                    if weight != old_weight:
-                        dist_hist[old_weight] -= 1
-                        dist_hist[weight] += 1
+                if old > 1 and owed_pair[dest * num_chunks + chunk]:
+                    dist_hist[old] -= 1
+                    if hops > 1:
+                        dist_hist[hops] += 1
         self._pending -= satisfied
         self._in_remaining = in_remaining
 
@@ -625,15 +647,17 @@ class TrialBound:
             if candidate > bound:
                 bound = candidate
         if self._chunk_dest is not None and self._min_cost > 0.0:
-            # Weights only fall, so the histogram's top pointer only moves down.
+            # Distances only fall, so the histogram's top pointer only moves
+            # down; it rests at 1 once no owed pair is 2 or more hops away.
             dist_hist = self._dist_hist
             top = self._dist_top
-            while not dist_hist[top]:
+            while top > 1 and not dist_hist[top]:
                 top -= 1
             self._dist_top = top
-            candidate = time + float(top) * self._min_cost
-            if candidate > bound:
-                bound = candidate
+            if top > 1:
+                candidate = time + float(top) * self._min_cost
+                if candidate > bound:
+                    bound = candidate
         return bound
 
 
@@ -650,27 +674,32 @@ _TRIAL_BOUND_MUTABLE = (
 def _pick_link_id(
     candidates: List[int],
     link_costs: List[float],
-    rng: random.Random,
-    prefer_lowest_cost: bool,
+    getrandbits: Callable[[int], int],
+    bit_lengths: List[int],
 ) -> int:
-    """Randomly select one candidate link id, optionally restricted to the cheapest.
+    """Randomly select one of the cheapest candidate link ids (Sec. IV-F).
 
-    Mirrors the reference engine's ``_pick_link`` exactly, including its RNG
-    consumption: one uniform draw per choice among two or more links
-    (``choice`` and ``randrange(n)`` both make the single ``_randbelow(n)``
-    call this makes directly), no draw when a single link remains (part of
-    the determinism contract).
+    Mirrors the cheapest-link branch of the reference engine's
+    ``_pick_link`` exactly, including its RNG consumption: a choice among
+    two or more cheapest links makes the draws
+    of one ``_randbelow(n)`` call (the single call ``choice`` and
+    ``randrange(n)`` make), inlined as ``getrandbits(bit_lengths[n])``
+    redrawn while ``>= n``; a single cheapest link draws nothing (part of
+    the determinism contract).  The matching round calls it only on
+    non-uniform costs with ``prefer_lowest_cost`` set, after its own
+    single-candidate check.
     """
-    if prefer_lowest_cost and len(candidates) > 1:
-        best = min(map(link_costs.__getitem__, candidates))
-        threshold = best + _TIME_EPS
-        cheapest = [link_id for link_id in candidates if link_costs[link_id] <= threshold]
-        if len(cheapest) == 1:
-            return cheapest[0]
-        return cheapest[rng._randbelow(len(cheapest))]
-    if len(candidates) == 1:
-        return candidates[0]
-    return candidates[rng._randbelow(len(candidates))]
+    best = min(map(link_costs.__getitem__, candidates))
+    threshold = best + _TIME_EPS
+    cheapest = [link_id for link_id in candidates if link_costs[link_id] <= threshold]
+    count = len(cheapest)
+    if count == 1:
+        return cheapest[0]
+    bits = bit_lengths[count]
+    pick = getrandbits(bits)
+    while pick >= count:
+        pick = getrandbits(bits)
+    return cheapest[pick]
 
 
 #: Pairs per candidate-prefilter block in :func:`_run_direct_pass_blockwise`.
@@ -744,8 +773,10 @@ def _run_direct_pass_blockwise(
     uniform_cost = ten.uniform_cost
     tuple_new = tuple.__new__
     transfer_cls = ChunkTransfer
-    # ``randrange(n)`` for n > 0 is exactly this one ``_randbelow(n)`` call.
-    rand_range = rng._randbelow
+    # Picks inline ``_randbelow(n)``: ``getrandbits(k)`` with ``k`` the bit
+    # length of ``n``, redrawn while ``>= n`` (the stream ``randrange(n)`` draws).
+    getrandbits = rng.getrandbits
+    bit_lengths = ten.bit_lengths
 
     codes = state._pending_array()
     permutation = _permuter(rng).permutation(len(codes))
@@ -868,22 +899,33 @@ def _run_direct_pass_blockwise(
             if num_candidates == 1:
                 link_id = candidates[0]
             elif uniform_cost or not prefer_lowest_cost:
-                link_id = candidates[rand_range(num_candidates)]
+                bits = bit_lengths[num_candidates]
+                pick = getrandbits(bits)
+                while pick >= num_candidates:
+                    pick = getrandbits(bits)
+                link_id = candidates[pick]
             elif defer:
                 # _pick_link_id, reusing the cheapest cost computed above.
                 limit = best + _TIME_EPS
                 cheapest = [link_id for link_id in candidates if link_costs[link_id] <= limit]
-                if len(cheapest) == 1:
+                num_cheapest = len(cheapest)
+                if num_cheapest == 1:
                     link_id = cheapest[0]
                 else:
-                    link_id = cheapest[rand_range(len(cheapest))]
+                    bits = bit_lengths[num_cheapest]
+                    pick = getrandbits(bits)
+                    while pick >= num_cheapest:
+                        pick = getrandbits(bits)
+                    link_id = cheapest[pick]
             else:
-                link_id = _pick_link_id(candidates, link_costs, rng, prefer_lowest_cost)
+                link_id = _pick_link_id(candidates, link_costs, getrandbits, bit_lengths)
             # Inlined commit, same as the scalar loop.
             end = time + link_costs[link_id]
             free_times[link_id] = end
-            if end not in event_times:
-                event_times.add(end)
+            if end in event_times:
+                event_times[end] += 1
+            else:
+                event_times[end] = 1
                 heappush(event_heap, end)
             idle_total -= 1
             source = link_sources[link_id]
@@ -977,8 +1019,10 @@ def run_matching_round(
     uniform_cost = ten.uniform_cost
     tuple_new = tuple.__new__
     transfer_cls = ChunkTransfer
-    # ``randrange(n)`` for n > 0 is exactly this one ``_randbelow(n)`` call.
-    rand_range = rng._randbelow
+    # Picks inline ``_randbelow(n)``: ``getrandbits(k)`` with ``k`` the bit
+    # length of ``n``, redrawn while ``>= n`` (the stream ``randrange(n)`` draws).
+    getrandbits = rng.getrandbits
+    bit_lengths = ten.bit_lengths
 
     # ------------------------------------------------------------------
     # Pass 1 — Alg. 1: direct matches onto destinations that request a chunk.
@@ -1005,6 +1049,7 @@ def run_matching_round(
             prefer_lowest_cost=prefer_lowest_cost,
             cheap_regions=cheap_regions,
         )
+        ten._busy_links += len(transfers)  # every transfer occupied one link
         return transfers
     pending = shuffle_pairs(state._pending_codes(), rng)
     deferred: List[int] = []
@@ -1059,15 +1104,21 @@ def run_matching_round(
         if num_candidates == 1:
             link_id = candidates[0]
         elif uniform_cost or not prefer_lowest_cost:
-            link_id = candidates[rand_range(num_candidates)]
+            bits = bit_lengths[num_candidates]
+            pick = getrandbits(bits)
+            while pick >= num_candidates:
+                pick = getrandbits(bits)
+            link_id = candidates[pick]
         else:
-            link_id = _pick_link_id(candidates, link_costs, rng, prefer_lowest_cost)
+            link_id = _pick_link_id(candidates, link_costs, getrandbits, bit_lengths)
         # Inlined commit (occupy + event push + grant): one transfer is the
         # innermost unit of work, so the method-call overhead matters here.
         end = time + link_costs[link_id]
         free_times[link_id] = end
-        if end not in event_times:
-            event_times.add(end)
+        if end in event_times:
+            event_times[end] += 1
+        else:
+            event_times[end] = 1
             heappush(event_heap, end)
         idle_total -= 1
         source = link_sources[link_id]
@@ -1091,13 +1142,18 @@ def run_matching_round(
         # topology's downhill table.  Its rows keep out-link order, which keeps
         # the candidate order (and so the RNG draws) of a scan over all links.
         downhill = ten.topology.downhill_links(hop_distances)
+        # A candidate's neighbour is probed at ``dest_offsets[link_id] + chunk``.
+        dest_offsets = state.link_dest_offsets(link_dests)
+        row_dest = -1
         for code in deferred:
             if pair_state[code] == _SATISFIED:
                 continue
             if idle_total == 0:
                 break  # no idle link anywhere: no forwarding candidate exists
             dest, chunk = divmod(code, num_chunks)
-            links_by_holder = downhill.row(dest)
+            if dest != row_dest:
+                links_by_holder = downhill.row(dest)
+                row_dest = dest
             candidates = []
             for holder in holders[chunk]:
                 if acquisition[holder * num_chunks + chunk] > threshold:
@@ -1107,7 +1163,7 @@ def run_matching_round(
                     # to receive it (the test that fails most), and the link
                     # is idle.
                     if (
-                        acquisition[link_dests[link_id] * num_chunks + chunk] == inf
+                        acquisition[dest_offsets[link_id] + chunk] == inf
                         and free_times[link_id] <= threshold
                     ):
                         candidates.append(link_id)
@@ -1117,13 +1173,19 @@ def run_matching_round(
             if num_candidates == 1:
                 link_id = candidates[0]
             elif uniform_cost or not prefer_lowest_cost:
-                link_id = candidates[rand_range(num_candidates)]
+                bits = bit_lengths[num_candidates]
+                pick = getrandbits(bits)
+                while pick >= num_candidates:
+                    pick = getrandbits(bits)
+                link_id = candidates[pick]
             else:
-                link_id = _pick_link_id(candidates, link_costs, rng, prefer_lowest_cost)
+                link_id = _pick_link_id(candidates, link_costs, getrandbits, bit_lengths)
             end = time + link_costs[link_id]
             free_times[link_id] = end
-            if end not in event_times:
-                event_times.add(end)
+            if end in event_times:
+                event_times[end] += 1
+            else:
+                event_times[end] = 1
                 heappush(event_heap, end)
             idle_total -= 1
             source = link_sources[link_id]
@@ -1141,4 +1203,5 @@ def run_matching_round(
                 state._unsatisfied_count -= 1
             transfers.append(tuple_new(transfer_cls, (time, end, chunk, source, neighbour)))
 
+    ten._busy_links += len(transfers)  # every transfer occupied one link
     return transfers

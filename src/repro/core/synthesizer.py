@@ -325,6 +325,7 @@ class _TrialTemplate:
         )
         if payload.hop_distances is not None and isinstance(self.state, MatchingState):
             self.state.watch_activations(self.ten.out_adjacency)
+            self.state.link_dest_offsets(self.ten.link_dests)
         self.bound = (
             TrialBound(self.ten, self.state, payload.hop_distances) if with_bound else None
         )

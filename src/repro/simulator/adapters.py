@@ -169,9 +169,16 @@ def algorithm_to_flat_workload(algorithm: CollectiveAlgorithm) -> FlatWorkload:
 
     The synthesized timing is used only to derive the dependency structure
     (which inbound transfer enables which outbound transfer); the simulator
-    re-times everything according to link availability, so a TACOS algorithm
-    simulated on its own topology reproduces its synthesized schedule, while
-    the same structure simulated on a slower network stretches accordingly.
+    re-times everything according to link availability, so the same
+    structure simulated on a slower network stretches accordingly.  On its
+    own topology a TACOS algorithm never simulates slower than its
+    synthesized ``collective_time`` (within 1e-9 relative): re-timing starts
+    each transfer once its dependencies and its link predecessor are done,
+    which can only remove slack.  All-Gather, Reduce-Scatter, All-Reduce,
+    Broadcast and Reduce have none, and the two times agree to float
+    rounding.  Gather, Scatter and All-to-All can simulate faster: over
+    seeds 0-15 at 4 MB on mesh 4x4, torus 4x4, ring 8 and hypercube 2x2x3,
+    the lowest simulated / synthesized ratio was 0.50 (torus 4x4 Gather).
 
     Messages follow the transfers sorted by ``(start, end)`` (stable); a
     message depends on every inbound transfer of its chunk into its source

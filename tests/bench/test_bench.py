@@ -160,7 +160,7 @@ class TestGrids:
             for scenario in scenarios
             if scenario.kind == "pipeline" and scenario.trials > 1
         }
-        assert forwarding == {"gather", "scatter"}
+        assert forwarding == {"gather", "scatter", "all_to_all"}
 
     def test_search_grid_is_the_seven_races(self):
         scenarios = get_grid("search")
@@ -269,10 +269,10 @@ class TestMismatchesAreReported:
         assert cli.main(["bench"]) == 1
         captured = capsys.readouterr()
         assert "NO: message_completion" in captured.out
-        # Every pipeline scenario of the smoke grid simulates, so all three fail.
+        # Every pipeline scenario of the smoke grid simulates, so all four fail.
         assert (
-            "3 of 6 scenarios disagree: pipe-mesh3x3-ar-1MB, pipe-mesh4x4-gather-1MB-t4, "
-            "pipe-mesh4x4-scatter-1MB-t4" in captured.err
+            "4 of 7 scenarios disagree: pipe-mesh3x3-ar-1MB, pipe-mesh4x4-gather-1MB-t4, "
+            "pipe-mesh4x4-scatter-1MB-t4, pipe-ring8-a2a-1MB-t4" in captured.err
         )
 
     def test_perturbed_guided_winner_fails_the_search_check(self, monkeypatch, capsys):

@@ -3,8 +3,9 @@
 * ``shuffle_pairs``' small path runs Fisher-Yates with the ``getrandbits``
   rejection loop inlined; it must give ``random.Random.shuffle``'s
   permutation and leave the RNG in the same state.
-* Link picks call ``rng._randbelow(n)``, the one call ``randrange(n)``
-  makes for ``n > 0``.
+* Link picks inline ``rng._randbelow(n)``, the one call ``randrange(n)``
+  makes for ``n > 0``: ``getrandbits`` at the table's bit length of ``n``,
+  redrawn while ``>= n``.
 * On forwarding patterns the matching round pushes an activation only for
   watched codes.  Every round is replayed on an unmasked shadow state; the
   pair states after each activation must be identical, and every
@@ -30,6 +31,7 @@ from repro.core.matching import (
     shuffle_pairs,
 )
 from repro.core.synthesizer import SynthesisEngine, _run_trials
+from repro.ten import TimeExpandedNetwork
 from repro.topology import build_3d_rfs, build_dgx1, build_mesh_2d, build_torus_2d
 from tests.core.test_trial_bound_soundness import _payload
 
@@ -79,18 +81,23 @@ def _pick_with_randrange(candidates, link_costs, rng, prefer_lowest_cost):
     return candidates[rng.randrange(len(candidates))]
 
 
-@pytest.mark.parametrize("prefer_lowest_cost", [False, True])
-def test_pick_draws_equal_randrange(prefer_lowest_cost):
+def test_pick_draws_equal_randrange():
     setup = random.Random(5)
     link_costs = [setup.choice([1.0, 1.0, 2.0, 3.5]) for _ in range(64)]
+    bit_lengths = [n.bit_length() for n in range(65)]
     ours = random.Random(11)
     theirs = random.Random(11)
     for _ in range(2000):
-        candidates = setup.sample(range(64), setup.randint(1, 12))
-        got = _pick_link_id(candidates, link_costs, ours, prefer_lowest_cost)
-        want = _pick_with_randrange(candidates, link_costs, theirs, prefer_lowest_cost)
+        candidates = setup.sample(range(64), setup.randint(2, 12))
+        got = _pick_link_id(candidates, link_costs, ours.getrandbits, bit_lengths)
+        want = _pick_with_randrange(candidates, link_costs, theirs, True)
         assert got == want
     assert ours.getstate() == theirs.getstate()
+
+
+def test_bit_length_table_covers_every_candidate_count():
+    ten = TimeExpandedNetwork(build_mesh_2d(4, 4), MB)
+    assert ten.bit_lengths == [n.bit_length() for n in range(ten.num_links + 1)]
 
 
 FORWARDING_CASES = [

@@ -49,7 +49,9 @@ def _terms(bound: TrialBound, time: float, committed_end: float) -> dict:
     if bound._state is not None and bound._pending:
         terms["in_capacity"] = time + max(bound._in_terms)
         if bound._chunk_dest is not None and bound._min_cost > 0.0:
-            top = max(weight for weight, count in enumerate(bound._dist_hist) if count)
+            # The histogram counts distances of 2 or more; with none left the
+            # chain is the one-hop chain, which never exceeds in-capacity.
+            top = max((weight for weight, count in enumerate(bound._dist_hist) if count), default=1)
             terms["chain"] = time + top * bound._min_cost
     return terms
 

@@ -2,13 +2,24 @@
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ring_all_reduce
-from repro.collectives import AllGather
+from repro.collectives import (
+    AllGather,
+    AllReduce,
+    AllToAll,
+    Broadcast,
+    Gather,
+    Reduce,
+    ReduceScatter,
+    Scatter,
+)
 from repro.core import SynthesisConfig, TacosSynthesizer
 from repro.simulator import CongestionAwareSimulator, Message, simulate_algorithm, simulate_schedule
+from repro.topology import build_hypercube_3d, build_mesh_2d, build_ring, build_torus_2d
 from tests.conftest import random_connected_topology
 
 _settings = settings(
@@ -133,6 +144,46 @@ def test_simulated_tacos_algorithm_matches_synthesized_time(num_npus, seed):
     assert abs(result.completion_time - algorithm.collective_time) <= max(
         1e-12, algorithm.collective_time * 1e-9
     )
+
+
+_OWN_TOPOLOGIES = {
+    "mesh4x4": lambda: build_mesh_2d(4, 4),
+    "torus4x4": lambda: build_torus_2d(4, 4),
+    "ring8": lambda: build_ring(8),
+    "hypercube2x2x3": lambda: build_hypercube_3d(2, 2, 3),
+}
+
+#: Collectives whose synthesized schedule has no slack for re-timing to remove.
+_EXACT_RETIMING = {
+    AllGather: True,
+    ReduceScatter: True,
+    AllReduce: True,
+    Broadcast: True,
+    Reduce: True,
+    Gather: False,
+    Scatter: False,
+    AllToAll: False,
+}
+
+
+@pytest.mark.parametrize("pattern_cls", list(_EXACT_RETIMING), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("topology_name", sorted(_OWN_TOPOLOGIES))
+def test_simulated_time_never_exceeds_synthesized_time(topology_name, pattern_cls):
+    # The simulator re-times a TACOS algorithm on its own topology: each
+    # transfer starts once its dependencies and its link predecessor are
+    # done.  That can only remove slack, and on the non-personalized
+    # collectives there is none to remove.
+    topology = _OWN_TOPOLOGIES[topology_name]()
+    pattern = pattern_cls(topology.num_npus)
+    for seed in range(8):
+        algorithm = TacosSynthesizer(SynthesisConfig(seed=seed)).synthesize(
+            topology, pattern, 4e6
+        )
+        synthesized = algorithm.collective_time
+        simulated = simulate_algorithm(topology, algorithm).completion_time
+        assert simulated <= synthesized * (1 + 1e-9), (seed, simulated, synthesized)
+        if _EXACT_RETIMING[pattern_cls]:
+            assert simulated >= synthesized * (1 - 1e-9), (seed, simulated, synthesized)
 
 
 @_settings
