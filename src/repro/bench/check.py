@@ -242,8 +242,8 @@ def _smoke_grid() -> List[Scenario]:
             "pipe-mesh4x4-scatter-1MB-t4", "pipeline", "mesh_2d:4,4", "scatter", 1 * _MB, trials=4
         ),
         # Ring All-to-All saturates most spans (26 of 43 rounds over the four
-        # trials at seed 0), so the TEN's busy-link count drives the
-        # saturation exit; the reference engine keeps its own TEN.
+        # trials at seed 0), each taking every link, so the scalar passes'
+        # saturation exit fires; the reference engine scans every pair.
         Scenario(
             "pipe-ring8-a2a-1MB-t4", "pipeline", "ring:8", "all_to_all", 1 * _MB, trials=4
         ),

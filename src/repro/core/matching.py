@@ -263,11 +263,10 @@ class MatchingState:
 
         Static tables — the initial pair codes, the pending-code array (only
         ever replaced, never written), the watch mask and the link probe
-        offsets — are shared; the
-        acquisition times, holder lists, activation heap and the per-pair
-        bytes are copied, so mutating either state leaves the other as it
-        was.  The synthesizer copies one round-0 template per trial instead
-        of rebuilding it from the pattern.
+        offsets — are shared; the acquisition times, holder lists,
+        activation heap and the per-pair bytes are copied, so mutating
+        either state leaves the other as it was.  The synthesizer copies one
+        round-0 template per trial instead of rebuilding it from the pattern.
         """
         clone = MatchingState.__new__(MatchingState)
         clone.num_npus = self.num_npus
@@ -674,32 +673,27 @@ _TRIAL_BOUND_MUTABLE = (
 def _pick_link_id(
     candidates: List[int],
     link_costs: List[float],
-    getrandbits: Callable[[int], int],
-    bit_lengths: List[int],
+    rng: random.Random,
+    prefer_lowest_cost: bool,
 ) -> int:
-    """Randomly select one of the cheapest candidate link ids (Sec. IV-F).
+    """Randomly select one candidate link id, optionally restricted to the cheapest.
 
-    Mirrors the cheapest-link branch of the reference engine's
-    ``_pick_link`` exactly, including its RNG consumption: a choice among
-    two or more cheapest links makes the draws
-    of one ``_randbelow(n)`` call (the single call ``choice`` and
-    ``randrange(n)`` make), inlined as ``getrandbits(bit_lengths[n])``
-    redrawn while ``>= n``; a single cheapest link draws nothing (part of
-    the determinism contract).  The matching round calls it only on
-    non-uniform costs with ``prefer_lowest_cost`` set, after its own
-    single-candidate check.
+    Mirrors the reference engine's ``_pick_link`` exactly, including its RNG
+    consumption: one uniform draw per choice among two or more links
+    (``choice`` and ``randrange(n)`` both make the single ``_randbelow(n)``
+    call this makes directly), no draw when a single link remains (part of
+    the determinism contract).
     """
-    best = min(map(link_costs.__getitem__, candidates))
-    threshold = best + _TIME_EPS
-    cheapest = [link_id for link_id in candidates if link_costs[link_id] <= threshold]
-    count = len(cheapest)
-    if count == 1:
-        return cheapest[0]
-    bits = bit_lengths[count]
-    pick = getrandbits(bits)
-    while pick >= count:
-        pick = getrandbits(bits)
-    return cheapest[pick]
+    if prefer_lowest_cost and len(candidates) > 1:
+        best = min(map(link_costs.__getitem__, candidates))
+        threshold = best + _TIME_EPS
+        cheapest = [link_id for link_id in candidates if link_costs[link_id] <= threshold]
+        if len(cheapest) == 1:
+            return cheapest[0]
+        return cheapest[rng._randbelow(len(cheapest))]
+    if len(candidates) == 1:
+        return candidates[0]
+    return candidates[rng._randbelow(len(candidates))]
 
 
 #: Pairs per candidate-prefilter block in :func:`_run_direct_pass_blockwise`.
@@ -714,7 +708,6 @@ def _run_direct_pass_blockwise(
     time: float,
     rng: random.Random,
     transfers: List[ChunkTransfer],
-    idle_total: int,
     *,
     prefer_lowest_cost: bool,
     cheap_regions: Optional[Dict[float, List[frozenset]]],
@@ -753,9 +746,9 @@ def _run_direct_pass_blockwise(
     need checking; any other pair takes the full check.
 
     Pairs dropped by the prefilter are exactly those the scalar loop would
-    pass over without consuming the RNG, and a saturated span
-    (``idle_total == 0``) stops both loops before any further draw, so the
-    RNG streams coincide.
+    pass over without consuming the RNG, so the RNG streams coincide.  The
+    pass has no saturation exit: once every link is busy, the prefilter
+    drops every remaining pair.
     """
     num_chunks = state.num_chunks
     acquisition = state._acquisition
@@ -773,17 +766,11 @@ def _run_direct_pass_blockwise(
     uniform_cost = ten.uniform_cost
     tuple_new = tuple.__new__
     transfer_cls = ChunkTransfer
-    # Picks inline ``_randbelow(n)``: ``getrandbits(k)`` with ``k`` the bit
-    # length of ``n``, redrawn while ``>= n`` (the stream ``randrange(n)`` draws).
-    getrandbits = rng.getrandbits
-    bit_lengths = ten.bit_lengths
+    # ``randrange(n)`` for n > 0 is exactly this one ``_randbelow(n)`` call.
+    rand_range = rng._randbelow
 
     codes = state._pending_array()
     permutation = _permuter(rng).permutation(len(codes))
-    if idle_total == 0:
-        # Saturated span: the scalar loop would break before drawing
-        # anything, so only the permutation consumes the RNG.
-        return
     codes = codes[permutation]
     kept = codes[_np.frombuffer(pair_state, dtype=_np.uint8)[codes] == _MATCHABLE]
     total_kept = len(kept)
@@ -800,7 +787,7 @@ def _run_direct_pass_blockwise(
         holding = _np.frombuffer(will_hold, dtype=_np.bool_).reshape(state.num_npus, num_chunks)
 
     cursor = 0
-    while cursor < total_kept and idle_total > 0:
+    while cursor < total_kept:
         block = kept[cursor : cursor + _PREFILTER_BLOCK]
         cursor += _PREFILTER_BLOCK
         # One sweep over the block's incoming-link edges: a candidate is
@@ -865,8 +852,6 @@ def _run_direct_pass_blockwise(
         counts_list = counts.tolist()
         cand_flat = cand.tolist()
         for index in range(len(codes_list)):
-            if idle_total == 0:
-                return  # span saturated: no remaining pair can match
             low = lows_list[index]
             span = counts_list[index]
             candidates = [
@@ -899,35 +884,23 @@ def _run_direct_pass_blockwise(
             if num_candidates == 1:
                 link_id = candidates[0]
             elif uniform_cost or not prefer_lowest_cost:
-                bits = bit_lengths[num_candidates]
-                pick = getrandbits(bits)
-                while pick >= num_candidates:
-                    pick = getrandbits(bits)
-                link_id = candidates[pick]
+                link_id = candidates[rand_range(num_candidates)]
             elif defer:
                 # _pick_link_id, reusing the cheapest cost computed above.
                 limit = best + _TIME_EPS
                 cheapest = [link_id for link_id in candidates if link_costs[link_id] <= limit]
-                num_cheapest = len(cheapest)
-                if num_cheapest == 1:
+                if len(cheapest) == 1:
                     link_id = cheapest[0]
                 else:
-                    bits = bit_lengths[num_cheapest]
-                    pick = getrandbits(bits)
-                    while pick >= num_cheapest:
-                        pick = getrandbits(bits)
-                    link_id = cheapest[pick]
+                    link_id = cheapest[rand_range(len(cheapest))]
             else:
-                link_id = _pick_link_id(candidates, link_costs, getrandbits, bit_lengths)
+                link_id = _pick_link_id(candidates, link_costs, rng, prefer_lowest_cost)
             # Inlined commit, same as the scalar loop.
             end = time + link_costs[link_id]
             free_times[link_id] = end
-            if end in event_times:
-                event_times[end] += 1
-            else:
-                event_times[end] = 1
+            if end not in event_times:
+                event_times.add(end)
                 heappush(event_heap, end)
-            idle_total -= 1
             source = link_sources[link_id]
             insort(holders[chunk], dest)
             will_hold[code] = 1
@@ -1004,12 +977,9 @@ def run_matching_round(
     threshold = time + _TIME_EPS
 
     state.activate_until(time, ten.out_adjacency, ten.out_neighbour_csr)
-
-    # Links only become busy during a round (occupy is the sole mutation), so
-    # per-NPU idle-link lists can be cached for the span and invalidated on
-    # occupy, and the scan can stop once every link of the span is taken.
-    idle_total = ten.idle_link_count(time)
-    idle_in_cache: List[Optional[List[int]]] = [None] * num_npus
+    # When the shortest link outlasts the span, no commit made this round
+    # comes due within it: each commit takes a distinct idle link for good.
+    long_links = time + ten.min_link_cost > threshold
 
     # The deferred pairs only matter when a forwarding pass will consume them.
     collect_deferred = enable_forwarding and hop_distances is not None
@@ -1019,10 +989,11 @@ def run_matching_round(
     uniform_cost = ten.uniform_cost
     tuple_new = tuple.__new__
     transfer_cls = ChunkTransfer
-    # Picks inline ``_randbelow(n)``: ``getrandbits(k)`` with ``k`` the bit
-    # length of ``n``, redrawn while ``>= n`` (the stream ``randrange(n)`` draws).
+    # ``randrange(n)`` for n > 0 is exactly this one ``_randbelow(n)`` call.
+    # The uniform picks below, the hottest, run its body inline instead:
+    # ``getrandbits(k)`` with ``k = n.bit_length()``, redrawn while ``>= n``.
+    rand_range = rng._randbelow
     getrandbits = rng.getrandbits
-    bit_lengths = ten.bit_lengths
 
     # ------------------------------------------------------------------
     # Pass 1 — Alg. 1: direct matches onto destinations that request a chunk.
@@ -1030,7 +1001,7 @@ def run_matching_round(
     if (
         not collect_deferred
         and state._unsatisfied_count >= _NUMPY_SHUFFLE_MIN
-        and time + ten.min_link_cost > threshold
+        and long_links
     ):
         # Forwarding is off, so deferred pairs are never consumed: run the
         # pass over block-prefiltered candidate lists instead of the scalar
@@ -1045,12 +1016,21 @@ def run_matching_round(
             time,
             rng,
             transfers,
-            idle_total,
             prefer_lowest_cost=prefer_lowest_cost,
             cheap_regions=cheap_regions,
         )
-        ten._busy_links += len(transfers)  # every transfer occupied one link
         return transfers
+
+    # Links only become busy during a round (occupy is the sole mutation), so
+    # per-NPU idle-link lists can be cached for the span and invalidated on
+    # occupy, and the scan can stop once its commits have taken every link.
+    # With long links the link count is that limit: a span that starts with
+    # busy links never reaches it and scans on, but once its idle links are
+    # taken no pair has a candidate, so none draws or commits.  Sub-epsilon
+    # links can be taken twice in one span; there the limit stays the census
+    # of idle links at the span's start.
+    idle_total = len(free_times) if long_links else ten.idle_link_count(time)
+    idle_in_cache: List[Optional[List[int]]] = [None] * num_npus
     pending = shuffle_pairs(state._pending_codes(), rng)
     deferred: List[int] = []
     for position, code in enumerate(pending):
@@ -1104,21 +1084,19 @@ def run_matching_round(
         if num_candidates == 1:
             link_id = candidates[0]
         elif uniform_cost or not prefer_lowest_cost:
-            bits = bit_lengths[num_candidates]
+            bits = num_candidates.bit_length()
             pick = getrandbits(bits)
             while pick >= num_candidates:
                 pick = getrandbits(bits)
             link_id = candidates[pick]
         else:
-            link_id = _pick_link_id(candidates, link_costs, getrandbits, bit_lengths)
+            link_id = _pick_link_id(candidates, link_costs, rng, prefer_lowest_cost)
         # Inlined commit (occupy + event push + grant): one transfer is the
         # innermost unit of work, so the method-call overhead matters here.
         end = time + link_costs[link_id]
         free_times[link_id] = end
-        if end in event_times:
-            event_times[end] += 1
-        else:
-            event_times[end] = 1
+        if end not in event_times:
+            event_times.add(end)
             heappush(event_heap, end)
         idle_total -= 1
         source = link_sources[link_id]
@@ -1173,19 +1151,17 @@ def run_matching_round(
             if num_candidates == 1:
                 link_id = candidates[0]
             elif uniform_cost or not prefer_lowest_cost:
-                bits = bit_lengths[num_candidates]
+                bits = num_candidates.bit_length()
                 pick = getrandbits(bits)
                 while pick >= num_candidates:
                     pick = getrandbits(bits)
                 link_id = candidates[pick]
             else:
-                link_id = _pick_link_id(candidates, link_costs, getrandbits, bit_lengths)
+                link_id = _pick_link_id(candidates, link_costs, rng, prefer_lowest_cost)
             end = time + link_costs[link_id]
             free_times[link_id] = end
-            if end in event_times:
-                event_times[end] += 1
-            else:
-                event_times[end] = 1
+            if end not in event_times:
+                event_times.add(end)
                 heappush(event_heap, end)
             idle_total -= 1
             source = link_sources[link_id]
@@ -1203,5 +1179,4 @@ def run_matching_round(
                 state._unsatisfied_count -= 1
             transfers.append(tuple_new(transfer_cls, (time, end, chunk, source, neighbour)))
 
-    ten._busy_links += len(transfers)  # every transfer occupied one link
     return transfers

@@ -6,11 +6,9 @@ heterogeneous topologies (Sec. IV-F) the spans are the union of link
 completion events (Fig. 12).  Rather than materializing every vertex of the
 expanded graph, this class keeps the equivalent sparse state:
 
-* per directed link, the time at which it next becomes idle,
+* per directed link, the time at which it next becomes idle, and
 * a heap of future event times (transfer completions) at which the
-  synthesizer should re-run the matching algorithm, and
-* the number of links still busy, kept as links are occupied and as the
-  round clock passes their completion times.
+  synthesizer should re-run the matching algorithm.
 
 A link-chunk match occupies one link for one time span (``alpha + beta *
 chunk_size`` seconds), which is exactly one edge of the conceptual TEN.
@@ -91,18 +89,9 @@ class TimeExpandedNetwork:
         #: the same span (``time + min_link_cost > time + eps``).
         self.min_link_cost: float = min(self.link_costs) if self.link_costs else 0.0
         self.free_times: List[float] = [0.0] * len(self.link_costs)
-        #: ``bit_lengths[n] == n.bit_length()`` for every ``n`` up to the link
-        #: count: the ``getrandbits`` width of a uniform pick among ``n``
-        #: candidate links (candidates are distinct link ids).
-        self.bit_lengths: List[int] = [n.bit_length() for n in range(len(self.link_costs) + 1)]
 
         self._event_heap: List[float] = []
-        #: Pending event time -> number of occupations that end then.  Its
-        #: keys are the heap's entries; popping an entry releases its links
-        #: from :attr:`_busy_links`.
-        self._event_times: Dict[float, int] = {}
-        #: Occupations whose end time the clock has not yet passed.
-        self._busy_links = 0
+        self._event_times: set = set()
         self._in_csr = None
         self._out_csr = None
         self._cost_array = None
@@ -110,11 +99,10 @@ class TimeExpandedNetwork:
     def copy(self) -> "TimeExpandedNetwork":
         """An independent TEN over the same topology and chunk size.
 
-        The link numbering, adjacency, costs, bit-length table and numpy CSR
-        views are static and shared (both CSRs are built here first, so
-        every copy reuses them); the free times, the event heap with its
-        per-time occupation counts and the busy-link count are copied, so
-        occupying a link in either TEN leaves the other as it was.
+        The link numbering, adjacency, costs and numpy CSR views are static
+        and shared (both CSRs are built here first, so every copy reuses
+        them); the free times and the event heap are copied, so occupying a
+        link in either TEN leaves the other as it was.
         """
         self.in_link_csr()
         self.out_neighbour_csr()
@@ -209,8 +197,6 @@ class TimeExpandedNetwork:
         end = time + self.link_costs[link_id]
         self.free_times[link_id] = end
         self.push_event(end)
-        self._event_times[end] += 1
-        self._busy_links += 1
         return end
 
     # ------------------------------------------------------------------
@@ -260,26 +246,14 @@ class TimeExpandedNetwork:
         return self.occupy_id(self._id_of[key], time)
 
     def idle_link_count(self, time: float) -> int:
-        """Number of links that can start a new transmission at ``time``, in O(1).
+        """Number of links that can start a new transmission at ``time``.
 
-        ``time`` is the round clock: no earlier than the last time
-        :meth:`next_event_after` returned or any link was occupied at.  The
-        matching round reads the count once, at the start of its span.  Like
-        :meth:`next_event_after`, the call first pops every event at or
-        before ``time`` (the next :meth:`next_event_after` would discard
-        them unread) and releases the links that end then.  An occupation
-        counts as busy until its end time is popped, and of one link's
-        occupations only the latest can end after the clock, so the count
-        equals the census ``sum(free <= time + eps)`` over
-        :attr:`free_times`.  The count feeds only the matching round's
-        saturation exit.
+        A census over every link.  The matching round takes it only where
+        some link is shorter than the time epsilon; elsewhere the link count
+        limits its scan (see docs/determinism.md, "The saturation limit").
         """
-        heap = self._event_heap
-        event_times = self._event_times
-        threshold = time + _TIME_EPS
-        while heap and heap[0] <= threshold:
-            self._busy_links -= event_times.pop(heapq.heappop(heap))
-        return len(self.free_times) - self._busy_links
+        # ``threshold >= free`` per link, counted at C speed.
+        return sum(map((time + _TIME_EPS).__ge__, self.free_times))
 
     # ------------------------------------------------------------------
     # Event management (time-span expansion)
@@ -292,7 +266,7 @@ class TimeExpandedNetwork:
         keeps the heap at O(distinct times) instead of O(matches).
         """
         if time not in self._event_times:
-            self._event_times[time] = 0
+            self._event_times.add(time)
             heapq.heappush(self._event_heap, time)
 
     def next_event_after(self, time: float) -> Optional[float]:
@@ -300,15 +274,13 @@ class TimeExpandedNetwork:
 
         Returns ``None`` when no future events exist, which means the
         synthesis is stuck (no in-flight transfer will ever free a link or
-        deliver a chunk).  Every popped event, the returned one included,
-        releases the links that end then from the busy-link count.
+        deliver a chunk).
         """
         heap = self._event_heap
-        event_times = self._event_times
         threshold = time + _TIME_EPS
         while heap:
             candidate = heapq.heappop(heap)
-            self._busy_links -= event_times.pop(candidate)
+            self._event_times.discard(candidate)
             if candidate > threshold:
                 return candidate
         return None

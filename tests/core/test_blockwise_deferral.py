@@ -104,7 +104,7 @@ def checked_blockwise(monkeypatch):
     def trace_calls(frame, event, arg):
         return trace_lines if frame.f_code is code else None
 
-    def checked(ten, state, time, rng, transfers, idle_total, *, prefer_lowest_cost, cheap_regions):
+    def checked(ten, state, time, rng, transfers, *, prefer_lowest_cost, cheap_regions):
         assert cheap_regions  # heterogeneous: the deferral is live
         scalar_ten, scalar_state, scalar_rng, expected = _scalar_round(
             ten, state, time, rng, prefer_lowest_cost, cheap_regions
@@ -119,7 +119,6 @@ def checked_blockwise(monkeypatch):
                 time,
                 rng,
                 transfers,
-                idle_total,
                 prefer_lowest_cost=prefer_lowest_cost,
                 cheap_regions=cheap_regions,
             )

@@ -3,9 +3,10 @@
 * ``shuffle_pairs``' small path runs Fisher-Yates with the ``getrandbits``
   rejection loop inlined; it must give ``random.Random.shuffle``'s
   permutation and leave the RNG in the same state.
-* Link picks inline ``rng._randbelow(n)``, the one call ``randrange(n)``
-  makes for ``n > 0``: ``getrandbits`` at the table's bit length of ``n``,
-  redrawn while ``>= n``.
+* Link picks call ``rng._randbelow(n)``, the one call ``randrange(n)``
+  makes for ``n > 0``; the matching round's uniform picks run that call's
+  body inline.  Every round's transfers and RNG state must equal those of
+  the reference engine, which picks with ``rng.choice``.
 * On forwarding patterns the matching round pushes an activation only for
   watched codes.  Every round is replayed on an unmasked shadow state; the
   pair states after each activation must be identical, and every
@@ -21,8 +22,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.collectives import AllToAll, Gather, Scatter
-from repro.core import matching
+from repro.bench.reference import REFERENCE_ENGINE
+from repro.collectives import AllGather, AllToAll, Gather, Scatter
+from repro.core import SynthesisConfig, TacosSynthesizer, matching
 from repro.core.matching import (
     _NUMPY_SHUFFLE_MIN,
     MatchingState,
@@ -30,7 +32,7 @@ from repro.core.matching import (
     run_matching_round,
     shuffle_pairs,
 )
-from repro.core.synthesizer import SynthesisEngine, _run_trials
+from repro.core.synthesizer import FLAT_ENGINE, SynthesisEngine, _run_trials
 from repro.ten import TimeExpandedNetwork
 from repro.topology import build_3d_rfs, build_dgx1, build_mesh_2d, build_torus_2d
 from tests.core.test_trial_bound_soundness import _payload
@@ -81,24 +83,61 @@ def _pick_with_randrange(candidates, link_costs, rng, prefer_lowest_cost):
     return candidates[rng.randrange(len(candidates))]
 
 
-def test_pick_draws_equal_randrange():
+@pytest.mark.parametrize("prefer_lowest_cost", [False, True])
+def test_pick_draws_equal_randrange(prefer_lowest_cost):
     setup = random.Random(5)
     link_costs = [setup.choice([1.0, 1.0, 2.0, 3.5]) for _ in range(64)]
-    bit_lengths = [n.bit_length() for n in range(65)]
     ours = random.Random(11)
     theirs = random.Random(11)
     for _ in range(2000):
-        candidates = setup.sample(range(64), setup.randint(2, 12))
-        got = _pick_link_id(candidates, link_costs, ours.getrandbits, bit_lengths)
-        want = _pick_with_randrange(candidates, link_costs, theirs, True)
+        candidates = setup.sample(range(64), setup.randint(1, 12))
+        got = _pick_link_id(candidates, link_costs, ours, prefer_lowest_cost)
+        want = _pick_with_randrange(candidates, link_costs, theirs, prefer_lowest_cost)
         assert got == want
     assert ours.getstate() == theirs.getstate()
 
 
-def test_bit_length_table_covers_every_candidate_count():
-    ten = TimeExpandedNetwork(build_mesh_2d(4, 4), MB)
-    assert ten.bit_lengths == [n.bit_length() for n in range(ten.num_links + 1)]
 
+def _recording(engine, log):
+    """``engine`` with a round that logs its transfers and the RNG state after it."""
+    inner = engine.matching_round
+
+    def recorded(ten, state, time, rng, **kwargs):
+        transfers = inner(ten, state, time, rng, **kwargs)
+        log.append(([tuple(transfer) for transfer in transfers], rng.getstate()))
+        return transfers
+
+    return dataclasses.replace(engine, name=f"recorded-{engine.name}", matching_round=recorded)
+
+
+ROUND_DRAW_CASES = [
+    ("mesh4x4-all_gather", lambda: build_mesh_2d(4, 4), AllGather),
+    ("mesh6x6-gather", lambda: build_mesh_2d(6, 6), Gather),
+    ("torus4x4-all_to_all", lambda: build_torus_2d(4, 4), AllToAll),
+]
+
+
+@pytest.mark.parametrize(
+    "topology_factory,pattern_cls",
+    [case[1:] for case in ROUND_DRAW_CASES],
+    ids=[case[0] for case in ROUND_DRAW_CASES],
+)
+def test_round_picks_equal_the_reference_choice(topology_factory, pattern_cls):
+    # Uniform costs: every pick among two or more links is the round's own
+    # uniform draw (pass 1 on All-Gather, mostly forwarding on Gather and
+    # All-to-All).  The reference engine picks with ``rng.choice``.  After
+    # every round the transfers and the RNG state must be equal.
+    topology = topology_factory()
+    assert TimeExpandedNetwork(topology, MB).uniform_cost
+    pattern = pattern_cls(topology.num_npus)
+    logs = {}
+    for engine in (FLAT_ENGINE, REFERENCE_ENGINE):
+        log = logs[engine.name] = []
+        TacosSynthesizer(SynthesisConfig(seed=3, trials=2), _recording(engine, log)).synthesize(
+            topology, pattern, 4 * MB
+        )
+    assert logs["flat"] == logs["reference"]
+    assert len(logs["flat"]) > 2
 
 FORWARDING_CASES = [
     ("mesh4x4-gather", lambda: build_mesh_2d(4, 4), Gather),

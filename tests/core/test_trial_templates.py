@@ -115,8 +115,7 @@ def _snapshot(template: _TrialTemplate):
     fields = (
         ten.free_times,
         sorted(ten._event_heap),
-        sorted(ten._event_times.items()),
-        ten._busy_links,
+        sorted(ten._event_times),
         state._acquisition,
         state._holders,
         sorted(state._activations),
