@@ -9,9 +9,11 @@ outputs with exact equality, never a tolerance.  Four kinds exist:
   adapter, :class:`~repro.bench.reference.ReferenceSimulator`); the
   transfers, ``collective_time``, verifier verdict, ``message_completion``
   and ``completion_time`` must agree;
-* ``simulation`` — a logical Ring / Direct / RHD All-Reduce schedule, turned
-  into one message list and run on the array simulator and on the reference
-  simulator;
+* ``simulation`` — a logical Ring / Direct / RHD All-Reduce schedule, run
+  through :func:`simulate_schedule` (flat adapter, array simulator) and
+  through the frozen object-path adapter and
+  :class:`~repro.bench.reference.ReferenceSimulator`; ``message_completion``
+  and ``completion_time`` must agree;
 * ``backend`` — the same best-of-N synthesis on the serial and the pool
   backend; the winners' :meth:`~repro.core.transfers.TransferTable.to_bytes`
   must agree;
@@ -43,6 +45,7 @@ from repro.bench.reference import (
     REFERENCE_ENGINE,
     ReferenceSimulator,
     reference_algorithm_to_messages,
+    reference_schedule_to_messages,
     reference_verify_algorithm,
 )
 from repro.core.config import SynthesisConfig
@@ -50,8 +53,7 @@ from repro.core.synthesizer import FLAT_ENGINE, TacosSynthesizer
 from repro.core.verification import verify_algorithm
 from repro.errors import ReproError, VerificationError
 from repro.search import GuidedSynthesizer
-from repro.simulator.adapters import schedule_to_messages, simulate_algorithm
-from repro.simulator.engine import CongestionAwareSimulator
+from repro.simulator.adapters import simulate_algorithm, simulate_schedule
 from repro.simulator.result import SimulationResult
 from repro.topology.topology import Topology
 
@@ -160,14 +162,11 @@ def _check_simulation(scenario: Scenario, topology: Topology) -> Dict[str, bool]
     schedule = builder(
         topology.num_npus, scenario.collective_size, chunks_per_npu=scenario.chunks_per_npu
     )
-    # Both engines get the same message objects: they iterate the same
-    # frozensets, which pins down dependency fan-out order.
-    messages = schedule_to_messages(schedule)
-    size = schedule.collective_size
-    return _simulations_agree(
-        CongestionAwareSimulator(topology).run(messages, collective_size=size),
-        ReferenceSimulator(topology).run(messages, collective_size=size),
+    reference_result = ReferenceSimulator(topology).run(
+        reference_schedule_to_messages(schedule),
+        collective_size=schedule.collective_size,
     )
+    return _simulations_agree(simulate_schedule(topology, schedule), reference_result)
 
 
 def _check_backend(scenario: Scenario, topology: Topology) -> Dict[str, bool]:

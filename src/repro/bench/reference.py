@@ -35,18 +35,19 @@ import heapq
 import itertools
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.algorithm import ChunkTransfer
 from repro.core.matching import shuffle_pairs
 from repro.core.synthesizer import SynthesisEngine
 from repro.errors import SimulationError, SynthesisError, TopologyError
-from repro.simulator.messages import Message, validate_messages
 from repro.simulator.result import SimulationResult
 from repro.topology.topology import Topology
 
 __all__ = [
     "REFERENCE_ENGINE",
+    "Message",
     "ReferenceMatchingState",
     "ReferenceSimulator",
     "ReferenceTimeExpandedNetwork",
@@ -299,6 +300,59 @@ REFERENCE_ENGINE = SynthesisEngine(
     state_factory=ReferenceMatchingState,
     matching_round=reference_run_matching_round,
 )
+
+
+@dataclass(frozen=True)
+class Message:
+    """One point-to-point chunk transfer submitted to :class:`ReferenceSimulator`.
+
+    The object form of one row of the columns that
+    :meth:`~repro.simulator.engine.CongestionAwareSimulator.run_flat` reads.
+
+    Attributes
+    ----------
+    message_id:
+        Unique identifier; dependencies reference these ids.
+    source, dest:
+        Endpoint NPUs.  They do not need to be physically adjacent — the
+        simulator routes the message over a shortest path.
+    size:
+        Payload size in bytes.
+    chunk:
+        The chunk this message carries (used for reporting only).
+    depends_on:
+        Ids of messages that must complete before this one may start.
+    """
+
+    message_id: int
+    source: int
+    dest: int
+    size: float
+    chunk: int = 0
+    depends_on: FrozenSet[int] = frozenset()
+
+    def __post_init__(self) -> None:
+        if self.source == self.dest:
+            raise SimulationError(f"message {self.message_id} has identical source and dest {self.source}")
+        if self.size <= 0:
+            raise SimulationError(f"message {self.message_id} has non-positive size {self.size}")
+        if self.message_id in self.depends_on:
+            raise SimulationError(f"message {self.message_id} depends on itself")
+
+
+def validate_messages(messages: Sequence[Message]) -> None:
+    """Check ids are unique and dependencies reference existing messages."""
+    ids = set()
+    for message in messages:
+        if message.message_id in ids:
+            raise SimulationError(f"duplicate message id {message.message_id}")
+        ids.add(message.message_id)
+    for message in messages:
+        unknown = message.depends_on - ids
+        if unknown:
+            raise SimulationError(
+                f"message {message.message_id} depends on unknown messages {sorted(unknown)}"
+            )
 
 
 class ReferenceSimulator:

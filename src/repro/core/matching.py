@@ -895,7 +895,8 @@ def _run_direct_pass_blockwise(
                     link_id = cheapest[rand_range(len(cheapest))]
             else:
                 link_id = _pick_link_id(candidates, link_costs, rng, prefer_lowest_cost)
-            # Inlined commit, same as the scalar loop.
+            # Inlined commit, same as the scalar loop; the event push follows
+            # TimeExpandedNetwork.push_event's dedupe rule.
             end = time + link_costs[link_id]
             free_times[link_id] = end
             if end not in event_times:
@@ -1021,9 +1022,9 @@ def run_matching_round(
         )
         return transfers
 
-    # Links only become busy during a round (occupy is the sole mutation), so
-    # per-NPU idle-link lists can be cached for the span and invalidated on
-    # occupy, and the scan can stop once its commits have taken every link.
+    # Links only become busy during a round (a commit is the sole mutation),
+    # so per-NPU idle-link lists can be cached for the span and invalidated on
+    # each commit, and the scan can stop once its commits have taken every link.
     # With long links the link count is that limit: a span that starts with
     # busy links never reaches it and scans on, but once its idle links are
     # taken no pair has a candidate, so none draws or commits.  Sub-epsilon
@@ -1091,8 +1092,10 @@ def run_matching_round(
             link_id = candidates[pick]
         else:
             link_id = _pick_link_id(candidates, link_costs, rng, prefer_lowest_cost)
-        # Inlined commit (occupy + event push + grant): one transfer is the
-        # innermost unit of work, so the method-call overhead matters here.
+        # Inlined commit (link busy until `end`, event push + grant): one
+        # transfer is the innermost unit of work, so the method-call overhead
+        # matters here.  The event push follows TimeExpandedNetwork.push_event's
+        # dedupe rule.
         end = time + link_costs[link_id]
         free_times[link_id] = end
         if end not in event_times:
@@ -1158,6 +1161,8 @@ def run_matching_round(
                 link_id = candidates[pick]
             else:
                 link_id = _pick_link_id(candidates, link_costs, rng, prefer_lowest_cost)
+            # Inlined commit, as in the direct pass (TimeExpandedNetwork.push_event
+            # states the event dedupe rule).
             end = time + link_costs[link_id]
             free_times[link_id] = end
             if end not in event_times:

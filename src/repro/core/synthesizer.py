@@ -27,7 +27,7 @@ from repro.core.algorithm import CollectiveAlgorithm
 from repro.core.config import SynthesisConfig
 from repro.core.matching import MatchingState, TrialBound, run_matching_round
 from repro.errors import SynthesisError
-from repro.ten.network import TimeExpandedNetwork
+from repro.ten.network import _TIME_EPS, TimeExpandedNetwork
 from repro.topology.topology import Topology
 
 __all__ = [
@@ -431,9 +431,21 @@ def _execute_trial(
                     f"synthesis of {pattern.name} on {topology.name} stalled at "
                     f"t={current_time:.3e}s: the topology is not strongly connected"
                 )
+            # A completion within the event tolerance of the clock is never
+            # revisited as a new time span (``next_event_after``).
+            instant = sum(
+                1 for link in topology.links() if link.cost(payload.chunk_size) <= _TIME_EPS
+            )
+            cause = (
+                f"; {instant} of {topology.num_links} links take at most the "
+                f"{_TIME_EPS:.0e}s event-time tolerance per chunk, so their "
+                "completions are never revisited as new time spans"
+                if instant
+                else ""
+            )
             raise SynthesisError(
                 f"synthesis of {pattern.name} on {topology.name} stalled at "
-                f"t={current_time:.3e}s with chunks still undelivered"
+                f"t={current_time:.3e}s with chunks still undelivered{cause}"
             )
         current_time = next_time
 

@@ -3,36 +3,22 @@
 from repro.simulator.adapters import (
     FlatWorkload,
     algorithm_to_flat_workload,
-    algorithm_to_messages,
     schedule_to_flat_workload,
-    schedule_to_messages,
     simulate_algorithm,
     simulate_schedule,
 )
 from repro.simulator.engine import CongestionAwareSimulator
-from repro.simulator.messages import Message
 from repro.simulator.result import SimulationResult
 from repro.simulator.schedule import LogicalSchedule, LogicalSend
-from repro.simulator.semantics import (
-    check_all_gather_schedule,
-    check_all_reduce_schedule,
-    replay_contributions,
-)
 
 __all__ = [
     "CongestionAwareSimulator",
     "FlatWorkload",
     "LogicalSchedule",
     "LogicalSend",
-    "Message",
     "SimulationResult",
     "algorithm_to_flat_workload",
-    "algorithm_to_messages",
-    "check_all_gather_schedule",
-    "check_all_reduce_schedule",
-    "replay_contributions",
     "schedule_to_flat_workload",
-    "schedule_to_messages",
     "simulate_algorithm",
     "simulate_schedule",
 ]

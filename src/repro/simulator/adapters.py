@@ -13,29 +13,23 @@ non-reducing collectives that expresses forwarding order; for reduction
 collectives it expresses that all partials routed through ``s`` must have
 arrived before ``s`` forwards its accumulated partial.
 
-Since the columnar-IR refactor the hot path never materializes
-:class:`~repro.simulator.messages.Message` objects: the dependency structure
-is derived as a CSR directly from the algorithm's
+The dependency structure is derived as a CSR directly from the algorithm's
 :class:`~repro.core.transfers.TransferTable` columns (or the schedule's send
-columns) with one grouped merge sweep, and handed to
-:meth:`~repro.simulator.engine.CongestionAwareSimulator.run_flat`.  The
-``*_to_messages`` functions remain as the compatibility view — they build
-``Message`` objects from the same flat workload, so both paths carry
-identical dependency sets, positions, and therefore identical simulated
-schedules (``tacos-repro bench`` asserts byte-identical
-``message_completion`` against the frozen object-path adapters in
-:mod:`repro.bench.reference`).
+columns) with one grouped merge sweep, and handed with the endpoint columns
+to :meth:`~repro.simulator.engine.CongestionAwareSimulator.run_flat`, the
+simulator's only entry point.  ``tacos-repro bench`` asserts that the
+simulated ``message_completion`` is byte-identical to the frozen object-path
+adapters and simulator in :mod:`repro.bench.reference`.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.core.algorithm import CollectiveAlgorithm
 from repro.simulator.engine import CongestionAwareSimulator
-from repro.simulator.messages import Message
 from repro.simulator.result import SimulationResult
 from repro.simulator.schedule import LogicalSchedule
 from repro.topology.topology import Topology
@@ -43,9 +37,7 @@ from repro.topology.topology import Topology
 __all__ = [
     "FlatWorkload",
     "algorithm_to_flat_workload",
-    "algorithm_to_messages",
     "schedule_to_flat_workload",
-    "schedule_to_messages",
     "simulate_algorithm",
     "simulate_schedule",
 ]
@@ -254,44 +246,6 @@ def schedule_to_flat_workload(schedule: LogicalSchedule) -> FlatWorkload:
         strict=True,
     )
     return FlatWorkload(sources, dests, chunks, schedule.chunk_size, dep_indptr, dep_indices)
-
-
-def _workload_to_messages(workload: FlatWorkload) -> List[Message]:
-    """Materialize the ``Message`` object view of a flat workload."""
-    indptr = workload.dep_indptr.tolist()
-    indices = workload.dep_indices.tolist()
-    return [
-        Message(
-            message_id=index,
-            source=source,
-            dest=dest,
-            size=workload.size,
-            chunk=chunk,
-            depends_on=frozenset(indices[indptr[index] : indptr[index + 1]]),
-        )
-        for index, (source, dest, chunk) in enumerate(
-            zip(
-                workload.sources.tolist(),
-                workload.dests.tolist(),
-                workload.chunks.tolist(),
-            )
-        )
-    ]
-
-
-def algorithm_to_messages(algorithm: CollectiveAlgorithm) -> List[Message]:
-    """Convert a timed collective algorithm into dependency-linked messages.
-
-    The object view of :func:`algorithm_to_flat_workload`, kept for API
-    compatibility and debugging; the simulation path feeds the flat columns
-    to the engine directly.
-    """
-    return _workload_to_messages(algorithm_to_flat_workload(algorithm))
-
-
-def schedule_to_messages(schedule: LogicalSchedule) -> List[Message]:
-    """Convert a logical step schedule into dependency-linked messages."""
-    return _workload_to_messages(schedule_to_flat_workload(schedule))
 
 
 def simulate_algorithm(

@@ -17,7 +17,11 @@ The simulator reproduces the behaviour of the paper's analytical backend:
   which models the data dependencies inside a collective algorithm (a chunk
   cannot be forwarded before it has been received / reduced).
 
-The engine is array-backed (the PR 2 treatment applied to the simulator):
+The engine takes one input form: columns.
+:meth:`CongestionAwareSimulator.run_flat` reads a workload as ``sources`` /
+``dests`` / ``sizes`` columns plus a dependency CSR over message positions,
+which :mod:`repro.simulator.adapters` derives from a transfer table or a
+logical schedule.  Inside, it is array-backed:
 
 * routes are tuples of integer link ids, resolved through per-``(source,
   weight_size)`` shortest-path *trees* cached on the topology
@@ -49,25 +53,15 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import chain
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError, TopologyError
-from repro.simulator.messages import Message, validate_messages
 from repro.simulator.result import SimulationResult
 from repro.topology.topology import Topology
 
 __all__ = ["CongestionAwareSimulator"]
-
-#: C-level attribute readers for the per-message setup columns.
-_get_message_id = attrgetter("message_id")
-_get_source = attrgetter("source")
-_get_dest = attrgetter("dest")
-_get_size = attrgetter("size")
-_get_depends_on = attrgetter("depends_on")
-
 
 class CongestionAwareSimulator:
     """Discrete-event network simulator with per-link FCFS queues.
@@ -95,65 +89,6 @@ class CongestionAwareSimulator:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def run(self, messages: Sequence[Message], *, collective_size: float = 0.0) -> SimulationResult:
-        """Simulate ``messages`` and return timing plus per-link statistics.
-
-        The hot loop works on flat *hop positions*: every (message, hop) pair
-        gets one slot ``pos`` in per-hop columns precomputed with numpy
-        (``hop_links``, ``hop_serialization`` = beta x size,
-        ``hop_latency`` = alpha), so an event is just ``(time, seq, pos)``
-        and the loop body is a handful of list reads.  Only ``(pos, start)``
-        is recorded per transmission; ends, per-link grouping, and byte
-        counters are reconstructed vectorized after the loop with the exact
-        same float operands, keeping outputs byte-identical to the frozen
-        reference engine.  Routes come from the same resolver as
-        :meth:`run_flat` (:meth:`_resolve_routes_flat` over ``sources`` /
-        ``dests`` columns read off the messages), so the two entry points
-        differ only in how they read their input.
-        """
-        messages = list(messages)
-        validate_messages(messages)
-        num_messages = len(messages)
-
-        # Dense message indexing: message ids are arbitrary ints, positions
-        # 0..n-1 follow input order (the same enumeration order the frozen
-        # reference engine uses, which fixes FCFS tie-breaking).  Setup runs
-        # through C-level iterators (attrgetter / map / chain) — per-message
-        # Python bytecode here costs as much as the event loop itself on
-        # 100k+ message workloads.  The adapters emit ids 0..n-1, so the
-        # id -> position map collapses to identity on that common case.
-        message_ids = list(map(_get_message_id, messages))
-        identity_ids = message_ids == list(range(num_messages))
-        index_of = (
-            None if identity_ids else {mid: index for index, mid in enumerate(message_ids)}
-        )
-        sizes_arr = np.fromiter(map(_get_size, messages), dtype=np.float64, count=num_messages)
-        dependency_sets = list(map(_get_depends_on, messages))
-        missing_deps = list(map(len, dependency_sets))
-        num_edges = sum(missing_deps)
-        if identity_ids:
-            dep_flat = np.fromiter(
-                chain.from_iterable(dependency_sets), dtype=np.int64, count=num_edges
-            )
-        else:
-            dep_flat = np.fromiter(
-                (index_of[dep] for dep in chain.from_iterable(dependency_sets)),
-                dtype=np.int64,
-                count=num_edges,
-            )
-        ids = None if identity_ids else message_ids
-        sources = np.fromiter(map(_get_source, messages), dtype=np.int64, count=num_messages)
-        dests = np.fromiter(map(_get_dest, messages), dtype=np.int64, count=num_messages)
-        routes = self._resolve_routes_flat(sources, dests, sizes_arr, ids)
-        return self._execute(
-            ids,
-            sizes_arr,
-            missing_deps,
-            dep_flat,
-            routes,
-            collective_size,
-        )
-
     def run_flat(
         self,
         sources: Sequence[int],
@@ -164,19 +99,27 @@ class CongestionAwareSimulator:
         *,
         collective_size: float = 0.0,
     ) -> SimulationResult:
-        """Simulate a flat columnar workload without :class:`Message` objects.
+        """Simulate a columnar workload and return timing plus per-link statistics.
 
-        The columnar twin of :meth:`run`: message ``i`` is described by
-        ``sources[i] -> dests[i]`` with payload ``sizes`` (a scalar for the
-        common uniform-chunk case, or a per-message array) and dependencies
+        Message ``i`` is described by ``sources[i] -> dests[i]`` with payload
+        ``sizes`` (a scalar for the common uniform-chunk case, or a
+        per-message array) and dependencies
         ``dep_indices[dep_indptr[i]:dep_indptr[i + 1]]`` given as message
-        *positions*.  Positions double as message ids in the returned
-        :class:`SimulationResult`.  Behaviour — FCFS tie-breaking, float
-        operation order, outputs — is identical to feeding :meth:`run` the
-        equivalent ``Message`` list; the adapters derive these columns
-        directly from a :class:`~repro.core.transfers.TransferTable` or
-        :class:`~repro.simulator.schedule.LogicalSchedule`, skipping object
-        construction on the hot path.
+        *positions*.  Positions are the message ids of the returned
+        :class:`SimulationResult` and of every error message.  The adapters
+        derive these columns directly from a
+        :class:`~repro.core.transfers.TransferTable` or
+        :class:`~repro.simulator.schedule.LogicalSchedule`.
+
+        The hot loop works on flat *hop positions*: every (message, hop) pair
+        gets one slot ``pos`` in per-hop columns precomputed with numpy
+        (``hop_links``, ``hop_serialization`` = beta x size,
+        ``hop_latency`` = alpha), so an event is just ``(time, seq, pos)``
+        and the loop body is a handful of list reads.  Only ``(pos, start)``
+        is recorded per transmission; ends, per-link grouping, and byte
+        counters are reconstructed vectorized after the loop with the exact
+        same float operands, keeping outputs byte-identical to the frozen
+        reference engine.
         """
         sources = np.asarray(sources, dtype=np.int64)
         dests = np.asarray(dests, dtype=np.int64)
@@ -190,7 +133,7 @@ class CongestionAwareSimulator:
         self._validate_flat(sources, dests, sizes_arr, dep_indptr, dep_flat)
         missing_deps = np.diff(dep_indptr).tolist()
         routes = self._resolve_routes_flat(sources, dests, sizes_arr)
-        return self._execute(None, sizes_arr, missing_deps, dep_flat, routes, collective_size)
+        return self._execute(sizes_arr, missing_deps, dep_flat, routes, collective_size)
 
     def _validate_flat(
         self,
@@ -200,7 +143,7 @@ class CongestionAwareSimulator:
         dep_indptr: np.ndarray,
         dep_flat: np.ndarray,
     ) -> None:
-        """Columnar mirror of :func:`~repro.simulator.messages.validate_messages`."""
+        """Reject malformed columns, naming the first bad message by position."""
         num_messages = int(sources.shape[0])
         if dests.shape[0] != num_messages or sizes_arr.shape[0] != num_messages:
             raise SimulationError("flat workload columns disagree in length")
@@ -231,19 +174,17 @@ class CongestionAwareSimulator:
 
     def _execute(
         self,
-        message_ids: Optional[List[int]],
         sizes_arr: np.ndarray,
         missing_deps: List[int],
         dep_flat: np.ndarray,
         routes: List[Tuple[int, ...]],
         collective_size: float,
     ) -> SimulationResult:
-        """Shared execution over flat hop columns (see :meth:`run`).
+        """Execution over flat hop columns (see :meth:`run_flat`).
 
         Contention-free workloads take :meth:`_execute_chained`; everything
         else, and any workload the pass declines, runs the event loop.
-        ``message_ids`` is ``None`` when ids equal positions (the adapters'
-        contract); ``dep_flat`` lists dependency positions consumer-major.
+        ``dep_flat`` lists dependency positions consumer-major.
         """
         num_messages = sizes_arr.shape[0]
         arrays = self.topology.link_arrays()
@@ -311,20 +252,12 @@ class CongestionAwareSimulator:
             )
 
         if completed != num_messages:
-            ids = message_ids if message_ids is not None else range(num_messages)
-            unfinished = sorted(
-                message_id
-                for index, message_id in enumerate(ids)
-                if completion[index] is None
-            )
+            unfinished = [index for index, end in enumerate(completion) if end is None]
             raise SimulationError(
                 f"{len(unfinished)} messages never became ready (dependency cycle?): {unfinished[:10]}"
             )
 
-        if message_ids is None:
-            message_completion = dict(enumerate(completion))
-        else:
-            message_completion = dict(zip(message_ids, completion))
+        message_completion = dict(enumerate(completion))
         completion_time = max(message_completion.values()) if message_completion else 0.0
         busy_columns, link_bytes = self._collect_link_stats(
             arrays,
@@ -615,14 +548,14 @@ class CongestionAwareSimulator:
     # Routing
     # ------------------------------------------------------------------
     def _route_links_pair(
-        self, source: int, dest: int, weight_size: float, message_id
+        self, source: int, dest: int, weight_size: float, position: int
     ) -> Tuple[int, ...]:
         """Link-id route for one ``(source, dest, weight)`` triple.
 
         Resolved through the topology's cached shortest-path tree for
         ``(source, weight_size)``; cached per endpoint pair and size.
         Degenerate (empty) and unreachable routes raise
-        :class:`~repro.errors.SimulationError` naming ``message_id`` without
+        :class:`~repro.errors.SimulationError` naming message ``position`` without
         being stored, so a bad message cannot poison the cache for later
         messages sharing the same endpoint pair.
         """
@@ -631,18 +564,18 @@ class CongestionAwareSimulator:
         if route is None:
             if source == dest:
                 raise SimulationError(
-                    f"message {message_id} has a degenerate route [{source}]"
+                    f"message {position} has a degenerate route [{source}]"
                 )
             try:
                 route = tuple(self.topology.shortest_path_links(source, dest, weight_size))
             except TopologyError as exc:
                 raise SimulationError(
-                    f"message {message_id} cannot be routed: no path from NPU {source} "
+                    f"message {position} cannot be routed: no path from NPU {source} "
                     f"to NPU {dest} on {self.topology.name}"
                 ) from exc
             if not route:
                 raise SimulationError(
-                    f"message {message_id} has a degenerate route {route}"
+                    f"message {position} has a degenerate route {route}"
                 )
             self._link_route_cache[cache_key] = route
         return route
@@ -652,39 +585,36 @@ class CongestionAwareSimulator:
         sources: np.ndarray,
         dests: np.ndarray,
         sizes_arr: np.ndarray,
-        message_ids: Optional[List[int]] = None,
     ) -> List[Tuple[int, ...]]:
         """Per-message routes for a columnar workload, one Dijkstra per pair.
 
-        The single route resolver behind :meth:`run` and :meth:`run_flat`.
         For the uniform-weight case (a routing-size override, or all payloads
         equal — every adapter-produced workload) the distinct ``(source,
         dest)`` pairs are found with one ``np.unique`` and each pair is
         resolved once; the per-message route list is then a C-speed gather.
-        Errors name a message by ``message_ids[position]`` (by its position
-        when ``message_ids`` is ``None``); an NPU outside the topology raises
-        :class:`~repro.errors.TopologyError` before any route is resolved.
+        Errors name a message by its position; an NPU outside the topology
+        raises :class:`~repro.errors.TopologyError` before any route is
+        resolved.
         """
         num_messages = int(sources.shape[0])
         if not num_messages:
             return []
-        ids = message_ids if message_ids is not None else range(num_messages)
         stride = self.topology.num_npus
         outside = (sources < 0) | (sources >= stride) | (dests < 0) | (dests >= stride)
         if outside.any():
             # Checked before the pair encoding below, which would alias them.
             index = int(np.flatnonzero(outside)[0])
             raise TopologyError(
-                f"message {ids[index]} ({int(sources[index])} -> {int(dests[index])}) "
+                f"message {index} ({int(sources[index])} -> {int(dests[index])}) "
                 f"names an NPU outside {self.topology.name} with {stride} NPUs"
             )
         weight_override = self.routing_message_size
         uniform = weight_override is not None or bool((sizes_arr == sizes_arr[0]).all())
         if not uniform:
             return [
-                self._route_links_pair(source, dest, size, message_id)
-                for source, dest, size, message_id in zip(
-                    sources.tolist(), dests.tolist(), sizes_arr.tolist(), ids
+                self._route_links_pair(source, dest, size, position)
+                for position, (source, dest, size) in enumerate(
+                    zip(sources.tolist(), dests.tolist(), sizes_arr.tolist())
                 )
             ]
         weight = float(weight_override if weight_override is not None else sizes_arr[0])
@@ -693,7 +623,7 @@ class CongestionAwareSimulator:
         first_of_code = np.zeros(unique_codes.shape[0], dtype=np.int64)
         first_of_code[inverse[::-1]] = np.arange(num_messages - 1, -1, -1, dtype=np.int64)
         pair_routes = [
-            self._route_links_pair(code // stride, code % stride, weight, ids[first])
+            self._route_links_pair(code // stride, code % stride, weight, first)
             for code, first in zip(unique_codes.tolist(), first_of_code.tolist())
         ]
         return [pair_routes[group] for group in inverse.tolist()]

@@ -18,7 +18,7 @@ schedule having to enumerate dependencies explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import SimulationError
 
@@ -125,62 +125,27 @@ class LogicalSchedule:
     name: str
     pattern_name: str = "AllReduce"
     metadata: Dict[str, object] = field(default_factory=dict)
-    #: Lazily built step -> sends index (in sends order); rebuilt on demand,
-    #: never compared or printed.  Invalidate with ``invalidate_step_index``
-    #: after mutating ``sends`` in place.
-    _step_index: Optional[Dict[int, List[LogicalSend]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def num_steps(self) -> int:
-        """Number of distinct algorithm steps."""
-        if not self.sends:
-            return 0
-        return max(self._by_step()) + 1
+        """Number of algorithm steps: the highest step plus one (0 when empty)."""
+        return max(send.step for send in self.sends) + 1 if self.sends else 0
 
     @property
     def num_sends(self) -> int:
         """Total number of logical sends."""
         return len(self.sends)
 
-    def _by_step(self) -> Dict[int, List[LogicalSend]]:
-        """Cached step -> sends index (one pass over ``sends``, built lazily).
-
-        Turns per-step iteration from O(steps x sends) repeated scans into a
-        single O(sends) pass.
-        """
-        if self._step_index is None:
-            index: Dict[int, List[LogicalSend]] = {}
-            for send in self.sends:
-                index.setdefault(send.step, []).append(send)
-            self._step_index = index
-        return self._step_index
-
-    def invalidate_step_index(self) -> None:
-        """Drop the cached step index after mutating ``sends`` in place."""
-        self._step_index = None
-
-    def sends_at_step(self, step: int) -> List[LogicalSend]:
-        """All sends scheduled at ``step`` (from the cached step index)."""
-        return list(self._by_step().get(step, ()))
-
     def steps(self) -> Iterator[Tuple[int, List[LogicalSend]]]:
-        """Iterate ``(step, sends)`` pairs in ascending step order."""
-        index = self._by_step()
-        for step in sorted(index):
-            yield step, list(index[step])
+        """Iterate ``(step, sends)`` pairs in ascending step order.
 
-    def total_bytes(self) -> float:
-        """Total payload bytes moved by the schedule (ignoring multi-hop routing)."""
-        return self.num_sends * self.chunk_size
-
-    def sends_per_npu(self) -> Dict[int, int]:
-        """Number of sends originating at each NPU."""
-        counts: Dict[int, int] = {npu: 0 for npu in range(self.num_npus)}
+        Each step's sends keep their order in :attr:`sends`.
+        """
+        by_step: Dict[int, List[LogicalSend]] = {}
         for send in self.sends:
-            counts[send.source] += 1
-        return counts
+            by_step.setdefault(send.step, []).append(send)
+        for step in sorted(by_step):
+            yield step, by_step[step]
 
     def validate(self) -> None:
         """Check every endpoint is a valid NPU index."""

@@ -16,15 +16,16 @@ chunk_size`` seconds), which is exactly one edge of the conceptual TEN.
 Storage is array-backed: links are numbered ``0 .. num_links - 1`` in
 topology insertion order, and per-link state lives in flat parallel lists
 (:attr:`link_sources`, :attr:`link_dests`, :attr:`link_costs`,
-:attr:`free_times`) with CSR-style per-NPU in/out link-id adjacency built
-once at construction.  The matching hot path works on integer link ids; the
-``(source, dest)`` key-tuple API is kept for callers and tests.
+:attr:`free_times`) with per-NPU in-link ids and out-neighbour lists taken
+from the topology's cache at construction.  Links are named by their integer ids only; the
+matching round commits a transfer by writing :attr:`free_times` and the
+event heap itself (see :meth:`TimeExpandedNetwork.push_event`).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as _np
 
@@ -51,9 +52,9 @@ class TimeExpandedNetwork:
     Attributes
     ----------
     link_sources, link_dests, link_costs, free_times:
-        Flat per-link arrays indexed by link id (insertion order).  The hot
-        path reads them directly; ``free_times`` must only be written through
-        :meth:`occupy` / :meth:`occupy_id`.
+        Flat per-link arrays indexed by link id (insertion order).  The
+        matching round reads them directly and writes ``free_times`` when it
+        commits a transfer.
     """
 
     def __init__(self, topology: Topology, chunk_size: float) -> None:
@@ -66,14 +67,11 @@ class TimeExpandedNetwork:
         # cached on the topology (shared with the array-backed simulator) so
         # per-trial TEN construction only has to compute the cost table.
         arrays = topology.link_arrays()
-        self._id_of: Dict[Tuple[int, int], int] = arrays.id_of
         self.link_sources: List[int] = arrays.sources
         self.link_dests: List[int] = arrays.dests
-        # CSR-style adjacency: per NPU, the ids of its incoming / outgoing
-        # links in neighbour insertion order (the order idle_in_links /
-        # idle_out_links have always reported and the matching relies on).
+        # CSR-style adjacency: per NPU, the ids of its incoming links in
+        # neighbour insertion order (the order the matching relies on).
         self._in_ids: List[List[int]] = arrays.in_ids
-        self._out_ids: List[List[int]] = arrays.out_ids
         #: Per-NPU outgoing neighbour lists (shared with the topology cache,
         #: read-only); used by the matching state's pair-activation step.
         self.out_adjacency: List[List[int]] = topology.out_adjacency()
@@ -101,8 +99,8 @@ class TimeExpandedNetwork:
 
         The link numbering, adjacency, costs and numpy CSR views are static
         and shared (both CSRs are built here first, so every copy reuses
-        them); the free times and the event heap are copied, so occupying a
-        link in either TEN leaves the other as it was.
+        them); the free times and the event heap are copied, so committing a
+        transfer in either TEN leaves the other as it was.
         """
         self.in_link_csr()
         self.out_neighbour_csr()
@@ -114,12 +112,8 @@ class TimeExpandedNetwork:
         return clone
 
     # ------------------------------------------------------------------
-    # Link ids (hot path)
+    # Link ids
     # ------------------------------------------------------------------
-    def link_id(self, key: Tuple[int, int]) -> int:
-        """Integer id of the link ``key`` (its topology insertion index)."""
-        return self._id_of[key]
-
     def in_link_ids(self, dest: int) -> List[int]:
         """Ids of all links into ``dest`` (read-only, in-neighbour order)."""
         return self._in_ids[dest]
@@ -182,69 +176,6 @@ class TimeExpandedNetwork:
             self._out_csr = csr
         return csr
 
-    def occupy_id(self, link_id: int, time: float) -> float:
-        """Mark link ``link_id`` busy starting at ``time``; return the completion time.
-
-        Id-based equivalent of :meth:`occupy`; the completion time is pushed
-        onto the event heap as a future time-span boundary.
-        """
-        if self.free_times[link_id] > time + _TIME_EPS:
-            key = (self.link_sources[link_id], self.link_dests[link_id])
-            raise SynthesisError(
-                f"link {key} is busy until {self.free_times[link_id]:.3e}s, "
-                f"cannot occupy at {time:.3e}s"
-            )
-        end = time + self.link_costs[link_id]
-        self.free_times[link_id] = end
-        self.push_event(end)
-        return end
-
-    # ------------------------------------------------------------------
-    # Link state (key-tuple API)
-    # ------------------------------------------------------------------
-    def link_cost(self, key: Tuple[int, int]) -> float:
-        """Span length (transmission time) of the link ``key`` for one chunk."""
-        return self.link_costs[self._id_of[key]]
-
-    def is_link_idle(self, key: Tuple[int, int], time: float) -> bool:
-        """Whether the link can start a new transmission at ``time``."""
-        return self.free_times[self._id_of[key]] <= time + _TIME_EPS
-
-    def idle_in_links(self, dest: int, time: float) -> List[Tuple[int, int]]:
-        """All links into ``dest`` that are idle at ``time``.
-
-        This is the backtracking step of the matching algorithm (Fig. 8b):
-        from an unsatisfied postcondition at ``dest``, walk the TEN backwards
-        over the incoming edges of the current time span.
-        """
-        free = self.free_times
-        threshold = time + _TIME_EPS
-        sources = self.link_sources
-        return [
-            (sources[link_id], dest)
-            for link_id in self._in_ids[dest]
-            if free[link_id] <= threshold
-        ]
-
-    def idle_out_links(self, source: int, time: float) -> List[Tuple[int, int]]:
-        """All links out of ``source`` that are idle at ``time``."""
-        free = self.free_times
-        threshold = time + _TIME_EPS
-        dests = self.link_dests
-        return [
-            (source, dests[link_id])
-            for link_id in self._out_ids[source]
-            if free[link_id] <= threshold
-        ]
-
-    def occupy(self, key: Tuple[int, int], time: float) -> float:
-        """Mark ``key`` busy starting at ``time``; return the completion time.
-
-        The completion time is also pushed onto the event heap so the
-        synthesizer revisits it as a future time span boundary.
-        """
-        return self.occupy_id(self._id_of[key], time)
-
     def idle_link_count(self, time: float) -> int:
         """Number of links that can start a new transmission at ``time``.
 
@@ -292,22 +223,3 @@ class TimeExpandedNetwork:
     def num_links(self) -> int:
         """Number of directed links (TEN edges per time span)."""
         return len(self.link_costs)
-
-    def busy_links_at(self, time: float) -> int:
-        """Number of links still transmitting at ``time``."""
-        threshold = time + _TIME_EPS
-        return sum(1 for free in self.free_times if free > threshold)
-
-    def utilization_at(self, time: float) -> float:
-        """Fraction of links busy at ``time``."""
-        if not self.link_costs:
-            return 0.0
-        return self.busy_links_at(time) / self.num_links
-
-    def link_next_free(self, key: Tuple[int, int]) -> float:
-        """Time at which link ``key`` next becomes idle."""
-        return self.free_times[self._id_of[key]]
-
-    def snapshot_free_times(self) -> Dict[Tuple[int, int], float]:
-        """Copy of the per-link next-free times (used by tests and analysis)."""
-        return {key: self.free_times[link_id] for key, link_id in self._id_of.items()}

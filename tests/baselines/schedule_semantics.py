@@ -1,4 +1,4 @@
-"""Semantic checking of logical collective schedules.
+"""Semantic checking of logical collective schedules: the baseline tests' oracle.
 
 A :class:`~repro.simulator.schedule.LogicalSchedule` describes *which* chunk
 moves *where* at every step, but its correctness as a collective (does every
@@ -13,14 +13,14 @@ NPUs whose partial contributions are folded into that copy:
   forwarding an already-reduced value).  Any other overlap would double-count
   a contribution and is rejected.
 
-The checkers are used by the test suite to prove that every baseline
-(Ring, Direct, RHD, DBT, BlueConnect, Themis, MultiTree, C-Cube, TACCL-like)
+The baseline tests use these checkers to prove that every baseline (Ring,
+Direct, RHD, DBT, BlueConnect, Themis, MultiTree, C-Cube, TACCL-like)
 implements its collective correctly, independent of timing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.errors import VerificationError
 from repro.simulator.schedule import LogicalSchedule

@@ -13,8 +13,11 @@ from repro.baselines import (
     ring_all_reduce,
     ring_reduce_scatter,
 )
-from repro.errors import SimulationError, VerificationError
-from repro.simulator import check_all_gather_schedule, check_all_reduce_schedule
+from repro.errors import SimulationError
+from tests.baselines.schedule_semantics import (
+    check_all_gather_schedule,
+    check_all_reduce_schedule,
+)
 
 MB = 1e6
 

@@ -16,8 +16,12 @@ from repro.baselines import (
     trees_to_all_reduce_schedule,
 )
 from repro.errors import SimulationError
-from repro.simulator import check_all_gather_schedule, check_all_reduce_schedule, simulate_schedule
+from repro.simulator import simulate_schedule
 from repro.topology import build_dgx1, build_mesh_2d, build_ring, build_torus
+from tests.baselines.schedule_semantics import (
+    check_all_gather_schedule,
+    check_all_reduce_schedule,
+)
 
 MB = 1e6
 

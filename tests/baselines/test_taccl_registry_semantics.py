@@ -11,15 +11,13 @@ from repro.baselines import (
     ring_all_reduce,
 )
 from repro.errors import SimulationError, SynthesisError, VerificationError
-from repro.simulator import (
-    LogicalSchedule,
-    LogicalSend,
+from repro.simulator import LogicalSchedule, LogicalSend
+from repro.topology import build_fully_connected, build_mesh_2d, build_ring
+from tests.baselines.schedule_semantics import (
     check_all_gather_schedule,
     check_all_reduce_schedule,
     replay_contributions,
-    simulate_schedule,
 )
-from repro.topology import build_fully_connected, build_mesh_2d, build_ring
 
 MB = 1e6
 

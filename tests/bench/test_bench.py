@@ -24,7 +24,7 @@ from repro.bench import (
 from repro.collectives import AllGather, AllReduce, AllToAll, Gather, ReduceScatter, Scatter
 from repro.core import FLAT_ENGINE, SynthesisConfig, TacosSynthesizer
 from repro.errors import ReproError
-from repro.simulator.adapters import simulate_algorithm
+from repro.simulator.adapters import simulate_algorithm, simulate_schedule
 from repro.topology import (
     build_3d_rfs,
     build_dgx1,
@@ -340,14 +340,6 @@ def _late_first_message(result):
     return result
 
 
-def _perturbed_simulator(perturb):
-    class Perturbed(check.CongestionAwareSimulator):
-        def run(self, messages, **kwargs):
-            return perturb(super().run(messages, **kwargs))
-
-    return Perturbed
-
-
 def _rejecting_verifier(algorithm, topology, pattern):
     raise check.VerificationError("perturbed verdict")
 
@@ -380,15 +372,19 @@ PERTURBATIONS = [
     ),
     (
         "simulation-message-completion",
-        "CongestionAwareSimulator",
-        lambda: _perturbed_simulator(_late_first_message),
+        "simulate_schedule",
+        lambda: lambda topology, schedule, **kwargs: _late_first_message(
+            simulate_schedule(topology, schedule, **kwargs)
+        ),
         Scenario("sim-ring-mesh3x3-1MB", "simulation", "mesh_2d:3,3", "ring", MB),
         ["message_completion"],
     ),
     (
         "simulation-completion-time",
-        "CongestionAwareSimulator",
-        lambda: _perturbed_simulator(_late_completion),
+        "simulate_schedule",
+        lambda: lambda topology, schedule, **kwargs: _late_completion(
+            simulate_schedule(topology, schedule, **kwargs)
+        ),
         Scenario("sim-rhd-ring8-1MB", "simulation", "ring:8", "rhd", MB),
         ["completion_time"],
     ),

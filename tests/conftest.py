@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import List, Sequence, Tuple
 
 import pytest
 
@@ -69,3 +70,43 @@ def random_connected_topology(
         topology.add_link(source, dest, alpha=0.5e-6, bandwidth_gbps=rng.choice(bandwidths))
         added += 1
     return topology
+
+
+Columns = Tuple[List[int], List[int], List[float], List[int], List[int]]
+
+
+def message_columns(messages: Sequence) -> Columns:
+    """``run_flat``'s five positional columns for a list of ``Message`` objects.
+
+    ``messages`` are :class:`repro.bench.reference.Message` objects (the
+    reference simulator's input form) whose ids equal their positions, as
+    the adapters number them: ``run_flat`` names messages and dependencies
+    by position.
+    """
+    sources, dests, sizes, dep_indptr, dep_indices = [], [], [], [0], []
+    for position, message in enumerate(messages):
+        if message.message_id != position:
+            raise ValueError(f"message id {message.message_id} is not its position {position}")
+        sources.append(message.source)
+        dests.append(message.dest)
+        sizes.append(message.size)
+        dep_indices.extend(sorted(message.depends_on))
+        dep_indptr.append(len(dep_indices))
+    return sources, dests, sizes, dep_indptr, dep_indices
+
+
+def run_messages(simulator, messages: Sequence, **kwargs):
+    """Simulate ``messages`` (see :func:`message_columns`) through ``run_flat``."""
+    return simulator.run_flat(*message_columns(messages), **kwargs)
+
+
+def occupy(ten, link_id: int, time: float) -> float:
+    """Commit one transfer on ``link_id`` at ``time``, as the matching round does.
+
+    Marks the link busy until ``time + link_costs[link_id]``, registers that
+    completion as an event and returns it.
+    """
+    end = time + ten.link_costs[link_id]
+    ten.free_times[link_id] = end
+    ten.push_event(end)
+    return end

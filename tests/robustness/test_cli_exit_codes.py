@@ -1,8 +1,10 @@
 """CLI exit codes: 1 when a well-specified run fails, 2 for a usage error.
 
 A stall names what happened: a topology that is not strongly connected says
-so, and any other stall says the synthesis stalled.  A message the simulator
-cannot route names itself and both NPUs.
+so, and any other stall says the synthesis stalled; when some links take no
+longer than the TEN's event-time tolerance per chunk, it counts them and
+names the tolerance.  A message the simulator cannot route names itself and
+both NPUs.
 """
 
 import json
@@ -125,3 +127,39 @@ def test_a_stall_on_a_connected_topology_does_not_blame_connectivity(monkeypatch
         run(spec)
     message = str(excinfo.value)
     assert "stalled" in message and "strongly connected" not in message
+    assert "tolerance" not in message
+
+
+class TestSubToleranceLinks:
+    """Links whose span is at most the TEN's event-time tolerance (1e-12 s):
+    their completions fall within the tolerance of the clock, so
+    ``next_event_after`` never revisits them."""
+
+    @staticmethod
+    def _instant_mesh():
+        from repro.topology import build_mesh_2d
+
+        # A 4 MB All-Gather's 444 kB chunks cross a 1e9 GB/s link in 4.4e-13 s.
+        return build_mesh_2d(3, 3, alpha=0.0, bandwidth_gbps=1e9)
+
+    def test_the_stall_names_the_links_and_the_tolerance(self):
+        from repro.collectives import AllGather
+        from repro.core import SynthesisConfig, TacosSynthesizer
+
+        with pytest.raises(SynthesisError) as excinfo:
+            TacosSynthesizer(SynthesisConfig(seed=0)).synthesize(
+                self._instant_mesh(), AllGather(9), 4e6
+            )
+        message = str(excinfo.value)
+        assert "stalled at t=0.000e+00s with chunks still undelivered" in message
+        assert "24 of 24 links take at most the 1e-12s event-time tolerance" in message
+
+    @pytest.mark.parametrize("collective", ["Broadcast", "Reduce"])
+    def test_single_root_collectives_still_finish(self, collective):
+        import repro.collectives as collectives
+        from repro.core import SynthesisConfig, TacosSynthesizer
+
+        algorithm = TacosSynthesizer(SynthesisConfig(seed=0)).synthesize(
+            self._instant_mesh(), getattr(collectives, collective)(9), 4e6
+        )
+        assert algorithm.collective_time > 0.0

@@ -23,13 +23,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import rhd_all_reduce, ring_all_reduce
-from repro.bench import ReferenceSimulator
+from repro.bench.reference import ReferenceSimulator, reference_algorithm_to_messages
 from repro.collectives import AllGather, AllReduce, AllToAll, Gather, ReduceScatter, Scatter
 from repro.core import SynthesisConfig, TacosSynthesizer
 from repro.errors import SimulationError
 from repro.simulator import (
     CongestionAwareSimulator,
-    algorithm_to_messages,
     schedule_to_flat_workload,
     simulate_algorithm,
     simulate_schedule,
@@ -104,7 +103,7 @@ def _assert_same_as_event_loop_and_reference(monkeypatch, topology, algorithm):
         _event_loop_only(patch)
         loop = simulate_algorithm(topology, algorithm)
     reference = ReferenceSimulator(topology).run(
-        algorithm_to_messages(algorithm), collective_size=algorithm.collective_size
+        reference_algorithm_to_messages(algorithm), collective_size=algorithm.collective_size
     )
     assert fast.to_bytes() == loop.to_bytes()
     assert fast.message_completion == loop.message_completion

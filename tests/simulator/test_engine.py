@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.bench.reference import Message
 from repro.errors import SimulationError, TopologyError
-from repro.simulator import CongestionAwareSimulator, Message
+from repro.simulator import CongestionAwareSimulator
 from repro.topology import Topology, build_fully_connected, build_ring
+from tests.conftest import run_messages
 
 MB = 1e6
 
@@ -22,14 +24,14 @@ class TestBasicTiming:
     def test_single_message_direct_link(self):
         topology = line_topology()
         simulator = CongestionAwareSimulator(topology)
-        result = simulator.run([Message(message_id=0, source=0, dest=1, size=MB)])
+        result = run_messages(simulator, [Message(message_id=0, source=0, dest=1, size=MB)])
         expected = 0.5e-6 + MB / 50e9
         assert result.completion_time == pytest.approx(expected)
 
     def test_multi_hop_store_and_forward(self):
         topology = line_topology()
         simulator = CongestionAwareSimulator(topology)
-        result = simulator.run([Message(message_id=0, source=0, dest=2, size=MB)])
+        result = run_messages(simulator, [Message(message_id=0, source=0, dest=2, size=MB)])
         per_hop = 0.5e-6 + MB / 50e9
         assert result.completion_time == pytest.approx(2 * per_hop)
 
@@ -40,7 +42,7 @@ class TestBasicTiming:
             Message(message_id=0, source=0, dest=1, size=MB),
             Message(message_id=1, source=0, dest=1, size=MB),
         ]
-        result = simulator.run(messages)
+        result = run_messages(simulator, messages)
         serialization = MB / 50e9
         # The second message waits for the first one's serialization (the link
         # is busy for beta * size) but the alpha latencies pipeline.
@@ -55,12 +57,12 @@ class TestBasicTiming:
             Message(message_id=0, source=0, dest=1, size=MB),
             Message(message_id=1, source=2, dest=3, size=MB),
         ]
-        result = simulator.run(messages)
+        result = run_messages(simulator, messages)
         per_hop = 0.5e-6 + MB / 50e9
         assert result.completion_time == pytest.approx(per_hop)
 
     def test_empty_workload(self):
-        result = CongestionAwareSimulator(build_ring(3)).run([])
+        result = CongestionAwareSimulator(build_ring(3)).run_flat([], [], MB, [0], [])
         assert result.completion_time == 0.0
 
 
@@ -72,7 +74,7 @@ class TestDependencies:
             Message(message_id=0, source=0, dest=1, size=MB),
             Message(message_id=1, source=1, dest=2, size=MB, depends_on=frozenset({0})),
         ]
-        result = simulator.run(messages)
+        result = run_messages(simulator, messages)
         per_hop = 0.5e-6 + MB / 50e9
         assert result.message_completion[1] == pytest.approx(2 * per_hop)
 
@@ -84,7 +86,7 @@ class TestDependencies:
             Message(message_id=1, source=0, dest=2, size=MB),
             Message(message_id=2, source=1, dest=3, size=MB, depends_on=frozenset({0, 1})),
         ]
-        result = simulator.run(messages)
+        result = run_messages(simulator, messages)
         # Message 1 contends with 0 on no common link, so both finish after one
         # hop; message 2 then takes another hop.
         per_hop = 0.5e-6 + MB / 50e9
@@ -98,30 +100,24 @@ class TestDependencies:
             Message(message_id=1, source=1, dest=2, size=MB, depends_on=frozenset({0})),
         ]
         with pytest.raises(SimulationError):
-            simulator.run(messages)
+            run_messages(simulator, messages)
 
     def test_unknown_dependency_rejected(self):
         topology = build_fully_connected(3)
         simulator = CongestionAwareSimulator(topology)
         with pytest.raises(SimulationError):
-            simulator.run([Message(message_id=0, source=0, dest=1, size=MB, depends_on=frozenset({9}))])
+            run_messages(
+                simulator,
+                [Message(message_id=0, source=0, dest=1, size=MB, depends_on=frozenset({9}))],
+            )
 
-    def test_duplicate_ids_rejected(self):
-        topology = build_fully_connected(3)
-        simulator = CongestionAwareSimulator(topology)
-        messages = [
-            Message(message_id=0, source=0, dest=1, size=MB),
-            Message(message_id=0, source=1, dest=2, size=MB),
-        ]
-        with pytest.raises(SimulationError):
-            simulator.run(messages)
 
 
 class TestAccounting:
     def test_link_bytes_accumulate(self):
         topology = line_topology()
         simulator = CongestionAwareSimulator(topology)
-        result = simulator.run([Message(message_id=0, source=0, dest=2, size=MB)])
+        result = run_messages(simulator, [Message(message_id=0, source=0, dest=2, size=MB)])
         assert result.link_bytes[(0, 1)] == pytest.approx(MB)
         assert result.link_bytes[(1, 2)] == pytest.approx(MB)
 
@@ -131,7 +127,7 @@ class TestAccounting:
         messages = [
             Message(message_id=i, source=i % 6, dest=(i + 2) % 6, size=MB) for i in range(12)
         ]
-        result = simulator.run(messages)
+        result = run_messages(simulator, messages)
         for intervals in result.link_busy_intervals.values():
             ordered = sorted(intervals)
             for (start_a, end_a), (start_b, _) in zip(ordered, ordered[1:]):
@@ -139,38 +135,24 @@ class TestAccounting:
 
     def test_collective_bandwidth_requires_size(self):
         topology = line_topology()
-        result = CongestionAwareSimulator(topology).run(
-            [Message(message_id=0, source=0, dest=1, size=MB)]
+        result = run_messages(
+            CongestionAwareSimulator(topology), [Message(message_id=0, source=0, dest=1, size=MB)]
         )
         with pytest.raises(SimulationError):
             result.collective_bandwidth()
 
-    def test_unroutable_message_raises(self):
-        topology = line_topology()  # no path from 2 back to 0
-        simulator = CongestionAwareSimulator(topology)
-        messages = [
-            Message(message_id=4, source=0, dest=1, size=MB),
-            Message(message_id=9, source=2, dest=0, size=MB),
-        ]
-        with pytest.raises(
-            SimulationError, match="message 9 cannot be routed: no path from NPU 2 to NPU 0"
-        ):
-            simulator.run(messages)
-
     def test_unroutable_flat_message_raises(self):
-        simulator = CongestionAwareSimulator(line_topology())
-        with pytest.raises(SimulationError, match="message 1 cannot be routed"):
+        simulator = CongestionAwareSimulator(line_topology())  # no path from 2 back to 0
+        with pytest.raises(
+            SimulationError, match="message 1 cannot be routed: no path from NPU 2 to NPU 0"
+        ):
             simulator.run_flat([0, 2], [1, 0], MB, [0, 0, 0], [])
 
     @pytest.mark.parametrize("source, dest", [(0, 3), (-1, 2)])
     def test_npu_outside_the_topology_raises(self, source, dest):
         simulator = CongestionAwareSimulator(line_topology())
-        messages = [
-            Message(message_id=0, source=0, dest=1, size=MB),
-            Message(message_id=6, source=source, dest=dest, size=MB),
-        ]
-        with pytest.raises(TopologyError, match="message 6 .* names an NPU outside Line3"):
-            simulator.run(messages)
+        with pytest.raises(TopologyError, match="message 1 .* names an NPU outside Line3"):
+            simulator.run_flat([0, source], [1, dest], MB, [0, 0, 0], [])
         assert not simulator._link_route_cache
 
     def test_flat_npu_outside_the_topology_is_not_aliased(self):
@@ -185,7 +167,7 @@ class TestRouteValidation:
     def test_degenerate_pair_raises_without_poisoning_cache(self):
         """Regression: an empty route must be rejected *before* it is cached.
 
-        ``Message`` and ``run_flat`` both reject ``source == dest``, so drive
+        ``run_flat`` rejects ``source == dest`` up front, so drive
         the resolver directly the way a buggy caller could.
         """
         simulator = CongestionAwareSimulator(line_topology())
@@ -228,8 +210,8 @@ class TestZeroWidthIntervals:
 
     def test_zero_beta_link_produces_zero_width_interval(self):
         topology = self.zero_beta_topology()
-        result = CongestionAwareSimulator(topology).run(
-            [Message(message_id=0, source=0, dest=1, size=MB)]
+        result = run_messages(
+            CongestionAwareSimulator(topology), [Message(message_id=0, source=0, dest=1, size=MB)]
         )
         ((start, end),) = result.link_busy_intervals[(0, 1)]
         assert start == end == 0.0
@@ -238,8 +220,8 @@ class TestZeroWidthIntervals:
 
     def test_timeline_counts_instantaneous_transmission(self):
         topology = self.zero_beta_topology()
-        result = CongestionAwareSimulator(topology).run(
-            [Message(message_id=0, source=0, dest=2, size=MB)]
+        result = run_messages(
+            CongestionAwareSimulator(topology), [Message(message_id=0, source=0, dest=2, size=MB)]
         )
         times, utilization = result.utilization_timeline(num_samples=50)
         # The zero-width transmission at t=0 lands in the first sample; it
@@ -253,7 +235,7 @@ class TestZeroWidthIntervals:
         count that link busy once — the busy fraction can never exceed 1."""
         topology = self.zero_beta_topology()
         messages = [Message(message_id=i, source=0, dest=1, size=MB) for i in range(10)]
-        result = CongestionAwareSimulator(topology).run(messages)
+        result = run_messages(CongestionAwareSimulator(topology), messages)
         times, utilization = result.utilization_timeline(num_samples=10)
         assert utilization[0] == pytest.approx(0.5)  # 1 of 2 links busy
         assert np.all(utilization <= 1.0)
@@ -261,8 +243,8 @@ class TestZeroWidthIntervals:
 
     def test_busy_link_count_at_exact_instant(self):
         topology = self.zero_beta_topology()
-        result = CongestionAwareSimulator(topology).run(
-            [Message(message_id=0, source=0, dest=1, size=MB)]
+        result = run_messages(
+            CongestionAwareSimulator(topology), [Message(message_id=0, source=0, dest=1, size=MB)]
         )
         assert result.busy_link_count_at(0.0) == 1
         # Away from the instant the pure-latency link is idle.
@@ -272,8 +254,8 @@ class TestZeroWidthIntervals:
         from repro.analysis import utilization_timeline
 
         topology = self.zero_beta_topology()
-        result = CongestionAwareSimulator(topology).run(
-            [Message(message_id=0, source=0, dest=2, size=MB)]
+        result = run_messages(
+            CongestionAwareSimulator(topology), [Message(message_id=0, source=0, dest=2, size=MB)]
         )
         _, utilization = utilization_timeline(result, num_samples=50)
         assert utilization[0] > 0.0
@@ -286,7 +268,7 @@ class TestZeroWidthIntervals:
             Message(message_id=0, source=0, dest=2, size=MB),
             Message(message_id=1, source=0, dest=2, size=MB, depends_on=frozenset({0})),
         ]
-        flat = CongestionAwareSimulator(topology).run(messages)
+        flat = run_messages(CongestionAwareSimulator(topology), messages)
         reference = ReferenceSimulator(topology).run(messages)
         assert flat.message_completion == reference.message_completion
         assert flat.link_busy_intervals == reference.link_busy_intervals

@@ -12,8 +12,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.bench import ReferenceSimulator
-from repro.simulator import CongestionAwareSimulator, Message
+from repro.bench.reference import Message, ReferenceSimulator
+from repro.simulator import CongestionAwareSimulator
 from repro.topology import build_mesh_2d, build_ring
 
 MB = 1024.0 * 1024.0

@@ -1,9 +1,10 @@
 """Flat columnar adapters vs the frozen object-path adapters.
 
 The CSR derivation in :mod:`repro.simulator.adapters` must produce the exact
-message order and dependency sets of the pre-refactor dict-of-list scans
-(frozen in :mod:`repro.bench.reference`), and feeding those columns to
-``run_flat`` must yield byte-identical simulations."""
+message order, endpoints, chunks, sizes and dependency sets of the
+pre-refactor dict-of-list scans (frozen in :mod:`repro.bench.reference`),
+compared column by column, and feeding those columns to ``run_flat`` must
+yield byte-identical simulations."""
 
 import random
 
@@ -23,14 +24,13 @@ from repro.core import ChunkTransfer, CollectiveAlgorithm, SynthesisConfig, Taco
 from repro.errors import SimulationError
 from repro.simulator.adapters import (
     algorithm_to_flat_workload,
-    algorithm_to_messages,
     schedule_to_flat_workload,
-    schedule_to_messages,
     simulate_algorithm,
     simulate_schedule,
 )
 from repro.simulator.engine import CongestionAwareSimulator
 from repro.topology import build_dgx1, build_mesh_2d, build_ring
+from tests.conftest import message_columns, run_messages
 
 _settings = settings(
     max_examples=30,
@@ -39,6 +39,21 @@ _settings = settings(
 )
 
 MB = 1e6
+
+
+def assert_columns_match(workload, messages):
+    """The flat workload equals the frozen adapter's messages, column by column."""
+    sources, dests, sizes, dep_indptr, dep_indices = message_columns(messages)
+    assert workload.sources.tolist() == sources
+    assert workload.dests.tolist() == dests
+    assert workload.chunks.tolist() == [message.chunk for message in messages]
+    assert [workload.size] * len(messages) == sizes
+    assert workload.dep_indptr.tolist() == dep_indptr
+    # Within one message the dependency order is free; the sets must agree.
+    flat = workload.dep_indices.tolist()
+    for position in range(len(messages)):
+        row = slice(dep_indptr[position], dep_indptr[position + 1])
+        assert sorted(flat[row]) == dep_indices[row]
 
 
 def _synthesized_cases():
@@ -59,7 +74,9 @@ def _synthesized_cases():
 )
 def test_algorithm_adapter_matches_frozen_reference(name, topology, pattern):
     algorithm = TacosSynthesizer(SynthesisConfig(seed=5)).synthesize(topology, pattern, 4 * MB)
-    assert algorithm_to_messages(algorithm) == reference_algorithm_to_messages(algorithm)
+    assert_columns_match(
+        algorithm_to_flat_workload(algorithm), reference_algorithm_to_messages(algorithm)
+    )
 
 
 @pytest.mark.parametrize(
@@ -68,14 +85,14 @@ def test_algorithm_adapter_matches_frozen_reference(name, topology, pattern):
 def test_flat_simulation_is_byte_identical(name, topology, pattern):
     algorithm = TacosSynthesizer(SynthesisConfig(seed=5)).synthesize(topology, pattern, 4 * MB)
     flat = simulate_algorithm(topology, algorithm)
-    via_messages = CongestionAwareSimulator(topology).run(
-        algorithm_to_messages(algorithm), collective_size=algorithm.collective_size
+    messages = reference_algorithm_to_messages(algorithm)
+    via_reference_columns = run_messages(
+        CongestionAwareSimulator(topology), messages, collective_size=algorithm.collective_size
     )
     reference = ReferenceSimulator(topology).run(
-        reference_algorithm_to_messages(algorithm),
-        collective_size=algorithm.collective_size,
+        messages, collective_size=algorithm.collective_size
     )
-    for other in (via_messages, reference):
+    for other in (via_reference_columns, reference):
         assert flat.message_completion == other.message_completion
         assert flat.completion_time == other.completion_time
         assert flat.link_bytes == other.link_bytes
@@ -95,7 +112,9 @@ def test_flat_simulation_is_byte_identical(name, topology, pattern):
 )
 def test_schedule_adapter_matches_frozen_reference(builder, kwargs):
     schedule = builder(8, 4 * MB, **kwargs)
-    assert schedule_to_messages(schedule) == reference_schedule_to_messages(schedule)
+    assert_columns_match(
+        schedule_to_flat_workload(schedule), reference_schedule_to_messages(schedule)
+    )
     topology = build_mesh_2d(2, 4)
     flat = simulate_schedule(topology, schedule)
     reference = ReferenceSimulator(topology).run(
@@ -137,7 +156,9 @@ def test_adapter_dependency_equality_on_random_tables(seed, count, num_npus, num
         chunk_size=1e5,
         collective_size=1e5 * num_npus,
     )
-    assert algorithm_to_messages(algorithm) == reference_algorithm_to_messages(algorithm)
+    assert_columns_match(
+        algorithm_to_flat_workload(algorithm), reference_algorithm_to_messages(algorithm)
+    )
 
 
 def test_flat_workload_shapes():

@@ -12,22 +12,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import direct_all_reduce, rhd_all_reduce, ring_all_reduce
-from repro.bench import ReferenceSimulator
+from repro.bench.reference import (
+    Message,
+    ReferenceSimulator,
+    reference_algorithm_to_messages,
+    reference_schedule_to_messages,
+)
 from repro.collectives import AllGather, AllReduce
 from repro.core import SynthesisConfig, TacosSynthesizer
-from repro.simulator import (
-    CongestionAwareSimulator,
-    Message,
-    algorithm_to_messages,
-    schedule_to_messages,
-)
+from repro.simulator import CongestionAwareSimulator
 from repro.topology import (
     build_dgx1,
     build_mesh_2d,
     build_ring,
     build_switch,
 )
-from tests.conftest import random_connected_topology
+from tests.conftest import random_connected_topology, run_messages
 
 MB = 1e6
 
@@ -39,7 +39,7 @@ _settings = settings(
 
 
 def assert_identical(topology, messages):
-    flat = CongestionAwareSimulator(topology).run(messages)
+    flat = run_messages(CongestionAwareSimulator(topology), messages)
     reference = ReferenceSimulator(topology).run(messages)
     assert flat.message_completion == reference.message_completion
     assert flat.completion_time == reference.completion_time
@@ -68,7 +68,7 @@ class TestSynthesizedWorkloads:
         algorithm = TacosSynthesizer(SynthesisConfig(seed=41)).synthesize(
             topology, pattern, 4 * MB
         )
-        assert_identical(topology, algorithm_to_messages(algorithm))
+        assert_identical(topology, reference_algorithm_to_messages(algorithm))
 
 
 class TestLogicalScheduleWorkloads:
@@ -80,18 +80,18 @@ class TestLogicalScheduleWorkloads:
     def test_logical_all_reduce_on_mesh_identical(self, builder):
         topology = build_mesh_2d(4, 4)
         schedule = builder(topology.num_npus, 4 * MB)
-        assert_identical(topology, schedule_to_messages(schedule))
+        assert_identical(topology, reference_schedule_to_messages(schedule))
 
     def test_multi_chunk_direct_identical(self):
         topology = build_mesh_2d(3, 3)
         # 9 NPUs is not a power of two, so exercise Direct with sub-chunking.
         schedule = direct_all_reduce(9, 4 * MB, chunks_per_npu=3)
-        assert_identical(topology, schedule_to_messages(schedule))
+        assert_identical(topology, reference_schedule_to_messages(schedule))
 
     def test_routing_message_size_override_identical(self):
         topology = build_mesh_2d(3, 3)
-        messages = schedule_to_messages(ring_all_reduce(9, 4 * MB))
-        flat = CongestionAwareSimulator(topology, routing_message_size=1.0).run(messages)
+        messages = reference_schedule_to_messages(ring_all_reduce(9, 4 * MB))
+        flat = run_messages(CongestionAwareSimulator(topology, routing_message_size=1.0), messages)
         reference = ReferenceSimulator(topology, routing_message_size=1.0).run(messages)
         assert flat.message_completion == reference.message_completion
 

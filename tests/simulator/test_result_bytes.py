@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.collectives import AllGather
 from repro.core import SynthesisConfig, TacosSynthesizer
-from repro.simulator import CongestionAwareSimulator, algorithm_to_messages
+from repro.simulator import simulate_algorithm
 from repro.simulator.result import SimulationResult
 from repro.topology import build_ring
 
@@ -84,9 +84,7 @@ class TestRoundTrip:
         algorithm = TacosSynthesizer(SynthesisConfig(seed=7)).synthesize(
             topology, AllGather(6), 4e6
         )
-        result = CongestionAwareSimulator(topology).run(
-            algorithm_to_messages(algorithm), collective_size=algorithm.collective_size
-        )
+        result = simulate_algorithm(topology, algorithm)
         decoded = SimulationResult.from_bytes(result.to_bytes())
         _assert_identical(result, decoded)
         # Derived metrics agree exactly too (they read the same columns).

@@ -10,8 +10,8 @@ from repro.errors import SimulationError
 from repro.simulator import (
     LogicalSchedule,
     LogicalSend,
-    algorithm_to_messages,
-    schedule_to_messages,
+    algorithm_to_flat_workload,
+    schedule_to_flat_workload,
     simulate_algorithm,
     simulate_schedule,
 )
@@ -26,46 +26,30 @@ class TestLogicalSchedule:
         assert schedule.num_steps == 3
         assert schedule.num_sends == 12
 
-    def test_sends_at_step(self):
-        schedule = ring_all_gather(4, 4 * MB, bidirectional=False)
-        assert len(schedule.sends_at_step(0)) == 4
-
-    def test_sends_at_step_uses_cached_index(self):
-        # Regression: per-step iteration used to rescan every send per call
-        # (O(steps x sends)); the lazily built index scans the list once.
-        schedule = ring_all_gather(4, 4 * MB, bidirectional=False)
-        assert schedule._step_index is None  # built lazily, not eagerly
-        by_scan = [
-            [send for send in schedule.sends if send.step == step]
-            for step in range(schedule.num_steps)
-        ]
-        assert [schedule.sends_at_step(step) for step in range(schedule.num_steps)] == by_scan
-        assert schedule._step_index is not None
-
-    def test_sends_at_step_missing_step_is_empty(self):
-        schedule = ring_all_gather(4, 4 * MB, bidirectional=False)
-        assert schedule.sends_at_step(99) == []
-
     def test_steps_iterates_in_order(self):
         schedule = ring_all_gather(4, 4 * MB, bidirectional=False)
         steps = list(schedule.steps())
         assert [step for step, _ in steps] == list(range(schedule.num_steps))
         assert sum(len(sends) for _, sends in steps) == schedule.num_sends
+        by_scan = [
+            [send for send in schedule.sends if send.step == step]
+            for step in range(schedule.num_steps)
+        ]
+        assert [sends for _, sends in steps] == by_scan
 
-    def test_invalidate_step_index_after_mutation(self):
+    def test_num_steps_and_steps_follow_in_place_edits(self):
         schedule = ring_all_gather(4, 4 * MB, bidirectional=False)
-        assert len(schedule.sends_at_step(3)) == 0
+        assert schedule.num_steps == 3
         schedule.sends.append(LogicalSend(step=3, chunk=0, source=0, dest=1))
-        schedule.invalidate_step_index()
-        assert len(schedule.sends_at_step(3)) == 1
+        assert schedule.num_steps == 4
+        assert list(schedule.steps())[-1] == (3, [LogicalSend(3, 0, 0, 1)])
 
-    def test_total_bytes(self):
-        schedule = ring_all_gather(4, 4 * MB, bidirectional=False)
-        assert schedule.total_bytes() == pytest.approx(12 * MB)
-
-    def test_sends_per_npu(self):
-        schedule = ring_all_gather(4, 4 * MB, bidirectional=False)
-        assert schedule.sends_per_npu() == {0: 3, 1: 3, 2: 3, 3: 3}
+    def test_empty_schedule_has_no_steps(self):
+        schedule = LogicalSchedule(
+            sends=[], num_npus=2, chunk_size=MB, collective_size=MB, name="empty"
+        )
+        assert schedule.num_steps == 0
+        assert list(schedule.steps()) == []
 
     def test_validate_rejects_out_of_range(self):
         schedule = LogicalSchedule(
@@ -83,37 +67,42 @@ class TestLogicalSchedule:
             LogicalSend(step=-1, chunk=0, source=0, dest=1)
 
 
-class TestScheduleToMessages:
+def _dependencies(workload, position):
+    return workload.dep_indices[
+        workload.dep_indptr[position] : workload.dep_indptr[position + 1]
+    ].tolist()
+
+
+class TestScheduleToFlatWorkload:
     def test_dependency_on_earlier_inbound_send(self):
         schedule = ring_all_gather(4, 4 * MB, bidirectional=False)
-        messages = schedule_to_messages(schedule)
-        by_id = {m.message_id: m for m in messages}
-        # Find a step-1 send; it must depend on the step-0 send that delivered
-        # the same chunk to its source.
+        workload = schedule_to_flat_workload(schedule)
+        # A step-0 send depends on nothing; every later send depends on the
+        # send that delivered the same chunk to its source.
         sends = sorted(schedule.sends, key=lambda s: (s.step, s.source, s.dest, s.chunk))
         for index, send in enumerate(sends):
+            assert (workload.sources[index], workload.dests[index]) == (send.source, send.dest)
             if send.step == 0:
-                assert by_id[index].depends_on == frozenset()
+                assert _dependencies(workload, index) == []
             else:
-                assert len(by_id[index].depends_on) >= 1
+                assert len(_dependencies(workload, index)) >= 1
 
     def test_message_sizes_match_chunk_size(self):
         schedule = ring_all_gather(4, 4 * MB)
-        for message in schedule_to_messages(schedule):
-            assert message.size == pytest.approx(schedule.chunk_size)
+        assert schedule_to_flat_workload(schedule).size == pytest.approx(schedule.chunk_size)
 
 
-class TestAlgorithmToMessages:
+class TestAlgorithmToFlatWorkload:
     def test_link_order_is_preserved_as_dependency(self):
         topology = build_mesh_2d(3, 3)
         algorithm = TacosSynthesizer().synthesize(topology, AllGather(9), 9 * MB)
-        messages = algorithm_to_messages(algorithm)
+        workload = algorithm_to_flat_workload(algorithm)
         transfers = sorted(algorithm.transfers, key=lambda t: (t.start, t.end))
         by_link = {}
         for index, transfer in enumerate(transfers):
             previous = by_link.get(transfer.link)
             if previous is not None:
-                assert previous in messages[index].depends_on
+                assert previous in _dependencies(workload, index)
             by_link[transfer.link] = index
 
     def test_simulated_time_matches_synthesized_time(self):

@@ -18,9 +18,10 @@ from repro.collectives import (
     Scatter,
 )
 from repro.core import SynthesisConfig, TacosSynthesizer
-from repro.simulator import CongestionAwareSimulator, Message, simulate_algorithm, simulate_schedule
+from repro.bench.reference import Message
+from repro.simulator import CongestionAwareSimulator, simulate_algorithm, simulate_schedule
 from repro.topology import build_hypercube_3d, build_mesh_2d, build_ring, build_torus_2d
-from tests.conftest import random_connected_topology
+from tests.conftest import random_connected_topology, run_messages
 
 _settings = settings(
     max_examples=25,
@@ -62,7 +63,7 @@ def test_every_message_is_delivered_and_accounted(num_npus, count, seed):
     rng = random.Random(seed)
     topology = random_connected_topology(num_npus, rng, extra_links=4)
     messages = _random_messages(topology, rng, count)
-    result = CongestionAwareSimulator(topology).run(messages)
+    result = run_messages(CongestionAwareSimulator(topology), messages)
 
     # Every message completes, no earlier than its own minimum transmission time.
     assert set(result.message_completion) == {message.message_id for message in messages}
@@ -95,7 +96,7 @@ def test_busy_intervals_never_overlap(num_npus, count, seed):
     rng = random.Random(seed)
     topology = random_connected_topology(num_npus, rng, extra_links=4, heterogeneous=True)
     messages = _random_messages(topology, rng, count)
-    result = CongestionAwareSimulator(topology).run(messages)
+    result = run_messages(CongestionAwareSimulator(topology), messages)
     for intervals in result.link_busy_intervals.values():
         ordered = sorted(intervals)
         for (_, end_a), (start_b, _) in zip(ordered, ordered[1:]):
@@ -117,7 +118,7 @@ def test_dependencies_delay_dependents(num_npus, seed):
     rng = random.Random(seed)
     topology = random_connected_topology(num_npus, rng, extra_links=4)
     messages = _random_messages(topology, rng, 20)
-    completion = CongestionAwareSimulator(topology).run(messages).message_completion
+    completion = run_messages(CongestionAwareSimulator(topology), messages).message_completion
     for message in messages:
         if not message.depends_on:
             continue
