@@ -32,7 +32,6 @@ from repro.api.parallel import (
 from repro.api.registry import (
     ALGORITHMS,
     COLLECTIVES,
-    SYNTHESIZERS,
     TOPOLOGIES,
     AlgorithmArtifact,
     Registry,
@@ -61,7 +60,6 @@ __all__ = [
     "ALGORITHMS",
     "BACKENDS",
     "COLLECTIVES",
-    "SYNTHESIZERS",
     "TOPOLOGIES",
     "AlgorithmArtifact",
     "AlgorithmSpec",

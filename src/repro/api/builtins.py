@@ -1,7 +1,7 @@
 """Built-in registry entries: every topology, collective, and algorithm.
 
 Importing this module (which :mod:`repro.api` does automatically) populates
-the four registries with the library's built-in entries, so a spec like
+the three registries with the library's built-in entries, so a spec like
 ``{"topology": {"name": "mesh", "params": {"dims": [3, 3]}}, ...}`` resolves
 without further setup.
 """
@@ -18,7 +18,6 @@ from repro.analysis.ideal import (
 from repro.api.registry import (
     ALGORITHMS,
     COLLECTIVES,
-    SYNTHESIZERS,
     TOPOLOGIES,
     AlgorithmArtifact,
 )
@@ -39,9 +38,8 @@ from repro.collectives.gather_scatter import AllToAll, Gather, Scatter
 from repro.collectives.pattern import CollectivePattern
 from repro.collectives.reduce_scatter import ReduceScatter
 from repro.core.config import SynthesisConfig
-from repro.core.synthesizer import TacosSynthesizer
+from repro.core.synthesizer import GuidedSynthesizer, TacosSynthesizer
 from repro.errors import RegistryError, SpecError, TopologyError
-from repro.search import GuidedSynthesizer
 from repro.topology.builders import (
     build_2d_switch,
     build_3d_rfs,
@@ -228,23 +226,6 @@ COLLECTIVES.register("all_to_all", AllToAll, aliases=("alltoall",))
 
 
 # ----------------------------------------------------------------------
-# Synthesizers
-# ----------------------------------------------------------------------
-SYNTHESIZERS.register("tacos", TacosSynthesizer, description="TACOS TEN-matching synthesizer")
-SYNTHESIZERS.register(
-    "guided",
-    GuidedSynthesizer,
-    description="Guided TACOS search: incumbent-pruned, floor-terminated",
-)
-SYNTHESIZERS.register(
-    "taccl_like",
-    TacclLikeSynthesizer,
-    aliases=("taccl",),
-    description="Step-synchronous congestion-oblivious synthesizer",
-)
-
-
-# ----------------------------------------------------------------------
 # Algorithms
 # ----------------------------------------------------------------------
 def _require_all_reduce(name: str, pattern: CollectivePattern) -> None:
@@ -376,12 +357,9 @@ def _tacos(
 def _guided(
     topology: Topology, pattern: CollectivePattern, collective_size: float, **params: Any
 ) -> AlgorithmArtifact:
-    # Pruning and floor termination default on; `incumbent_pruning=false`
-    # gives the uniform best-of-N search.
-    params.setdefault("incumbent_pruning", True)
-    params.setdefault("floor_termination", bool(params["incumbent_pruning"]))
-    config = SynthesisConfig(**params)
-    stats = GuidedSynthesizer(config).synthesize_with_stats(topology, pattern, collective_size)
+    stats = GuidedSynthesizer(SynthesisConfig(**params)).synthesize_with_stats(
+        topology, pattern, collective_size
+    )
     return AlgorithmArtifact(
         algorithm=stats.algorithm,
         synthesis_seconds=stats.wall_clock_seconds,

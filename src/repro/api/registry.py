@@ -1,4 +1,4 @@
-"""Name-based registries for topologies, collectives, algorithms, synthesizers.
+"""Name-based registries for topologies, collectives and algorithms.
 
 Every pluggable piece of the library is reachable through a string name so
 that declarative :class:`~repro.api.specs.RunSpec` documents (and the CLI)
@@ -33,7 +33,6 @@ __all__ = [
     "TOPOLOGIES",
     "COLLECTIVES",
     "ALGORITHMS",
-    "SYNTHESIZERS",
 ]
 
 
@@ -217,6 +216,3 @@ COLLECTIVES = Registry("collective")
 
 #: Algorithm builders: ``fn(topology, pattern, collective_size, **params) -> AlgorithmArtifact``.
 ALGORITHMS = Registry("algorithm")
-
-#: Synthesizer classes (for callers that want the object, not a run).
-SYNTHESIZERS = Registry("synthesizer")

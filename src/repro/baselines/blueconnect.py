@@ -15,7 +15,7 @@ topology built from the same dimension list.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.simulator.schedule import LogicalSchedule, LogicalSend

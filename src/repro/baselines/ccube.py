@@ -10,7 +10,7 @@ the effect the paper's Fig. 17(b) comparison highlights.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.baselines.trees import SpanningTree, trees_to_all_reduce_schedule
 from repro.errors import SimulationError

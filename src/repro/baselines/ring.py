@@ -14,7 +14,7 @@ cause multi-hop routing and congestion (Fig. 1).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.collectives.all_gather import AllGather
 from repro.collectives.all_reduce import AllReduce

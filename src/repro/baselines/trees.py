@@ -11,7 +11,7 @@ of trees (each responsible for a subset of buffer blocks) into a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.simulator.schedule import LogicalSchedule, LogicalSend

@@ -49,10 +49,9 @@ from repro.bench.reference import (
     reference_verify_algorithm,
 )
 from repro.core.config import SynthesisConfig
-from repro.core.synthesizer import FLAT_ENGINE, TacosSynthesizer
+from repro.core.synthesizer import FLAT_ENGINE, GuidedSynthesizer, TacosSynthesizer
 from repro.core.verification import verify_algorithm
 from repro.errors import ReproError, VerificationError
-from repro.search import GuidedSynthesizer
 from repro.simulator.adapters import simulate_algorithm, simulate_schedule
 from repro.simulator.result import SimulationResult
 from repro.topology.topology import Topology
@@ -188,13 +187,7 @@ def _check_search(scenario: Scenario, topology: Topology) -> Dict[str, bool]:
         SynthesisConfig(seed=scenario.seed, trials=scenario.trials), engine=FLAT_ENGINE
     ).synthesize(topology, pattern, scenario.collective_size)
     guided = GuidedSynthesizer(
-        SynthesisConfig(
-            seed=scenario.seed,
-            trials=scenario.trials,
-            incumbent_pruning=True,
-            floor_termination=True,
-        ),
-        FLAT_ENGINE,
+        SynthesisConfig(seed=scenario.seed, trials=scenario.trials), engine=FLAT_ENGINE
     ).synthesize(topology, pattern, scenario.collective_size)
     return {
         "winner_bytes": uniform.table.to_bytes() == guided.table.to_bytes(),

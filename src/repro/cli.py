@@ -30,7 +30,6 @@ malformed ``--spec`` document).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -116,15 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         "synthesize", help="synthesize and time a collective (default algorithm: tacos)"
     )
     _add_run_options(synthesize, default_algorithm="tacos")
-    synthesize.add_argument(
-        "--synthesizer",
-        choices=("tacos", "guided"),
-        default=None,
-        help="search tier: tacos (uniform best-of-N) or guided (incumbent-pruned, "
-        "floor-terminated; same winners, fewer full trials). "
-        "Travels as the spec's algorithm name, so the two tiers hash and cache "
-        "separately.",
-    )
     synthesize.add_argument(
         "--workers", "-w", type=int, default=None,
         help="pool size for the synthesizer's randomized-trial fan-out",
@@ -302,17 +292,6 @@ def _cmd_list(arguments: argparse.Namespace) -> int:
 
 def _cmd_run_one(arguments: argparse.Namespace, *, default_collective: str) -> int:
     spec = _spec_from_args(arguments, default_collective=default_collective)
-    synthesizer = getattr(arguments, "synthesizer", None)
-    if synthesizer:
-        # The search tier *is* the algorithm name (tacos vs guided are both
-        # registered builders), so specs, cache keys, and saved documents
-        # all distinguish the two searches.
-        spec = dataclasses.replace(
-            spec,
-            algorithm=dataclasses.replace(
-                spec.algorithm, name=ALGORITHMS.canonical_name(synthesizer)
-            ),
-        )
     if arguments.save_spec:
         Path(arguments.save_spec).write_text(spec.to_json(indent=2) + "\n")
     cache = ResultCache(arguments.cache_dir) if arguments.cache_dir else None
@@ -320,8 +299,8 @@ def _cmd_run_one(arguments: argparse.Namespace, *, default_collective: str) -> i
     execution = getattr(arguments, "execution", None)
     if workers is not None or execution is not None:
         # Install the ambient execution policy the synthesizer's trial
-        # fan-out resolves when its config does not pin one; the spec (and
-        # therefore the cache key) stays execution-agnostic.  --workers
+        # fan-out resolves; the spec (and therefore the cache key) stays
+        # execution-agnostic.  --workers
         # without --execution selects the pool (the scope's own convention).
         from repro.api.parallel import execution_scope
 

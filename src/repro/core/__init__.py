@@ -5,6 +5,7 @@ from repro.core.config import SynthesisConfig
 from repro.core.matching import MatchingState, run_matching_round
 from repro.core.synthesizer import (
     FLAT_ENGINE,
+    GuidedSynthesizer,
     SynthesisEngine,
     SynthesisResult,
     TacosSynthesizer,
@@ -17,6 +18,7 @@ __all__ = [
     "ChunkTransfer",
     "CollectiveAlgorithm",
     "FLAT_ENGINE",
+    "GuidedSynthesizer",
     "MatchingState",
     "SynthesisConfig",
     "SynthesisEngine",

@@ -403,8 +403,8 @@ class MatchingState:
 class TrialBound:
     """Lower-bound evaluator on a trial's final ``collective_time``.
 
-    Backs incumbent pruning (:class:`~repro.core.config.SynthesisConfig.
-    incumbent_pruning`): between matching rounds the synthesizer asks for a
+    Backs incumbent pruning (:class:`~repro.core.synthesizer.
+    GuidedSynthesizer`): between matching rounds the synthesizer asks for a
     bound on the best final time the trial can still reach, and aborts the
     trial when the bound strictly exceeds the best completed trial.  Any
     *valid* lower bound keeps that optimization exact (see
@@ -925,7 +925,6 @@ def run_matching_round(
     rng: random.Random,
     *,
     prefer_lowest_cost: bool = True,
-    enable_forwarding: bool = True,
     hop_distances: Optional[List[List[int]]] = None,
     cheap_regions: Optional[Dict[float, List[frozenset]]] = None,
 ) -> List[ChunkTransfer]:
@@ -944,13 +943,11 @@ def run_matching_round(
         Random source driving the shuffles and tie-breaking choices.
     prefer_lowest_cost:
         Restrict random link choice to the cheapest candidates (Sec. IV-F).
-    enable_forwarding:
-        Run the forwarding pass for postconditions that could not be matched
-        directly (needed only for rooted/personalized collectives).
     hop_distances:
-        ``hop_distances[a][b]`` = hop distance from ``a`` to ``b``; required
-        when ``enable_forwarding`` is True (used to push chunks strictly
-        closer to their destination and guarantee progress).
+        ``hop_distances[a][b]`` = hop distance from ``a`` to ``b``.  When
+        given, a forwarding pass pushes the postconditions that could not be
+        matched directly one hop strictly closer to their destination (needed
+        only for rooted/personalized collectives); ``None`` skips the pass.
     cheap_regions:
         For heterogeneous topologies: ``cheap_regions[cost][dest]`` is the set
         of NPUs that can reach ``dest`` using only links strictly cheaper than
@@ -983,7 +980,7 @@ def run_matching_round(
     long_links = time + ten.min_link_cost > threshold
 
     # The deferred pairs only matter when a forwarding pass will consume them.
-    collect_deferred = enable_forwarding and hop_distances is not None
+    collect_deferred = hop_distances is not None
     # On uniform-cost (homogeneous) spans the lowest-cost restriction keeps
     # every candidate, so the min/filter step reduces to a plain rng.choice
     # over the same list — identical RNG consumption, no scan.

@@ -35,6 +35,7 @@ __all__ = [
     "FLAT_ENGINE",
     "SynthesisResult",
     "TacosSynthesizer",
+    "GuidedSynthesizer",
     "TrialPayload",
     "synthesize",
 ]
@@ -403,7 +404,6 @@ def _execute_trial(
             current_time,
             rng,
             prefer_lowest_cost=payload.prefer_lowest_cost,
-            enable_forwarding=payload.hop_distances is not None,
             hop_distances=payload.hop_distances,
             cheap_regions=payload.cheap_regions,
         )
@@ -569,7 +569,6 @@ def _run_trials(
     workers: Optional[int],
     *,
     prune: bool,
-    floor_termination: bool = False,
 ) -> List[Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]]:
     """Seed-ordered trial fan-out with per-trial stats and incumbent sharing.
 
@@ -586,12 +585,11 @@ def _run_trials(
     ``(key, blob, incumbent, seeds)`` chunk task, and gets completed
     algorithms back as columnar bytes.
 
-    With ``floor_termination`` (which requires ``prune``), once the
-    incumbent reaches the floor — the round-0 bound, see
-    :func:`_search_floor` — every remaining seed is skipped outright: no
-    trial can be *strictly* better than the floor, and the strict-``<``
-    best-of selection never replaces the incumbent on a tie, so the winner
-    is unchanged.
+    With ``prune``, once the incumbent also reaches the floor — the
+    round-0 bound, see :func:`_search_floor` — every remaining seed is
+    skipped outright: no trial can be *strictly* better than the floor,
+    and the strict-``<`` best-of selection never replaces the incumbent on
+    a tie, so the winner is unchanged.
 
     Serial trials start from one :class:`_TrialTemplate` built here (pool
     chunks build theirs in :func:`_run_trial_chunk`); the floor is read
@@ -602,9 +600,9 @@ def _run_trials(
     serial = backend is None or len(seeds) <= 1
     template = None
     floor = None
-    if serial or floor_termination:
+    if serial or prune:
         template = _TrialTemplate(payload, with_bound=prune)
-        if floor_termination:
+        if prune:
             floor = _search_floor(template)
 
     def absorb(wave_outcomes) -> None:
@@ -694,6 +692,10 @@ class SynthesisResult:
 class TacosSynthesizer:
     """Autonomous topology-aware collective algorithm synthesizer.
 
+    Runs the uniform best-of-N search: every seed's trial runs to the end
+    and the first strictly fastest one wins (:class:`GuidedSynthesizer` is
+    the pruned tier over the same seeds).
+
     Parameters
     ----------
     config:
@@ -711,6 +713,10 @@ class TacosSynthesizer:
     >>> algorithm.num_transfers > 0
     True
     """
+
+    #: Whether trials are pruned against the incumbent and the search stops
+    #: at the floor; the search tier is this class attribute, not a knob.
+    prune = False
 
     def __init__(
         self,
@@ -845,7 +851,7 @@ class TacosSynthesizer:
         chunk_size = pattern.chunk_size(collective_size)
 
         hop_distances = None
-        if self.config.enable_forwarding and self._needs_forwarding(pattern):
+        if self._needs_forwarding(pattern):
             hop_distances = topology.hop_distances()
 
         cheap_regions = None
@@ -870,14 +876,7 @@ class TacosSynthesizer:
         )
         seeds = [self.config.trial_seed(trial) for trial in range(self.config.trials)]
         backend, workers = self._trial_execution()
-        outcomes = _run_trials(
-            payload,
-            seeds,
-            backend,
-            workers,
-            prune=self.config.incumbent_pruning,
-            floor_termination=self.config.floor_termination,
-        )
+        outcomes = _run_trials(payload, seeds, backend, workers, prune=self.prune)
 
         # First-strictly-better selection over the seed-ordered outcomes: the
         # winner does not depend on scheduling, so parallel and serial runs
@@ -927,6 +926,39 @@ class TacosSynthesizer:
         post = pattern.postcondition()
         all_chunks = pattern.all_chunks()
         return any(post.get(npu, frozenset()) != all_chunks for npu in range(pattern.num_npus))
+
+
+class GuidedSynthesizer(TacosSynthesizer):
+    """Guided best-of-N synthesis: same winners, far fewer full trials.
+
+    Runs the uniform search's trials over the same ``seed + i`` list with
+    two exact accelerations, so the winner is byte-identical to
+    :class:`TacosSynthesizer`'s over the same config:
+
+    * **Incumbent pruning** — a trial aborts the moment a monotone lower
+      bound on its final collective time (:class:`~repro.core.matching.
+      TrialBound`) strictly exceeds the best completed trial.  A pruned
+      trial provably cannot win, and ties still resolve by seed index.
+      The pool backend shares the incumbent across seed waves of twice
+      the worker count.
+    * **Floor termination** — the whole search stops once a completed
+      trial meets the round-0 bound, which bounds every trial from below.
+      On bandwidth-optimal schedules (All-Gather on meshes and rings) this
+      collapses an N-trial search to a single trial.
+
+    The one exception is a search in which the uniform tier stalls (a trial
+    is left with undelivered chunks and nothing to schedule, and raises
+    :class:`~repro.errors.SynthesisError`): pruning can abort the stalling
+    trials before they stall, so the guided tier returns the best trial
+    that completed where the uniform search has no winner.
+
+    See docs/determinism.md ("Incumbent pruning is exact") for the
+    exactness arguments, the ``search`` grid of ``tacos-repro bench`` for
+    the byte-identity check, and ``perfbench/``'s ``search-gather``
+    workload for the measured effect.
+    """
+
+    prune = True
 
 
 def synthesize(

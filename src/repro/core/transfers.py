@@ -29,7 +29,7 @@ cached groupings (:meth:`by_link`, :meth:`by_dest_chunk`,
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 

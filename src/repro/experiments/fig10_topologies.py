@@ -9,7 +9,7 @@ still maximizing link utilization in every time span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.collectives.all_gather import AllGather
 from repro.core.config import SynthesisConfig

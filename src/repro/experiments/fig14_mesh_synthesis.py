@@ -8,7 +8,7 @@ visualizes as chunks moving over the mesh at t = 0 .. 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.collectives.all_gather import AllGather
 from repro.core.algorithm import CollectiveAlgorithm

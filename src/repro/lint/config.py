@@ -23,8 +23,8 @@ __all__ = ["CHECKOUT_ROOT", "DETERMINISTIC_MODULES", "LintConfig"]
 CHECKOUT_ROOT = Path(repro.__file__).resolve().parents[2]
 
 #: Module-name patterns carrying the determinism contract: the whole
-#: synthesis, simulation and export stack, guided search, and the frozen
-#: reference engine the bench compares against.
+#: synthesis (both search tiers), simulation and export stack, and the
+#: frozen reference engine the bench compares against.
 DETERMINISTIC_MODULES: Tuple[str, ...] = (
     "repro.core.*",
     "repro.collectives.*",
@@ -35,7 +35,6 @@ DETERMINISTIC_MODULES: Tuple[str, ...] = (
     "repro.export.*",
     "repro.analysis.*",
     "repro.workloads.*",
-    "repro.search.*",
     "repro.bench.reference",
 )
 

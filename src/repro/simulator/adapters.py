@@ -58,7 +58,6 @@ class FlatWorkload(NamedTuple):
 
     sources: np.ndarray
     dests: np.ndarray
-    chunks: np.ndarray
     size: float
     dep_indptr: np.ndarray
     dep_indices: np.ndarray
@@ -184,7 +183,6 @@ def algorithm_to_flat_workload(algorithm: CollectiveAlgorithm) -> FlatWorkload:
         return FlatWorkload(
             _EMPTY_INT,
             _EMPTY_INT,
-            _EMPTY_INT,
             algorithm.chunk_size,
             np.zeros(1, dtype=np.int64),
             _EMPTY_INT,
@@ -206,7 +204,7 @@ def algorithm_to_flat_workload(algorithm: CollectiveAlgorithm) -> FlatWorkload:
         _link_predecessors(sources * npu_stride + dests),
         strict=False,
     )
-    return FlatWorkload(sources, dests, chunks, algorithm.chunk_size, dep_indptr, dep_indices)
+    return FlatWorkload(sources, dests, algorithm.chunk_size, dep_indptr, dep_indices)
 
 
 def schedule_to_flat_workload(schedule: LogicalSchedule) -> FlatWorkload:
@@ -220,7 +218,6 @@ def schedule_to_flat_workload(schedule: LogicalSchedule) -> FlatWorkload:
     count = len(schedule.sends)
     if count == 0:
         return FlatWorkload(
-            _EMPTY_INT,
             _EMPTY_INT,
             _EMPTY_INT,
             schedule.chunk_size,
@@ -245,7 +242,7 @@ def schedule_to_flat_workload(schedule: LogicalSchedule) -> FlatWorkload:
         np.full(count, -1, dtype=np.int64),
         strict=True,
     )
-    return FlatWorkload(sources, dests, chunks, schedule.chunk_size, dep_indptr, dep_indices)
+    return FlatWorkload(sources, dests, schedule.chunk_size, dep_indptr, dep_indices)
 
 
 def simulate_algorithm(

@@ -15,7 +15,6 @@ than silently dropped.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,12 +22,6 @@ import numpy as np
 from repro.errors import SimulationError
 
 __all__ = ["SimulationResult", "sweep_busy_link_counts"]
-
-#: Magic prefix + version byte of the :meth:`SimulationResult.to_bytes` format.
-_BYTES_MAGIC = b"TACOSSR1"
-#: Fixed header layout after the magic: completion time, link count,
-#: collective size, then the four array counts.
-_HEADER = struct.Struct("<dqdQQQQ")
 
 _LinkKey = Tuple[int, int]
 #: Columnar busy intervals: per link, parallel (starts, ends) sequences.
@@ -209,152 +202,6 @@ class SimulationResult:
                 ends = np.zeros(0)
             self._flat_cache = (starts, ends)
         return self._flat_cache
-
-    # ------------------------------------------------------------------
-    # Binary round-trip (cross-process / artifact-store transport)
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Compact binary encoding over the raw numpy columns.
-
-        Serializes the delivery schedule (message ids and completion times),
-        the per-link byte totals, and the busy-interval columns as raw
-        little-endian arrays behind a fixed header — no pickling, bit-exact
-        floats.  The counterpart of
-        :meth:`repro.core.transfers.TransferTable.to_bytes` for simulation
-        outcomes crossing process boundaries or resting in the artifact store.
-        """
-        columns = self._link_columns()
-        link_keys = list(columns)
-        interval_counts = [columns[key][0].shape[0] for key in link_keys]
-        indptr = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(interval_counts, dtype=np.int64))
-        )
-        message_ids = np.fromiter(
-            self.message_completion.keys(), dtype=np.int64, count=len(self.message_completion)
-        )
-        message_times = np.fromiter(
-            self.message_completion.values(),
-            dtype=np.float64,
-            count=len(self.message_completion),
-        )
-        byte_keys = list(self.link_bytes)
-        parts = [
-            _BYTES_MAGIC,
-            _HEADER.pack(
-                self.completion_time,
-                self.num_links,
-                self.collective_size,
-                message_ids.shape[0],
-                len(link_keys),
-                int(indptr[-1]),
-                len(byte_keys),
-            ),
-            np.ascontiguousarray(message_ids, dtype="<i8").tobytes(),
-            np.ascontiguousarray(message_times, dtype="<f8").tobytes(),
-            np.asarray([key[0] for key in link_keys], dtype="<i8").tobytes(),
-            np.asarray([key[1] for key in link_keys], dtype="<i8").tobytes(),
-            np.ascontiguousarray(indptr, dtype="<i8").tobytes(),
-        ]
-        if link_keys:
-            parts.append(
-                np.ascontiguousarray(
-                    np.concatenate([columns[key][0] for key in link_keys]), dtype="<f8"
-                ).tobytes()
-            )
-            parts.append(
-                np.ascontiguousarray(
-                    np.concatenate([columns[key][1] for key in link_keys]), dtype="<f8"
-                ).tobytes()
-            )
-        parts.append(np.asarray([key[0] for key in byte_keys], dtype="<i8").tobytes())
-        parts.append(np.asarray([key[1] for key in byte_keys], dtype="<i8").tobytes())
-        parts.append(
-            np.fromiter(
-                self.link_bytes.values(), dtype=np.float64, count=len(byte_keys)
-            ).astype("<f8").tobytes()
-        )
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SimulationResult":
-        """Decode :meth:`to_bytes` output, validating structure on load.
-
-        Raises :class:`ValueError` on a bad magic, a truncated payload, or an
-        inconsistent busy-interval index — corrupt buffers fail loudly.
-        """
-        data = bytes(data)
-        magic_len = len(_BYTES_MAGIC)
-        if len(data) < magic_len + _HEADER.size or data[:magic_len] != _BYTES_MAGIC:
-            raise ValueError("not a SimulationResult byte payload (bad magic)")
-        (
-            completion_time,
-            num_links,
-            collective_size,
-            num_messages,
-            num_busy_links,
-            num_intervals,
-            num_byte_links,
-        ) = _HEADER.unpack_from(data, magic_len)
-        expected = (
-            magic_len
-            + _HEADER.size
-            + num_messages * 16
-            + num_busy_links * 16
-            + (num_busy_links + 1) * 8
-            + num_intervals * 16
-            + num_byte_links * 24
-        )
-        if len(data) != expected:
-            raise ValueError(
-                f"SimulationResult byte payload should be {expected} bytes, got {len(data)}"
-            )
-
-        offset = magic_len + _HEADER.size
-
-        def column(count: int, dtype: str, native: type) -> np.ndarray:
-            nonlocal offset
-            raw = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-            offset += count * 8
-            return raw.astype(native, copy=True)
-
-        message_ids = column(num_messages, "<i8", np.int64)
-        message_times = column(num_messages, "<f8", np.float64)
-        busy_sources = column(num_busy_links, "<i8", np.int64)
-        busy_dests = column(num_busy_links, "<i8", np.int64)
-        indptr = column(num_busy_links + 1, "<i8", np.int64)
-        busy_starts = column(num_intervals, "<f8", np.float64)
-        busy_ends = column(num_intervals, "<f8", np.float64)
-        bytes_sources = column(num_byte_links, "<i8", np.int64)
-        bytes_dests = column(num_byte_links, "<i8", np.int64)
-        bytes_values = column(num_byte_links, "<f8", np.float64)
-
-        if (
-            indptr.shape[0] == 0
-            or indptr[0] != 0
-            or indptr[-1] != num_intervals
-            or (np.diff(indptr) < 0).any()
-        ):
-            raise ValueError("SimulationResult byte payload has a corrupt busy-interval index")
-
-        busy_columns = {
-            (int(source), int(dest)): (busy_starts[lo:hi], busy_ends[lo:hi])
-            for source, dest, lo, hi in zip(
-                busy_sources.tolist(), busy_dests.tolist(), indptr[:-1].tolist(), indptr[1:].tolist()
-            )
-        }
-        return cls(
-            completion_time=float(completion_time),
-            message_completion=dict(zip(message_ids.tolist(), message_times.tolist())),
-            link_bytes={
-                (int(source), int(dest)): value
-                for source, dest, value in zip(
-                    bytes_sources.tolist(), bytes_dests.tolist(), bytes_values.tolist()
-                )
-            },
-            num_links=int(num_links),
-            collective_size=float(collective_size),
-            busy_columns=busy_columns,
-        )
 
     # ------------------------------------------------------------------
     # Collective-level metrics

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import struct
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np

@@ -8,7 +8,6 @@ from repro.analysis import (
     collective_bandwidth,
     collective_bandwidth_gbps,
     efficiency,
-    ideal_all_gather_bandwidth,
     ideal_all_gather_time,
     ideal_all_reduce_bandwidth,
     ideal_all_reduce_time,
@@ -24,7 +23,7 @@ from repro.baselines import direct_all_reduce, ring_all_reduce
 from repro.collectives import AllGather
 from repro.core import TacosSynthesizer
 from repro.errors import ReproError, TopologyError
-from repro.simulator import simulate_algorithm, simulate_schedule
+from repro.simulator import simulate_schedule
 from repro.topology import build_fully_connected, build_ring
 
 GB = 1e9

@@ -134,7 +134,6 @@ class TestResultCacheOnStore:
     def test_reloaded_all_reduce_algorithm_is_verifiable(self, tmp_path):
         # Metadata (notably phase_boundary) must survive the artifact store:
         # without it a reloaded All-Reduce algorithm cannot be verified.
-        from repro.api.builtins import parse_topology_spec
         from repro.api.registry import COLLECTIVES
         from repro.api.runner import build_topology
         from repro.core.verification import verify_algorithm

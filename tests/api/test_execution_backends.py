@@ -32,7 +32,7 @@ from repro.api.parallel import (
 )
 from repro.bench.reference import REFERENCE_ENGINE
 from repro.collectives import AllGather, Gather, ReduceScatter
-from repro.core import SynthesisConfig, TacosSynthesizer
+from repro.core import GuidedSynthesizer, SynthesisConfig, TacosSynthesizer
 from repro.core.synthesizer import SynthesisEngine
 from repro.errors import ReproError, SynthesisError
 from repro.topology import build_3d_rfs, build_dgx1, build_mesh, build_ring
@@ -288,14 +288,16 @@ class TestTrialFanOutEquivalence:
         assert results["pool"].table.to_bytes() == results["serial"].table.to_bytes()
         assert results["pool"].metadata == results["serial"].metadata
 
-    @pytest.mark.parametrize("pruning", [False, True], ids=["uniform", "pruned"])
-    def test_failed_pool_fan_out_leaks_nothing(self, pruning):
+    @pytest.mark.parametrize(
+        "synthesizer_cls", [TacosSynthesizer, GuidedSynthesizer], ids=["uniform", "pruned"]
+    )
+    def test_failed_pool_fan_out_leaks_nothing(self, synthesizer_cls):
         # Every trial overruns max_rounds inside a pool worker: the error
         # must reach the caller, and the pool must stay usable afterwards.
-        config = SynthesisConfig(trials=4, max_rounds=1, incumbent_pruning=pruning)
+        config = SynthesisConfig(trials=4, max_rounds=1)
         with execution_scope("pool", 2):
             with pytest.raises(SynthesisError, match="exceeded 1 time spans"):
-                TacosSynthesizer(config).synthesize(build_mesh([3, 3]), Gather(9), MB)
+                synthesizer_cls(config).synthesize(build_mesh([3, 3]), Gather(9), MB)
         assert BACKENDS["pool"].map(_square, range(4), max_workers=2) == [0, 1, 4, 9]
 
     @pytest.mark.parametrize(

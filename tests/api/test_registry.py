@@ -2,10 +2,10 @@
 
 import pytest
 
+import repro.api
 from repro.api import (
     ALGORITHMS,
     COLLECTIVES,
-    SYNTHESIZERS,
     TOPOLOGIES,
     AlgorithmArtifact,
     Registry,
@@ -42,9 +42,12 @@ class TestBuiltinResolution:
             assert name in ALGORITHMS
             ALGORITHMS.get(name)
 
-    def test_synthesizers_registered(self):
-        assert "tacos" in SYNTHESIZERS
-        assert "taccl_like" in SYNTHESIZERS
+    def test_search_tiers_are_algorithm_names(self):
+        # A search tier is an algorithm name; there is no synthesizer registry.
+        assert ALGORITHMS.canonical_name("tacos") == "tacos"
+        assert ALGORITHMS.canonical_name("guided") == "guided"
+        assert ALGORITHMS.canonical_name("taccl") == "taccl_like"
+        assert not hasattr(repro.api, "SYNTHESIZERS")
 
     def test_expected_builtin_coverage(self):
         assert {"ring", "mesh", "torus", "switch", "dgx1", "dragonfly", "custom"} <= set(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Tuple
 
+import numpy as np
 import pytest
 
 from repro.topology import (
@@ -110,3 +111,29 @@ def occupy(ten, link_id: int, time: float) -> float:
     ten.free_times[link_id] = end
     ten.push_event(end)
     return end
+
+
+def assert_same_result(left, right) -> None:
+    """Assert two ``SimulationResult`` objects are bit-identical, field by field.
+
+    Floats compare by their IEEE bytes and every mapping by its key order
+    too: message completions, per-link byte totals and the per-link busy
+    columns.
+    """
+
+    def floats(values) -> bytes:
+        return np.asarray(list(values), dtype=np.float64).tobytes()
+
+    assert floats([left.completion_time, left.collective_size]) == floats(
+        [right.completion_time, right.collective_size]
+    )
+    assert left.num_links == right.num_links
+    for name in ("message_completion", "link_bytes"):
+        left_map, right_map = getattr(left, name), getattr(right, name)
+        assert list(left_map) == list(right_map), name
+        assert floats(left_map.values()) == floats(right_map.values()), name
+    left_columns, right_columns = left.busy_columns(), right.busy_columns()
+    assert list(left_columns) == list(right_columns)
+    for key, (starts, ends) in left_columns.items():
+        assert floats(starts) == floats(right_columns[key][0]), key
+        assert floats(ends) == floats(right_columns[key][1]), key

@@ -83,7 +83,6 @@ def _scalar_round(ten, state, time, rng, prefer_lowest_cost, cheap_regions):
         time,
         rng,
         prefer_lowest_cost=prefer_lowest_cost,
-        enable_forwarding=False,
         cheap_regions=cheap_regions,
     )
     return ten, state, rng, transfers

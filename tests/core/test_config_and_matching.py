@@ -16,7 +16,7 @@ class TestSynthesisConfig:
         config = SynthesisConfig()
         assert config.trials == 1
         assert config.prefer_lowest_cost_links
-        assert config.enable_forwarding
+        assert config.max_rounds == 1_000_000
 
     def test_trial_seed_offsets(self):
         config = SynthesisConfig(seed=10, trials=3)
@@ -140,12 +140,11 @@ class TestMatchingRound:
         ten = TimeExpandedNetwork(topology, 1e6)
         state = MatchingState(3, precondition, postcondition)
         hop_distances = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
-        without_forwarding = run_matching_round(
-            ten, state, 0.0, random.Random(0), enable_forwarding=False
-        )
+        # Without hop distances the round runs no forwarding pass.
+        without_forwarding = run_matching_round(ten, state, 0.0, random.Random(0))
         assert without_forwarding == []
         transfers = run_matching_round(
-            ten, state, 0.0, random.Random(0), enable_forwarding=True, hop_distances=hop_distances
+            ten, state, 0.0, random.Random(0), hop_distances=hop_distances
         )
         assert len(transfers) == 1
         assert (transfers[0].source, transfers[0].dest) == (0, 1)

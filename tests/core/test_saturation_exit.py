@@ -30,11 +30,10 @@ from repro.collectives import (
     ReduceScatter,
     Scatter,
 )
-from repro.core import SynthesisConfig, TacosSynthesizer, matching
+from repro.core import GuidedSynthesizer, SynthesisConfig, TacosSynthesizer, matching
 from repro.core.matching import run_matching_round
 from repro.core.synthesizer import SynthesisEngine
 from repro.errors import SynthesisError
-from repro.search.guided import GuidedSynthesizer
 from repro.ten.network import _TIME_EPS
 from repro.topology import build_3d_rfs, build_ring
 from tests.conftest import random_connected_topology
@@ -105,7 +104,7 @@ def _synthesize_both(synthesizer_cls, config, topology, pattern, size) -> _Count
         topology, pattern, size
     )
     assert flat.algorithm.table.to_bytes() == reference.algorithm.table.to_bytes()
-    if not config.incumbent_pruning:
+    if not synthesizer_cls.prune:
         # With pruning on, the reference engine's weaker bound prunes
         # different trials, so only the winners are comparable.
         assert [_trial_key(e) for e in flat.trial_stats] == [
@@ -133,14 +132,8 @@ def test_flat_engine_equals_the_full_scan_on_random_topologies(
         num_npus, rng, extra_links=extra_links, heterogeneous=heterogeneous
     )
     pattern = _PATTERNS[collective](num_npus)
-    if guided:
-        config = SynthesisConfig(
-            seed=seed, trials=trials, incumbent_pruning=True, floor_termination=True
-        )
-        synthesizer_cls = GuidedSynthesizer
-    else:
-        config = SynthesisConfig(seed=seed, trials=trials)
-        synthesizer_cls = TacosSynthesizer
+    config = SynthesisConfig(seed=seed, trials=trials)
+    synthesizer_cls = GuidedSynthesizer if guided else TacosSynthesizer
     counting = _synthesize_both(synthesizer_cls, config, topology, pattern, collective_size)
     assert counting.rounds > 0
 

@@ -142,11 +142,16 @@ class TestRootedAndPersonalizedCollectives:
         algorithm = synthesizer.synthesize(topology, pattern, 4 * MB)
         assert verify_algorithm(algorithm, topology, pattern)
 
-    def test_forwarding_disabled_fails_on_gather(self):
+    def test_forwarding_follows_the_pattern(self):
+        # Forwarding is not a knob: it runs exactly when some NPU only relays
+        # chunks it never requests, which a Gather on a one-way ring needs.
+        assert TacosSynthesizer._needs_forwarding(Gather(5, root=0))
+        assert not TacosSynthesizer._needs_forwarding(AllGather(5))
         topology = build_ring(5, bidirectional=False)
-        config = SynthesisConfig(enable_forwarding=False, max_rounds=100)
-        with pytest.raises(SynthesisError):
-            TacosSynthesizer(config).synthesize(topology, Gather(5, root=0), 5 * MB)
+        pattern = Gather(5, root=0)
+        config = SynthesisConfig(max_rounds=100)
+        algorithm = TacosSynthesizer(config).synthesize(topology, pattern, 5 * MB)
+        assert verify_algorithm(algorithm, topology, pattern)
 
 
 class TestHeterogeneousSynthesis:

@@ -12,7 +12,6 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.ideal import ideal_all_gather_time
 from repro.collectives import AllGather, AllReduce, Broadcast, ReduceScatter
 from repro.core import SynthesisConfig, TacosSynthesizer, verify_algorithm
 from tests.conftest import random_connected_topology

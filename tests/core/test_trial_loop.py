@@ -1,7 +1,6 @@
 """The single randomized trial loop behind every synthesis.
 
-Uniform best-of-N is the ``prune=False, floor_termination=False`` case of
-the stats loop: every seed runs to completion, every trial leaves a stats
+Uniform best-of-N is the ``prune=False`` case of the stats loop: every seed runs to completion, every trial leaves a stats
 entry, and the winner is the first trial (in seed order) with the smallest
 collective time.
 These tests pin that contract for each collective, for both synthesis
@@ -10,6 +9,7 @@ engines, and for the wave fan-out that carries trials to a backend.
 
 import dataclasses
 import hashlib
+import inspect
 import random
 from collections import OrderedDict
 
@@ -27,7 +27,7 @@ from repro.collectives import (
     ReduceScatter,
     Scatter,
 )
-from repro.core import SynthesisConfig, TacosSynthesizer, synthesizer
+from repro.core import SynthesisConfig, TacosSynthesizer, run_matching_round, synthesizer
 from repro.core.synthesizer import (
     FLAT_ENGINE,
     TrialPayload,
@@ -129,15 +129,13 @@ class TestTrialStatsAlwaysPopulated:
         )
 
     def test_config_has_no_stats_switch(self):
-        # Stats are unconditional, so the config carries no field for them.
+        # Stats are unconditional, so the config carries no field for them;
+        # nor does it carry the search tier or the forwarding pass.
         assert [field.name for field in dataclasses.fields(SynthesisConfig)] == [
             "seed",
             "trials",
             "prefer_lowest_cost_links",
-            "enable_forwarding",
             "max_rounds",
-            "incumbent_pruning",
-            "floor_termination",
         ]
 
 
@@ -213,6 +211,33 @@ class TestWaveFanOut:
         ]
         for (fan_algorithm, _), (serial_algorithm, _) in zip(fanned, serial):
             assert fan_algorithm.table.to_bytes() == serial_algorithm.table.to_bytes()
+
+    @pytest.mark.parametrize("backend", [None, _RecordingBackend()], ids=["serial", "waves"])
+    def test_pruning_implies_the_floor(self, backend):
+        # Every ring All-Gather trial lands on the round-0 bound, so a pruned
+        # fan-out skips every seed after the first wave; an unpruned one
+        # runs them all.  There is no separate floor switch.
+        payload = _payload(build_ring(8), AllGather(8), 4 * MB)
+        seeds = list(range(6))
+        pruned = _run_trials(payload, seeds, backend, 1, prune=True)
+        first_wave = 1 if backend is None else 2
+        assert [stats["pruned_at_round"] for _, stats in pruned] == (
+            [None] * first_wave + [0] * (len(seeds) - first_wave)
+        )
+        uniform = _run_trials(payload, seeds, backend, 1, prune=False)
+        assert all(stats["pruned_at_round"] is None for _, stats in uniform)
+
+    def test_the_tier_is_the_only_switch(self):
+        # `prune` selects the tier; neither the fan-out nor the matching
+        # round takes a floor or a forwarding knob of its own.
+        assert list(inspect.signature(_run_trials).parameters) == [
+            "payload",
+            "seeds",
+            "backend",
+            "workers",
+            "prune",
+        ]
+        assert "enable_forwarding" not in inspect.signature(run_matching_round).parameters
 
 
 def _blob(payload):

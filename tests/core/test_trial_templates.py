@@ -25,10 +25,9 @@ import pytest
 from repro.api.parallel import SerialBackend, resolve_backend
 from repro.bench.reference import REFERENCE_ENGINE
 from repro.collectives import AllGather, AllReduce, AllToAll, Gather, Scatter
-from repro.core import SynthesisConfig, TacosSynthesizer
+from repro.core import GuidedSynthesizer, SynthesisConfig, TacosSynthesizer
 from repro.core.matching import MatchingState, TrialBound
 from repro.core.synthesizer import _execute_trial, _run_trials, _TrialTemplate
-from repro.search import GuidedSynthesizer
 from repro.ten.network import TimeExpandedNetwork
 from repro.topology import build_3d_rfs, build_dgx1, build_mesh_2d, build_torus_2d
 from tests.core.test_trial_bound_soundness import _payload
@@ -100,9 +99,9 @@ def test_copied_trials_equal_fresh_construction(
     payload = _payload(topology, PATTERNS[collective](topology.num_npus), 4 * MB)
     with _fresh_construction(monkeypatch):
         backend = None if execution == "serial" else _InProcessPool()
-        expected = _run_trials(payload, SEEDS, backend, 2, prune=prune, floor_termination=prune)
+        expected = _run_trials(payload, SEEDS, backend, 2, prune=prune)
     backend = None if execution == "serial" else resolve_backend("pool")
-    got = _run_trials(payload, SEEDS, backend, 2, prune=prune, floor_termination=prune)
+    got = _run_trials(payload, SEEDS, backend, 2, prune=prune)
     assert _outcome_keys(got) == _outcome_keys(expected)
     if prune and (topology_name, collective) == ("mesh6x6", "gather"):
         # Real inter-trial spread: trials on copied bounds prune mid-trial.
@@ -208,12 +207,9 @@ def copy_calls(monkeypatch):
     "synthesizer",
     [
         lambda: TacosSynthesizer(SynthesisConfig(seed=3)),
-        lambda: GuidedSynthesizer(SynthesisConfig(seed=3, incumbent_pruning=True)),
-        lambda: GuidedSynthesizer(
-            SynthesisConfig(seed=3, incumbent_pruning=True, floor_termination=True)
-        ),
+        lambda: GuidedSynthesizer(SynthesisConfig(seed=3)),
     ],
-    ids=["uniform", "pruned", "floor"],
+    ids=["uniform", "floor"],
 )
 @pytest.mark.parametrize("pattern_cls", [Gather, AllReduce], ids=["gather", "all_reduce"])
 def test_one_seed_synthesis_copies_nothing(copy_calls, synthesizer, pattern_cls):
@@ -229,8 +225,8 @@ def test_multi_seed_synthesis_copies_all_but_the_last(copy_calls):
     assert copy_calls == {"ten": 3, "state": 3, "bound": 0}
     for key in copy_calls:
         copy_calls[key] = 0
-    config = SynthesisConfig(seed=3, trials=4, incumbent_pruning=True)
-    result = TacosSynthesizer(config).synthesize_with_stats(topology, pattern, 4 * MB)
+    config = SynthesisConfig(seed=3, trials=4)
+    result = GuidedSynthesizer(config).synthesize_with_stats(topology, pattern, 4 * MB)
     assert copy_calls["ten"] == copy_calls["state"] == 3
     # Trials after the first run against an incumbent; the last takes the
     # template's own bound.
@@ -245,8 +241,8 @@ def test_reference_engine_takes_the_same_template_path(pattern_cls, prune):
     pattern = pattern_cls(topology.num_npus)
     flat = _payload(topology, pattern, 4 * MB)
     reference = dataclasses.replace(flat, engine=REFERENCE_ENGINE)
-    got = _run_trials(reference, SEEDS, None, None, prune=prune, floor_termination=prune)
-    want = _run_trials(flat, SEEDS, None, None, prune=prune, floor_termination=prune)
+    got = _run_trials(reference, SEEDS, None, None, prune=prune)
+    want = _run_trials(flat, SEEDS, None, None, prune=prune)
     if prune:
         # The reference state keeps only the committed-work bound, so it
         # prunes later; completed trials and the winner still agree.

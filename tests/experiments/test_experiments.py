@@ -5,10 +5,8 @@ check the *shape* of the paper's findings (who wins, what saturates, what
 scales how), not absolute numbers.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import SynthesisConfig
 from repro.experiments import (
     fig01_heatmap,
     fig02_motivation,
@@ -30,7 +28,7 @@ from repro.experiments.common import (
     measure_baseline_all_reduce,
     measure_tacos_all_reduce,
 )
-from repro.topology import build_3d_rfs, build_ring
+from repro.topology import build_ring
 
 
 class TestCommonHelpers:

@@ -42,8 +42,8 @@ SUPPRESSED_FILES = _files_with_directives()
 def _check_directives_are_load_bearing(root, relpath, source):
     """Fail unless ``source``'s directives suppress findings stripping exposes.
 
-    Rooting at ``root`` keeps the module name (``src/repro/search/x.py`` is
-    ``repro.search.x``), so the deterministic-module patterns still apply.
+    Rooting at ``root`` keeps the module name (``src/repro/core/x.py`` is
+    ``repro.core.x``), so the deterministic-module patterns still apply.
     """
     intact = root / "intact" / relpath
     intact.parent.mkdir(parents=True)

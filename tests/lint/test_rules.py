@@ -131,7 +131,7 @@ class TestDeterministicModules:
         [
             ("repro.core.matching", True),
             ("repro.simulator.engine", True),
-            ("repro.search.guided", True),
+            ("repro.core.synthesizer", True),
             ("repro.bench.reference", True),
             ("repro.bench.check", False),
             ("repro.api.runner", False),

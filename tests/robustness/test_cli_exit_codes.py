@@ -87,7 +87,7 @@ class TestUsageErrorsExit2:
         "argv",
         [
             ["synthesize", "-t", "ring:4", "-p", "engine=reference"],
-            ["synthesize", "-t", "ring:4", "--synthesizer", "guided", "-p", "engine=flat"],
+            ["synthesize", "-t", "ring:4", "-a", "guided", "-p", "engine=flat"],
             ["synthesize", "-t", "ring:4", "--engine", "flat"],
         ],
         ids=["tacos-param", "guided-param", "flag"],
@@ -101,6 +101,14 @@ class TestUsageErrorsExit2:
             code = exc.code
         assert code == 2
         assert "engine" in capsys.readouterr().err
+
+    def test_synthesizer_flag_is_gone(self, capsys):
+        # The search tier is the algorithm name (`-a guided`); there is no
+        # second spelling of it.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["synthesize", "-t", "ring:4", "--synthesizer", "guided"])
+        assert excinfo.value.code == 2
+        assert "--synthesizer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error", [SpecError, RegistryError, TopologyError])
     def test_every_usage_error(self, monkeypatch, capsys, error):

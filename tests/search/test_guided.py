@@ -1,4 +1,4 @@
-"""The guided synthesis tier: config defaults, registry, CLI.
+"""The guided synthesis tier: a type and an algorithm name, nothing else.
 
 The load-bearing guarantee: guided search over the *same seed list* selects
 a winner byte-identical to the uniform search — pruning and floor
@@ -7,19 +7,18 @@ best-of selection.  The seed list is ``seed + i`` on both tiers, so a spec
 alone fixes the winner.
 """
 
+import importlib.util
 import inspect
 import json
 
 import pytest
 
 from repro import cli
-from repro.api import ALGORITHMS, SYNTHESIZERS
+from repro.api import ALGORITHMS
 from repro.api.runner import run
 from repro.api.specs import AlgorithmSpec, CollectiveSpec, RunSpec, TopologySpec
 from repro.collectives import AllGather
-from repro.core import SynthesisConfig, TacosSynthesizer
-from repro.errors import SynthesisError
-from repro.search import GuidedSynthesizer
+from repro.core import GuidedSynthesizer, SynthesisConfig, TacosSynthesizer
 from repro.topology import build_mesh
 
 
@@ -31,23 +30,23 @@ def _mesh_spec(algorithm="tacos", **params):
     )
 
 
-class TestConfigDefaults:
-    def test_default_config_is_guided(self):
-        config = GuidedSynthesizer().config
-        assert config.incumbent_pruning is True
-        assert config.floor_termination is True
+class TestTierIsTheType:
+    def test_tier_is_a_class_attribute(self):
+        assert TacosSynthesizer.prune is False
+        assert GuidedSynthesizer.prune is True
+
+    def test_tier_lives_beside_the_uniform_one(self):
+        # One module holds both tiers.
+        assert GuidedSynthesizer.__module__ == TacosSynthesizer.__module__
+        assert importlib.util.find_spec("repro.search") is None
+
+    def test_guided_has_no_constructor_of_its_own(self):
+        assert "__init__" not in vars(GuidedSynthesizer)
+        assert GuidedSynthesizer().config == SynthesisConfig()
 
     def test_provided_config_kept_as_given(self):
-        config = SynthesisConfig(trials=3, incumbent_pruning=True)
+        config = SynthesisConfig(trials=3)
         assert GuidedSynthesizer(config).config is config
-
-    def test_provided_flags_respected(self):
-        config = SynthesisConfig(trials=2, incumbent_pruning=False)
-        assert GuidedSynthesizer(config).config.incumbent_pruning is False
-
-    def test_floor_without_pruning_is_rejected(self):
-        with pytest.raises(SynthesisError):
-            SynthesisConfig(floor_termination=True, incumbent_pruning=False)
 
 
 class TestGuidedSearch:
@@ -55,14 +54,7 @@ class TestGuidedSearch:
         topology = build_mesh([4, 4])
         pattern = AllGather(16)
         uniform = TacosSynthesizer(SynthesisConfig(seed=3, trials=8))
-        guided = GuidedSynthesizer(
-            SynthesisConfig(
-                seed=3,
-                trials=8,
-                incumbent_pruning=True,
-                floor_termination=True,
-            )
-        )
+        guided = GuidedSynthesizer(SynthesisConfig(seed=3, trials=8))
         expected = uniform.synthesize(topology, pattern, 4e6)
         result = guided.synthesize_with_stats(topology, pattern, 4e6)
         assert result.algorithm.table.to_bytes() == expected.table.to_bytes()
@@ -71,7 +63,7 @@ class TestGuidedSearch:
 
     def test_trial_stats_account_for_every_seed(self):
         topology = build_mesh([3, 3])
-        guided = GuidedSynthesizer(SynthesisConfig(seed=0, trials=6, incumbent_pruning=True))
+        guided = GuidedSynthesizer(SynthesisConfig(seed=0, trials=6))
         result = guided.synthesize_with_stats(topology, AllGather(9), 1e6)
         assert len(result.trial_stats) == 6
         assert [stats["seed"] for stats in result.trial_stats] == list(range(6))
@@ -89,10 +81,6 @@ class TestNoHiddenInputs:
 
 
 class TestRegistryAndSpecs:
-    def test_guided_synthesizer_registered(self):
-        assert "guided" in SYNTHESIZERS
-        assert SYNTHESIZERS.get("guided") is GuidedSynthesizer
-
     def test_guided_algorithm_registered(self):
         assert ALGORITHMS.canonical_name("guided") == "guided"
 
@@ -111,10 +99,10 @@ class TestRegistryAndSpecs:
 
 
 class TestCli:
-    def test_synthesizer_flag_switches_tier(self, capsys):
+    def test_algorithm_flag_selects_tier(self, capsys):
         assert cli.main(
             ["synthesize", "-t", "mesh:3x3", "-c", "all_gather",
-             "-p", "trials=3", "--synthesizer", "guided", "--json"]
+             "-p", "trials=3", "-a", "guided", "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["algorithm"] == "guided"
@@ -127,7 +115,7 @@ class TestCli:
         uniform_spec = tmp_path / "uniform.json"
         assert cli.main(
             ["synthesize", "-t", "mesh:3x3", "-c", "all_gather",
-             "--synthesizer", "guided", "--save-spec", str(guided_spec)]
+             "-a", "guided", "--save-spec", str(guided_spec)]
         ) == 0
         assert cli.main(
             ["synthesize", "-t", "mesh:3x3", "-c", "all_gather",
@@ -141,22 +129,31 @@ class TestCli:
     def test_guided_matches_tacos_quality(self, capsys):
         argv = ["synthesize", "-t", "mesh:3x3", "-c", "all_gather",
                 "-p", "trials=3", "-p", "seed=2", "--json"]
-        assert cli.main(argv + ["--synthesizer", "guided"]) == 0
+        assert cli.main(argv + ["-a", "guided"]) == 0
         guided = json.loads(capsys.readouterr().out)
         assert cli.main(argv) == 0
         uniform = json.loads(capsys.readouterr().out)
         assert guided["collective_time"] == uniform["collective_time"]
 
-    @pytest.mark.parametrize("synthesizer", ["tacos", "guided"])
+    @pytest.mark.parametrize("algorithm", ["tacos", "guided"])
     @pytest.mark.parametrize(
         "param",
-        ["store_dir=cache", "portfolio_limit=4", "trial_workers=2", "execution=pool"],
+        [
+            "store_dir=cache",
+            "portfolio_limit=4",
+            "trial_workers=2",
+            "execution=pool",
+            "incumbent_pruning=true",
+            "floor_termination=true",
+            "enable_forwarding=false",
+        ],
     )
-    def test_removed_params_are_usage_errors(self, capsys, synthesizer, param):
-        # Neither a store's contents nor the execution backend is a search
-        # input: these params name no SynthesisConfig field, so they fail
-        # like any unknown param instead of being silently accepted.
+    def test_removed_params_are_usage_errors(self, capsys, algorithm, param):
+        # Neither a store's contents, the execution backend nor the search
+        # tier is a search input: these params name no SynthesisConfig
+        # field, so they fail like any unknown param instead of being
+        # silently accepted.  The tier is the algorithm name alone.
         argv = ["synthesize", "-t", "mesh:3x3", "-c", "all_gather",
-                "--synthesizer", synthesizer, "-p", param]
+                "-a", algorithm, "-p", param]
         assert cli.main(argv) == 2
         assert param.partition("=")[0] in capsys.readouterr().err

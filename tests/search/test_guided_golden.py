@@ -20,8 +20,7 @@ five-term bound, so they show that dropping two terms moved no trial.
 import pytest
 
 from repro.collectives import AllGather, AllToAll, Gather, Scatter
-from repro.core import SynthesisConfig
-from repro.search import GuidedSynthesizer
+from repro.core import GuidedSynthesizer, SynthesisConfig
 from repro.topology import build_3d_rfs, build_dgx1, build_mesh_2d, build_torus_2d
 
 MB = 1e6
@@ -64,7 +63,7 @@ GOLDEN_MESH6X6_GATHER = [
 
 
 def test_guided_mesh6x6_gather_trial_stats_are_pinned():
-    config = SynthesisConfig(seed=0, trials=32, incumbent_pruning=True, floor_termination=True)
+    config = SynthesisConfig(seed=0, trials=32)
     result = GuidedSynthesizer(config).synthesize_with_stats(
         build_mesh_2d(6, 6), Gather(36), 4 * MB
     )
@@ -220,7 +219,7 @@ GOLDEN_DGX1_HETERO_ALL_GATHER = [
 
 
 def _trial_rows(topology, pattern):
-    config = SynthesisConfig(seed=0, trials=32, incumbent_pruning=True, floor_termination=True)
+    config = SynthesisConfig(seed=0, trials=32)
     result = GuidedSynthesizer(config).synthesize_with_stats(topology, pattern, 4 * MB)
     rows = [
         (stats["seed"], stats["rounds"], stats["pruned_at_round"], stats["collective_time"])

@@ -3,8 +3,9 @@
 The determinism contract (docs/determinism.md, "Incumbent pruning is
 exact"): over the *same seed list*, the guided mechanisms select a winner
 byte-identical to the uniform search — on arbitrary topologies, with any
-execution backend, and on ties.  The frozen reference here is the plain
-``TacosSynthesizer`` with every guided knob off.
+execution backend, and on ties.  The reference here is the uniform
+``TacosSynthesizer`` and the subject the ``GuidedSynthesizer`` over the same
+config.
 """
 
 import random
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.api.parallel import execution_scope
 from repro.collectives import AllGather, AllReduce, Gather
-from repro.core import SynthesisConfig, TacosSynthesizer
+from repro.core import GuidedSynthesizer, SynthesisConfig, TacosSynthesizer
 from repro.topology import build_mesh, build_ring
 from tests.conftest import random_connected_topology
 
@@ -26,16 +27,10 @@ _settings = settings(
 )
 
 
-def _winner_bytes(topology, pattern, size, **config_kwargs):
+def _winner_bytes(synthesizer_cls, topology, pattern, size, **config_kwargs):
     config = SynthesisConfig(**config_kwargs)
-    result = TacosSynthesizer(config).synthesize_with_stats(topology, pattern, size)
+    result = synthesizer_cls(config).synthesize_with_stats(topology, pattern, size)
     return result.algorithm.table.to_bytes(), result.algorithm.collective_time
-
-
-_PRUNING_VARIANTS = (
-    {"incumbent_pruning": True},
-    {"incumbent_pruning": True, "floor_termination": True},
-)
 
 
 @_settings
@@ -54,11 +49,10 @@ def test_all_gather_winner_is_pruning_invariant(
         num_npus, rng, extra_links=extra_links, heterogeneous=heterogeneous
     )
     pattern = AllGather(num_npus)
-    reference = _winner_bytes(topology, pattern, 2e6, seed=seed, trials=trials)
-    for variant in _PRUNING_VARIANTS:
-        assert _winner_bytes(
-            topology, pattern, 2e6, seed=seed, trials=trials, **variant
-        ) == reference
+    reference = _winner_bytes(TacosSynthesizer, topology, pattern, 2e6, seed=seed, trials=trials)
+    assert _winner_bytes(
+        GuidedSynthesizer, topology, pattern, 2e6, seed=seed, trials=trials
+    ) == reference
 
 
 @_settings
@@ -74,11 +68,10 @@ def test_gather_winner_is_pruning_invariant(num_npus, extra_links, seed, trials)
     rng = random.Random(seed)
     topology = random_connected_topology(num_npus, rng, extra_links=extra_links)
     pattern = Gather(num_npus)
-    reference = _winner_bytes(topology, pattern, 2e6, seed=seed, trials=trials)
-    for variant in _PRUNING_VARIANTS:
-        assert _winner_bytes(
-            topology, pattern, 2e6, seed=seed, trials=trials, **variant
-        ) == reference
+    reference = _winner_bytes(TacosSynthesizer, topology, pattern, 2e6, seed=seed, trials=trials)
+    assert _winner_bytes(
+        GuidedSynthesizer, topology, pattern, 2e6, seed=seed, trials=trials
+    ) == reference
 
 
 @_settings
@@ -92,11 +85,9 @@ def test_all_reduce_winner_is_pruning_invariant(num_npus, extra_links, seed):
     rng = random.Random(seed)
     topology = random_connected_topology(num_npus, rng, extra_links=extra_links)
     pattern = AllReduce(num_npus)
-    reference = _winner_bytes(topology, pattern, 2e6, seed=seed, trials=3)
-    for variant in _PRUNING_VARIANTS:
-        assert _winner_bytes(
-            topology, pattern, 2e6, seed=seed, trials=3, **variant
-        ) == reference
+    reference = _winner_bytes(TacosSynthesizer, topology, pattern, 2e6, seed=seed, trials=3)
+    guided = _winner_bytes(GuidedSynthesizer, topology, pattern, 2e6, seed=seed, trials=3)
+    assert guided == reference
 
 
 class TestTieBreaking:
@@ -105,19 +96,13 @@ class TestTieBreaking:
     def test_symmetric_ring_tie_goes_to_first_seed(self):
         # On a homogeneous ring every All-Gather trial lands on the same
         # (bandwidth-optimal) collective time: an N-way tie.  The strict-<
-        # scan keeps the first seed, with or without pruning.
+        # scan keeps the first seed on both tiers.
         topology = build_ring(8)
         pattern = AllGather(8)
         results = {}
-        for label, variant in (
-            ("off", {}),
-            ("prune", {"incumbent_pruning": True}),
-            ("floor", {"incumbent_pruning": True, "floor_termination": True}),
-        ):
-            config = SynthesisConfig(seed=0, trials=5, **variant)
-            result = TacosSynthesizer(config).synthesize_with_stats(
-                topology, pattern, 4e6
-            )
+        for label, synthesizer_cls in (("off", TacosSynthesizer), ("floor", GuidedSynthesizer)):
+            config = SynthesisConfig(seed=0, trials=5)
+            result = synthesizer_cls(config).synthesize_with_stats(topology, pattern, 4e6)
             results[label] = result
             assert result.algorithm.metadata["seed"] == 0
         times = {r.algorithm.collective_time for r in results.values()}
@@ -128,10 +113,8 @@ class TestTieBreaking:
         assert results["floor"].full_trials < results["off"].full_trials
 
     def test_floor_skip_records_every_seed(self):
-        config = SynthesisConfig(
-            seed=0, trials=5, incumbent_pruning=True, floor_termination=True
-        )
-        result = TacosSynthesizer(config).synthesize_with_stats(
+        config = SynthesisConfig(seed=0, trials=5)
+        result = GuidedSynthesizer(config).synthesize_with_stats(
             build_ring(8), AllGather(8), 4e6
         )
         assert [stats["seed"] for stats in result.trial_stats] == list(range(5))
@@ -160,11 +143,9 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("execution", ["serial", "pool"])
     def test_pruned_winner_matches_reference(self, execution, reference):
         topology, pattern, expected = reference
-        config = SynthesisConfig(
-            seed=1, trials=6, incumbent_pruning=True, floor_termination=True
-        )
+        config = SynthesisConfig(seed=1, trials=6)
         with execution_scope(execution, 2):
-            result = TacosSynthesizer(config).synthesize_with_stats(
+            result = GuidedSynthesizer(config).synthesize_with_stats(
                 topology, pattern, self.SIZE
             )
         assert result.algorithm.table.to_bytes() == expected
@@ -180,11 +161,9 @@ class TestBackendEquivalence:
         topology, pattern = build_ring(8), AllGather(8)
 
         def stats_for(backend):
-            config = SynthesisConfig(
-                seed=0, trials=6, incumbent_pruning=True, floor_termination=True
-            )
+            config = SynthesisConfig(seed=0, trials=6)
             with execution_scope(backend, 2):
-                return TacosSynthesizer(config).synthesize_with_stats(
+                return GuidedSynthesizer(config).synthesize_with_stats(
                     topology, pattern, self.SIZE
                 )
 

@@ -4,9 +4,9 @@
 contention-free workloads (one-hop routes, ``alpha >= 0``, per-link
 dependency chains).  These tests pin three things:
 
-* wherever the pass runs, ``SimulationResult.to_bytes()`` and
-  ``message_completion`` equal both the event loop's (the pass disabled by
-  monkeypatching it to return ``None``) and the frozen
+* wherever the pass runs, its result equals the event loop's field by
+  field and bit for bit (the pass disabled by monkeypatching it to return
+  ``None``), and its ``message_completion`` equals the frozen
   :class:`~repro.bench.reference.ReferenceSimulator`'s;
 * every violated precondition — and a dependency cycle — falls back to the
   event loop, which reports the same result or error;
@@ -34,7 +34,7 @@ from repro.simulator import (
     simulate_schedule,
 )
 from repro.topology import Topology, build_3d_rfs, build_mesh_2d
-from tests.conftest import random_connected_topology
+from tests.conftest import assert_same_result, random_connected_topology
 
 MB = 1e6
 
@@ -105,7 +105,7 @@ def _assert_same_as_event_loop_and_reference(monkeypatch, topology, algorithm):
     reference = ReferenceSimulator(topology).run(
         reference_algorithm_to_messages(algorithm), collective_size=algorithm.collective_size
     )
-    assert fast.to_bytes() == loop.to_bytes()
+    assert_same_result(fast, loop)
     assert fast.message_completion == loop.message_completion
     # The reference engine's per-link dicts are keyed in first-use order,
     # so it is compared field by field, as in test_reference_equivalence.
@@ -171,7 +171,7 @@ class TestEquivalence:
             loop = CongestionAwareSimulator(topology).run_flat(
                 sources, dests, 1 * MB, dep_indptr, dep_indices
             )
-        assert fast.to_bytes() == loop.to_bytes()
+        assert_same_result(fast, loop)
 
 
 class TestFallback:
@@ -191,7 +191,7 @@ class TestFallback:
         with monkeypatch.context() as patch:
             _event_loop_only(patch)
             loop = CongestionAwareSimulator(topology).run_flat(*columns)
-        assert fast.to_bytes() == loop.to_bytes()
+        assert_same_result(fast, loop)
         starts, ends = fast.busy_columns()[(0, 1)]
         assert starts[1] == ends[0]  # queued behind the first message
 
@@ -222,7 +222,7 @@ class TestFallback:
             workload.dep_indices,
             collective_size=schedule.collective_size,
         )
-        assert result.to_bytes() == reference.to_bytes()
+        assert_same_result(result, reference)
 
     def test_dependency_cycle_raises_the_event_loop_error(self, chained_calls, monkeypatch):
         topology = build_mesh_2d(2, 2)
@@ -250,4 +250,4 @@ def test_rfs128_all_reduce_takes_the_pass(monkeypatch, chained_calls):
     with monkeypatch.context() as patch:
         _event_loop_only(patch)
         loop = simulate_algorithm(topology, algorithm)
-    assert fast.to_bytes() == loop.to_bytes()
+    assert_same_result(fast, loop)

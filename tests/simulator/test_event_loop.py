@@ -15,6 +15,7 @@ import pytest
 from repro.bench.reference import Message, ReferenceSimulator
 from repro.simulator import CongestionAwareSimulator
 from repro.topology import build_mesh_2d, build_ring
+from tests.conftest import assert_same_result
 
 MB = 1024.0 * 1024.0
 
@@ -75,7 +76,7 @@ class TestEventLoop:
         simulator = CongestionAwareSimulator(topology)
         first = simulator.run_flat(*columns[:2], MB, *columns[2:], collective_size=4 * MB)
         second = simulator.run_flat(*columns[:2], MB, *columns[2:], collective_size=4 * MB)
-        assert first.to_bytes() == second.to_bytes()
+        assert_same_result(first, second)
 
     def test_empty_workload(self):
         result = CongestionAwareSimulator(build_mesh_2d(2, 2)).run_flat([], [], MB, [0], [])

@@ -46,7 +46,6 @@ def assert_columns_match(workload, messages):
     sources, dests, sizes, dep_indptr, dep_indices = message_columns(messages)
     assert workload.sources.tolist() == sources
     assert workload.dests.tolist() == dests
-    assert workload.chunks.tolist() == [message.chunk for message in messages]
     assert [workload.size] * len(messages) == sizes
     assert workload.dep_indptr.tolist() == dep_indptr
     # Within one message the dependency order is free; the sets must agree.
