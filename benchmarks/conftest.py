@@ -4,7 +4,8 @@ Every benchmark regenerates one of the paper's tables or figures.  The
 experiments are deterministic but expensive, so each one is executed exactly
 once per benchmark run (``rounds=1``) and the headline numbers it reproduces
 are attached to the benchmark record via ``extra_info`` — the benchmark output
-therefore doubles as the reproduction log summarized in EXPERIMENTS.md.
+therefore doubles as the reproduction log (there is no written ledger of the
+reproduced numbers yet).
 """
 
 from __future__ import annotations

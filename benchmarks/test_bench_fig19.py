@@ -54,7 +54,8 @@ def test_fig19_synthesis_scalability(run_once, benchmark):
     assert hypercube_r2 > 0.95
     # Mirroring the paper, the TACCL-like baseline is only attempted up to a few
     # tens of NPUs.  Note: the absolute synthesis-time blow-up of the real MILP
-    # is not reproduced by the randomized-restart stand-in (see EXPERIMENTS.md);
+    # is not reproduced by the randomized-restart stand-in (see the docstring of
+    # repro.baselines.taccl_like);
     # only its presence on small systems and TACOS' polynomial trend are.
     taccl_points = results["2D Mesh (TACCL-like)"]
     assert taccl_points, "TACCL-like baseline was not exercised"

@@ -45,6 +45,7 @@ from repro.api.runner import (
     build_topology,
     run,
     run_batch,
+    simulate_artifact,
 )
 from repro.api.specs import (
     AlgorithmSpec,
@@ -86,5 +87,6 @@ __all__ = [
     "resolve_backend",
     "run",
     "run_batch",
+    "simulate_artifact",
     "topology_to_spec",
 ]

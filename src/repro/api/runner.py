@@ -28,6 +28,7 @@ from repro.api.specs import (
 from repro.collectives.pattern import CollectivePattern
 from repro.errors import ReproError, SpecError
 from repro.simulator.adapters import simulate_algorithm, simulate_schedule
+from repro.simulator.result import SimulationResult
 from repro.topology.link import GIGABYTE
 from repro.topology.topology import Topology
 
@@ -38,6 +39,7 @@ __all__ = [
     "build_topology",
     "build_collective",
     "build_algorithm_artifact",
+    "simulate_artifact",
 ]
 
 
@@ -192,6 +194,38 @@ def build_algorithm_artifact(
         raise SpecError(f"bad parameters for algorithm {spec.name!r}: {exc}") from None
 
 
+def simulate_artifact(
+    artifact: AlgorithmArtifact,
+    topology: Topology,
+    simulation: SimulationSpec,
+) -> Optional[SimulationResult]:
+    """Simulate the artifact's payload under ``simulation`` on ``topology``.
+
+    Returns ``None`` when the artifact is timed without the simulator: an
+    analytic bound, or a synthesized algorithm with ``simulate=False``.  A
+    logical schedule always needs the simulator.
+    """
+    if artifact.collective_time is not None:
+        return None
+    if artifact.algorithm is not None:
+        if not simulation.simulate:
+            return None
+        return simulate_algorithm(
+            topology, artifact.algorithm, routing_message_size=simulation.routing_message_size
+        )
+    if artifact.schedule is not None:
+        if not simulation.simulate:
+            raise SpecError(
+                "logical schedules carry no intrinsic timing; "
+                "simulation cannot be disabled for this algorithm"
+            )
+        return simulate_schedule(
+            topology, artifact.schedule, routing_message_size=simulation.routing_message_size
+        )
+    # unreachable: AlgorithmArtifact enforces exactly one payload
+    raise SpecError("algorithm artifact carries no payload")
+
+
 def _time_artifact(
     artifact: AlgorithmArtifact,
     topology: Topology,
@@ -199,25 +233,11 @@ def _time_artifact(
 ) -> Tuple[float, Dict[str, float]]:
     """Return ``(collective_time, extras)`` for the artifact under ``simulation``."""
     extras = dict(artifact.extras)
-    if artifact.collective_time is not None:
-        return artifact.collective_time, extras
-    if artifact.algorithm is not None and not simulation.simulate:
+    result = simulate_artifact(artifact, topology, simulation)
+    if result is None:
+        if artifact.collective_time is not None:
+            return artifact.collective_time, extras
         return artifact.algorithm.collective_time, extras
-    if artifact.algorithm is not None:
-        result = simulate_algorithm(
-            topology, artifact.algorithm, routing_message_size=simulation.routing_message_size
-        )
-    elif artifact.schedule is not None:
-        if not simulation.simulate:
-            raise SpecError(
-                "logical schedules carry no intrinsic timing; "
-                "simulation cannot be disabled for this algorithm"
-            )
-        result = simulate_schedule(
-            topology, artifact.schedule, routing_message_size=simulation.routing_message_size
-        )
-    else:  # unreachable: AlgorithmArtifact enforces exactly one payload
-        raise SpecError("algorithm artifact carries no payload")
     extras["avg_link_utilization"] = result.average_link_utilization()
     return result.completion_time, extras
 

@@ -63,6 +63,13 @@ _SUBCOMMANDS = ("list", "synthesize", "simulate", "sweep", "bench", "experiments
 # ----------------------------------------------------------------------
 # Parser construction
 # ----------------------------------------------------------------------
+def _worker_count(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
+
+
 def _add_run_options(parser: argparse.ArgumentParser, *, default_algorithm: str) -> None:
     parser.add_argument("--topology", "-t", help="topology shorthand, e.g. ring:8 or mesh:4x4")
     parser.add_argument("--collective", "-c", help="collective name, e.g. all_gather")
@@ -182,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("ids", nargs="*", help="experiment ids (default: all)")
     experiments.add_argument("--list", action="store_true", help="list available experiments")
     experiments.add_argument(
-        "--workers", "-w", type=int, default=None,
+        "--workers", "-w", type=_worker_count, default=None,
         help="worker pool size for the experiments' internal fan-outs "
         "(--workers alone implies the pool backend)",
     )
@@ -382,16 +389,15 @@ def _cmd_bench(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(arguments: argparse.Namespace) -> int:
-    from repro.experiments.runner import main as experiments_main
+    from repro.experiments.runner import EXPERIMENTS, run_experiments
 
-    argv = list(arguments.ids)
     if arguments.list:
-        argv.append("--list")
-    if arguments.workers is not None:
-        argv.extend(["--workers", str(arguments.workers)])
-    if arguments.execution is not None:
-        argv.extend(["--execution", arguments.execution])
-    return experiments_main(argv)
+        for name in sorted(EXPERIMENTS):
+            print(name)
+        return 0
+    return run_experiments(
+        arguments.ids, workers=arguments.workers, execution=arguments.execution
+    )
 
 
 #: Errors of a run that was well specified but failed (exit 1); every other

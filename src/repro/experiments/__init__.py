@@ -1,7 +1,10 @@
 """Paper-reproduction experiments: one module per table or figure.
 
 Each module's docstring names the table or figure it reproduces and its
-parameters; see EXPERIMENTS.md for measured results.
+parameters.  Each module describes its data points as
+:class:`~repro.api.specs.RunSpec` documents (see :mod:`repro.experiments.common`);
+``tacos-repro experiments`` runs them all, and the paper's claims are
+asserted at full scale by ``benchmarks/test_bench_*.py``.
 """
 
 from repro.experiments import (
@@ -20,15 +23,15 @@ from repro.experiments import (
 )
 from repro.experiments.common import (
     Measurement,
+    experiment_spec,
     format_table,
-    ideal_all_reduce_measurement,
-    measure_baseline_all_reduce,
-    measure_tacos_all_reduce,
-    measure_taccl_like_all_reduce,
+    measure,
+    resolve_spec,
 )
 
 __all__ = [
     "Measurement",
+    "experiment_spec",
     "fig01_heatmap",
     "fig02_motivation",
     "fig10_topologies",
@@ -41,9 +44,7 @@ __all__ = [
     "fig20_end_to_end",
     "fig21_breakdown",
     "format_table",
-    "ideal_all_reduce_measurement",
-    "measure_baseline_all_reduce",
-    "measure_tacos_all_reduce",
-    "measure_taccl_like_all_reduce",
+    "measure",
+    "resolve_spec",
     "table05_multinode",
 ]

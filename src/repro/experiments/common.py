@@ -1,39 +1,59 @@
 """Shared helpers for the paper-reproduction experiments.
 
-Every ``figXX_*`` / ``tableXX_*`` module builds its workload with these
-helpers so that algorithms are always compared the same way.  Since the
-declarative Run API landed, each helper expresses its measurement as a
-:class:`~repro.api.specs.RunSpec` and executes it through
-:func:`repro.api.run` — the same path the CLI and batch sweeps use — so a
-figure's data point is always reproducible from a JSON document:
+Every ``figXX_*`` / ``tableXX_*`` module describes its data points as
+:class:`~repro.api.specs.RunSpec` documents and executes them through the
+Run API — the same path the CLI and batch sweeps use — so every algorithm,
+baseline or synthesized, is timed by the same congestion-aware simulator and
+every data point is reproducible from a JSON document:
 
-* baselines are generated as logical schedules and timed by the
-  congestion-aware simulator;
-* TACOS algorithms are synthesized, verified, and timed by the same
-  simulator;
-* the ideal bound comes from :mod:`repro.analysis.ideal`.
+* figures that report scalar data points pass their specs to
+  :func:`measure`, which runs them with :func:`repro.api.run_batch` and
+  returns one :class:`Measurement` row per spec;
+* figures that read the algorithm or the simulation itself resolve one spec
+  with :func:`resolve_spec`.
+
+The ideal bound is the registered ``ideal`` algorithm
+(:mod:`repro.analysis.ideal`).  Neither path verifies the synthesized
+algorithms, as :func:`repro.api.run` does not; fig10 and fig14 call
+:func:`~repro.core.verification.verify_algorithm` themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+import dataclasses
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
-from repro.api.runner import RunResult, run
-from repro.api.specs import AlgorithmSpec, CollectiveSpec, RunSpec, topology_to_spec
+from repro.api.registry import AlgorithmArtifact
+from repro.api.runner import (
+    RunResult,
+    build_algorithm_artifact,
+    build_collective,
+    build_topology,
+    run_batch,
+    simulate_artifact,
+)
+from repro.api.specs import (
+    AlgorithmSpec,
+    CollectiveSpec,
+    RunSpec,
+    SimulationSpec,
+    topology_to_spec,
+)
+from repro.collectives.pattern import CollectivePattern
 from repro.core.config import SynthesisConfig
 from repro.errors import ReproError
+from repro.simulator.result import SimulationResult
 from repro.topology.topology import Topology
 
 __all__ = [
     "Measurement",
-    "measurement_from_run",
-    "run_spec_for_all_reduce",
-    "measure_baseline_all_reduce",
-    "measure_tacos_all_reduce",
-    "measure_taccl_like_all_reduce",
-    "ideal_all_reduce_measurement",
+    "ResolvedSpec",
+    "experiment_spec",
     "format_table",
+    "measure",
+    "measurement_from_run",
+    "resolve_spec",
 ]
 
 
@@ -87,86 +107,71 @@ def measurement_from_run(result: RunResult, *, label: Optional[str] = None) -> M
     )
 
 
-def run_spec_for_all_reduce(
+def experiment_spec(
     algorithm: str,
     topology: Topology,
     collective_size: float,
     *,
+    collective: str = "all_reduce",
     chunks_per_npu: int = 1,
-    algorithm_params: Optional[Dict] = None,
+    params: Optional[Mapping[str, Any]] = None,
+    config: Optional[SynthesisConfig] = None,
     label: str = "",
+    simulate: bool = True,
 ) -> RunSpec:
-    """Express one experiment All-Reduce data point as a declarative spec."""
+    """Express one experiment data point (an All-Reduce by default) as a spec.
+
+    ``config`` adds the :class:`SynthesisConfig` fields that differ from
+    their defaults to ``params``, so a spec's store key names only the
+    settings that change the search.
+    """
+    params = dict(params or {})
+    if config is not None:
+        default = SynthesisConfig()
+        for item in dataclasses.fields(config):
+            value = getattr(config, item.name)
+            if value != getattr(default, item.name):
+                params[item.name] = value
     return RunSpec(
         topology=topology_to_spec(topology),
         collective=CollectiveSpec(
-            name="all_reduce",
+            name=collective,
             collective_size=collective_size,
             chunks_per_npu=chunks_per_npu,
         ),
-        algorithm=AlgorithmSpec(name=algorithm, params=algorithm_params or {}),
+        algorithm=AlgorithmSpec(name=algorithm, params=params),
+        simulation=SimulationSpec(simulate=simulate),
         label=label,
     )
 
 
-def measure_baseline_all_reduce(
-    name: str,
-    topology: Topology,
-    collective_size: float,
-    *,
-    chunks_per_npu: int = 1,
-) -> Measurement:
-    """Simulate one of the registered baseline All-Reduce algorithms."""
-    spec = run_spec_for_all_reduce(
-        name, topology, collective_size, chunks_per_npu=chunks_per_npu, label=name
+def measure(specs: Sequence[RunSpec]) -> List[Measurement]:
+    """Run ``specs`` as one batch; each row is labelled with its spec's label."""
+    return [
+        measurement_from_run(result, label=spec.label)
+        for spec, result in zip(specs, run_batch(specs))
+    ]
+
+
+class ResolvedSpec(NamedTuple):
+    """A spec's built inputs, its algorithm and (when simulated) its simulation."""
+
+    topology: Topology
+    pattern: CollectivePattern
+    artifact: AlgorithmArtifact
+    simulation: Optional[SimulationResult]
+
+
+def resolve_spec(spec: RunSpec) -> ResolvedSpec:
+    """Build, synthesize and simulate ``spec`` the way :func:`repro.api.run` does."""
+    topology = build_topology(spec.topology)
+    pattern = build_collective(spec.collective, topology.num_npus)
+    artifact = build_algorithm_artifact(
+        spec.algorithm, topology, pattern, spec.collective.collective_size
     )
-    return measurement_from_run(run(spec), label=name)
-
-
-def measure_tacos_all_reduce(
-    topology: Topology,
-    collective_size: float,
-    *,
-    chunks_per_npu: int = 1,
-    config: Optional[SynthesisConfig] = None,
-    label: str = "TACOS",
-) -> Measurement:
-    """Synthesize an All-Reduce with TACOS and simulate it."""
-    spec = run_spec_for_all_reduce(
-        "tacos",
-        topology,
-        collective_size,
-        chunks_per_npu=chunks_per_npu,
-        algorithm_params=asdict(config) if config is not None else None,
-        label=label,
+    return ResolvedSpec(
+        topology, pattern, artifact, simulate_artifact(artifact, topology, spec.simulation)
     )
-    return measurement_from_run(run(spec), label=label)
-
-
-def measure_taccl_like_all_reduce(
-    topology: Topology,
-    collective_size: float,
-    *,
-    chunks_per_npu: int = 1,
-    restarts: int = 10,
-    label: str = "TACCL-like",
-) -> Measurement:
-    """Synthesize an All-Reduce with the TACCL-like baseline and simulate it."""
-    spec = run_spec_for_all_reduce(
-        "taccl_like",
-        topology,
-        collective_size,
-        chunks_per_npu=chunks_per_npu,
-        algorithm_params={"restarts": restarts},
-        label=label,
-    )
-    return measurement_from_run(run(spec), label=label)
-
-
-def ideal_all_reduce_measurement(topology: Topology, collective_size: float) -> Measurement:
-    """Theoretical ideal All-Reduce bound as a measurement row."""
-    spec = run_spec_for_all_reduce("ideal", topology, collective_size, label="Ideal")
-    return measurement_from_run(run(spec), label="Ideal")
 
 
 def format_table(measurements: Sequence[Measurement], *, title: str = "") -> str:

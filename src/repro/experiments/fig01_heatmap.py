@@ -16,11 +16,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.analysis.heatmap import link_load_matrix, link_load_statistics
-from repro.baselines.registry import build_baseline_all_reduce
-from repro.collectives.all_reduce import AllReduce
 from repro.core.config import SynthesisConfig
-from repro.core.synthesizer import TacosSynthesizer
-from repro.simulator.adapters import simulate_algorithm, simulate_schedule
+from repro.experiments.common import resolve_spec, experiment_spec
 from repro.topology.builders.fully_connected import build_fully_connected
 from repro.topology.builders.hypercube import build_hypercube_3d
 from repro.topology.builders.mesh import build_mesh_2d
@@ -76,18 +73,13 @@ def run(
 ) -> List[HeatmapCell]:
     """Reproduce Fig. 1: per-link load heat maps for each algorithm and topology."""
     topologies = topologies if topologies is not None else default_topologies(num_npus)
-    synthesizer = TacosSynthesizer(synthesis_config)
     cells: List[HeatmapCell] = []
     for topology in topologies:
         for algorithm in ALGORITHMS:
-            if algorithm == "TACOS":
-                synthesized = synthesizer.synthesize(
-                    topology, AllReduce(topology.num_npus), collective_size
-                )
-                result = simulate_algorithm(topology, synthesized)
-            else:
-                schedule = build_baseline_all_reduce(algorithm, topology, collective_size)
-                result = simulate_schedule(topology, schedule)
+            config = synthesis_config if algorithm == "TACOS" else None
+            result = resolve_spec(
+                experiment_spec(algorithm, topology, collective_size, config=config)
+            ).simulation
             cells.append(
                 HeatmapCell(
                     topology=topology.name,

@@ -13,12 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.config import SynthesisConfig
-from repro.experiments.common import (
-    Measurement,
-    ideal_all_reduce_measurement,
-    measure_baseline_all_reduce,
-    measure_tacos_all_reduce,
-)
+from repro.experiments.common import Measurement, measure, experiment_spec
 from repro.topology.builders.fully_connected import build_fully_connected
 from repro.topology.builders.hypercube import build_hypercube_3d
 from repro.topology.builders.mesh import build_mesh_2d
@@ -60,20 +55,23 @@ def run_topology_sweep(
     """Fig. 2(a): basic algorithms across topologies, plus TACOS on Mesh / Hypercube."""
     results: Dict[str, List[Measurement]] = {}
     for topology in _fig2a_topologies(num_npus):
-        rows: List[Measurement] = []
-        for algorithm in BASIC_ALGORITHMS:
-            rows.append(measure_baseline_all_reduce(algorithm, topology, collective_size))
+        specs = [
+            experiment_spec(algorithm, topology, collective_size, label=algorithm)
+            for algorithm in BASIC_ALGORITHMS
+        ]
         if "Mesh" in topology.name or "Hypercube" in topology.name:
-            rows.append(
-                measure_tacos_all_reduce(
+            specs.append(
+                experiment_spec(
+                    "tacos",
                     topology,
                     collective_size,
                     chunks_per_npu=tacos_chunks_per_npu,
                     config=synthesis_config,
+                    label="TACOS",
                 )
             )
-        rows.append(ideal_all_reduce_measurement(topology, collective_size))
-        results[topology.name] = rows
+        specs.append(experiment_spec("ideal", topology, collective_size, label="Ideal"))
+        results[topology.name] = measure(specs)
     return results
 
 
@@ -87,14 +85,15 @@ def run_size_sweep(
     """Fig. 2(b): basic algorithms on a Ring for varying collective sizes."""
     sizes = collective_sizes if collective_sizes is not None else [1e3, 512e3, 1e6, 1e9]
     topology = build_ring(num_npus, alpha=alpha, bandwidth_gbps=bandwidth_gbps)
-    results: Dict[float, List[Measurement]] = {}
-    for size in sizes:
-        rows = [
-            measure_baseline_all_reduce(algorithm, topology, size)
-            for algorithm in BASIC_ALGORITHMS
-        ]
-        results[size] = rows
-    return results
+    return {
+        size: measure(
+            [
+                experiment_spec(algorithm, topology, size, label=algorithm)
+                for algorithm in BASIC_ALGORITHMS
+            ]
+        )
+        for size in sizes
+    }
 
 
 def main() -> None:  # pragma: no cover - convenience CLI

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.collectives.all_gather import AllGather
 from repro.core.config import SynthesisConfig
-from repro.core.synthesizer import TacosSynthesizer
 from repro.core.verification import verify_algorithm
+from repro.experiments.common import experiment_spec, resolve_spec
 from repro.topology.builders.fully_connected import build_fully_connected
 from repro.topology.builders.ring import build_ring
 from repro.topology.defaults import DEFAULT_ALPHA, DEFAULT_BANDWIDTH_GBPS
@@ -68,11 +67,19 @@ def run(
     synthesis_config: Optional[SynthesisConfig] = None,
 ) -> List[Fig10Row]:
     """Reproduce Fig. 10: All-Gather synthesis across the four 4-NPU targets."""
-    synthesizer = TacosSynthesizer(synthesis_config)
     rows: List[Fig10Row] = []
-    for topology in default_topologies():
-        pattern = AllGather(topology.num_npus)
-        algorithm = synthesizer.synthesize(topology, pattern, collective_size)
+    for target in default_topologies():
+        topology, pattern, artifact, _ = resolve_spec(
+            experiment_spec(
+                "tacos",
+                target,
+                collective_size,
+                collective="all_gather",
+                config=synthesis_config,
+                simulate=False,
+            )
+        )
+        algorithm = artifact.algorithm
         span = topology.link(*next(iter(topology.link_keys()))).cost(
             pattern.chunk_size(collective_size)
         )

@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.collectives.all_gather import AllGather
+import numpy as np
+
 from repro.core.algorithm import CollectiveAlgorithm
 from repro.core.config import SynthesisConfig
-from repro.core.synthesizer import TacosSynthesizer
 from repro.core.verification import verify_algorithm
+from repro.experiments.common import experiment_spec, resolve_spec
 from repro.topology.builders.mesh import build_mesh_2d
 
 __all__ = ["Fig14Result", "run"]
@@ -39,18 +40,23 @@ def run(
     synthesis_config: Optional[SynthesisConfig] = None,
 ) -> Fig14Result:
     """Reproduce Fig. 14: synthesize and analyse the mesh All-Gather."""
-    topology = build_mesh_2d(rows, cols)
-    pattern = AllGather(topology.num_npus)
-    synthesizer = TacosSynthesizer(synthesis_config)
-    algorithm = synthesizer.synthesize(topology, pattern, collective_size)
+    topology, pattern, artifact, _ = resolve_spec(
+        experiment_spec(
+            "tacos",
+            build_mesh_2d(rows, cols),
+            collective_size,
+            collective="all_gather",
+            config=synthesis_config,
+            simulate=False,
+        )
+    )
+    algorithm = artifact.algorithm
     verified = verify_algorithm(algorithm, topology, pattern)
 
     span_cost = topology.link(*next(iter(topology.link_keys()))).cost(
         pattern.chunk_size(collective_size)
     )
     # One vectorized pass over the start column instead of a per-transfer loop.
-    import numpy as np
-
     spans = np.rint(algorithm.table.starts / span_cost).astype(np.int64)
     span_ids, counts = np.unique(spans, return_counts=True)
     transfers_per_span: Dict[int, int] = dict(

@@ -12,13 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.config import SynthesisConfig
-from repro.experiments.common import (
-    Measurement,
-    ideal_all_reduce_measurement,
-    measure_baseline_all_reduce,
-    measure_tacos_all_reduce,
-    measure_taccl_like_all_reduce,
-)
+from repro.experiments.common import Measurement, measure, experiment_spec
 from repro.topology.builders.dragonfly import build_dragonfly
 from repro.topology.builders.multidim import build_2d_switch, build_3d_rfs
 from repro.topology.topology import Topology
@@ -50,24 +44,31 @@ def run(
         # single trial leaves the heterogeneous comparisons hostage to one
         # RNG draw.
         synthesis_config = SynthesisConfig(trials=8)
-    results: Dict[str, List[Measurement]] = {}
-    for topology in topologies:
-        rows: List[Measurement] = [
-            measure_baseline_all_reduce("Ring", topology, collective_size),
-            measure_baseline_all_reduce("Direct", topology, collective_size),
-            measure_taccl_like_all_reduce(
-                topology, collective_size, restarts=taccl_restarts
-            ),
-            measure_tacos_all_reduce(
-                topology,
-                collective_size,
-                chunks_per_npu=tacos_chunks_per_npu,
-                config=synthesis_config,
-            ),
-            ideal_all_reduce_measurement(topology, collective_size),
-        ]
-        results[topology.name] = rows
-    return results
+    return {
+        topology.name: measure(
+            [
+                experiment_spec("Ring", topology, collective_size, label="Ring"),
+                experiment_spec("Direct", topology, collective_size, label="Direct"),
+                experiment_spec(
+                    "taccl_like",
+                    topology,
+                    collective_size,
+                    params={"restarts": taccl_restarts},
+                    label="TACCL-like",
+                ),
+                experiment_spec(
+                    "tacos",
+                    topology,
+                    collective_size,
+                    chunks_per_npu=tacos_chunks_per_npu,
+                    config=synthesis_config,
+                    label="TACOS",
+                ),
+                experiment_spec("ideal", topology, collective_size, label="Ideal"),
+            ]
+        )
+        for topology in topologies
+    }
 
 
 def main() -> None:  # pragma: no cover - convenience CLI

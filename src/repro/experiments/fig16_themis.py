@@ -16,17 +16,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.utilization import normalized_timeline
-from repro.baselines.blueconnect import blueconnect_all_reduce
-from repro.baselines.themis import themis_all_reduce
-from repro.collectives.all_reduce import AllReduce
 from repro.core.config import SynthesisConfig
-from repro.core.synthesizer import TacosSynthesizer
 from repro.experiments.common import (
     Measurement,
-    ideal_all_reduce_measurement,
-    measure_tacos_all_reduce,
+    measure,
+    resolve_spec,
+    experiment_spec,
 )
-from repro.simulator.adapters import simulate_algorithm, simulate_schedule
 from repro.topology.builders.hypercube import build_hypercube_3d
 from repro.topology.builders.torus import build_torus
 from repro.topology.topology import Topology
@@ -50,26 +46,6 @@ def default_topologies(side: int = 4) -> Dict[str, Tuple[Topology, Tuple[int, in
     }
 
 
-def _measure_hierarchical(
-    name: str,
-    builder,
-    dims: Sequence[int],
-    topology: Topology,
-    collective_size: float,
-    chunks_per_npu: int,
-) -> Measurement:
-    schedule = builder(dims, collective_size, chunks_per_npu=chunks_per_npu)
-    result = simulate_schedule(topology, schedule)
-    return Measurement(
-        algorithm=f"{name} ({chunks_per_npu} chunks)",
-        topology=topology.name,
-        collective_size=collective_size,
-        collective_time=result.completion_time,
-        bandwidth_gbps=result.collective_bandwidth() / 1e9,
-        extras={"avg_link_utilization": result.average_link_utilization()},
-    )
-
-
 def run_bandwidth_sweep(
     *,
     side: int = 4,
@@ -80,22 +56,31 @@ def run_bandwidth_sweep(
     """Fig. 16(a): All-Reduce bandwidth vs. collective size on both topologies."""
     results: Dict[str, Dict[float, List[Measurement]]] = {}
     for label, (topology, dims) in default_topologies(side).items():
-        per_size: Dict[float, List[Measurement]] = {}
-        for size in collective_sizes:
-            rows = [
-                _measure_hierarchical("BlueConnect", blueconnect_all_reduce, dims, topology, size, 4),
-                _measure_hierarchical("Themis", themis_all_reduce, dims, topology, size, 4),
-                _measure_hierarchical(
-                    "Themis", themis_all_reduce, dims, topology, size, themis_high_chunks
-                ),
-                measure_tacos_all_reduce(
-                    topology, size, chunks_per_npu=4, config=synthesis_config,
-                    label="TACOS (4 chunks)",
-                ),
-                ideal_all_reduce_measurement(topology, size),
-            ]
-            per_size[size] = rows
-        results[label] = per_size
+        hierarchical = {"dims": list(dims)}
+        results[label] = {
+            size: measure(
+                [
+                    experiment_spec(
+                        "blueconnect", topology, size, chunks_per_npu=4,
+                        params=hierarchical, label="BlueConnect (4 chunks)",
+                    ),
+                    experiment_spec(
+                        "themis", topology, size, chunks_per_npu=4,
+                        params=hierarchical, label="Themis (4 chunks)",
+                    ),
+                    experiment_spec(
+                        "themis", topology, size, chunks_per_npu=themis_high_chunks,
+                        params=hierarchical, label=f"Themis ({themis_high_chunks} chunks)",
+                    ),
+                    experiment_spec(
+                        "tacos", topology, size, chunks_per_npu=4,
+                        config=synthesis_config, label="TACOS (4 chunks)",
+                    ),
+                    experiment_spec("ideal", topology, size, label="Ideal"),
+                ]
+            )
+            for size in collective_sizes
+        }
     return results
 
 
@@ -119,17 +104,18 @@ def run_utilization(
 ) -> List[UtilizationTrace]:
     """Fig. 16(b): link utilization over the collective duration (TACOS vs. Themis)."""
     traces: List[UtilizationTrace] = []
-    synthesizer = TacosSynthesizer(synthesis_config)
     for label, (topology, dims) in default_topologies(side).items():
-        tacos_algorithm = synthesizer.synthesize(
-            topology, AllReduce(topology.num_npus, 4), collective_size
-        )
-        tacos_result = simulate_algorithm(topology, tacos_algorithm)
+        tacos_result = resolve_spec(
+            experiment_spec(
+                "tacos", topology, collective_size, chunks_per_npu=4, config=synthesis_config
+            )
+        ).simulation
+        themis_result = resolve_spec(
+            experiment_spec(
+                "themis", topology, collective_size, chunks_per_npu=4, params={"dims": list(dims)}
+            )
+        ).simulation
         reference = tacos_result.completion_time
-
-        themis_result = simulate_schedule(
-            topology, themis_all_reduce(dims, collective_size, chunks_per_npu=4)
-        )
         for algorithm, result in (("TACOS", tacos_result), ("Themis", themis_result)):
             times, utilization = normalized_timeline(
                 result, reference, num_samples=num_samples

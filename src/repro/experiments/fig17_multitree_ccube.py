@@ -11,21 +11,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.ccube import ccube_all_reduce
-from repro.baselines.multitree import multitree_all_reduce
-from repro.baselines.themis import themis_all_reduce
 from repro.core.config import SynthesisConfig
-from repro.experiments.common import (
-    Measurement,
-    ideal_all_reduce_measurement,
-    measure_baseline_all_reduce,
-    measure_tacos_all_reduce,
-)
-from repro.simulator.adapters import simulate_schedule
+from repro.experiments.common import Measurement, measure, experiment_spec
 from repro.topology.builders.dgx1 import build_dgx1
 from repro.topology.builders.mesh import build_mesh_2d
 from repro.topology.builders.torus import build_torus_2d
-from repro.topology.topology import Topology
 
 __all__ = ["run_multitree_comparison", "run_ccube_comparison"]
 
@@ -38,18 +28,6 @@ FIG17B_ALPHA = 0.7e-6
 FIG17B_BANDWIDTH_GBPS = 25.0
 
 
-def _measure_schedule(label: str, topology: Topology, schedule, collective_size: float) -> Measurement:
-    result = simulate_schedule(topology, schedule)
-    return Measurement(
-        algorithm=label,
-        topology=topology.name,
-        collective_size=collective_size,
-        collective_time=result.completion_time,
-        bandwidth_gbps=result.collective_bandwidth() / 1e9,
-        extras={"avg_link_utilization": result.average_link_utilization()},
-    )
-
-
 def run_multitree_comparison(
     *,
     side: int = 4,
@@ -59,39 +37,35 @@ def run_multitree_comparison(
 ) -> Dict[str, Dict[float, List[Measurement]]]:
     """Fig. 17(a): MultiTree vs. Themis vs. TACOS on a 2D Torus and a 2D Mesh."""
     topologies = {
-        "2D Torus": (
-            build_torus_2d(side, side, alpha=FIG17A_ALPHA, bandwidth_gbps=FIG17A_BANDWIDTH_GBPS),
-            (side, side),
+        "2D Torus": build_torus_2d(
+            side, side, alpha=FIG17A_ALPHA, bandwidth_gbps=FIG17A_BANDWIDTH_GBPS
         ),
-        "2D Mesh": (
-            build_mesh_2d(side, side, alpha=FIG17A_ALPHA, bandwidth_gbps=FIG17A_BANDWIDTH_GBPS),
-            (side, side),
+        "2D Mesh": build_mesh_2d(
+            side, side, alpha=FIG17A_ALPHA, bandwidth_gbps=FIG17A_BANDWIDTH_GBPS
         ),
     }
     results: Dict[str, Dict[float, List[Measurement]]] = {}
-    for label, (topology, dims) in topologies.items():
-        per_size: Dict[float, List[Measurement]] = {}
-        for size in collective_sizes:
-            rows = [
-                _measure_schedule(
-                    "MultiTree",
-                    topology,
-                    multitree_all_reduce(topology, size, chunks_per_npu=chunks_per_npu),
-                    size,
-                ),
-                _measure_schedule(
-                    "Themis",
-                    topology,
-                    themis_all_reduce(dims, size, chunks_per_npu=chunks_per_npu),
-                    size,
-                ),
-                measure_tacos_all_reduce(
-                    topology, size, chunks_per_npu=chunks_per_npu, config=synthesis_config
-                ),
-                ideal_all_reduce_measurement(topology, size),
-            ]
-            per_size[size] = rows
-        results[label] = per_size
+    for label, topology in topologies.items():
+        results[label] = {
+            size: measure(
+                [
+                    experiment_spec(
+                        "multitree", topology, size, chunks_per_npu=chunks_per_npu,
+                        label="MultiTree",
+                    ),
+                    experiment_spec(
+                        "themis", topology, size, chunks_per_npu=chunks_per_npu,
+                        params={"dims": [side, side]}, label="Themis",
+                    ),
+                    experiment_spec(
+                        "tacos", topology, size, chunks_per_npu=chunks_per_npu,
+                        config=synthesis_config, label="TACOS",
+                    ),
+                    experiment_spec("ideal", topology, size, label="Ideal"),
+                ]
+            )
+            for size in collective_sizes
+        }
     return results
 
 
@@ -103,23 +77,24 @@ def run_ccube_comparison(
 ) -> Dict[float, List[Measurement]]:
     """Fig. 17(b): C-Cube vs. Ring vs. TACOS on the DGX-1 topology."""
     topology = build_dgx1(alpha=FIG17B_ALPHA, bandwidth_gbps=FIG17B_BANDWIDTH_GBPS)
-    results: Dict[float, List[Measurement]] = {}
-    for size in collective_sizes:
-        rows = [
-            _measure_schedule(
-                "C-Cube",
-                topology,
-                ccube_all_reduce(size, chunks_per_npu=chunks_per_npu, topology=topology),
-                size,
-            ),
-            measure_baseline_all_reduce("Ring", topology, size, chunks_per_npu=chunks_per_npu),
-            measure_tacos_all_reduce(
-                topology, size, chunks_per_npu=chunks_per_npu, config=synthesis_config
-            ),
-            ideal_all_reduce_measurement(topology, size),
-        ]
-        results[size] = rows
-    return results
+    return {
+        size: measure(
+            [
+                experiment_spec(
+                    "ccube", topology, size, chunks_per_npu=chunks_per_npu, label="C-Cube"
+                ),
+                experiment_spec(
+                    "Ring", topology, size, chunks_per_npu=chunks_per_npu, label="Ring"
+                ),
+                experiment_spec(
+                    "tacos", topology, size, chunks_per_npu=chunks_per_npu,
+                    config=synthesis_config, label="TACOS",
+                ),
+                experiment_spec("ideal", topology, size, label="Ideal"),
+            ]
+        )
+        for size in collective_sizes
+    }
 
 
 def main() -> None:  # pragma: no cover - convenience CLI

@@ -16,11 +16,8 @@ import numpy as np
 
 from repro.analysis.ideal import ideal_all_reduce_bandwidth
 from repro.analysis.utilization import normalized_timeline
-from repro.baselines.ring import ring_all_reduce
-from repro.collectives.all_reduce import AllReduce
 from repro.core.config import SynthesisConfig
-from repro.core.synthesizer import TacosSynthesizer
-from repro.simulator.adapters import simulate_algorithm, simulate_schedule
+from repro.experiments.common import experiment_spec, resolve_spec
 from repro.topology.builders.hypercube import build_hypercube_3d
 from repro.topology.builders.mesh import build_mesh_2d
 from repro.topology.builders.torus import build_torus
@@ -60,19 +57,19 @@ def run(
 ) -> List[Fig18Trace]:
     """Reproduce Fig. 18: utilization timelines of TACOS and Ring per topology."""
     topologies = topologies if topologies is not None else default_topologies()
-    synthesizer = TacosSynthesizer(synthesis_config)
     traces: List[Fig18Trace] = []
     for topology in topologies:
         ideal_bandwidth = ideal_all_reduce_bandwidth(topology, collective_size)
-        tacos_algorithm = synthesizer.synthesize(
-            topology, AllReduce(topology.num_npus, chunks_per_npu), collective_size
-        )
-        tacos_result = simulate_algorithm(topology, tacos_algorithm)
+        tacos_result = resolve_spec(
+            experiment_spec(
+                "tacos", topology, collective_size,
+                chunks_per_npu=chunks_per_npu, config=synthesis_config,
+            )
+        ).simulation
+        ring_result = resolve_spec(
+            experiment_spec("ring", topology, collective_size, chunks_per_npu=chunks_per_npu)
+        ).simulation
         reference = tacos_result.completion_time
-        ring_result = simulate_schedule(
-            topology,
-            ring_all_reduce(topology.num_npus, collective_size, chunks_per_npu=chunks_per_npu),
-        )
         for algorithm, result in (("TACOS", tacos_result), ("Ring", ring_result)):
             times, utilization = normalized_timeline(result, reference, num_samples=num_samples)
             traces.append(

@@ -17,10 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.taccl_like import TacclLikeSynthesizer
-from repro.collectives.all_reduce import AllReduce
+from repro.api.runner import run_batch
 from repro.core.config import SynthesisConfig
-from repro.core.synthesizer import TacosSynthesizer
+from repro.experiments.common import experiment_spec
 from repro.topology.builders.hypercube import build_hypercube_3d
 from repro.topology.builders.mesh import build_mesh_2d
 
@@ -66,55 +65,48 @@ def run(
     TACOS, and ``"2D Mesh (TACCL-like)"`` for the baseline synthesizer on
     small meshes (mirroring the paper's left-hand plot of Fig. 19).
     """
-    synthesizer = TacosSynthesizer(synthesis_config)
+    # (family, synthesizer, spec) per point.  TACOS points report the
+    # synthesized time without simulating; the TACCL-like schedules can only
+    # be timed by the simulator.
+    meshes = [build_mesh_2d(side, side) for side in mesh_sides]
+    tacos_targets = [("2D Mesh", topology) for topology in meshes] + [
+        ("3D Hypercube", build_hypercube_3d(side, side, side)) for side in hypercube_sides
+    ]
+    points = [
+        (
+            family,
+            "TACOS",
+            experiment_spec(
+                "tacos", topology, collective_size, config=synthesis_config, simulate=False
+            ),
+        )
+        for family, topology in tacos_targets
+    ]
     results: Dict[str, List[ScalabilityPoint]] = {"2D Mesh": [], "3D Hypercube": []}
-
-    for side in mesh_sides:
-        topology = build_mesh_2d(side, side)
-        stats = synthesizer.synthesize_with_stats(
-            topology, AllReduce(topology.num_npus), collective_size
-        )
-        results["2D Mesh"].append(
-            ScalabilityPoint(
-                family="2D Mesh",
-                num_npus=topology.num_npus,
-                synthesis_seconds=stats.wall_clock_seconds,
-                synthesizer="TACOS",
-            )
-        )
-
-    for side in hypercube_sides:
-        topology = build_hypercube_3d(side, side, side)
-        stats = synthesizer.synthesize_with_stats(
-            topology, AllReduce(topology.num_npus), collective_size
-        )
-        results["3D Hypercube"].append(
-            ScalabilityPoint(
-                family="3D Hypercube",
-                num_npus=topology.num_npus,
-                synthesis_seconds=stats.wall_clock_seconds,
-                synthesizer="TACOS",
-            )
-        )
-
     if include_taccl:
-        taccl_points: List[ScalabilityPoint] = []
-        taccl = TacclLikeSynthesizer(restarts=taccl_restarts)
-        for side in mesh_sides:
-            topology = build_mesh_2d(side, side)
-            if topology.num_npus > taccl_max_npus:
-                continue
-            result = taccl.synthesize_all_reduce(topology, collective_size)
-            taccl_points.append(
-                ScalabilityPoint(
-                    family="2D Mesh (TACCL-like)",
-                    num_npus=topology.num_npus,
-                    synthesis_seconds=result.wall_clock_seconds,
-                    synthesizer="TACCL-like",
-                )
+        results["2D Mesh (TACCL-like)"] = []
+        points.extend(
+            (
+                "2D Mesh (TACCL-like)",
+                "TACCL-like",
+                experiment_spec(
+                    "taccl_like", topology, collective_size, params={"restarts": taccl_restarts}
+                ),
             )
-        results["2D Mesh (TACCL-like)"] = taccl_points
-
+            for topology in meshes
+            if topology.num_npus <= taccl_max_npus
+        )
+    for (family, synthesizer, _), result in zip(
+        points, run_batch([spec for _, _, spec in points])
+    ):
+        results[family].append(
+            ScalabilityPoint(
+                family=family,
+                num_npus=result.num_npus,
+                synthesis_seconds=result.synthesis_seconds,
+                synthesizer=synthesizer,
+            )
+        )
     return results
 
 

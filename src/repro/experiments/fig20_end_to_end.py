@@ -12,13 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.ideal import ideal_all_reduce_time
-from repro.baselines.registry import build_baseline_all_reduce
-from repro.baselines.themis import themis_all_reduce
-from repro.collectives.all_reduce import AllReduce
 from repro.core.config import SynthesisConfig
-from repro.core.synthesizer import TacosSynthesizer
-from repro.simulator.adapters import simulate_algorithm, simulate_schedule
+from repro.experiments.common import experiment_spec, measure
 from repro.topology.builders.multidim import build_3d_rfs
 from repro.topology.topology import Topology
 from repro.workloads.models import get_model
@@ -57,19 +52,17 @@ def collective_time_provider(
     matching their traffic volume.
     """
 
+    name, chunks, params, config = algorithm, chunks_per_npu, None, None
+    if algorithm == "TACOS":
+        config = synthesis_config
+    elif algorithm == "Themis":
+        chunks, params = max(chunks_per_npu, 4), {"dims": list(dims)}
+
     def all_reduce_time(size: float) -> float:
-        if algorithm == "Ideal":
-            return ideal_all_reduce_time(topology, size)
-        if algorithm == "TACOS":
-            synthesized = TacosSynthesizer(synthesis_config).synthesize(
-                topology, AllReduce(topology.num_npus, chunks_per_npu), size
-            )
-            return simulate_algorithm(topology, synthesized).completion_time
-        if algorithm == "Themis":
-            schedule = themis_all_reduce(dims, size, chunks_per_npu=max(chunks_per_npu, 4))
-            return simulate_schedule(topology, schedule).completion_time
-        schedule = build_baseline_all_reduce(algorithm, topology, size, chunks_per_npu=chunks_per_npu)
-        return simulate_schedule(topology, schedule).completion_time
+        spec = experiment_spec(
+            name, topology, size, chunks_per_npu=chunks, params=params, config=config
+        )
+        return measure([spec])[0].collective_time
 
     def provider(pattern: str, size: float) -> float:
         if pattern == "AllReduce":

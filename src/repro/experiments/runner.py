@@ -1,20 +1,20 @@
-"""Run every paper-reproduction experiment and collect its headline numbers.
+"""Run the paper-reproduction experiments and print each one's wall time.
 
-This is the module behind the ``tacos-repro`` command line tool; it runs
-scaled-down versions of every experiment (suitable for a laptop) and prints a
-summary that mirrors the structure of EXPERIMENTS.md.
+This is the module behind ``tacos-repro experiments``: it runs scaled-down
+versions of every experiment (suitable for a laptop) and prints how long
+each took — not the experiments' numbers, which the ``run()`` functions of
+the figure modules return and ``benchmarks/test_bench_*.py`` check.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import sys
 import time as _time
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.api.parallel import BACKENDS, execution_scope
+from repro.api.parallel import BackendSpec, execution_scope
 from repro.experiments import (
     fig01_heatmap,
     fig02_motivation,
@@ -30,7 +30,7 @@ from repro.experiments import (
     table05_multinode,
 )
 
-__all__ = ["EXPERIMENTS", "run_experiment", "main"]
+__all__ = ["EXPERIMENTS", "run_experiment", "run_experiments"]
 
 #: Mapping from experiment id to a zero-argument callable producing its data.
 EXPERIMENTS: Dict[str, Callable[[], object]] = {
@@ -59,40 +59,21 @@ def run_experiment(name: str) -> object:
     return EXPERIMENTS[name]()
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Command-line entry point: run one or all experiments and print timings.
+def run_experiments(
+    names: Sequence[str] = (),
+    *,
+    workers: Optional[int] = None,
+    execution: BackendSpec = None,
+) -> int:
+    """Run the named experiments (all of them when ``names`` is empty).
 
-    Exit codes: 0 on success, 1 when any selected experiment raised, 2 when
-    an unknown experiment id was requested.
+    ``workers`` / ``execution`` become the ambient :func:`execution_scope`
+    while the experiments run, so only their internal trial fan-outs use
+    them.  Returns the exit code: 0 on success, 1 when any selected
+    experiment raised, 2 when an unknown experiment id was requested (the
+    available ids are listed on stderr).
     """
-    parser = argparse.ArgumentParser(description="TACOS reproduction experiment runner")
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        default=[],
-        help="experiment ids to run (default: all)",
-    )
-    parser.add_argument("--list", action="store_true", help="list available experiments")
-    parser.add_argument(
-        "--workers", "-w", type=int, default=None,
-        help="worker pool size for the experiments' internal fan-outs "
-        "(--workers alone implies the pool backend)",
-    )
-    parser.add_argument(
-        "--execution", choices=sorted(BACKENDS), default=None,
-        help="execution backend installed as the ambient policy while each "
-        "experiment runs; experiment data is byte-identical across backends",
-    )
-    arguments = parser.parse_args(argv if argv is None else list(argv))
-    if arguments.workers is not None and arguments.workers < 1:
-        parser.error(f"--workers must be >= 1, got {arguments.workers}")
-
-    if arguments.list:
-        for name in sorted(EXPERIMENTS):
-            print(name)
-        return 0
-
-    selected = list(arguments.experiments) or sorted(EXPERIMENTS)
+    selected = list(names) or sorted(EXPERIMENTS)
     unknown = [name for name in selected if name not in EXPERIMENTS]
     if unknown:
         print(
@@ -101,14 +82,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
-    if arguments.workers is not None or arguments.execution is not None:
-        # Install the ambient execution policy (same convention as the
-        # synthesize/sweep/bench subcommands): experiments take no explicit
-        # backend knobs, so their internal trial fan-outs resolve it through
-        # current_execution() inside this scope.
-        scope = execution_scope(
-            execution=arguments.execution, workers=arguments.workers
-        )
+    if workers is not None or execution is not None:
+        scope = execution_scope(execution=execution, workers=workers)
     else:
         scope = contextlib.nullcontext()
 
@@ -129,7 +104,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{len(failed)} experiment(s) failed: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

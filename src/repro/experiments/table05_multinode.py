@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import SynthesisConfig
-from repro.experiments.common import (
-    Measurement,
-    ideal_all_reduce_measurement,
-    measure_baseline_all_reduce,
-    measure_tacos_all_reduce,
-    measure_taccl_like_all_reduce,
-)
+from repro.experiments.common import Measurement, measure, experiment_spec
 from repro.topology.builders.multidim import build_3d_rfs
 
 __all__ = ["Table5Row", "run"]
@@ -67,26 +61,37 @@ def run(
     rows: List[Table5Row] = []
     for nodes in node_counts:
         topology = build_3d_rfs(2, 4, nodes, bandwidths_gbps=bandwidths_gbps)
-        measurements: List[Measurement] = [
-            measure_tacos_all_reduce(
+        specs = [
+            experiment_spec(
+                "tacos",
                 topology,
                 collective_size,
                 chunks_per_npu=tacos_chunks_per_npu,
                 config=synthesis_config,
+                label="TACOS",
             )
         ]
         if topology.num_npus <= taccl_max_npus:
-            measurements.append(
-                measure_taccl_like_all_reduce(
-                    topology, collective_size, restarts=taccl_restarts
+            specs.append(
+                experiment_spec(
+                    "taccl_like",
+                    topology,
+                    collective_size,
+                    params={"restarts": taccl_restarts},
+                    label="TACCL-like",
                 )
             )
-        measurements.append(measure_baseline_all_reduce("Ring", topology, collective_size))
-        if topology.num_npus & (topology.num_npus - 1) == 0:
-            measurements.append(measure_baseline_all_reduce("RHD", topology, collective_size))
-        measurements.append(measure_baseline_all_reduce("Direct", topology, collective_size))
-        measurements.append(ideal_all_reduce_measurement(topology, collective_size))
-        rows.append(Table5Row(num_nodes=nodes, num_npus=topology.num_npus, measurements=measurements))
+        baselines = ["Ring", "RHD", "Direct"]
+        if topology.num_npus & (topology.num_npus - 1) != 0:
+            baselines.remove("RHD")
+        specs.extend(
+            experiment_spec(name, topology, collective_size, label=name)
+            for name in baselines
+        )
+        specs.append(experiment_spec("ideal", topology, collective_size, label="Ideal"))
+        rows.append(
+            Table5Row(num_nodes=nodes, num_npus=topology.num_npus, measurements=measure(specs))
+        )
     return rows
 
 

@@ -1,6 +1,6 @@
 """Command-line front end: ``tacos-repro lint`` / ``python -m repro.lint``.
 
-Exit-code contract (matching ``experiments/runner.py`` since PR 1):
+Exit-code contract (the same as ``tacos-repro experiments``):
 
 * ``0`` — clean: no unsuppressed findings;
 * ``1`` — findings: the gate fails;

@@ -9,7 +9,7 @@ import pytest
 
 from repro.api.parallel import BACKENDS
 from repro.cli import build_parser as build_cli_parser
-from repro.experiments.runner import main as runner_main
+from repro.cli import main as cli_main
 
 
 def _cli(*prefix):
@@ -20,9 +20,10 @@ def _cli(*prefix):
     return parse
 
 
-def _runner(name):
-    # ``--list`` keeps an accepted flag from running any experiment.
-    assert runner_main(["--list", "--execution", name]) == 0
+def _experiments_command(name):
+    # The whole command through ``repro.cli.main``; ``--list`` keeps an
+    # accepted flag from running any experiment.
+    assert cli_main(["experiments", "--list", "--execution", name]) == 0
     return name
 
 
@@ -31,7 +32,7 @@ ENTRY_POINTS = {
     "sweep": _cli("sweep", "-t", "ring:4"),
     "bench": _cli("bench"),
     "experiments": _cli("experiments"),
-    "runner": _runner,
+    "runner": _experiments_command,
 }
 
 

@@ -21,12 +21,14 @@ from repro.experiments import (
     fig21_breakdown,
     table05_multinode,
 )
+from repro.api import run
+from repro.core import SynthesisConfig
 from repro.experiments.common import (
     Measurement,
+    experiment_spec,
     format_table,
-    ideal_all_reduce_measurement,
-    measure_baseline_all_reduce,
-    measure_tacos_all_reduce,
+    measure,
+    resolve_spec,
 )
 from repro.topology import build_ring
 
@@ -41,21 +43,45 @@ class TestCommonHelpers:
 
     def test_measure_baseline_and_ideal(self):
         topology = build_ring(8)
-        baseline = measure_baseline_all_reduce("Ring", topology, 64e6)
-        ideal = ideal_all_reduce_measurement(topology, 64e6)
+        baseline, ideal = measure(
+            [
+                experiment_spec("Ring", topology, 64e6, label="Ring"),
+                experiment_spec("ideal", topology, 64e6, label="Ideal"),
+            ]
+        )
+        assert (baseline.algorithm, ideal.algorithm) == ("Ring", "Ideal")
         assert baseline.bandwidth_gbps <= ideal.bandwidth_gbps * 1.01
         assert baseline.extras["avg_link_utilization"] > 0.5
 
     def test_measure_tacos_reports_synthesis_time(self):
-        topology = build_ring(4)
-        row = measure_tacos_all_reduce(topology, 4e6)
+        (row,) = measure([experiment_spec("tacos", build_ring(4), 4e6, label="TACOS")])
         assert row.synthesis_seconds is not None and row.synthesis_seconds > 0
 
     def test_format_table_contains_rows(self):
-        topology = build_ring(4)
-        rows = [measure_baseline_all_reduce("Ring", topology, 4e6)]
+        rows = measure([experiment_spec("Ring", build_ring(4), 4e6, label="Ring")])
         text = format_table(rows, title="demo")
         assert "demo" in text and "Ring" in text
+
+    def test_default_config_leaves_the_store_key_alone(self):
+        topology = build_ring(4)
+        implicit = experiment_spec("tacos", topology, 4e6, config=None)
+        explicit = experiment_spec("tacos", topology, 4e6, config=SynthesisConfig())
+        assert explicit.spec_hash() == implicit.spec_hash()
+        assert explicit.algorithm.params == {}
+
+    def test_config_sends_only_the_fields_that_differ(self):
+        spec = experiment_spec("tacos", build_ring(4), 4e6, config=SynthesisConfig(trials=8))
+        assert spec.algorithm.params == {"trials": 8}
+
+    @pytest.mark.parametrize("algorithm", ["Ring", "tacos", "ideal"])
+    def test_resolve_spec_times_like_run(self, algorithm):
+        spec = experiment_spec(algorithm, build_ring(4), 4e6, chunks_per_npu=2)
+        resolved = resolve_spec(spec)
+        assert resolved.topology.num_npus == resolved.pattern.num_npus == 4
+        if resolved.simulation is None:
+            assert resolved.artifact.collective_time == run(spec).collective_time
+        else:
+            assert resolved.simulation.completion_time == run(spec).collective_time
 
 
 class TestFig01:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.experiments import runner
 
 
@@ -24,14 +25,14 @@ class TestRunnerRegistry:
 
 class TestCommandLine:
     def test_list_option(self, capsys):
-        exit_code = runner.main(["--list"])
+        exit_code = cli.main(["experiments", "--list"])
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "fig15" in captured.out
         assert "table05" in captured.out
 
     def test_running_a_single_cheap_experiment(self, capsys):
-        exit_code = runner.main(["fig10"])
+        exit_code = cli.main(["experiments", "fig10"])
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "fig10" in captured.out
@@ -41,8 +42,6 @@ class TestCommandLine:
         # The rebuilt CLI keeps the historical invocation style working:
         # bare experiment ids (and --list) are forwarded to the experiments
         # subcommand.
-        from repro import cli
-
         exit_code = cli.main(["--list"])
         captured = capsys.readouterr()
         assert exit_code == 0
@@ -54,7 +53,7 @@ class TestCommandLine:
         assert "completed" in captured.out
 
     def test_unknown_experiment_id_exits_nonzero(self, capsys):
-        exit_code = runner.main(["fig99"])
+        exit_code = cli.main(["experiments", "fig99"])
         captured = capsys.readouterr()
         assert exit_code == 2
         assert "fig99" in captured.err
@@ -65,7 +64,7 @@ class TestCommandLine:
             raise RuntimeError("injected failure")
 
         monkeypatch.setitem(runner.EXPERIMENTS, "fig10", explode)
-        exit_code = runner.main(["fig10"])
+        exit_code = cli.main(["experiments", "fig10"])
         captured = capsys.readouterr()
         assert exit_code == 1
         assert "FAILED" in captured.err

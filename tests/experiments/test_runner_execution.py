@@ -1,6 +1,6 @@
-"""The experiment runner's --execution/--workers wiring.
+"""The ``tacos-repro experiments`` --execution/--workers wiring.
 
-The runner installs the flags as the ambient :func:`execution_scope` policy;
+The command installs the flags as the ambient :func:`execution_scope` policy;
 experiments themselves take no backend knobs, so their internal trial
 fan-outs must produce byte-identical measurements on every backend.
 """
@@ -10,9 +10,9 @@ import dataclasses
 import pytest
 
 from repro.api.parallel import execution_scope
+from repro.cli import main as cli_main
 from repro.core import SynthesisConfig
 from repro.experiments import fig10_topologies
-from repro.experiments.runner import main as runner_main
 
 
 def _rows(execution, workers):
@@ -36,19 +36,19 @@ class TestExperimentBackendEquivalence:
 
 class TestRunnerFlags:
     def test_execution_flags_accepted(self, capsys):
-        assert runner_main(["fig10", "--execution", "pool", "--workers", "2"]) == 0
+        assert cli_main(["experiments", "fig10", "--execution", "pool", "--workers", "2"]) == 0
         assert "completed" in capsys.readouterr().out
 
     def test_workers_alone_implies_pool(self, capsys):
-        assert runner_main(["fig10", "--workers", "2"]) == 0
+        assert cli_main(["experiments", "fig10", "--workers", "2"]) == 0
         capsys.readouterr()
 
     def test_invalid_workers_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            runner_main(["fig10", "--workers", "0"])
+            cli_main(["experiments", "fig10", "--workers", "0"])
         assert excinfo.value.code == 2
         capsys.readouterr()
 
     def test_unknown_experiment_still_exits_2(self, capsys):
-        assert runner_main(["nope", "--execution", "serial"]) == 2
+        assert cli_main(["experiments", "nope", "--execution", "serial"]) == 2
         capsys.readouterr()
