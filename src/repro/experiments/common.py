@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.api.registry import AlgorithmArtifact
 from repro.api.runner import (
-    RunResult,
     build_algorithm_artifact,
     build_collective,
     build_topology,
@@ -52,7 +51,6 @@ __all__ = [
     "experiment_spec",
     "format_table",
     "measure",
-    "measurement_from_run",
     "resolve_spec",
 ]
 
@@ -94,19 +92,6 @@ class Measurement:
         return self.bandwidth_gbps / ideal_bandwidth_gbps
 
 
-def measurement_from_run(result: RunResult, *, label: Optional[str] = None) -> Measurement:
-    """Convert a Run API result into an experiment measurement row."""
-    return Measurement(
-        algorithm=label or result.algorithm,
-        topology=result.topology,
-        collective_size=result.collective_size,
-        collective_time=result.collective_time,
-        bandwidth_gbps=result.bandwidth_gbps,
-        synthesis_seconds=result.synthesis_seconds,
-        extras=dict(result.extras),
-    )
-
-
 def experiment_spec(
     algorithm: str,
     topology: Topology,
@@ -146,9 +131,17 @@ def experiment_spec(
 
 
 def measure(specs: Sequence[RunSpec]) -> List[Measurement]:
-    """Run ``specs`` as one batch; each row is labelled with its spec's label."""
+    """Run ``specs`` as one batch: one row per spec, named by the spec's label."""
     return [
-        measurement_from_run(result, label=spec.label)
+        Measurement(
+            algorithm=spec.label or result.algorithm,
+            topology=result.topology,
+            collective_size=result.collective_size,
+            collective_time=result.collective_time,
+            bandwidth_gbps=result.bandwidth_gbps,
+            synthesis_seconds=result.synthesis_seconds,
+            extras=dict(result.extras),
+        )
         for spec, result in zip(specs, run_batch(specs))
     ]
 

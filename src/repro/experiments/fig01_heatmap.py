@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.analysis.heatmap import link_load_matrix, link_load_statistics
 from repro.core.config import SynthesisConfig
-from repro.experiments.common import resolve_spec, experiment_spec
+from repro.experiments.common import experiment_spec, resolve_spec
 from repro.topology.builders.fully_connected import build_fully_connected
 from repro.topology.builders.hypercube import build_hypercube_3d
 from repro.topology.builders.mesh import build_mesh_2d

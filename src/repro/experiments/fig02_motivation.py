@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.config import SynthesisConfig
-from repro.experiments.common import Measurement, measure, experiment_spec
+from repro.experiments.common import Measurement, experiment_spec, measure
 from repro.topology.builders.fully_connected import build_fully_connected
 from repro.topology.builders.hypercube import build_hypercube_3d
 from repro.topology.builders.mesh import build_mesh_2d

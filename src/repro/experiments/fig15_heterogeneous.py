@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.config import SynthesisConfig
-from repro.experiments.common import Measurement, measure, experiment_spec
+from repro.experiments.common import Measurement, experiment_spec, measure
 from repro.topology.builders.dragonfly import build_dragonfly
 from repro.topology.builders.multidim import build_2d_switch, build_3d_rfs
 from repro.topology.topology import Topology

@@ -17,12 +17,7 @@ import numpy as np
 
 from repro.analysis.utilization import normalized_timeline
 from repro.core.config import SynthesisConfig
-from repro.experiments.common import (
-    Measurement,
-    measure,
-    resolve_spec,
-    experiment_spec,
-)
+from repro.experiments.common import Measurement, experiment_spec, measure, resolve_spec
 from repro.topology.builders.hypercube import build_hypercube_3d
 from repro.topology.builders.torus import build_torus
 from repro.topology.topology import Topology

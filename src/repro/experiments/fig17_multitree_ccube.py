@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import SynthesisConfig
-from repro.experiments.common import Measurement, measure, experiment_spec
+from repro.experiments.common import Measurement, experiment_spec, measure
 from repro.topology.builders.dgx1 import build_dgx1
 from repro.topology.builders.mesh import build_mesh_2d
 from repro.topology.builders.torus import build_torus_2d

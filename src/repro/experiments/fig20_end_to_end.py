@@ -51,8 +51,7 @@ def collective_time_provider(
     All-Gather / Reduce-Scatter requests are served as half an All-Reduce,
     matching their traffic volume.
     """
-
-    name, chunks, params, config = algorithm, chunks_per_npu, None, None
+    chunks, params, config = chunks_per_npu, None, None
     if algorithm == "TACOS":
         config = synthesis_config
     elif algorithm == "Themis":
@@ -60,7 +59,7 @@ def collective_time_provider(
 
     def all_reduce_time(size: float) -> float:
         spec = experiment_spec(
-            name, topology, size, chunks_per_npu=chunks, params=params, config=config
+            algorithm, topology, size, chunks_per_npu=chunks, params=params, config=config
         )
         return measure([spec])[0].collective_time
 

@@ -8,7 +8,6 @@ the figure modules return and ``benchmarks/test_bench_*.py`` check.
 
 from __future__ import annotations
 
-import contextlib
 import sys
 import time as _time
 import traceback
@@ -82,13 +81,8 @@ def run_experiments(
         )
         return 2
 
-    if workers is not None or execution is not None:
-        scope = execution_scope(execution=execution, workers=workers)
-    else:
-        scope = contextlib.nullcontext()
-
     failed: List[str] = []
-    with scope:
+    with execution_scope(execution=execution, workers=workers):
         for name in selected:
             started = _time.perf_counter()
             print(f"== {name} ==")

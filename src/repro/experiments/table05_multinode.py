@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import SynthesisConfig
-from repro.experiments.common import Measurement, measure, experiment_spec
+from repro.experiments.common import Measurement, experiment_spec, measure
 from repro.topology.builders.multidim import build_3d_rfs
 
 __all__ = ["Table5Row", "run"]
