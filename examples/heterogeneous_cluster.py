@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro import AllReduce, TacosSynthesizer, build_3d_rfs
 from repro.analysis import collective_bandwidth_gbps, ideal_all_reduce_bandwidth
-from repro.baselines import build_baseline_all_reduce
+from repro.api import ALGORITHMS
 from repro.simulator import simulate_algorithm, simulate_schedule
 
 GB = 1e9
@@ -27,8 +27,9 @@ def main() -> None:
 
     rows = []
     for baseline in ("Ring", "Direct"):
-        schedule = build_baseline_all_reduce(baseline, topology, collective_size)
-        result = simulate_schedule(topology, schedule)
+        builder = ALGORITHMS.get(baseline)
+        artifact = builder(topology, AllReduce(topology.num_npus), collective_size)
+        result = simulate_schedule(topology, artifact.schedule)
         rows.append((baseline, collective_bandwidth_gbps(result), result.average_link_utilization()))
 
     synthesizer = TacosSynthesizer()

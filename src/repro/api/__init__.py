@@ -22,13 +22,7 @@ New topologies, collectives, and algorithms plug in through the registries'
 
 from repro.api.builtins import build_custom_topology, parse_token, parse_topology_spec
 from repro.api.cache import ArtifactStore, ResultCache
-from repro.api.parallel import (
-    BACKENDS,
-    ExecutionBackend,
-    execution_scope,
-    map_parallel,
-    resolve_backend,
-)
+from repro.api.parallel import execution_scope, map_parallel
 from repro.api.registry import (
     ALGORITHMS,
     COLLECTIVES,
@@ -59,14 +53,12 @@ from repro.api.specs import (
 
 __all__ = [
     "ALGORITHMS",
-    "BACKENDS",
     "COLLECTIVES",
     "TOPOLOGIES",
     "AlgorithmArtifact",
     "AlgorithmSpec",
     "ArtifactStore",
     "CollectiveSpec",
-    "ExecutionBackend",
     "Registry",
     "RegistryEntry",
     "ResultCache",
@@ -84,7 +76,6 @@ __all__ = [
     "parse_size",
     "parse_token",
     "parse_topology_spec",
-    "resolve_backend",
     "run",
     "run_batch",
     "simulate_artifact",

@@ -16,7 +16,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import repro.api.builtins  # noqa: F401  (populates the registries on import)
 from repro.api.cache import ResultCache
-from repro.api.parallel import BackendSpec, chunk_items, effective_backend
+from repro.api.parallel import chunk_items, map_parallel
 from repro.api.registry import ALGORITHMS, COLLECTIVES, TOPOLOGIES, AlgorithmArtifact
 from repro.api.specs import (
     AlgorithmSpec,
@@ -322,19 +322,18 @@ def _run_spec_chunk(
 def run_batch(
     specs: Iterable[RunSpec],
     *,
-    max_workers: Optional[int] = None,
+    workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     return_exceptions: bool = False,
-    execution: BackendSpec = None,
 ) -> List[RunResult]:
     """Execute many specs, preserving input order in the returned list.
 
     Duplicate specs (same content hash) are executed once and share a
-    result.  ``execution`` selects the backend for distinct specs —
-    ``"serial"`` or ``"pool"`` (a persistent process pool kept warm across
-    batches); without it, ``max_workers`` greater than 1 selects the pool.
-    Results are identical across backends: specs are deterministic and order
-    is restored from the input.
+    result.  ``workers`` greater than 1 runs the distinct specs on a
+    process pool of that width, kept warm across batches
+    (:func:`~repro.api.parallel.map_parallel`); otherwise they run in a
+    plain loop.  Results are identical either way: specs are deterministic
+    and order is restored from the input.
 
     With the pool, worker processes share the cache through
     its on-disk artifact store (the in-memory layer is per-process); specs
@@ -361,8 +360,7 @@ def run_batch(
             unique.append((key, spec))
         positions.append(index_of[key])
 
-    backend = effective_backend(execution, max_workers)
-    if backend is None or backend.name == "serial":
+    if workers is None or workers <= 1:
         results: List[Any] = [
             _run_one(spec, key, cache, return_exceptions) for key, spec in unique
         ]
@@ -387,12 +385,12 @@ def run_batch(
             )
             # Chunked submission (order-preserving, see chunk_items): the
             # per-task IPC overhead is amortized over each chunk, which is
-            # what makes the warm PoolBackend's dispatch cost thin.
-            chunks = chunk_items([unique[index] for index in pending], max_workers)
-            computed_chunks = backend.map(
+            # what makes the warm pool's dispatch cost thin.
+            chunks = chunk_items([unique[index] for index in pending], workers)
+            computed_chunks = map_parallel(
                 partial(_run_spec_chunk, directory, return_exceptions),
                 chunks,
-                max_workers=max_workers,
+                workers=workers,
             )
             computed = [result for chunk in computed_chunks for result in chunk]
             for index, result in zip(pending, computed):

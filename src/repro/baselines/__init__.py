@@ -5,12 +5,7 @@ from repro.baselines.ccube import CCUBE_TREE_ONE, CCUBE_TREE_TWO, ccube_all_redu
 from repro.baselines.dbt import build_complete_binary_tree, dbt_all_reduce
 from repro.baselines.direct import direct_all_gather, direct_all_reduce, direct_reduce_scatter
 from repro.baselines.multitree import build_bfs_tree, multitree_all_reduce
-from repro.baselines.registry import (
-    ALGORITHM_CAPABILITIES,
-    BASIC_ALL_REDUCE_BASELINES,
-    SYNTHESIZER_CAPABILITIES,
-    build_baseline_all_reduce,
-)
+from repro.baselines.registry import ALGORITHM_CAPABILITIES, SYNTHESIZER_CAPABILITIES
 from repro.baselines.rhd import rhd_all_gather, rhd_all_reduce
 from repro.baselines.ring import ring_all_gather, ring_all_reduce, ring_reduce_scatter
 from repro.baselines.taccl_like import TacclLikeResult, TacclLikeSynthesizer
@@ -23,7 +18,6 @@ from repro.baselines.trees import (
 
 __all__ = [
     "ALGORITHM_CAPABILITIES",
-    "BASIC_ALL_REDUCE_BASELINES",
     "CCUBE_TREE_ONE",
     "CCUBE_TREE_TWO",
     "SYNTHESIZER_CAPABILITIES",
@@ -31,7 +25,6 @@ __all__ = [
     "TacclLikeResult",
     "TacclLikeSynthesizer",
     "blueconnect_all_reduce",
-    "build_baseline_all_reduce",
     "build_bfs_tree",
     "build_complete_binary_tree",
     "ccube_all_reduce",

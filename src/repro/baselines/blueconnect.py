@@ -72,15 +72,17 @@ def hierarchical_all_reduce_sends(
 
     sends: List[LogicalSend] = []
     step = step_offset
+    # Every NPU's (and so every block's) coordinates, once per call.
+    coordinates = [grid_coordinates(npu, dims) for npu in range(num_npus)]
 
     def block_matches(block: int, npu_coords: Tuple[int, ...], axes: Sequence[int]) -> bool:
-        block_coords = grid_coordinates(block, dims)
+        block_coords = coordinates[block]
         return all(block_coords[axis] == npu_coords[axis] for axis in axes)
 
     def sweep(axis: int, completed_axes: Sequence[int], reduce_phase: bool, step_base: int) -> None:
         size = dims[axis]
         for npu in range(num_npus):
-            coords = grid_coordinates(npu, dims)
+            coords = coordinates[npu]
             members = _fiber_members(coords, axis, dims)
             position = coords[axis]
             for local_step in range(size - 1):
@@ -96,8 +98,7 @@ def hierarchical_all_reduce_sends(
                     group = (position - direction * local_step) % size
                 dest = members[(position + direction) % size]
                 for block in range(num_npus):
-                    block_coords = grid_coordinates(block, dims)
-                    if block_coords[axis] != group:
+                    if coordinates[block][axis] != group:
                         continue
                     if not block_matches(block, coords, completed_axes):
                         continue

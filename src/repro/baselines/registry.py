@@ -1,14 +1,10 @@
-"""Registry of baseline All-Reduce algorithms and their capability matrix.
+"""Capability matrices of collective algorithms and synthesizers.
 
-This module centralizes two things the paper presents as Tables I and II:
-
-* a uniform way to instantiate the basic All-Reduce baselines
-  (:func:`build_baseline_all_reduce`), used by the motivation and evaluation
-  experiments to sweep over algorithms; and
-* the qualitative capability matrices of collective algorithms
-  (:data:`ALGORITHM_CAPABILITIES`, Table I) and synthesizers
-  (:data:`SYNTHESIZER_CAPABILITIES`, Table II), with tests asserting the
-  claims the paper makes about TACOS.
+The paper's Tables I and II: the qualitative capability matrices of
+collective algorithms (:data:`ALGORITHM_CAPABILITIES`, Table I) and
+synthesizers (:data:`SYNTHESIZER_CAPABILITIES`, Table II), with tests
+asserting the claims the paper makes about TACOS.  Baselines are built by
+name through :data:`repro.api.registry.ALGORITHMS`.
 """
 
 from __future__ import annotations
@@ -16,63 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.errors import RegistryError, SimulationError
-from repro.simulator.schedule import LogicalSchedule
-from repro.topology.topology import Topology
-
-__all__ = [
-    "ALGORITHM_CAPABILITIES",
-    "SYNTHESIZER_CAPABILITIES",
-    "BASIC_ALL_REDUCE_BASELINES",
-    "build_baseline_all_reduce",
-]
-
-
-def build_baseline_all_reduce(
-    name: str,
-    topology: Topology,
-    collective_size: float,
-    *,
-    chunks_per_npu: int = 1,
-) -> LogicalSchedule:
-    """Instantiate a schedule-producing All-Reduce baseline by name.
-
-    This is a thin compatibility wrapper over the unified algorithm registry
-    (:data:`repro.api.registry.ALGORITHMS`); names are case-insensitive, so
-    the historical ``"Ring"``, ``"UniRing"``, ``"Direct"``, ``"RHD"``,
-    ``"DBT"``, and ``"MultiTree"`` spellings keep working.  ``RHD`` requires
-    a power-of-two NPU count.
-    """
-    # Imported lazily: repro.api.builtins registers the baselines defined in
-    # this package, so a module-level import would be circular.
-    from repro.api.registry import ALGORITHMS
-    from repro.collectives.all_reduce import AllReduce
-
-    try:
-        builder = ALGORITHMS.get(name)
-    except RegistryError as exc:
-        raise SimulationError(f"unknown baseline algorithm {name!r}: {exc}") from None
-    try:
-        artifact = builder(
-            topology, AllReduce(topology.num_npus, chunks_per_npu), collective_size
-        )
-    except TypeError as exc:
-        # e.g. BlueConnect/Themis require a `dims` parameter this simple
-        # entry point does not take; route those through repro.api.run.
-        raise SimulationError(
-            f"baseline {name!r} needs extra parameters not supported here "
-            f"(use repro.api.run): {exc}"
-        ) from None
-    if artifact.schedule is None:
-        raise SimulationError(
-            f"algorithm {name!r} does not produce a logical schedule; "
-            "use repro.api.run for synthesizer-style algorithms"
-        )
-    return artifact.schedule
-
-
-#: Names accepted by :func:`build_baseline_all_reduce` that need no extra inputs.
-BASIC_ALL_REDUCE_BASELINES = ("Ring", "UniRing", "Direct", "RHD", "DBT")
+__all__ = ["ALGORITHM_CAPABILITIES", "SYNTHESIZER_CAPABILITIES"]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Two pieces:
   object-path adapters/verifier, kept as the behavioural baselines;
 * :mod:`repro.bench.check` — named scenarios (``smoke``, ``search`` and
   ``full`` grids) that re-run the production paths against those baselines,
-  the serial against the pool backend and the guided against the uniform
+  one worker against a process pool and the guided against the uniform
   search, and report per check whether the outputs are byte-identical.
 
 Run it via ``tacos-repro bench`` (exit 0 when every check agrees, 1 when any

@@ -14,8 +14,8 @@ outputs with exact equality, never a tolerance.  Four kinds exist:
   through the frozen object-path adapter and
   :class:`~repro.bench.reference.ReferenceSimulator`; ``message_completion``
   and ``completion_time`` must agree;
-* ``backend`` — the same best-of-N synthesis on the serial and the pool
-  backend; the winners' :meth:`~repro.core.transfers.TransferTable.to_bytes`
+* ``backend`` — the same best-of-N synthesis in a plain loop (one worker)
+  and on a process pool; the winners' :meth:`~repro.core.transfers.TransferTable.to_bytes`
   must agree;
 * ``search`` — the same best-of-N synthesis as a uniform search and as a
   guided search (incumbent pruning and floor termination); the winners
@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.api.builtins import parse_topology_spec
-from repro.api.parallel import BackendSpec, effective_backend, execution_scope
+from repro.api.parallel import execution_scope, map_parallel
 from repro.api.registry import COLLECTIVES
 from repro.api.runner import build_topology
 from repro.baselines import direct_all_reduce, rhd_all_reduce, ring_all_reduce
@@ -171,14 +171,14 @@ def _check_simulation(scenario: Scenario, topology: Topology) -> Dict[str, bool]
 def _check_backend(scenario: Scenario, topology: Topology) -> Dict[str, bool]:
     pattern = _pattern(scenario, topology)
     config = SynthesisConfig(seed=scenario.seed, trials=scenario.trials)
-    winners = {}
-    for execution, workers in (("serial", None), ("pool", scenario.workers)):
-        with execution_scope(execution, workers):
+    winners = []
+    for workers in (1, scenario.workers):
+        with execution_scope(workers):
             algorithm = TacosSynthesizer(config, engine=FLAT_ENGINE).synthesize(
                 topology, pattern, scenario.collective_size
             )
-        winners[execution] = algorithm.table.to_bytes()
-    return {"winner_bytes": winners["serial"] == winners["pool"]}
+        winners.append(algorithm.table.to_bytes())
+    return {"winner_bytes": winners[0] == winners[1]}
 
 
 def _check_search(scenario: Scenario, topology: Topology) -> Dict[str, bool]:
@@ -385,16 +385,11 @@ def run_bench(
     *,
     scenarios: Optional[List[Scenario]] = None,
     workers: Optional[int] = None,
-    execution: BackendSpec = None,
 ) -> List[BenchRecord]:
     """Check a grid (or explicit ``scenarios``); one record per scenario, in order.
 
-    ``execution`` / ``workers`` fan the scenarios out across an execution
-    backend (``workers`` alone implies the pool); records are identical
-    either way.
+    ``workers`` greater than 1 fans the scenarios out across a process pool
+    of that width; records are identical either way.
     """
     selected = list(scenarios) if scenarios is not None else get_grid(grid)
-    backend = effective_backend(execution, workers)
-    if backend is None:
-        return [check_scenario(scenario) for scenario in selected]
-    return backend.map(check_scenario, selected, max_workers=workers)
+    return map_parallel(check_scenario, selected, workers=workers)

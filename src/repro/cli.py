@@ -9,8 +9,8 @@ Subcommands:
 * ``sweep`` — cross topologies x algorithms x sizes through
   :func:`repro.api.run_batch`, with optional parallelism and caching;
 * ``bench`` — check over a scenario grid that fixed-seed outputs are
-  byte-identical to the frozen reference engines, across the serial and
-  pool backends, and between guided and uniform search (exit 1 when any
+  byte-identical to the frozen reference engines, between one worker and a
+  process pool, and between guided and uniform search (exit 1 when any
   check disagrees);
 * ``experiments`` — run the paper-reproduction experiments.
 
@@ -38,7 +38,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.api import (
     ALGORITHMS,
-    BACKENDS,
     COLLECTIVES,
     TOPOLOGIES,
     AlgorithmSpec,
@@ -52,6 +51,7 @@ from repro.api import (
     run,
     run_batch,
 )
+from repro.api.parallel import execution_scope
 from repro.bench import GRIDS, run_bench
 from repro.errors import ReproError, SimulationError, SynthesisError, VerificationError
 
@@ -123,14 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_run_options(synthesize, default_algorithm="tacos")
     synthesize.add_argument(
-        "--workers", "-w", type=int, default=None,
-        help="pool size for the synthesizer's randomized-trial fan-out",
-    )
-    synthesize.add_argument(
-        "--execution", choices=sorted(BACKENDS), default=None,
-        help="execution backend for the trial fan-out "
-        "(pool = persistent multi-core process pool; default: serial, "
-        "or pool when --workers is above 1)",
+        "--workers", "-w", type=_worker_count, default=None,
+        help="processes for the synthesizer's randomized-trial fan-out "
+        "(default 1: a plain loop; above 1: a warm process pool)",
     )
 
     simulate = subparsers.add_parser(
@@ -152,11 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes", default="4MB", help="comma-separated per-NPU sizes, e.g. 1MB,16MB,256MB"
     )
     sweep.add_argument("--chunks-per-npu", type=int, default=1)
-    sweep.add_argument("--workers", "-w", type=int, default=None, help="worker pool size")
     sweep.add_argument(
-        "--execution", choices=sorted(BACKENDS), default=None,
-        help="execution backend for the batch (--workers alone implies pool; "
-        "pool workers share results through the --cache-dir artifact store)",
+        "--workers", "-w", type=_worker_count, default=None,
+        help="processes for the batch (above 1: a warm process pool whose workers "
+        "share results through the --cache-dir artifact store)",
     )
     sweep.add_argument("--cache-dir", help="cache results as JSON under this directory")
     sweep.add_argument("--json", action="store_true", help="print results as JSON")
@@ -173,13 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
         "guided-vs-uniform races; full: every scenario the references are affordable on)",
     )
     bench.add_argument(
-        "--workers", "-w", type=int, default=None,
-        help="fan scenarios out across a worker pool",
-    )
-    bench.add_argument(
-        "--execution", choices=sorted(BACKENDS), default=None,
-        help="execution backend for the scenario fan-out "
-        "(--workers alone implies pool)",
+        "--workers", "-w", type=_worker_count, default=None,
+        help="processes for the scenario fan-out (above 1: a warm process pool)",
     )
     bench.add_argument("--json", action="store_true", help="print the records as JSON")
 
@@ -190,12 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("--list", action="store_true", help="list available experiments")
     experiments.add_argument(
         "--workers", "-w", type=_worker_count, default=None,
-        help="worker pool size for the experiments' internal fan-outs "
-        "(--workers alone implies the pool backend)",
-    )
-    experiments.add_argument(
-        "--execution", choices=sorted(BACKENDS), default=None,
-        help="ambient execution backend while each experiment runs",
+        help="processes for the experiments' internal trial fan-outs "
+        "(above 1: a warm process pool)",
     )
 
     # Listed here only so `tacos-repro --help` shows it; `main` forwards the
@@ -302,18 +287,9 @@ def _cmd_run_one(arguments: argparse.Namespace, *, default_collective: str) -> i
     if arguments.save_spec:
         Path(arguments.save_spec).write_text(spec.to_json(indent=2) + "\n")
     cache = ResultCache(arguments.cache_dir) if arguments.cache_dir else None
-    workers = getattr(arguments, "workers", None)
-    execution = getattr(arguments, "execution", None)
-    if workers is not None or execution is not None:
-        # Install the ambient execution policy the synthesizer's trial
-        # fan-out resolves; the spec (and therefore the cache key) stays
-        # execution-agnostic.  --workers
-        # without --execution selects the pool (the scope's own convention).
-        from repro.api.parallel import execution_scope
-
-        with execution_scope(execution=execution, workers=workers):
-            result = run(spec, cache=cache)
-    else:
+    # The worker count is the ambient scope the synthesizer's trial fan-out
+    # reads, so the spec (and therefore the cache key) never carries it.
+    with execution_scope(getattr(arguments, "workers", None)):
         result = run(spec, cache=cache)
     if arguments.json:
         # allow_nan=True is deliberate: measurements taken under the
@@ -344,11 +320,7 @@ def _cmd_sweep(arguments: argparse.Namespace) -> int:
     # power-of-two NPU count, C-Cube wants DGX-1, ...); one incompatible
     # cell must not discard the rest of the cross product.
     results = run_batch(
-        specs,
-        max_workers=arguments.workers,
-        cache=cache,
-        return_exceptions=True,
-        execution=arguments.execution,
+        specs, workers=arguments.workers, cache=cache, return_exceptions=True
     )
     failed = sum(isinstance(result, Exception) for result in results)
     if arguments.json:
@@ -368,7 +340,7 @@ def _cmd_sweep(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_bench(arguments: argparse.Namespace) -> int:
-    records = run_bench(arguments.grid, workers=arguments.workers, execution=arguments.execution)
+    records = run_bench(arguments.grid, workers=arguments.workers)
     if arguments.json:
         print(json.dumps([record.to_dict() for record in records], indent=2, allow_nan=False))
     else:
@@ -395,9 +367,7 @@ def _cmd_experiments(arguments: argparse.Namespace) -> int:
         for name in sorted(EXPERIMENTS):
             print(name)
         return 0
-    return run_experiments(
-        arguments.ids, workers=arguments.workers, execution=arguments.execution
-    )
+    return run_experiments(arguments.ids, workers=arguments.workers)
 
 
 #: Errors of a run that was well specified but failed (exit 1); every other

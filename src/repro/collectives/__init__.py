@@ -3,7 +3,6 @@
 from repro.collectives.all_gather import AllGather
 from repro.collectives.all_reduce import AllReduce
 from repro.collectives.broadcast import Broadcast, Reduce
-from repro.collectives.chunking import ChunkPlan, plan_chunks
 from repro.collectives.gather_scatter import AllToAll, Gather, Scatter
 from repro.collectives.pattern import ChunkOwnership, CollectivePattern
 from repro.collectives.reduce_scatter import ReduceScatter
@@ -14,11 +13,9 @@ __all__ = [
     "AllToAll",
     "Broadcast",
     "ChunkOwnership",
-    "ChunkPlan",
     "CollectivePattern",
     "Gather",
     "Reduce",
     "ReduceScatter",
     "Scatter",
-    "plan_chunks",
 ]

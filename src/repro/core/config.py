@@ -13,9 +13,9 @@ __all__ = ["SynthesisConfig"]
 class SynthesisConfig:
     """Knobs controlling the randomized TACOS search.
 
-    How the trials execute (serial or on the process pool) is not a field:
-    it comes from the ambient :func:`~repro.api.parallel.execution_scope`,
-    and the selected algorithm is byte-identical either way.  Neither is the
+    How many processes run the trials is not a field: the worker count
+    comes from the ambient :func:`~repro.api.parallel.execution_scope`,
+    and the selected algorithm is byte-identical at any count.  Neither is the
     search tier: uniform best-of-N is
     :class:`~repro.core.synthesizer.TacosSynthesizer` (algorithm ``tacos``)
     and the pruned search is :class:`~repro.core.synthesizer.

@@ -468,7 +468,7 @@ def _execute_trial(
 
 
 # Worker-side decoded-payload cache, keyed by the blob's SHA-256.  A warm
-# PoolBackend worker decodes each distinct payload once and then serves every
+# pool worker decodes each distinct payload once and then serves every
 # later chunk of the same fan-out — and of *later* fan-outs over the same
 # inputs — from here.  Content addressing makes this safe: equal key implies
 # equal bytes implies an identical payload.  Bounded so long-lived workers do
@@ -565,19 +565,19 @@ def _search_floor(template: _TrialTemplate) -> Optional[float]:
 def _run_trials(
     payload: TrialPayload,
     seeds: List[int],
-    backend,
     workers: Optional[int],
     *,
     prune: bool,
 ) -> List[Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]]:
     """Seed-ordered trial fan-out with per-trial stats and incumbent sharing.
 
-    Serial execution threads the incumbent through every trial (maximal
-    pruning).  Parallel backends run the seeds in consecutive *waves* and
-    re-share the best completed time between waves of twice the worker
-    count — a wave only ever sees an incumbent at least as large as the
-    final one, so sharing it late prunes less but never differently (any
-    pruned trial is provably worse than some completed trial).  Without
+    Without ``workers`` greater than 1 the trials run in a plain loop that
+    threads the incumbent through every trial (maximal pruning).  With it,
+    the pool runs the seeds in consecutive *waves* and re-shares the best
+    completed time between waves of twice the worker count — a wave only
+    ever sees an incumbent at least as large as the final one, so sharing
+    it late prunes less but never differently (any pruned trial is
+    provably worse than some completed trial).  Without
     pruning there is no incumbent to share, so every seed runs in a single
     wave.  The pool tier serializes the payload once per fan-out
     (:meth:`TrialPayload.to_bytes`, so any engine but :data:`FLAT_ENGINE`
@@ -597,7 +597,7 @@ def _run_trials(
     """
     outcomes: List[Tuple[Optional[CollectiveAlgorithm], Dict[str, Any]]] = []
     incumbent: Optional[float] = None
-    serial = backend is None or len(seeds) <= 1
+    serial = workers is None or workers <= 1 or len(seeds) <= 1
     template = None
     floor = None
     if serial or prune:
@@ -629,20 +629,18 @@ def _run_trials(
                 break
         return outcomes
 
-    from repro.api.parallel import chunk_items, default_worker_count
+    from repro.api.parallel import chunk_items, map_parallel  # deferred: import cycle
 
-    width = len(seeds)
-    if prune:
-        width = 2 * (workers if workers else default_worker_count())
+    width = 2 * workers if prune else len(seeds)
 
     blob = payload.to_bytes()
     key = hashlib.sha256(blob).hexdigest()
     for start in range(0, len(seeds), width):
         wave = seeds[start : start + width]
-        packed_chunks = backend.map(
+        packed_chunks = map_parallel(
             partial(_run_trial_chunk, key, blob, incumbent if prune else None),
             chunk_items(wave, workers),
-            max_workers=workers,
+            workers=workers,
         )
         absorb([_decode_trial_outcome(payload, item) for chunk in packed_chunks for item in chunk])
         if at_floor() and start + width < len(seeds):
@@ -841,12 +839,12 @@ class TacosSynthesizer:
         Topology-level structures (adjacency, hop distances, cheaper-link
         reachability regions) are resolved once here — cached on the topology
         — and shared read-only by every trial.  Independent trials fan out
-        through the pluggable execution backends (:mod:`repro.api.parallel`):
-        serial or pool, per the ambient
-        :func:`~repro.api.parallel.execution_scope`.  Every trial is seeded
+        through :func:`~repro.api.parallel.map_parallel` at the worker count
+        of the ambient :func:`~repro.api.parallel.execution_scope` (a plain
+        loop without one).  Every trial is seeded
         deterministically (:meth:`SynthesisConfig.trial_seed`) and the
         best-of-trials selection below is order-independent, so the chosen
-        algorithm is byte-identical regardless of backend.
+        algorithm is byte-identical at any worker count.
         """
         chunk_size = pattern.chunk_size(collective_size)
 
@@ -875,8 +873,9 @@ class TacosSynthesizer:
             max_rounds=self.config.max_rounds,
         )
         seeds = [self.config.trial_seed(trial) for trial in range(self.config.trials)]
-        backend, workers = self._trial_execution()
-        outcomes = _run_trials(payload, seeds, backend, workers, prune=self.prune)
+        from repro.api.parallel import current_workers  # deferred: import cycle
+
+        outcomes = _run_trials(payload, seeds, current_workers(), prune=self.prune)
 
         # First-strictly-better selection over the seed-ordered outcomes: the
         # winner does not depend on scheduling, so parallel and serial runs
@@ -899,21 +898,6 @@ class TacosSynthesizer:
             rounds=best_rounds,
             trial_stats=[stats for _, stats in outcomes],
         )
-
-    @staticmethod
-    def _trial_execution():
-        """The ``(backend, workers)`` pair governing the trial fan-out.
-
-        Read from the ambient :func:`~repro.api.parallel.execution_scope`
-        policy; ``(None, None)`` (serial) when none is installed or the
-        scope selects the serial backend.
-        """
-        from repro.api.parallel import current_execution  # deferred: import cycle
-
-        backend, workers = current_execution()
-        if backend is None or backend.name == "serial":
-            return None, None
-        return backend, workers
 
     @staticmethod
     def _needs_forwarding(pattern: CollectivePattern) -> bool:
@@ -939,7 +923,7 @@ class GuidedSynthesizer(TacosSynthesizer):
       bound on its final collective time (:class:`~repro.core.matching.
       TrialBound`) strictly exceeds the best completed trial.  A pruned
       trial provably cannot win, and ties still resolve by seed index.
-      The pool backend shares the incumbent across seed waves of twice
+      The process pool shares the incumbent across seed waves of twice
       the worker count.
     * **Floor termination** — the whole search stops once a completed
       trial meets the round-0 bound, which bounds every trial from below.

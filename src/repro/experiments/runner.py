@@ -13,7 +13,7 @@ import time as _time
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.api.parallel import BackendSpec, execution_scope
+from repro.api.parallel import execution_scope
 from repro.experiments import (
     fig01_heatmap,
     fig02_motivation,
@@ -62,13 +62,11 @@ def run_experiments(
     names: Sequence[str] = (),
     *,
     workers: Optional[int] = None,
-    execution: BackendSpec = None,
 ) -> int:
     """Run the named experiments (all of them when ``names`` is empty).
 
-    ``workers`` / ``execution`` become the ambient :func:`execution_scope`
-    while the experiments run, so only their internal trial fan-outs use
-    them.  Returns the exit code: 0 on success, 1 when any selected
+    ``workers`` becomes the ambient :func:`execution_scope` while the
+    experiments run, so only their internal trial fan-outs use it.  Returns the exit code: 0 on success, 1 when any selected
     experiment raised, 2 when an unknown experiment id was requested (the
     available ids are listed on stderr).
     """
@@ -82,7 +80,7 @@ def run_experiments(
         return 2
 
     failed: List[str] = []
-    with execution_scope(execution=execution, workers=workers):
+    with execution_scope(workers):
         for name in selected:
             started = _time.perf_counter()
             print(f"== {name} ==")

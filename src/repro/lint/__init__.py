@@ -1,7 +1,7 @@
 """``repro.lint`` — AST-based invariant analyzer for the repro codebase.
 
 The platform's contract is *byte-identical determinism across engines and
-backends*, enforced dynamically by the frozen-reference bench chain and the
+worker counts*, enforced dynamically by the frozen-reference bench chain and the
 backend-equivalence suites.  This package adds the static half: a
 stdlib-``ast`` analyzer that machine-checks the invariants those dynamic
 gates have historically caught only after the fact (the PR 1 unordered-set
@@ -16,7 +16,7 @@ resolution, plus a project-wide symbol index for cross-module checks:
   :data:`~repro.lint.config.DETERMINISTIC_MODULES` — wall-clock reads and
   float-accumulation-order hazards;
 * **P — process-safety**: callables crossing the
-  :class:`~repro.api.parallel.ExecutionBackend` seam must be module-level
+  :func:`~repro.api.parallel.map_parallel` seam must be module-level
   (picklable) defs; worker payload classes must avoid unpicklable fields;
   no ad-hoc executors per call;
 * **J — artifact hygiene**: ``json.dump(s)`` without an explicit

@@ -1,7 +1,7 @@
 """D family — determinism invariants.
 
 The platform's contract is byte-identical outputs for identical specs, on
-any engine and any execution backend.  These rules catch the bug classes
+any engine and at any worker count.  These rules catch the bug classes
 that have already broken it once each:
 
 * unordered iteration feeding an order-sensitive sink (the PR 1 seed-test

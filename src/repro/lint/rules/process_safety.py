@@ -1,10 +1,11 @@
-"""P family — process-safety at the execution-backend seam.
+"""P family — process-safety at the fan-out seam.
 
-The :class:`~repro.api.parallel.PoolBackend` requires the mapped
-function and its items to be picklable: module-level defs (or
-``functools.partial`` over them) and plain-data payloads.  A lambda, a
-closure, or a bound method works fine on the serial backend and then
-explodes the moment someone flips ``--execution pool`` — exactly
+:func:`~repro.api.parallel.map_parallel` with ``workers`` greater than 1
+runs on the warm process pool, which requires the mapped function and its
+items to be picklable: module-level defs (or ``functools.partial`` over
+them) and plain-data payloads.  A lambda, a closure, or a bound method
+works fine in the one-worker plain loop and then explodes the moment
+someone passes ``--workers 2`` / ``workers=2`` — exactly
 the kind of latent seam bug CI should catch statically, because the
 dynamic suites only exercise the code paths they know about.
 
@@ -12,9 +13,9 @@ P201 classifies the callable argument at every fan-out call site; P202
 audits worker payload classes (``*Payload`` by naming convention) for
 fields that are structurally unpicklable (locks, open files, generators,
 lambda defaults); P203 flags ad-hoc pool/executor construction inside a
-loop or inside a ``map``-shaped function outside the backend modules —
+loop or inside a ``map``-shaped function outside the fan-out module —
 every such call pays full process spin-up that the persistent
-:class:`~repro.api.parallel.PoolBackend` amortizes across fan-outs.
+:class:`~repro.api.parallel.WarmPools` amortize across fan-outs.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from repro.lint.findings import Finding
 __all__ = ["RULES", "check"]
 
 RULES: Dict[str, str] = {
-    "P201": "callable at an ExecutionBackend fan-out seam is not a module-level def",
+    "P201": "callable at a map_parallel fan-out seam is not a module-level def",
     "P202": "worker payload class carries a field of a known-unpicklable type",
     "P203": "pool/executor constructed per call (in a loop or map-shaped function) "
-    "outside the execution-backend modules",
+    "outside the fan-out module",
 }
 
 #: Qualified names whose first positional argument is a mapped callable that
@@ -61,7 +62,7 @@ EXECUTOR_FACTORIES = frozenset(
     }
 )
 
-#: Modules exempt from P203: the execution-backend seam itself owns pool
+#: Modules exempt from P203: the fan-out seam itself owns pool
 #: construction and lifecycle.
 EXECUTOR_MODULES = ("repro.api.parallel",)
 
@@ -139,7 +140,7 @@ def _classify_callable(
     checked at their sites.
     """
     if isinstance(node, ast.Lambda):
-        return "a lambda cannot be pickled for the pool backend"
+        return "a lambda cannot be pickled for the process pool"
     if isinstance(node, ast.Call):
         qualified = context.qualified_name(node.func)
         if qualified in ("functools.partial", "partial"):
@@ -167,7 +168,7 @@ def _classify_callable(
         for scope in reversed(scopes):
             if name in scope.nested_defs:
                 return (
-                    f"{name!r} is a nested def (closure); the pool backend "
+                    f"{name!r} is a nested def (closure); the process pool "
                     "cannot pickle it — hoist it to module level"
                 )
             if name in scope.params:
@@ -283,10 +284,10 @@ def _is_map_shaped(name: str) -> bool:
 def _check_executor_construction(context: ModuleContext) -> Iterator[Finding]:
     """P203: an executor born inside a loop or a ``map``-shaped function.
 
-    The execution-backend modules (:data:`EXECUTOR_MODULES`) are exempt — owning pool construction and
-    lifecycle is exactly their job; everywhere else a per-call executor
-    silently pays worker spin-up on every fan-out that the persistent
-    pool backend amortizes.  Conservative by construction: only
+    The fan-out module (:data:`EXECUTOR_MODULES`) is exempt — owning pool
+    construction and lifecycle is exactly its job; everywhere else a
+    per-call executor silently pays worker spin-up on every fan-out that
+    the persistent warm pool amortizes.  Conservative by construction: only
     constructor calls that resolve to a known executor factory
     (:data:`EXECUTOR_FACTORIES`) are flagged, and only when they sit
     lexically inside a ``for``/``while`` body or a function whose name
@@ -320,8 +321,8 @@ def _check_executor_construction(context: ModuleContext) -> Iterator[Finding]:
                         child,
                         f"{qualified} constructed {where}: every fan-out pays "
                         "full worker spin-up; construct the pool once outside "
-                        "(or route the fan-out through the persistent pool "
-                        "backend in repro.api.parallel)",
+                        "(or route the fan-out through repro.api.parallel.map_parallel, "
+                        "whose warm pools persist)",
                     )
             yield from walk(child, child_loop, child_map)
 

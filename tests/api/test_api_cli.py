@@ -144,12 +144,12 @@ class TestBench:
 
     def test_serial_and_pool_print_identical_records(self, capsys):
         outputs = []
-        for extra in ([], ["-w", "2"], ["-w", "2", "--execution", "pool"]):
+        for extra in ([], ["-w", "1"], ["-w", "2"]):
             assert cli.main(["bench", "--json", *extra]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_options_are_grid_workers_execution_and_json(self):
+    def test_options_are_grid_workers_and_json(self):
         parser = cli.build_parser()
         (subparsers,) = [
             action for action in parser._actions if action.dest == "command"
@@ -159,7 +159,7 @@ class TestBench:
             for action in subparsers.choices["bench"]._actions
             for option in action.option_strings
         }
-        assert options == {"-h", "--help", "--grid", "--workers", "-w", "--execution", "--json"}
+        assert options == {"-h", "--help", "--grid", "--workers", "-w", "--json"}
 
     def test_unknown_grid_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

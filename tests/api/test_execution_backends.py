@@ -1,8 +1,9 @@
-"""Execution backends: unit behaviour plus serial == pool determinism for
+"""The worker count: unit behaviour plus one-worker == pool determinism for
 every fan-out site (the ``backend_equivalence`` marker is what CI's
-pool-backend smoke job selects)."""
+pool smoke job selects)."""
 
 import dataclasses
+import inspect
 import os
 import signal
 import subprocess
@@ -17,17 +18,15 @@ from repro.api import (
     ResultCache,
     RunSpec,
     TopologySpec,
+    parallel,
     run_batch,
 )
 from repro.api.parallel import (
-    BACKENDS,
-    PoolBackend,
-    SerialBackend,
-    current_execution,
-    effective_backend,
+    WarmPools,
+    chunk_items,
+    current_workers,
     execution_scope,
     map_parallel,
-    resolve_backend,
     shutdown_pools,
 )
 from repro.bench.reference import REFERENCE_ENGINE
@@ -44,90 +43,98 @@ def _square(value):
     return value * value
 
 
-def _ambient_policy(_):
-    backend, workers = current_execution()
-    return (backend.name if backend is not None else None, workers)
+def _ambient_workers(_):
+    return current_workers()
 
 
 def _boom(value):
     raise RuntimeError(f"boom {value}")
 
 
+def _subprocess_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
 # ----------------------------------------------------------------------
-# Backend units
+# The one setting
 # ----------------------------------------------------------------------
-class TestBackends:
-    @pytest.mark.parametrize("name", ["serial", "pool"])
-    def test_map_preserves_order(self, name):
-        backend = BACKENDS[name]
-        assert backend.map(_square, range(7), max_workers=3) == [
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_map_preserves_order(self, workers):
+        assert map_parallel(_square, range(7), workers=workers) == [
             0, 1, 4, 9, 16, 25, 36,
         ]
 
-    @pytest.mark.parametrize("name", ["serial", "pool"])
-    def test_exceptions_propagate(self, name):
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_exceptions_propagate(self, workers):
         with pytest.raises(RuntimeError, match="boom"):
-            BACKENDS[name].map(_boom, [1, 2], max_workers=2)
+            map_parallel(_boom, [1, 2], workers=workers)
 
-    def test_registry_instances(self):
-        assert sorted(BACKENDS) == ["pool", "serial"]
-        assert isinstance(BACKENDS["serial"], SerialBackend)
-        assert isinstance(BACKENDS["pool"], PoolBackend)
+    def test_one_worker_runs_the_plain_loop(self):
+        shutdown_pools()
+        assert map_parallel(_square, range(4)) == [0, 1, 4, 9]
+        assert map_parallel(_square, range(4), workers=1) == [0, 1, 4, 9]
+        assert parallel._POOLS.pool_widths() == []
+        # More than one worker is the warm pool at that width.
+        assert map_parallel(_square, range(4), workers=2) == [0, 1, 4, 9]
+        assert parallel._POOLS.pool_widths() == [2]
+        shutdown_pools()
 
-    def test_resolve_backend(self):
-        assert resolve_backend(None) is None
-        assert resolve_backend("pool") is BACKENDS["pool"]
-        assert resolve_backend(BACKENDS["serial"]) is BACKENDS["serial"]
-        for name in ("gpu", "thread", "process"):
-            with pytest.raises(ReproError):
-                resolve_backend(name)
+    def test_pool_width_is_capped_by_the_items(self):
+        pools = WarmPools()
+        try:
+            assert pools.map(_square, [3, 4], 4) == [9, 16]
+            assert pools.pool_widths() == [2]
+            # A single item runs in the calling process.
+            assert pools.map(_square, [5], 4) == [25]
+            assert pools.pool_widths() == [2]
+        finally:
+            pools.shutdown()
 
-    def test_workers_alone_imply_pool(self):
-        assert effective_backend(None, None) is None
-        assert effective_backend(None, 1) is None
-        assert effective_backend(None, 2) is BACKENDS["pool"]
-        assert effective_backend("serial", 4) is BACKENDS["serial"]
-
-    def test_map_parallel_policy(self):
-        # Without an explicit backend: serial unless max_workers > 1.
-        assert map_parallel(_square, [1, 2, 3]) == [1, 4, 9]
-        assert map_parallel(_square, [1, 2, 3], max_workers=2) == [1, 4, 9]
-        assert map_parallel(_square, [1, 2, 3], backend="pool", max_workers=2) == [1, 4, 9]
+    @pytest.mark.parametrize(
+        "num_items, workers, sizes",
+        [(0, 2, []), (3, 2, [1, 1, 1]), (10, 2, [2, 2, 1, 1, 1, 1, 1, 1]), (9, 1, [3, 2, 2, 2])],
+    )
+    def test_chunks_are_contiguous_balanced_and_in_order(self, num_items, workers, sizes):
+        # At most four chunks per worker, sizes differing by one at most, and
+        # concatenation restores the input order.
+        chunks = chunk_items(range(num_items), workers)
+        assert [len(chunk) for chunk in chunks] == sizes
+        assert [item for chunk in chunks for item in chunk] == list(range(num_items))
 
     def test_execution_scope_nests_and_restores(self):
-        assert current_execution() == (None, None)
-        with execution_scope(execution="pool", workers=3):
-            backend, workers = current_execution()
-            assert backend.name == "pool" and workers == 3
-            with execution_scope(workers=2):
-                backend, workers = current_execution()
-                assert backend.name == "pool" and workers == 2
-            with execution_scope(execution="serial"):
-                backend, workers = current_execution()
-                assert backend.name == "serial" and workers == 3
-            backend, workers = current_execution()
-            assert backend.name == "pool" and workers == 3
-        assert current_execution() == (None, None)
+        assert current_workers() is None
+        with execution_scope(3) as workers:
+            assert workers == current_workers() == 3
+            with execution_scope(2):
+                assert current_workers() == 2
+            with execution_scope():
+                assert current_workers() == 3  # None inherits the enclosing count
+            with execution_scope(1):
+                assert current_workers() == 1
+            assert current_workers() == 3
+        assert current_workers() is None
 
-    def test_scope_workers_alone_imply_pool(self):
-        # A requested pool width is never silently ignored: workers without
-        # a backend select the pool, matching every explicit fan-out site.
-        with execution_scope(workers=4):
-            backend, workers = current_execution()
-            assert backend.name == "pool" and workers == 4
-        with execution_scope(workers=1):
-            assert current_execution()[0] is None
-
-    @pytest.mark.parametrize("name", ["gpu", "thread", "process"])
-    def test_scope_rejects_unknown_execution(self, name):
-        with pytest.raises(ReproError, match="unknown execution backend"):
-            with execution_scope(execution=name):
-                pass  # pragma: no cover - the scope must not open
-        assert current_execution() == (None, None)
+    def test_the_worker_count_is_the_only_setting(self):
+        assert list(inspect.signature(map_parallel).parameters) == ["fn", "items", "workers"]
+        assert list(inspect.signature(execution_scope).parameters) == ["workers"]
+        batch = inspect.signature(run_batch).parameters
+        assert "workers" in batch and "max_workers" not in batch and "execution" not in batch
+        for name in (
+            "BACKENDS",
+            "BackendSpec",
+            "ExecutionBackend",
+            "SerialBackend",
+            "current_execution",
+            "default_worker_count",
+            "effective_backend",
+            "resolve_backend",
+        ):
+            assert not hasattr(parallel, name), name
 
 
 # ----------------------------------------------------------------------
-# Fan-out site equivalence (CI runs these in its pool-backend smoke job)
+# Fan-out site equivalence (CI runs these in its pool smoke job)
 # ----------------------------------------------------------------------
 def _specs():
     return [
@@ -164,15 +171,15 @@ def _strip_timing(results):
 class TestRunBatchEquivalence:
     def test_serial_pool_identical(self):
         specs = _specs()
-        serial = run_batch(specs, execution="serial")
-        pool = run_batch(specs, max_workers=2, execution="pool")
-        workers_alone = run_batch(specs, max_workers=2)  # workers alone = pool
-        assert _strip_timing(serial) == _strip_timing(pool) == _strip_timing(workers_alone)
+        serial = run_batch(specs)
+        one = run_batch(specs, workers=1)
+        pool = run_batch(specs, workers=2)
+        assert _strip_timing(serial) == _strip_timing(one) == _strip_timing(pool)
 
     def test_pool_workers_share_disk_cache(self, tmp_path):
         specs = _specs()
         cache = ResultCache(tmp_path)
-        first = run_batch(specs, max_workers=2, execution="pool", cache=cache)
+        first = run_batch(specs, workers=2, cache=cache)
         assert not any(result.cached for result in first)
         # Worker-computed results were folded back into the calling cache's
         # memory layer without rewriting the disk entries the workers
@@ -196,9 +203,9 @@ class TestRunBatchEquivalence:
         # must serve its hits itself instead of recomputing every spec.
         specs = _specs()
         cache = ResultCache()
-        first = run_batch(specs, max_workers=2, execution="pool", cache=cache)
+        first = run_batch(specs, workers=2, cache=cache)
         assert not any(result.cached for result in first)
-        again = run_batch(specs, max_workers=2, execution="pool", cache=cache)
+        again = run_batch(specs, workers=2, cache=cache)
         assert all(result.cached for result in again)
         assert _strip_timing(first) == _strip_timing(
             [dataclasses.replace(result, cached=False) for result in again]
@@ -212,9 +219,7 @@ class TestRunBatchEquivalence:
             algorithm=AlgorithmSpec(name="rhd"),
         )
         specs = _specs() + [bad]
-        results = run_batch(
-            specs, max_workers=2, execution="pool", return_exceptions=True
-        )
+        results = run_batch(specs, workers=2, return_exceptions=True)
         assert isinstance(results[-1], ReproError)
         assert all(not isinstance(result, Exception) for result in results[:-1])
 
@@ -226,14 +231,10 @@ class TestTrialFanOutEquivalence:
         pattern = AllGather(6)
         config = SynthesisConfig(seed=0, trials=4)
         outcomes = {}
-        for name, scope in {
-            "serial": {},
-            "workers-alone": {"workers": 2},
-            "pool": {"execution": "pool", "workers": 2},
-        }.items():
-            with execution_scope(**scope):
-                outcomes[name] = TacosSynthesizer(config).synthesize(topology, pattern, MB)
-        serial = outcomes["serial"]
+        for workers in (None, 1, 2):
+            with execution_scope(workers):
+                outcomes[workers] = TacosSynthesizer(config).synthesize(topology, pattern, MB)
+        serial = outcomes[None]
         for name, algorithm in outcomes.items():
             assert algorithm.transfers == serial.transfers, name
             assert algorithm.table.to_bytes() == serial.table.to_bytes(), name
@@ -244,7 +245,7 @@ class TestTrialFanOutEquivalence:
         pattern = AllGather(5)
         config = SynthesisConfig(seed=1, trials=3)
         baseline = TacosSynthesizer(config).synthesize(topology, pattern, MB)
-        with execution_scope(execution="pool", workers=2):
+        with execution_scope(2):
             scoped = TacosSynthesizer(config).synthesize(topology, pattern, MB)
         assert scoped.table.to_bytes() == baseline.table.to_bytes()
 
@@ -252,8 +253,8 @@ class TestTrialFanOutEquivalence:
         # Uniform search: every seed runs to completion on both tiers.  (A
         # pruned pool search shares its incumbent per wave, so it may prune
         # later than the serial scan; only its winner is pinned.)
-        def stats(execution):
-            with execution_scope(execution, 2):
+        def stats(workers):
+            with execution_scope(workers):
                 result = TacosSynthesizer(
                     SynthesisConfig(seed=0, trials=6)
                 ).synthesize_with_stats(build_mesh([3, 3]), Gather(9), MB)
@@ -262,9 +263,9 @@ class TestTrialFanOutEquivalence:
                 for entry in result.trial_stats
             ]
 
-        serial = stats("serial")
+        serial = stats(1)
         assert [entry[0] for entry in serial] == list(range(6))
-        assert stats("pool") == serial
+        assert stats(2) == serial
 
     @pytest.mark.parametrize(
         "topology_factory, pattern_cls",
@@ -280,13 +281,13 @@ class TestTrialFanOutEquivalence:
         topology = topology_factory()
         pattern = pattern_cls(topology.num_npus)
         results = {}
-        for execution in ("serial", "pool"):
-            with execution_scope(execution, 2):
-                results[execution] = TacosSynthesizer(
+        for workers in (1, 2):
+            with execution_scope(workers):
+                results[workers] = TacosSynthesizer(
                     SynthesisConfig(seed=0, trials=4)
                 ).synthesize(topology, pattern, 16 * MB)
-        assert results["pool"].table.to_bytes() == results["serial"].table.to_bytes()
-        assert results["pool"].metadata == results["serial"].metadata
+        assert results[2].table.to_bytes() == results[1].table.to_bytes()
+        assert results[2].metadata == results[1].metadata
 
     @pytest.mark.parametrize(
         "synthesizer_cls", [TacosSynthesizer, GuidedSynthesizer], ids=["uniform", "pruned"]
@@ -295,10 +296,10 @@ class TestTrialFanOutEquivalence:
         # Every trial overruns max_rounds inside a pool worker: the error
         # must reach the caller, and the pool must stay usable afterwards.
         config = SynthesisConfig(trials=4, max_rounds=1)
-        with execution_scope("pool", 2):
+        with execution_scope(2):
             with pytest.raises(SynthesisError, match="exceeded 1 time spans"):
                 synthesizer_cls(config).synthesize(build_mesh([3, 3]), Gather(9), MB)
-        assert BACKENDS["pool"].map(_square, range(4), max_workers=2) == [0, 1, 4, 9]
+        assert map_parallel(_square, range(4), workers=2) == [0, 1, 4, 9]
 
     @pytest.mark.parametrize(
         "engine",
@@ -316,7 +317,7 @@ class TestTrialFanOutEquivalence:
         )
         flat = TacosSynthesizer(SynthesisConfig(trials=2)).synthesize(topology, AllGather(4), MB)
         assert serial.table.to_bytes() == flat.table.to_bytes()
-        with execution_scope("pool", 2):
+        with execution_scope(2):
             with pytest.raises(SynthesisError, match="flat engine only"):
                 TacosSynthesizer(SynthesisConfig(trials=2), engine=engine).synthesize(
                     topology, AllGather(4), MB
@@ -331,42 +332,36 @@ class TestPoolLifecycle:
         # The pool forks on first use; a worker must not inherit the ambient
         # policy of the thread that forked it, or every later task on the
         # warm pool (e.g. a reference-engine synthesis) would fan out again.
-        backend = PoolBackend()
+        pools = WarmPools()
         try:
-            with execution_scope("pool", 2):
-                inside = backend.map(_ambient_policy, range(4), max_workers=2)
-            outside = backend.map(_ambient_policy, range(4), max_workers=2)
+            with execution_scope(2):
+                inside = pools.map(_ambient_workers, range(4), 2)
+            outside = pools.map(_ambient_workers, range(4), 2)
         finally:
-            backend.shutdown()
-        assert inside == outside == [(None, None)] * 4
+            pools.shutdown()
+        assert inside == outside == [None] * 4
 
     def test_pool_reused_across_consecutive_fan_outs(self):
-        backend = PoolBackend()
+        pools = WarmPools()
         try:
-            assert backend.map(_square, range(6), max_workers=2) == [
-                0, 1, 4, 9, 16, 25,
-            ]
-            first_pool = backend._pools[2]
-            assert backend.map(_square, range(8), max_workers=2) == [
-                0, 1, 4, 9, 16, 25, 36, 49,
-            ]
+            assert pools.map(_square, range(6), 2) == [0, 1, 4, 9, 16, 25]
+            first_pool = pools._pools[2]
+            assert pools.map(_square, range(8), 2) == [0, 1, 4, 9, 16, 25, 36, 49]
             # Same executor object: the second fan-out paid no spin-up.
-            assert backend._pools[2] is first_pool
-            assert backend.pool_widths() == [2]
+            assert pools._pools[2] is first_pool
+            assert pools.pool_widths() == [2]
         finally:
-            backend.shutdown()
-        assert backend.pool_widths() == []
+            pools.shutdown()
+        assert pools.pool_widths() == []
 
     def test_two_calling_threads_share_one_pool(self):
-        backend = PoolBackend()
+        pools = WarmPools()
         results = {}
         errors = []
 
         def fan_out(tag, offset):
             try:
-                results[tag] = backend.map(
-                    _square, range(offset, offset + 6), max_workers=2
-                )
+                results[tag] = pools.map(_square, range(offset, offset + 6), 2)
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
 
@@ -383,34 +378,32 @@ class TestPoolLifecycle:
             assert results["a"] == [value * value for value in range(6)]
             assert results["b"] == [value * value for value in range(10, 16)]
             # Both threads went through one lazily created pool.
-            assert backend.pool_widths() == [2]
+            assert pools.pool_widths() == [2]
         finally:
-            backend.shutdown()
+            pools.shutdown()
 
     def test_worker_death_recovers_with_correct_results(self):
-        backend = PoolBackend()
+        pools = WarmPools()
         try:
-            assert backend.map(_square, range(2), max_workers=2) == [0, 1]
-            # Kill the warm workers out from under the backend: the next map
+            assert pools.map(_square, range(2), 2) == [0, 1]
+            # Kill the warm workers out from under the pools: the next map
             # hits BrokenProcessPool, re-forks once, and still returns the
             # right answers.
-            for process in backend._pools[2]._processes.values():
+            for process in pools._pools[2]._processes.values():
                 process.terminate()
-            assert backend.map(_square, range(6), max_workers=2) == [
-                0, 1, 4, 9, 16, 25,
-            ]
-            assert backend.pool_widths() == [2]
+            assert pools.map(_square, range(6), 2) == [0, 1, 4, 9, 16, 25]
+            assert pools.pool_widths() == [2]
         finally:
-            backend.shutdown()
+            pools.shutdown()
 
     def test_shared_instance_shutdown_allows_reuse(self):
-        backend = BACKENDS["pool"]
-        assert backend.map(_square, range(4), max_workers=2) == [0, 1, 4, 9]
-        assert 2 in backend.pool_widths()
+        assert map_parallel(_square, range(4), workers=2) == [0, 1, 4, 9]
+        assert 2 in parallel._POOLS.pool_widths()
         shutdown_pools()
-        assert backend.pool_widths() == []
+        assert parallel._POOLS.pool_widths() == []
         # The next fan-out lazily re-creates the pool.
-        assert backend.map(_square, range(4), max_workers=2) == [0, 1, 4, 9]
+        assert map_parallel(_square, range(4), workers=2) == [0, 1, 4, 9]
+        assert parallel._POOLS.pool_widths() == [2]
         shutdown_pools()
 
     def test_process_exits_after_a_nested_fan_out(self):
@@ -419,15 +412,15 @@ class TestPoolLifecycle:
         # shut down by a multiprocessing finalizer the worker joins its idle
         # children forever and the outer process never exits.
         script = (
-            "from repro.api.parallel import BACKENDS\n"
+            "from repro.api.parallel import map_parallel\n"
             "def inner(x):\n"
             "    return x * x\n"
             "def outer(x):\n"
-            "    return sum(BACKENDS['pool'].map(inner, range(x, x + 4), max_workers=2))\n"
+            "    return sum(map_parallel(inner, range(x, x + 4), workers=2))\n"
             "if __name__ == '__main__':\n"
-            "    print(BACKENDS['pool'].map(outer, range(2), max_workers=2))\n"
+            "    print(map_parallel(outer, range(2), workers=2))\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env = _subprocess_env()
         process = subprocess.Popen(
             [sys.executable, "-c", script],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
@@ -442,6 +435,44 @@ class TestPoolLifecycle:
         assert process.returncode == 0, stderr
         assert stdout.strip() == "[14, 30]"
 
+    def test_a_cli_synthesis_leaves_no_worker_behind(self):
+        # A 2-worker CLI synthesis starts the warm pool; the command records
+        # its workers' PIDs before it returns.  Once the process has exited,
+        # none of them may still be running.
+        script = (
+            "import sys\n"
+            "from repro.api import parallel\n"
+            "from repro.cli import main\n"
+            "code = main(['synthesize', '-t', 'mesh:3x3', '-c', 'all_gather',\n"
+            "             '-p', 'trials=4', '-w', '2'])\n"
+            "pids = [pid for pool in parallel._POOLS._pools.values() for pid in pool._processes]\n"
+            "print('PIDS', *pids)\n"
+            "sys.exit(code)\n"
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=_subprocess_env(), start_new_session=True,
+        )
+        try:
+            stdout, stderr = process.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("the synthesis did not exit")
+        assert process.returncode == 0, stderr
+        (line,) = [line for line in stdout.splitlines() if line.startswith("PIDS")]
+        pids = [int(token) for token in line.split()[1:]]
+        assert len(pids) == 2
+        alive = []
+        for pid in pids:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                continue
+            alive.append(pid)
+        assert alive == [], f"pool workers still running after exit: {alive}"
+
 
 @pytest.mark.backend_equivalence
 class TestBenchFanOutEquivalence:
@@ -451,7 +482,6 @@ class TestBenchFanOutEquivalence:
         # The smoke grid's backend scenario fans out on a pool of its own,
         # so under the pool this also nests one fan-out inside another.
         serial = run_bench("smoke")
-        workers_alone = run_bench("smoke", workers=2)  # workers alone = pool
-        pool = run_bench("smoke", workers=2, execution="pool")
-        assert serial == workers_alone == pool
+        pool = run_bench("smoke", workers=2)
+        assert serial == pool
         assert all(record.equivalent for record in pool)

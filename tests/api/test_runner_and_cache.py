@@ -161,13 +161,13 @@ class TestRunBatch:
             for num_npus in (4, 5)
         ]
         sequential = run_batch(specs)
-        parallel = run_batch(specs, max_workers=4)
+        parallel = run_batch(specs, workers=4)
         assert parallel == sequential
 
     def test_order_is_preserved(self):
         specs = [ring_spec(algorithm="ideal", collective="all_reduce", num_npus=n)
                  for n in (4, 6, 8)]
-        results = run_batch(specs, max_workers=2)
+        results = run_batch(specs, workers=2)
         assert [result.num_npus for result in results] == [4, 6, 8]
 
     def test_rejects_non_spec_items(self):
@@ -182,6 +182,6 @@ class TestRunBatch:
         ]
         with pytest.raises(Exception):
             run_batch(specs)  # default: first failure propagates
-        results = run_batch(specs, return_exceptions=True, max_workers=2)
+        results = run_batch(specs, return_exceptions=True, workers=2)
         assert isinstance(results[0], Exception)
         assert results[1].collective_time > 0

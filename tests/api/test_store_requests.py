@@ -58,15 +58,15 @@ def hashed(monkeypatch):
 # One hash per request
 # ----------------------------------------------------------------------
 class TestOneHashPerRequest:
-    @pytest.mark.parametrize("execution", ["serial", "pool"])
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
     def test_run_batch_on_a_warm_store_hashes_each_spec_once(
-        self, tmp_path, hashed, execution
+        self, tmp_path, hashed, workers
     ):
         specs = _sweep()
         cold = run_batch(specs, cache=ResultCache(tmp_path))
         hashed.clear()
         cache = ResultCache(tmp_path)
-        warm = run_batch(specs, cache=cache, execution=execution, max_workers=2)
+        warm = run_batch(specs, cache=cache, workers=workers)
         assert hashed == specs
         assert warm == cold and all(result.cached for result in warm)
         assert (cache.hits, cache.misses) == (len(specs), 0)

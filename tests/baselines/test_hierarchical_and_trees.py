@@ -15,9 +15,11 @@ from repro.baselines import (
     trees_to_all_gather_schedule,
     trees_to_all_reduce_schedule,
 )
+from repro.baselines.blueconnect import hierarchical_all_reduce_sends
 from repro.errors import SimulationError
-from repro.simulator import simulate_schedule
+from repro.simulator import LogicalSend, simulate_schedule
 from repro.topology import build_dgx1, build_mesh_2d, build_ring, build_torus
+from repro.topology.builders.mesh import grid_coordinates, grid_index
 from tests.baselines.schedule_semantics import (
     check_all_gather_schedule,
     check_all_reduce_schedule,
@@ -84,7 +86,74 @@ class TestTreeSchedules:
         assert check_all_reduce_schedule(serialized)
 
 
+def _reference_sends(dims, order, *, chunks_per_npu, sub_chunk, direction):
+    """The hierarchical pass recomputing every coordinate at each use.
+
+    The plain form of :func:`hierarchical_all_reduce_sends`, which computes
+    each NPU's coordinates once per call; both must emit the same sends in
+    the same order.
+    """
+    num_npus = 1
+    for dim in dims:
+        num_npus *= dim
+    sends, step = [], 0
+
+    def sweep(axis, completed, reduce_phase, base):
+        size = dims[axis]
+        for npu in range(num_npus):
+            coords = grid_coordinates(npu, dims)
+            members = []
+            for position in range(size):
+                member = list(coords)
+                member[axis] = position
+                members.append(grid_index(member, dims))
+            for local in range(size - 1):
+                shift = local + 1 if reduce_phase else local
+                group = (coords[axis] - direction * shift) % size
+                dest = members[(coords[axis] + direction) % size]
+                for block in range(num_npus):
+                    block_coords = grid_coordinates(block, dims)
+                    if block_coords[axis] != group:
+                        continue
+                    if any(block_coords[a] != coords[a] for a in completed):
+                        continue
+                    chunk = block * chunks_per_npu + sub_chunk
+                    sends.append(LogicalSend(step=base + local, chunk=chunk, source=npu, dest=dest))
+
+    completed = []
+    for axis in order:
+        if dims[axis] > 1:
+            sweep(axis, completed, True, step)
+            step += dims[axis] - 1
+        completed.append(axis)
+    for axis in reversed(order):
+        completed.remove(axis)
+        if dims[axis] > 1:
+            sweep(axis, completed, False, step)
+            step += dims[axis] - 1
+    return sends, step
+
+
 class TestBlueConnectAndThemis:
+    @pytest.mark.parametrize(
+        "dims, order, chunks_per_npu, sub_chunk, direction",
+        [
+            ((4,), (0,), 1, 0, 1),
+            ((2, 3), (0, 1), 1, 0, 1),
+            ((3, 2), (1, 0), 2, 1, -1),
+            ((2, 1, 3), (2, 0, 1), 3, 2, 1),
+            ((3, 3, 2), (1, 2, 0), 2, 0, -1),
+            ((4, 4, 4), (0, 1, 2), 2, 1, 1),
+        ],
+    )
+    def test_sends_equal_the_per_use_coordinate_reference(
+        self, dims, order, chunks_per_npu, sub_chunk, direction
+    ):
+        options = dict(chunks_per_npu=chunks_per_npu, sub_chunk=sub_chunk, direction=direction)
+        assert hierarchical_all_reduce_sends(dims, order, **options) == _reference_sends(
+            dims, list(order), **options
+        )
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (2, 2, 2), (2, 4, 2), (3, 3)])
     def test_blueconnect_is_semantically_correct(self, dims):
         num_npus = 1

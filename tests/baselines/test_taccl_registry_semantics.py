@@ -2,15 +2,15 @@
 
 import pytest
 
+from repro.api import ALGORITHMS
 from repro.baselines import (
     ALGORITHM_CAPABILITIES,
-    BASIC_ALL_REDUCE_BASELINES,
     SYNTHESIZER_CAPABILITIES,
     TacclLikeSynthesizer,
-    build_baseline_all_reduce,
     ring_all_reduce,
 )
-from repro.errors import SimulationError, SynthesisError, VerificationError
+from repro.collectives import AllReduce
+from repro.errors import RegistryError, SynthesisError, VerificationError
 from repro.simulator import LogicalSchedule, LogicalSend
 from repro.topology import build_fully_connected, build_mesh_2d, build_ring
 from tests.baselines.schedule_semantics import (
@@ -69,21 +69,26 @@ class TestTacclLikeSynthesizer:
             TacclLikeSynthesizer(restarts=1).synthesize_all_gather(topology, 4 * MB)
 
 
+def _baseline_schedule(name, topology, collective_size):
+    artifact = ALGORITHMS.get(name)(topology, AllReduce(topology.num_npus), collective_size)
+    return artifact.schedule
+
+
 class TestRegistry:
-    @pytest.mark.parametrize("name", BASIC_ALL_REDUCE_BASELINES)
+    @pytest.mark.parametrize("name", ["Ring", "UniRing", "Direct", "RHD", "DBT"])
     def test_registered_baselines_are_correct(self, name):
         topology = build_ring(8)
-        schedule = build_baseline_all_reduce(name, topology, 8 * MB)
+        schedule = _baseline_schedule(name, topology, 8 * MB)
         assert check_all_reduce_schedule(schedule)
 
     def test_multitree_needs_a_topology_and_is_correct(self):
         topology = build_mesh_2d(2, 3)
-        schedule = build_baseline_all_reduce("MultiTree", topology, 6 * MB)
+        schedule = _baseline_schedule("MultiTree", topology, 6 * MB)
         assert check_all_reduce_schedule(schedule)
 
     def test_unknown_baseline_rejected(self):
-        with pytest.raises(SimulationError):
-            build_baseline_all_reduce("Nonsense", build_ring(4), MB)
+        with pytest.raises(RegistryError):
+            ALGORITHMS.get("Nonsense")
 
     def test_table1_claims_tacos_supports_everything(self):
         tacos = ALGORITHM_CAPABILITIES["TACOS"]

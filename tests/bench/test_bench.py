@@ -9,7 +9,7 @@ import pytest
 
 from repro import cli
 from repro.api.builtins import parse_topology_spec
-from repro.api.parallel import current_execution
+from repro.api.parallel import current_workers
 from repro.api.registry import COLLECTIVES
 from repro.api.runner import build_topology
 from repro.bench import (
@@ -320,12 +320,12 @@ class _ShiftedFlatSynthesizer(TacosSynthesizer):
 
 
 class _ShiftedPoolSynthesizer(TacosSynthesizer):
-    """The pool backend's winner, every transfer 1e-12 s later."""
+    """The process pool's winner, every transfer 1e-12 s later."""
 
     def synthesize(self, topology, pattern, collective_size):
         algorithm = super().synthesize(topology, pattern, collective_size)
-        backend, _ = current_execution()
-        pooled = backend is not None and backend.name == "pool"
+        workers = current_workers()
+        pooled = workers is not None and workers > 1
         return algorithm.shifted(1e-12) if pooled else algorithm
 
 

@@ -11,7 +11,6 @@ from repro.collectives import (
     Reduce,
     ReduceScatter,
     Scatter,
-    plan_chunks,
 )
 from repro.errors import CollectiveError
 
@@ -156,17 +155,7 @@ class TestGatherScatterAllToAll:
         assert AllToAll(4, chunks_per_npu=2).num_chunks == 32
 
 
-class TestChunkPlanning:
-    def test_plan_chunks(self):
-        plan = plan_chunks(AllGather(4, chunks_per_npu=2), 8e6)
-        assert plan.chunk_size == pytest.approx(1e6)
-        assert plan.num_chunks == 8
-        assert plan.total_bytes_moved_lower_bound == pytest.approx(4 * 6 * 1e6)
-
-    def test_plan_rejects_non_positive_size(self):
-        with pytest.raises(CollectiveError):
-            plan_chunks(AllGather(4), 0.0)
-
+class TestPatternIdentity:
     def test_pattern_equality_and_hash(self):
         assert AllGather(4, 2) == AllGather(4, 2)
         assert AllGather(4, 2) != AllGather(4, 1)

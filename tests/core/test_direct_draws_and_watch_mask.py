@@ -201,7 +201,7 @@ def test_watch_mask_hides_no_promotion(monkeypatch, topology_factory, pattern_cl
     monkeypatch.setattr(MatchingState, "activate_until", checked)
     engine = SynthesisEngine(name="watch-replay", matching_round=replaying_round)
     payload = dataclasses.replace(payload, engine=engine)
-    outcomes = _run_trials(payload, [0, 1, 2], None, None, prune=False)
+    outcomes = _run_trials(payload, [0, 1, 2], None, prune=False)
     assert all(algorithm is not None for algorithm, _ in outcomes)
     assert compared[0] >= sum(stats["rounds"] for _, stats in outcomes)
     # The mask skips something: some acquisition can promote no pair.

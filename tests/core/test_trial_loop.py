@@ -4,7 +4,7 @@ Uniform best-of-N is the ``prune=False`` case of the stats loop: every seed runs
 entry, and the winner is the first trial (in seed order) with the smallest
 collective time.
 These tests pin that contract for each collective, for both synthesis
-engines, and for the wave fan-out that carries trials to a backend.
+engines, and for the wave fan-out that carries trials to the process pool.
 """
 
 import dataclasses
@@ -15,7 +15,8 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.api.parallel import BACKENDS, SerialBackend, execution_scope
+from repro.api import parallel
+from repro.api.parallel import execution_scope
 from repro.bench.reference import REFERENCE_ENGINE
 from repro.collectives import (
     AllGather,
@@ -158,18 +159,26 @@ class TestEnginesShareTheLoop:
         ]
 
 
-class _RecordingBackend(SerialBackend):
-    """In-process backend that records each wave and its task the trial loop hands it."""
+class _RecordingFanOut:
+    """Stands in for ``map_parallel``: records each wave and its task, runs it in-process."""
 
     def __init__(self):
         self.calls = []
         self.fns = []
 
-    def map(self, fn, items, *, max_workers=None):
+    def __call__(self, fn, items, *, workers=None):
         items = list(items)
         self.calls.append(items)
         self.fns.append(fn)
         return [fn(item) for item in items]
+
+
+@pytest.fixture
+def recorder(monkeypatch):
+    """Route the trial fan-out's waves through a :class:`_RecordingFanOut`."""
+    fan_out = _RecordingFanOut()
+    monkeypatch.setattr(parallel, "map_parallel", fan_out)
+    return fan_out
 
 
 def _payload(topology, pattern, collective_size, *, cheap=False):
@@ -188,52 +197,54 @@ def _payload(topology, pattern, collective_size, *, cheap=False):
 
 
 class TestWaveFanOut:
-    SEEDS = list(range(5))
+    SEEDS = list(range(9))
 
-    def _outcomes(self, backend, *, prune):
-        payload = _payload(build_mesh_2d(3, 3), Gather(9), 9 * MB)
-        return _run_trials(payload, self.SEEDS, backend, 1, prune=prune)
+    def _outcomes(self, workers, *, prune):
+        # Nine Scatter seeds on a 3x3 mesh never meet the floor before the
+        # third wave of four.
+        payload = _payload(build_mesh_2d(3, 3), Scatter(9), 9 * MB)
+        return _run_trials(payload, self.SEEDS, workers, prune=prune)
 
     @pytest.mark.parametrize(
-        "prune, wave_sizes", [(False, [5]), (True, [2, 2, 1])], ids=["uniform", "pruned"]
+        "prune, wave_sizes", [(False, [9]), (True, [4, 4, 1])], ids=["uniform", "pruned"]
     )
-    def test_wave_count_follows_pruning(self, prune, wave_sizes):
-        backend = _RecordingBackend()
-        outcomes = self._outcomes(backend, prune=prune)
-        assert [sum(len(chunk) for chunk in call) for call in backend.calls] == wave_sizes
+    def test_wave_count_follows_pruning(self, recorder, prune, wave_sizes):
+        outcomes = self._outcomes(2, prune=prune)
+        assert [sum(len(chunk) for chunk in call) for call in recorder.calls] == wave_sizes
         assert [stats["seed"] for _, stats in outcomes] == self.SEEDS
 
-    def test_unpruned_waves_match_serial_loop(self):
-        serial = self._outcomes(None, prune=False)
-        fanned = self._outcomes(_RecordingBackend(), prune=False)
+    def test_unpruned_waves_match_serial_loop(self, recorder):
+        serial = self._outcomes(1, prune=False)
+        assert recorder.calls == []
+        fanned = self._outcomes(2, prune=False)
         assert [_trial_key(stats) for _, stats in fanned] == [
             _trial_key(stats) for _, stats in serial
         ]
         for (fan_algorithm, _), (serial_algorithm, _) in zip(fanned, serial):
             assert fan_algorithm.table.to_bytes() == serial_algorithm.table.to_bytes()
 
-    @pytest.mark.parametrize("backend", [None, _RecordingBackend()], ids=["serial", "waves"])
-    def test_pruning_implies_the_floor(self, backend):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "waves"])
+    def test_pruning_implies_the_floor(self, recorder, workers):
         # Every ring All-Gather trial lands on the round-0 bound, so a pruned
         # fan-out skips every seed after the first wave; an unpruned one
         # runs them all.  There is no separate floor switch.
         payload = _payload(build_ring(8), AllGather(8), 4 * MB)
         seeds = list(range(6))
-        pruned = _run_trials(payload, seeds, backend, 1, prune=True)
-        first_wave = 1 if backend is None else 2
+        pruned = _run_trials(payload, seeds, workers, prune=True)
+        first_wave = 1 if workers == 1 else 4
         assert [stats["pruned_at_round"] for _, stats in pruned] == (
             [None] * first_wave + [0] * (len(seeds) - first_wave)
         )
-        uniform = _run_trials(payload, seeds, backend, 1, prune=False)
+        uniform = _run_trials(payload, seeds, workers, prune=False)
         assert all(stats["pruned_at_round"] is None for _, stats in uniform)
 
     def test_the_tier_is_the_only_switch(self):
-        # `prune` selects the tier; neither the fan-out nor the matching
-        # round takes a floor or a forwarding knob of its own.
+        # `prune` selects the tier and the worker count the fan-out; neither
+        # the fan-out nor the matching round takes a floor, a forwarding
+        # knob or a backend of its own.
         assert list(inspect.signature(_run_trials).parameters) == [
             "payload",
             "seeds",
-            "backend",
             "workers",
             "prune",
         ]
@@ -290,7 +301,7 @@ class TestPayloadWorkerCache:
 class TestInlineTransport:
     """The pool fan-out ships one content-keyed blob with every chunk task."""
 
-    SEEDS = list(range(5))
+    SEEDS = list(range(9))
 
     @pytest.fixture
     def encodes(self, monkeypatch):
@@ -304,40 +315,39 @@ class TestInlineTransport:
         monkeypatch.setattr(TrialPayload, "to_bytes", counting)
         return calls
 
-    def test_one_blob_per_fan_out_keyed_by_its_hash(self, encodes):
-        payload = _payload(build_mesh_2d(3, 3), Gather(9), 9 * MB)
-        backend = _RecordingBackend()
-        _run_trials(payload, self.SEEDS, backend, 1, prune=True)
-        assert len(backend.fns) == 3  # waves of two: the blob is shared by all
+    def test_one_blob_per_fan_out_keyed_by_its_hash(self, recorder, encodes):
+        payload = _payload(build_mesh_2d(3, 3), Scatter(9), 9 * MB)
+        _run_trials(payload, self.SEEDS, 2, prune=True)
+        assert len(recorder.fns) == 3  # waves of four: the blob is shared by all
         assert len(encodes) == 1
-        blob = backend.fns[0].args[1]
+        blob = recorder.fns[0].args[1]
         assert blob == payload.to_bytes()
-        for fn in backend.fns:
+        for fn in recorder.fns:
             assert fn.func is _run_trial_chunk
             key, wave_blob = fn.args[:2]
             assert wave_blob is blob
             assert key == hashlib.sha256(blob).hexdigest()
 
-    def test_later_waves_carry_the_incumbent(self):
-        payload = _payload(build_mesh_2d(3, 3), Gather(9), 9 * MB)
-        backend = _RecordingBackend()
-        outcomes = _run_trials(payload, self.SEEDS, backend, 1, prune=True)
-        incumbents = [fn.args[2] for fn in backend.fns]
+    def test_later_waves_carry_the_incumbent(self, recorder):
+        payload = _payload(build_mesh_2d(3, 3), Scatter(9), 9 * MB)
+        outcomes = _run_trials(payload, self.SEEDS, 2, prune=True)
+        incumbents = [fn.args[2] for fn in recorder.fns]
+        assert len(incumbents) == 3
         assert incumbents[0] is None
-        first_wave = [a.collective_time for a, _ in outcomes[:2] if a is not None]
+        first_wave = [a.collective_time for a, _ in outcomes[:4] if a is not None]
         assert incumbents[1] == min(first_wave)
         assert all(later <= earlier for earlier, later in zip(incumbents[1:], incumbents[2:]))
-        uniform = _RecordingBackend()
-        _run_trials(payload, self.SEEDS, uniform, 1, prune=False)
-        assert [fn.args[2] for fn in uniform.fns] == [None]
+        recorder.fns.clear()
+        _run_trials(payload, self.SEEDS, 2, prune=False)
+        assert [fn.args[2] for fn in recorder.fns] == [None]
 
-    def test_serial_loop_never_serializes(self, encodes):
+    def test_serial_loop_never_serializes(self, recorder, encodes):
         payload = _payload(build_ring(4), AllGather(4), 4 * MB)
-        assert len(_run_trials(payload, [0, 1, 2], None, None, prune=True)) == 3
-        # One seed runs in-process even when a backend is given.
-        backend = _RecordingBackend()
-        assert len(_run_trials(payload, [0], backend, 2, prune=True)) == 1
-        assert backend.calls == []
+        assert len(_run_trials(payload, [0, 1, 2], None, prune=True)) == 3
+        assert len(_run_trials(payload, [0, 1, 2], 1, prune=True)) == 3
+        # One seed runs in-process even with more than one worker.
+        assert len(_run_trials(payload, [0], 2, prune=True)) == 1
+        assert recorder.calls == []
         assert encodes == []
 
     @pytest.mark.parametrize(
@@ -371,25 +381,20 @@ class TestInlineTransport:
 
 class TestTrialExecution:
     @pytest.mark.parametrize(
-        "scope, expected",
-        [
-            (None, (None, None)),
-            ({"workers": 2}, ("pool", 2)),
-            ({"workers": 1}, (None, None)),
-            ({"execution": "serial", "workers": 4}, (None, None)),
-            ({"execution": "pool"}, ("pool", None)),
-        ],
-        ids=["no-scope", "workers-alone-pool", "one-worker-serial", "serial", "pool"],
+        "scope, fanned_out",
+        [(None, False), (1, False), (2, True), (4, True)],
+        ids=["no-scope", "one-worker", "two-workers", "four-workers"],
     )
-    def test_resolution(self, scope, expected):
-        synthesizer = TacosSynthesizer(SynthesisConfig())
+    def test_the_scope_worker_count_picks_loop_or_pool(self, recorder, scope, fanned_out):
+        # The synthesizer reads only the ambient worker count: absent or 1
+        # runs the plain loop, more fans the trials out at that width.
+        synthesizer = TacosSynthesizer(SynthesisConfig(trials=3))
         if scope is None:
-            backend, workers = synthesizer._trial_execution()
+            synthesizer.synthesize(build_ring(4), AllGather(4), MB)
         else:
-            with execution_scope(**scope):
-                backend, workers = synthesizer._trial_execution()
-        name = backend.name if backend is not None else None
-        assert (name, workers) == expected
-        if backend is not None:
-            assert backend is BACKENDS[name]
+            with execution_scope(scope):
+                synthesizer.synthesize(build_ring(4), AllGather(4), MB)
+        assert bool(recorder.calls) == fanned_out
+        if fanned_out:
+            assert [len(call) for call in recorder.calls] == [min(3, 4 * scope)]
 

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.api.parallel import SerialBackend, resolve_backend
+from repro.api import parallel
 from repro.bench.reference import REFERENCE_ENGINE
 from repro.collectives import AllGather, AllReduce, AllToAll, Gather, Scatter
 from repro.core import GuidedSynthesizer, SynthesisConfig, TacosSynthesizer
@@ -62,11 +62,9 @@ def _outcome_keys(outcomes):
     ]
 
 
-class _InProcessPool(SerialBackend):
+def _in_process_fan_out(fn, items, *, workers=None):
     """Runs the pool tier's chunk tasks in this process, so patches apply."""
-
-    def map(self, fn, items, *, max_workers=None):
-        return [fn(item) for item in items]
+    return [fn(item) for item in items]
 
 
 @contextmanager
@@ -97,11 +95,11 @@ def test_copied_trials_equal_fresh_construction(
 ):
     topology = TOPOLOGIES[topology_name]()
     payload = _payload(topology, PATTERNS[collective](topology.num_npus), 4 * MB)
-    with _fresh_construction(monkeypatch):
-        backend = None if execution == "serial" else _InProcessPool()
-        expected = _run_trials(payload, SEEDS, backend, 2, prune=prune)
-    backend = None if execution == "serial" else resolve_backend("pool")
-    got = _run_trials(payload, SEEDS, backend, 2, prune=prune)
+    workers = 1 if execution == "serial" else 2
+    with _fresh_construction(monkeypatch), monkeypatch.context() as patch:
+        patch.setattr(parallel, "map_parallel", _in_process_fan_out)
+        expected = _run_trials(payload, SEEDS, workers, prune=prune)
+    got = _run_trials(payload, SEEDS, workers, prune=prune)
     assert _outcome_keys(got) == _outcome_keys(expected)
     if prune and (topology_name, collective) == ("mesh6x6", "gather"):
         # Real inter-trial spread: trials on copied bounds prune mid-trial.
@@ -241,8 +239,8 @@ def test_reference_engine_takes_the_same_template_path(pattern_cls, prune):
     pattern = pattern_cls(topology.num_npus)
     flat = _payload(topology, pattern, 4 * MB)
     reference = dataclasses.replace(flat, engine=REFERENCE_ENGINE)
-    got = _run_trials(reference, SEEDS, None, None, prune=prune)
-    want = _run_trials(flat, SEEDS, None, None, prune=prune)
+    got = _run_trials(reference, SEEDS, None, prune=prune)
+    want = _run_trials(flat, SEEDS, None, prune=prune)
     if prune:
         # The reference state keeps only the committed-work bound, so it
         # prunes later; completed trials and the winner still agree.

@@ -1,8 +1,8 @@
-"""The ``tacos-repro experiments`` --execution/--workers wiring.
+"""The ``tacos-repro experiments`` --workers wiring.
 
-The command installs the flags as the ambient :func:`execution_scope` policy;
-experiments themselves take no backend knobs, so their internal trial
-fan-outs must produce byte-identical measurements on every backend.
+The command installs the worker count as the ambient :func:`execution_scope`;
+experiments themselves take no parallelism knobs, so their internal trial
+fan-outs must produce byte-identical measurements at every worker count.
 """
 
 import dataclasses
@@ -15,33 +15,29 @@ from repro.core import SynthesisConfig
 from repro.experiments import fig10_topologies
 
 
-def _rows(execution, workers):
+def _rows(workers):
     config = SynthesisConfig(trials=2, seed=11)
-    with execution_scope(execution=execution, workers=workers):
+    with execution_scope(workers):
         return fig10_topologies.run(collective_size=2e6, synthesis_config=config)
 
 
 @pytest.mark.backend_equivalence
 class TestExperimentBackendEquivalence:
     def test_measurements_identical_serial_pool(self):
-        serial = _rows("serial", None)
-        pool = _rows("pool", 2)
-        workers_alone = _rows(None, 2)  # workers alone = pool
-        assert serial == pool == workers_alone  # dataclass equality: every float
+        serial = _rows(None)
+        one = _rows(1)
+        pool = _rows(2)
+        assert serial == one == pool  # dataclass equality: every float
 
     def test_rows_are_plain_data(self):
-        for row in _rows("serial", None):
+        for row in _rows(None):
             assert dataclasses.asdict(row)  # payload stays process-portable
 
 
 class TestRunnerFlags:
-    def test_execution_flags_accepted(self, capsys):
-        assert cli_main(["experiments", "fig10", "--execution", "pool", "--workers", "2"]) == 0
-        assert "completed" in capsys.readouterr().out
-
-    def test_workers_alone_implies_pool(self, capsys):
+    def test_workers_flag_runs_the_pool(self, capsys):
         assert cli_main(["experiments", "fig10", "--workers", "2"]) == 0
-        capsys.readouterr()
+        assert "completed" in capsys.readouterr().out
 
     def test_invalid_workers_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -50,5 +46,5 @@ class TestRunnerFlags:
         capsys.readouterr()
 
     def test_unknown_experiment_still_exits_2(self, capsys):
-        assert cli_main(["experiments", "nope", "--execution", "serial"]) == 2
+        assert cli_main(["experiments", "nope", "--workers", "2"]) == 2
         capsys.readouterr()

@@ -20,7 +20,8 @@ from repro.analysis import (
     ideal_all_reduce_bandwidth,
     link_load_statistics,
 )
-from repro.baselines import build_baseline_all_reduce, ring_all_reduce
+from repro.api import ALGORITHMS
+from repro.baselines import ring_all_reduce
 from repro.simulator import simulate_algorithm, simulate_schedule
 
 GB = 1e9
@@ -69,7 +70,10 @@ class TestSynthesizeSimulateAnalyze:
         tacos_bw = collective_bandwidth_gbps(simulate_algorithm(topology, algorithm))
         ring_bw = collective_bandwidth_gbps(
             simulate_schedule(
-                topology, build_baseline_all_reduce("Ring", topology, 256 * MB)
+                topology,
+                ALGORITHMS.get("ring")(
+                    topology, AllReduce(topology.num_npus), 256 * MB
+                ).schedule,
             )
         )
         assert tacos_bw > 2 * ring_bw

@@ -41,6 +41,15 @@ def _two_islands(path, collective="all_gather", algorithm=None):
     return path
 
 
+#: Every command with a --workers flag, with arguments that would otherwise run.
+_WORKER_COMMANDS = {
+    "synthesize": ["synthesize", "-t", "ring:4", "-c", "all_gather"],
+    "sweep": ["sweep", "-t", "ring:4", "-a", "ring"],
+    "bench": ["bench"],
+    "experiments": ["experiments", "fig10"],
+}
+
+
 class TestExecutionFailuresExit1:
     def test_exhausted_max_rounds(self, capsys):
         code = cli.main(["synthesize", "-t", "ring:4", "-c", "all_gather", "-p", "max_rounds=1"])
@@ -109,6 +118,25 @@ class TestUsageErrorsExit2:
             cli.main(["synthesize", "-t", "ring:4", "--synthesizer", "guided"])
         assert excinfo.value.code == 2
         assert "--synthesizer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("command", sorted(_WORKER_COMMANDS))
+    def test_every_workers_flag_rejects_a_count_below_one(self, capsys, command, workers):
+        # One argument type for every --workers flag: a count below one is a
+        # usage error everywhere, never a silent plain loop.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*_WORKER_COMMANDS[command], "-w", workers])
+        assert excinfo.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_WORKER_COMMANDS))
+    def test_execution_flag_is_gone(self, capsys, command):
+        # The worker count is the only parallelism setting: `-w 2` is the
+        # pool, and there is no second spelling of it.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*_WORKER_COMMANDS[command], "--execution", "pool"])
+        assert excinfo.value.code == 2
+        assert "--execution" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error", [SpecError, RegistryError, TopologyError])
     def test_every_usage_error(self, monkeypatch, capsys, error):

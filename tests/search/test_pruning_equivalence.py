@@ -127,7 +127,7 @@ class TestTieBreaking:
 
 @pytest.mark.backend_equivalence
 class TestBackendEquivalence:
-    """Pruned winners are byte-identical across every execution backend."""
+    """Pruned winners are byte-identical at every worker count."""
 
     SIZE = 2e6
 
@@ -140,11 +140,11 @@ class TestBackendEquivalence:
         )
         return topology, pattern, algorithm.table.to_bytes()
 
-    @pytest.mark.parametrize("execution", ["serial", "pool"])
-    def test_pruned_winner_matches_reference(self, execution, reference):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_pruned_winner_matches_reference(self, workers, reference):
         topology, pattern, expected = reference
         config = SynthesisConfig(seed=1, trials=6)
-        with execution_scope(execution, 2):
+        with execution_scope(workers):
             result = GuidedSynthesizer(config).synthesize_with_stats(
                 topology, pattern, self.SIZE
             )
@@ -160,15 +160,15 @@ class TestBackendEquivalence:
         # the serial path records.
         topology, pattern = build_ring(8), AllGather(8)
 
-        def stats_for(backend):
+        def stats_for(workers):
             config = SynthesisConfig(seed=0, trials=6)
-            with execution_scope(backend, 2):
+            with execution_scope(workers):
                 return GuidedSynthesizer(config).synthesize_with_stats(
                     topology, pattern, self.SIZE
                 )
 
-        serial = stats_for("serial")
-        parallel = stats_for("pool")
+        serial = stats_for(1)
+        parallel = stats_for(2)
         assert (
             parallel.algorithm.table.to_bytes() == serial.algorithm.table.to_bytes()
         )
