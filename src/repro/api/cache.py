@@ -16,11 +16,23 @@ Two layers:
   corrupt or unreadable disk entries are treated as misses and logged as
   one WARNING each (an absent entry is a silent miss).
 
-One key per request: a request hashes its spec once and reads its entry
-once.  :func:`~repro.api.runner.run` and
+One key per spec object: a cache hashes each spec object at most once and
+a request reads its entry once.  :func:`~repro.api.runner.run` and
 :func:`~repro.api.runner.run_batch` compute the key and hand it to the
 :class:`ResultCache` reads and writes through their internal ``_key``
-argument; every other caller leaves it out and the cache hashes the spec.
+argument; every other caller leaves it out.  Either way the cache remembers
+the key of each spec object it has keyed (by identity, for as long as the
+cache lives), so a :meth:`ResultCache.load_algorithm` after a
+:func:`~repro.api.runner.run_batch` on the same cache hashes nothing.
+
+A run result is stored as ``<key>.json``: the
+:meth:`~repro.api.runner.RunResult.to_dict` document without its ``spec``
+section (``algorithm``, ``topology``, ``collective``, ``num_npus``,
+``collective_size``, ``collective_time``, ``bandwidth_gbps``,
+``synthesis_seconds``, ``extras`` and, when present, ``trial_stats``),
+because the key names the spec and a hit takes the caller's spec.
+Documents written with a ``spec`` section by earlier versions are still
+hits; the section is ignored.
 
 A hit does only the work its bytes need.  The entry is read unbuffered:
 ``os.open``, one ``os.read`` sized by ``os.fstat``, then reads until end of
@@ -365,6 +377,9 @@ class ResultCache:
         self.directory = Path(directory) if directory is not None else None
         self.store = ArtifactStore(self.directory) if self.directory is not None else None
         self._memory: Dict[str, "RunResult"] = {}
+        # id(spec) -> (spec, key): holding the spec keeps its id from being
+        # reused by another object while the entry lives.
+        self._keys: Dict[int, Tuple["RunSpec", str]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -372,6 +387,20 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
+    def _key_of(self, spec: "RunSpec", key: Optional[str]) -> str:
+        """The store key of ``spec``: ``key`` when given, else hashed at most once.
+
+        Either way the key is remembered for this spec object.  Dict reads
+        and writes are atomic, so racing threads at worst both hash a spec.
+        """
+        if key is None:
+            entry = self._keys.get(id(spec))
+            if entry is not None and entry[0] is spec:
+                return entry[1]
+            key = spec.spec_hash()
+        self._keys[id(spec)] = (spec, key)
+        return key
+
     def get(self, spec: "RunSpec", *, _key: Optional[str] = None) -> Optional["RunResult"]:
         """Cached result for ``spec``, flagged ``cached=True``, or None.
 
@@ -380,32 +409,36 @@ class ResultCache:
         passes the ``spec.spec_hash()`` it already computed; nothing checks
         it, so other callers leave it out.
         """
-        key = spec.spec_hash() if _key is None else _key
+        key = self._key_of(spec, _key)
         with self._lock:
             result = self._memory.get(key)
-        if result is None and self.store is not None:
-            result = self._read_disk(spec, key)
             if result is not None:
-                with self._lock:
-                    self._memory[key] = result
-        with self._lock:
-            if result is None:
+                self.hits += 1
+            elif self.store is None:
                 self.misses += 1
                 return None
-            self.hits += 1
+        if result is None:
+            result = self._read_disk(spec, key)
+            with self._lock:
+                if result is None:
+                    self.misses += 1
+                    return None
+                self._memory[key] = result
+                self.hits += 1
         return result.copy(cached=True)
 
     def put(self, result: "RunResult", *, _key: Optional[str] = None) -> None:
         """Store a copy of ``result`` under its spec's hash (memory and, if set, disk).
 
-        ``_key`` is internal, as for :meth:`get`.
+        The disk document has no ``spec`` section (see the module
+        docstring).  ``_key`` is internal, as for :meth:`get`.
         """
-        key = result.spec.spec_hash() if _key is None else _key
+        key = self._key_of(result.spec, _key)
         stored = result.copy()
         with self._lock:
             self._memory[key] = stored
         if self.store is not None:
-            self.store.write_json(key, stored.to_dict(), strict=False)
+            self.store.write_json(key, stored.to_dict(with_spec=False), strict=False)
 
     def absorb(self, result: "RunResult", *, _key: Optional[str] = None) -> None:
         """Fold an externally computed result into the in-memory layer only.
@@ -416,7 +449,7 @@ class ResultCache:
         without re-serializing and re-writing the disk entry.  ``_key`` is
         internal, as for :meth:`get`.
         """
-        key = result.spec.spec_hash() if _key is None else _key
+        key = self._key_of(result.spec, _key)
         with self._lock:
             self._memory[key] = result.copy()
 
@@ -427,8 +460,8 @@ class ResultCache:
         if data is None:
             return None
         try:
-            # The key is the hash of ``spec``, so the stored copy of the spec
-            # is equal to it: reuse the caller's instead of rebuilding it.
+            # The key is the hash of ``spec``: the document carries no spec
+            # (an old one's copy is ignored), the caller's is reused.
             return RunResult.from_dict(data, spec=spec)
         except (ValueError, KeyError, TypeError) as exc:
             _log.warning(
@@ -452,14 +485,14 @@ class ResultCache:
         """
         if self.store is None:
             return
-        key = spec.spec_hash() if _key is None else _key
+        key = self._key_of(spec, _key)
         self.store.write_blob(key, self.ALGORITHM_ARTIFACT, encode_algorithm(algorithm))
 
     def load_algorithm(self, spec: "RunSpec") -> Optional["CollectiveAlgorithm"]:
         """Rebuild the stored algorithm for ``spec``, or ``None`` when absent or corrupt."""
         if self.store is None:
             return None
-        key = spec.spec_hash()
+        key = self._key_of(spec, None)
         data = self.store.read_blob(key, self.ALGORITHM_ARTIFACT)
         if data is None:
             return None
@@ -481,6 +514,7 @@ class ResultCache:
         """Drop the in-memory layer (and, when ``disk=True``, the stored files)."""
         with self._lock:
             self._memory.clear()
+            self._keys.clear()
             self.hits = 0
             self.misses = 0
         if disk and self.store is not None:

@@ -88,20 +88,24 @@ class RunResult:
     trial_stats: Optional[List[Dict[str, Any]]] = None
     cached: bool = field(default=False, compare=False)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable representation (used by the disk cache and CLI)."""
-        data = {
-            "spec": self.spec.to_dict(),
-            "algorithm": self.algorithm,
-            "topology": self.topology,
-            "collective": self.collective,
-            "num_npus": self.num_npus,
-            "collective_size": self.collective_size,
-            "collective_time": self.collective_time,
-            "bandwidth_gbps": self.bandwidth_gbps,
-            "synthesis_seconds": self.synthesis_seconds,
-            "extras": dict(self.extras),
-        }
+    def to_dict(self, *, with_spec: bool = True) -> Dict[str, Any]:
+        """JSON-serializable representation (used by the disk cache and CLI).
+
+        ``with_spec=False`` leaves out the ``spec`` section: the artifact
+        store files a result under its spec's hash, so the key names the spec.
+        """
+        data = {"spec": self.spec.to_dict()} if with_spec else {}
+        data.update(
+            algorithm=self.algorithm,
+            topology=self.topology,
+            collective=self.collective,
+            num_npus=self.num_npus,
+            collective_size=self.collective_size,
+            collective_time=self.collective_time,
+            bandwidth_gbps=self.bandwidth_gbps,
+            synthesis_seconds=self.synthesis_seconds,
+            extras=dict(self.extras),
+        )
         if self.trial_stats is not None:
             data["trial_stats"] = [dict(stats) for stats in self.trial_stats]
         return data
@@ -129,9 +133,12 @@ class RunResult:
         """Rebuild a result from :meth:`to_dict` output.
 
         ``spec`` replaces the stored spec when the caller already holds an
-        equal one (a cache hit is addressed by its spec's hash).
+        equal one (a cache hit is addressed by its spec's hash), and then
+        ``data`` needs no ``spec`` section.  Like :meth:`copy`, no
+        ``__init__`` runs: the fields go into the instance ``__dict__``.
         """
-        return cls(
+        result = object.__new__(cls)
+        result.__dict__.update(
             spec=RunSpec.from_dict(data["spec"]) if spec is None else spec,
             algorithm=data["algorithm"],
             topology=data["topology"],
@@ -143,7 +150,9 @@ class RunResult:
             synthesis_seconds=data.get("synthesis_seconds"),
             extras=dict(data.get("extras", {})),
             trial_stats=data.get("trial_stats"),
+            cached=False,
         )
+        return result
 
     def summary(self) -> str:
         """One-line human summary of the result."""
@@ -255,14 +264,28 @@ def run(spec: RunSpec, *, cache: Optional[ResultCache] = None) -> RunResult:
     return _run(spec, cache, None if cache is None else spec.spec_hash())
 
 
-def _run(spec: RunSpec, cache: Optional[ResultCache], key: Optional[str]) -> RunResult:
-    """:func:`run` with ``key`` = ``spec.spec_hash()`` already computed by the caller."""
+def _run(
+    spec: RunSpec,
+    cache: Optional[ResultCache],
+    key: Optional[str],
+    topologies: Optional[Dict[TopologySpec, Topology]] = None,
+) -> RunResult:
+    """:func:`run` with ``key`` = ``spec.spec_hash()`` already computed by the caller.
+
+    ``topologies`` is a batch's memo of built topologies by topology spec:
+    a miss builds its topology once per batch, a hit never does.
+    """
     if cache is not None:
         hit = cache.get(spec, _key=key)
         if hit is not None:
             return hit
 
-    topology = build_topology(spec.topology)
+    if topologies is None:
+        topology = build_topology(spec.topology)
+    else:
+        topology = topologies.get(spec.topology)
+        if topology is None:
+            topology = topologies[spec.topology] = build_topology(spec.topology)
     pattern = build_collective(spec.collective, topology.num_npus)
     collective_size = spec.collective.collective_size
     artifact = build_algorithm_artifact(spec.algorithm, topology, pattern, collective_size)
@@ -293,13 +316,17 @@ def _run(spec: RunSpec, cache: Optional[ResultCache], key: Optional[str]) -> Run
 
 
 def _run_one(
-    spec: RunSpec, key: str, cache: Optional[ResultCache], return_exceptions: bool
+    spec: RunSpec,
+    key: str,
+    cache: Optional[ResultCache],
+    return_exceptions: bool,
+    topologies: Dict[TopologySpec, Topology],
 ) -> Any:
     """Run one batch spec; a :class:`ReproError` becomes the result on request."""
     if not return_exceptions:
-        return _run(spec, cache, key)
+        return _run(spec, cache, key, topologies)
     try:
-        return _run(spec, cache, key)
+        return _run(spec, cache, key, topologies)
     except ReproError as exc:
         return exc
 
@@ -312,11 +339,13 @@ def _run_spec_chunk(
     Each item is a ``(key, spec)`` pair, the key hashed once by the parent.
     The worker opens one :class:`ResultCache` for the whole chunk, so a
     chunk's specs share the in-memory layer on top of the shared on-disk
-    store.  Results come back as a list in chunk order — concatenation in
-    the parent reproduces the per-spec order exactly.
+    store, and one topology memo, so they build each topology once.
+    Results come back as a list in chunk order — concatenation in the
+    parent reproduces the per-spec order exactly.
     """
     cache = ResultCache(cache_directory) if cache_directory is not None else None
-    return [_run_one(spec, key, cache, return_exceptions) for key, spec in items]
+    topologies: Dict[TopologySpec, Topology] = {}
+    return [_run_one(spec, key, cache, return_exceptions, topologies) for key, spec in items]
 
 
 def run_batch(
@@ -333,7 +362,9 @@ def run_batch(
     process pool of that width, kept warm across batches
     (:func:`~repro.api.parallel.map_parallel`); otherwise they run in a
     plain loop.  Results are identical either way: specs are deterministic
-    and order is restored from the input.
+    and order is restored from the input.  Specs that miss the cache and
+    share a topology spec share one built :class:`Topology` (and its
+    derived tables), built when the first of them needs it.
 
     With the pool, worker processes share the cache through
     its on-disk artifact store (the in-memory layer is per-process); specs
@@ -361,8 +392,9 @@ def run_batch(
         positions.append(index_of[key])
 
     if workers is None or workers <= 1:
+        topologies: Dict[TopologySpec, Topology] = {}
         results: List[Any] = [
-            _run_one(spec, key, cache, return_exceptions) for key, spec in unique
+            _run_one(spec, key, cache, return_exceptions, topologies) for key, spec in unique
         ]
     else:
         # Serve what the calling cache already holds (its in-memory layer is

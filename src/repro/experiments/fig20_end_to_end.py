@@ -12,15 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.api.specs import RunSpec
 from repro.core.config import SynthesisConfig
 from repro.experiments.common import experiment_spec, measure
 from repro.topology.builders.multidim import build_3d_rfs
 from repro.topology.topology import Topology
-from repro.workloads.models import get_model
+from repro.workloads.models import ModelConfig, get_model
 from repro.workloads.parallelism import ParallelismStrategy
 from repro.workloads.training import TrainingBreakdown, training_iteration_time
 
-__all__ = ["Fig20Row", "run", "collective_time_provider"]
+__all__ = ["Fig20Row", "run", "collective_time_provider", "training_breakdowns"]
 
 
 @dataclass
@@ -37,6 +38,40 @@ class Fig20Row:
         return self.breakdown.total
 
 
+def _all_reduce_spec(
+    algorithm: str,
+    topology: Topology,
+    dims: Sequence[int],
+    size: float,
+    chunks_per_npu: int,
+    synthesis_config: Optional[SynthesisConfig],
+) -> RunSpec:
+    """The spec of one ``size``-byte All-Reduce by ``algorithm`` on ``topology``."""
+    chunks, params, config = chunks_per_npu, None, None
+    if algorithm == "TACOS":
+        config = synthesis_config
+    elif algorithm == "Themis":
+        chunks, params = max(chunks_per_npu, 4), {"dims": list(dims)}
+    return experiment_spec(
+        algorithm, topology, size, chunks_per_npu=chunks, params=params, config=config
+    )
+
+
+def _provider(all_reduce_time: Callable[[float], float]) -> Callable[[str, float], float]:
+    """A ``(pattern, size) -> seconds`` provider over an All-Reduce timer.
+
+    All-Gather / Reduce-Scatter requests are served as half an All-Reduce,
+    matching their traffic volume.
+    """
+
+    def provider(pattern: str, size: float) -> float:
+        if pattern == "AllReduce":
+            return all_reduce_time(size)
+        return all_reduce_time(size) / 2.0
+
+    return provider
+
+
 def collective_time_provider(
     algorithm: str,
     topology: Topology,
@@ -49,27 +84,49 @@ def collective_time_provider(
 
     Only All-Reduce is needed by the data-parallel workloads of Fig. 20/21;
     All-Gather / Reduce-Scatter requests are served as half an All-Reduce,
-    matching their traffic volume.
+    matching their traffic volume.  Each request runs its own spec.
     """
-    chunks, params, config = chunks_per_npu, None, None
-    if algorithm == "TACOS":
-        config = synthesis_config
-    elif algorithm == "Themis":
-        chunks, params = max(chunks_per_npu, 4), {"dims": list(dims)}
 
     def all_reduce_time(size: float) -> float:
-        spec = experiment_spec(
-            algorithm, topology, size, chunks_per_npu=chunks, params=params, config=config
-        )
+        spec = _all_reduce_spec(algorithm, topology, dims, size, chunks_per_npu, synthesis_config)
         return measure([spec])[0].collective_time
 
-    def provider(pattern: str, size: float) -> float:
-        if pattern == "AllReduce":
-            return all_reduce_time(size)
-        # All-Gather / Reduce-Scatter move half the All-Reduce volume.
-        return all_reduce_time(size) / 2.0
+    return _provider(all_reduce_time)
 
-    return provider
+
+#: One training breakdown to compute: model, strategy, algorithm, topology, dims.
+Cell = Tuple[ModelConfig, ParallelismStrategy, str, Topology, Sequence[int]]
+
+
+def training_breakdowns(
+    cells: Sequence[Cell],
+    *,
+    chunks_per_npu: int = 2,
+    synthesis_config: Optional[SynthesisConfig] = None,
+) -> List[TrainingBreakdown]:
+    """The training breakdown of each cell, its collectives run as one batch.
+
+    Equal to :func:`training_iteration_time` with a
+    :func:`collective_time_provider` per cell, but every cell's All-Reduces
+    go through one :func:`measure` call, so the cells on one topology build
+    it once (:func:`~repro.api.run_batch` shares a topology between the
+    specs that need it).
+    """
+    sized = [
+        {
+            requirement.size: _all_reduce_spec(
+                algorithm, topology, dims, requirement.size, chunks_per_npu, synthesis_config
+            )
+            for requirement in strategy.collectives(model)
+        }
+        for model, strategy, algorithm, topology, dims in cells
+    ]
+    measured = iter(measure([spec for specs in sized for spec in specs.values()]))
+    times = [{size: next(measured).collective_time for size in specs} for specs in sized]
+    return [
+        training_iteration_time(model, strategy, _provider(timed.__getitem__))
+        for (model, strategy, _, _, _), timed in zip(cells, times)
+    ]
 
 
 def run(
@@ -90,28 +147,18 @@ def run(
         "ResNet-50": (build_3d_rfs(2, 4, large_nodes), (2, 4, large_nodes)),
         "Turing-NLG": (build_3d_rfs(2, 4, large_nodes), (2, 4, large_nodes)),
     }
-    rows: List[Fig20Row] = []
-    for model_name, (topology, dims) in systems.items():
-        model = get_model(model_name)
-        strategy = ParallelismStrategy("data", topology.num_npus)
-        for algorithm in algorithms:
-            provider = collective_time_provider(
-                algorithm,
-                topology,
-                dims,
-                chunks_per_npu=chunks_per_npu,
-                synthesis_config=synthesis_config,
-            )
-            breakdown = training_iteration_time(model, strategy, provider)
-            rows.append(
-                Fig20Row(
-                    model=model_name,
-                    algorithm=algorithm,
-                    topology=topology.name,
-                    breakdown=breakdown,
-                )
-            )
-    return rows
+    cells: List[Cell] = [
+        (get_model(name), ParallelismStrategy("data", topology.num_npus), algorithm, topology, dims)
+        for name, (topology, dims) in systems.items()
+        for algorithm in algorithms
+    ]
+    breakdowns = training_breakdowns(
+        cells, chunks_per_npu=chunks_per_npu, synthesis_config=synthesis_config
+    )
+    return [
+        Fig20Row(model.name, algorithm, topology.name, breakdown)
+        for (model, _, algorithm, topology, _), breakdown in zip(cells, breakdowns)
+    ]
 
 
 def normalized_over_tacos(rows: Sequence[Fig20Row]) -> Dict[str, Dict[str, float]]:

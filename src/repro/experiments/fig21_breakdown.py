@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SynthesisConfig
-from repro.experiments.fig20_end_to_end import collective_time_provider
+from repro.experiments.fig20_end_to_end import Cell, training_breakdowns
 from repro.topology.builders.torus import build_torus
 from repro.workloads.models import get_model
 from repro.workloads.parallelism import ParallelismStrategy
-from repro.workloads.training import TrainingBreakdown, training_iteration_time
+from repro.workloads.training import TrainingBreakdown
 
 __all__ = ["Fig21Row", "run", "normalized_over_ring"]
 
@@ -44,24 +44,22 @@ def run(
 ) -> List[Fig21Row]:
     """Reproduce Fig. 21 on a scaled-down 3D Torus (the paper uses 1,024 NPUs)."""
     topology = build_torus(torus_dims)
-    rows: List[Fig21Row] = []
     model_strategies = {
         "ResNet-50": ParallelismStrategy("data", topology.num_npus),
         "MSFT-1T": ParallelismStrategy("hybrid", topology.num_npus),
     }
-    for model_name, strategy in model_strategies.items():
-        model = get_model(model_name)
-        for algorithm in algorithms:
-            provider = collective_time_provider(
-                algorithm,
-                topology,
-                torus_dims,
-                chunks_per_npu=chunks_per_npu,
-                synthesis_config=synthesis_config,
-            )
-            breakdown = training_iteration_time(model, strategy, provider)
-            rows.append(Fig21Row(model=model_name, algorithm=algorithm, breakdown=breakdown))
-    return rows
+    cells: List[Cell] = [
+        (get_model(model_name), strategy, algorithm, topology, torus_dims)
+        for model_name, strategy in model_strategies.items()
+        for algorithm in algorithms
+    ]
+    breakdowns = training_breakdowns(
+        cells, chunks_per_npu=chunks_per_npu, synthesis_config=synthesis_config
+    )
+    return [
+        Fig21Row(model=model.name, algorithm=algorithm, breakdown=breakdown)
+        for (model, _, algorithm, _, _), breakdown in zip(cells, breakdowns)
+    ]
 
 
 def normalized_over_ring(rows: Sequence[Fig21Row]) -> Dict[str, Dict[str, TrainingBreakdown]]:

@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+import repro.api.runner as runner
+
 from repro.api import (
     AlgorithmSpec,
     CollectiveSpec,
@@ -185,3 +187,66 @@ class TestRunBatch:
         results = run_batch(specs, return_exceptions=True, workers=2)
         assert isinstance(results[0], Exception)
         assert results[1].collective_time > 0
+
+
+def _timings(results):
+    """What a result reports, without its wall-clock synthesis times."""
+    return [(result.algorithm, result.topology, result.collective_time) for result in results]
+
+
+class TestBatchTopologyMemo:
+    """A batch builds each topology once, on the first miss that needs it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        original = runner.build_topology
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(runner, "build_topology", counting)
+        return calls
+
+    @staticmethod
+    def _specs():
+        return [
+            ring_spec(algorithm=algorithm, collective="all_reduce", num_npus=num_npus)
+            for num_npus in (4, 6)
+            for algorithm in ("ring", "direct", "tacos")
+        ]
+
+    def test_misses_build_each_topology_once(self, built):
+        specs = self._specs()
+        results = run_batch(specs)
+        assert built == [specs[0].topology, specs[3].topology]
+        assert _timings(results) == _timings([run(spec) for spec in specs])
+
+    def test_a_batch_of_hits_builds_nothing(self, built, tmp_path):
+        specs = self._specs()
+        run_batch(specs, cache=ResultCache(tmp_path))
+        built.clear()
+        assert all(result.cached for result in run_batch(specs, cache=ResultCache(tmp_path)))
+        assert built == []
+
+    def test_a_hit_among_misses_does_not_build(self, built):
+        specs = self._specs()
+        cache = ResultCache()
+        run(specs[3], cache=cache)
+        built.clear()
+        run_batch(specs[3:4] + specs[:3], cache=cache)
+        assert built == [specs[0].topology]
+
+    def test_a_pool_chunk_builds_each_topology_once(self, built):
+        specs = self._specs()
+        items = [(spec.spec_hash(), spec) for spec in specs]
+        results = runner._run_spec_chunk(None, False, items)
+        assert built == [specs[0].topology, specs[3].topology]
+        assert _timings(results) == _timings([run(spec) for spec in specs])
+
+    def test_single_runs_build_every_time(self, built):
+        spec = ring_spec(algorithm="ring", collective="all_reduce")
+        run(spec)
+        run(spec)
+        assert built == [spec.topology, spec.topology]

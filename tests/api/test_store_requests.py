@@ -1,11 +1,19 @@
-"""One key, one read per store request: every cache request hashes its spec
-once, hits never alias the stored entry, and the store reads back the same
-bytes wherever its directory lives."""
+"""One key, one read per store request: a cache hashes each spec object at
+most once, hits never alias the stored entry, and the store reads back the
+same bytes wherever its directory lives.
+
+A stored result is ``<key>.json``, the ``RunResult.to_dict()`` document
+without its ``spec`` section: the key names the spec, and a hit takes the
+caller's.  Entries written with the section by earlier versions still hit.
+"""
 
 import dataclasses
 import hashlib
 import inspect
+import json
 import os
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -21,6 +29,7 @@ from repro.api import (
     run_batch,
 )
 from repro.api.cache import encode_algorithm
+from repro.api.runner import build_algorithm_artifact, build_collective, build_topology
 from repro.api.specs import _SpecBase
 
 MB = 1e6
@@ -32,6 +41,14 @@ def _spec(algorithm="tacos", num_npus=4, size=MB):
         collective=CollectiveSpec("all_reduce", collective_size=size),
         algorithm=AlgorithmSpec(algorithm),
     )
+
+
+def _algorithm(spec):
+    """The algorithm ``spec`` synthesizes, built outside any cache."""
+    topology = build_topology(spec.topology)
+    pattern = build_collective(spec.collective, topology.num_npus)
+    size = spec.collective.collective_size
+    return build_algorithm_artifact(spec.algorithm, topology, pattern, size).algorithm
 
 
 def _sweep():
@@ -106,13 +123,37 @@ class TestOneHashPerRequest:
         assert hashed == []
 
     def test_load_algorithm_hashes_once_per_call(self, tmp_path, hashed):
+        # At most one hash per spec object per cache: the first call hashes,
+        # later calls reuse the key, and a new cache hashes again.
         spec = _spec()
         run(spec, cache=ResultCache(tmp_path))
         cache = ResultCache(tmp_path)
         hashed.clear()
-        for calls in (1, 2, 3):
+        for _ in range(3):
             assert cache.load_algorithm(spec) is not None
-            assert len(hashed) == calls
+            assert hashed == [spec]
+        assert ResultCache(tmp_path).load_algorithm(spec) is not None
+        assert hashed == [spec, spec]
+
+    def test_load_algorithm_after_run_batch_hashes_nothing(self, tmp_path, hashed):
+        specs = _sweep()
+        run_batch(specs, cache=ResultCache(tmp_path))
+        cache = ResultCache(tmp_path)
+        run_batch(specs, cache=cache)
+        hashed.clear()
+        loaded = [cache.load_algorithm(spec) for spec in specs]
+        assert hashed == []
+        assert sum(algorithm is not None for algorithm in loaded) == 2
+
+    def test_an_equal_spec_object_is_hashed_again(self, tmp_path, hashed):
+        # The memo is by identity: an equal spec built anew is a new object.
+        spec, twin = _spec(), _spec()
+        run(spec, cache=ResultCache(tmp_path))
+        cache = ResultCache(tmp_path)
+        hashed.clear()
+        assert cache.get(spec) == cache.get(twin)
+        assert cache.get(spec) is not None and cache.get(twin) is not None
+        assert len(hashed) == 2 and hashed[0] is spec and hashed[1] is twin
 
     def test_only_the_cache_reads_and_writes_take_an_internal_key(self):
         for function in (
@@ -309,16 +350,133 @@ class TestStoreDirectories:
         ]
 
 
-def test_stored_document_bytes_are_pinned(tmp_path):
-    # The file name is the key and the bytes are the document a store has
-    # always written; a change here orphans or rewrites every stored result.
-    spec = RunSpec(
+def _pinned_spec():
+    return RunSpec(
         topology=TopologySpec("ring", {"num_npus": 8}),
         collective=CollectiveSpec("all_reduce", collective_size=MB),
         algorithm=AlgorithmSpec("ideal"),
     )
-    run(spec, cache=ResultCache(tmp_path))
+
+
+def test_stored_document_bytes_are_pinned(tmp_path):
+    # The file name is the key and the bytes are the document a store
+    # writes; a change here orphans or rewrites every stored result.  The
+    # digest is that of the earlier layout's document with its ``spec``
+    # section removed (that document's digest was 3eeebf54...).
+    run(_pinned_spec(), cache=ResultCache(tmp_path))
     (path,) = tmp_path.glob("*.json")
     assert path.name == "82718390065ea6ac4859933f56254c769cc8b9179b1232e956688ff0ea636bef.json"
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "3eeebf5486e7bdd67d4c771d3581eee2091182aaf72adf2d463d63fd7b1c7e35"
+    assert digest == "1d57e8e691ef98936986094c3d4d6dbd7ad670e5fa012057de129afe3fa472ea"
+
+
+class TestDocumentLayout:
+    def test_a_stored_document_has_no_spec_section(self, tmp_path):
+        spec = _spec()
+        result = run(spec, cache=ResultCache(tmp_path))
+        (path,) = tmp_path.glob("*.json")
+        document = json.loads(path.read_bytes())
+        expected = result.to_dict()
+        assert "spec" in expected  # the CLI's --json keeps it
+        del expected["spec"]
+        assert document == expected
+
+    @pytest.mark.parametrize("spec", [_spec(), _pinned_spec()], ids=["tacos", "ideal"])
+    def test_an_entry_with_a_spec_section_still_hits(self, tmp_path, spec):
+        old, new = tmp_path / "old", tmp_path / "new"
+        cold = run(spec, cache=ResultCache(new))
+        run(spec, cache=ResultCache(old))
+        (path,) = old.glob("*.json")
+        path.write_text(json.dumps(cold.to_dict(), sort_keys=True))  # the earlier layout
+        old_cache, new_cache = ResultCache(old), ResultCache(new)
+        from_old, from_new = old_cache.get(spec), new_cache.get(spec)
+        assert from_old is not None and from_old.cached
+        assert from_old == from_new == cold
+        assert from_old.to_dict() == from_new.to_dict()
+        assert (old_cache.hits, old_cache.misses) == (1, 0)
+
+    def test_from_dict_converts_like_the_constructor(self):
+        source = _full_result()
+        document = source.to_dict(with_spec=False)
+        document.update(num_npus=4.0, collective_size=1, collective_time=0, bandwidth_gbps=40)
+        rebuilt = RunResult.from_dict(document, spec=source.spec)
+        assert type(rebuilt) is RunResult and rebuilt.cached is False
+        assert rebuilt == dataclasses.replace(source, collective_size=1.0, collective_time=0.0)
+        assert type(rebuilt.num_npus) is int and type(rebuilt.collective_size) is float
+        assert type(rebuilt.collective_time) is float and type(rebuilt.bandwidth_gbps) is float
+        assert rebuilt.extras is not document["extras"]
+        assert RunResult.from_dict(source.to_dict()) == source
+        with pytest.raises(KeyError):
+            RunResult.from_dict(document)  # no spec section and none given
+
+
+# ----------------------------------------------------------------------
+# One cache shared by threads
+# ----------------------------------------------------------------------
+def _hammer(cache, computed, synthesized, threads=4, rounds=3):
+    """Look up, store and reload every spec from ``threads`` threads at once.
+
+    Each thread walks the specs in its own order.  Returns the number of
+    lookups made, and raises if a thread failed or did not finish.
+    """
+    specs = list(computed)
+    blobs = {spec: encode_algorithm(algorithm) for spec, algorithm in synthesized.items()}
+    lookups, errors = [0] * threads, []
+    barrier = threading.Barrier(threads)
+
+    def work(index):
+        try:
+            order = specs[index:] + specs[:index]
+            barrier.wait()
+            for _ in range(rounds):
+                for spec in order:
+                    hit = cache.get(spec)
+                    lookups[index] += 1
+                    assert hit is None or (hit == computed[spec] and hit.cached)
+                    cache.put(computed[spec])
+                    assert cache.get(spec) == computed[spec]
+                    lookups[index] += 1
+                    if spec in synthesized:
+                        cache.put_algorithm(spec, synthesized[spec])
+                        assert encode_algorithm(cache.load_algorithm(spec)) == blobs[spec]
+                    else:
+                        assert cache.load_algorithm(spec) is None
+        except Exception as exc:  # reported below, with the thread's traceback
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=(index,)) for index in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so the lock sections interleave
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
+    return sum(lookups)
+
+
+@pytest.mark.parametrize("store", ["empty", "populated"])
+def test_threads_sharing_one_disk_cache(tmp_path, store):
+    # Overlapping specs on one disk-backed cache, from more threads than
+    # cores.  A populated store makes the first lookups disk hits, an empty
+    # one makes them misses.  Every lookup is counted once, so a lost
+    # counter update shows; every put reads back equal.
+    specs = _sweep()
+    computed = {spec: run(spec) for spec in specs}
+    synthesized = {spec: _algorithm(spec) for spec in specs if spec.algorithm.name == "tacos"}
+    if store == "populated":
+        writer = ResultCache(tmp_path / "shared")
+        for spec in specs:
+            writer.put(computed[spec])
+    for attempt in range(8):
+        directory = tmp_path / ("shared" if store == "populated" else f"empty-{attempt}")
+        cache = ResultCache(directory)
+        lookups = _hammer(cache, computed, synthesized)
+        assert cache.hits + cache.misses == lookups
+        fresh = ResultCache(directory)
+        assert [fresh.get(spec) for spec in specs] == [computed[spec] for spec in specs]
+        assert fresh.misses == 0
