@@ -11,8 +11,8 @@ Run with:  python examples/training_time.py
 from __future__ import annotations
 
 from repro import build_3d_rfs
-from repro.experiments.fig20_end_to_end import collective_time_provider
-from repro.workloads import ParallelismStrategy, get_model, training_iteration_time
+from repro.experiments.fig20_end_to_end import training_breakdowns
+from repro.workloads import ParallelismStrategy, get_model
 
 
 def main() -> None:
@@ -21,15 +21,17 @@ def main() -> None:
     strategy = ParallelismStrategy("data", topology.num_npus)
     algorithms = ("Ring", "TACOS", "Ideal")
 
+    models = [get_model(name) for name in ("ResNet-50", "GNMT", "Turing-NLG")]
+    cells = [
+        (model, strategy, algorithm, topology, dims) for model in models for algorithm in algorithms
+    ]
+    computed = iter(training_breakdowns(cells, chunks_per_npu=2))
+
     print(f"Data-parallel training on {topology.name} ({topology.num_npus} NPUs)\n")
-    for model_name in ("ResNet-50", "GNMT", "Turing-NLG"):
-        model = get_model(model_name)
-        breakdowns = {}
-        for algorithm in algorithms:
-            provider = collective_time_provider(algorithm, topology, dims, chunks_per_npu=2)
-            breakdowns[algorithm] = training_iteration_time(model, strategy, provider)
+    for model in models:
+        breakdowns = {algorithm: next(computed) for algorithm in algorithms}
         reference = breakdowns["TACOS"].total
-        print(f"{model_name} (gradients: {model.gradient_bytes / 1e6:.0f} MB per iteration)")
+        print(f"{model.name} (gradients: {model.gradient_bytes / 1e6:.0f} MB per iteration)")
         for algorithm in algorithms:
             breakdown = breakdowns[algorithm]
             print(

@@ -17,13 +17,15 @@ Two layers:
   one WARNING each (an absent entry is a silent miss).
 
 One key per spec object: a cache hashes each spec object at most once and
-a request reads its entry once.  :func:`~repro.api.runner.run` and
-:func:`~repro.api.runner.run_batch` compute the key and hand it to the
-:class:`ResultCache` reads and writes through their internal ``_key``
-argument; every other caller leaves it out.  Either way the cache remembers
-the key of each spec object it has keyed (by identity, for as long as the
-cache lives), so a :meth:`ResultCache.load_algorithm` after a
-:func:`~repro.api.runner.run_batch` on the same cache hashes nothing.
+a request reads its entry once.  A :class:`ResultCache` remembers the key of
+each spec object it has keyed, by identity, and every read and write looks
+there first; :func:`~repro.api.runner.run_batch` keys its specs through the
+same memo to dedupe them.  So a :func:`~repro.api.runner.run` hashes its
+spec once for the lookup, the result and the algorithm, and a
+:meth:`ResultCache.load_algorithm` after a
+:func:`~repro.api.runner.run_batch` on the same cache hashes nothing.  The
+memo holds at most :attr:`ResultCache.KEY_MEMO_SLACK` spec objects beyond
+one per stored result, then starts over.
 
 A run result is stored as ``<key>.json``: the
 :meth:`~repro.api.runner.RunResult.to_dict` document without its ``spec``
@@ -387,29 +389,37 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
-    def _key_of(self, spec: "RunSpec", key: Optional[str]) -> str:
-        """The store key of ``spec``: ``key`` when given, else hashed at most once.
+    #: Spec objects the key memo may hold beyond one per stored result;
+    #: past that it starts over (see :meth:`_key_of`).
+    KEY_MEMO_SLACK = 4096
 
-        Either way the key is remembered for this spec object.  Dict reads
-        and writes are atomic, so racing threads at worst both hash a spec.
+    def _key_of(self, spec: "RunSpec") -> str:
+        """The store key of ``spec``, hashed at most once per spec object.
+
+        The memo holds each spec it keys.  The stored results hold one spec
+        per key anyway, so the memo is bounded by them: when it holds
+        :attr:`KEY_MEMO_SLACK` more entries than there are results (a
+        long-lived cache fed new but equal spec objects), it is emptied and
+        those specs are hashed again when next seen.  Dict reads and writes
+        are atomic, so racing threads at worst both hash a spec.
         """
-        if key is None:
-            entry = self._keys.get(id(spec))
-            if entry is not None and entry[0] is spec:
-                return entry[1]
-            key = spec.spec_hash()
-        self._keys[id(spec)] = (spec, key)
+        keys = self._keys
+        entry = keys.get(id(spec))
+        if entry is not None and entry[0] is spec:
+            return entry[1]
+        key = spec.spec_hash()
+        if len(keys) >= len(self._memory) + self.KEY_MEMO_SLACK:
+            keys.clear()
+        keys[id(spec)] = (spec, key)
         return key
 
-    def get(self, spec: "RunSpec", *, _key: Optional[str] = None) -> Optional["RunResult"]:
+    def get(self, spec: "RunSpec") -> Optional["RunResult"]:
         """Cached result for ``spec``, flagged ``cached=True``, or None.
 
         Every hit is a fresh copy: mutating it never changes the stored
-        entry or a later hit.  ``_key`` is internal to the run layer, which
-        passes the ``spec.spec_hash()`` it already computed; nothing checks
-        it, so other callers leave it out.
+        entry or a later hit.
         """
-        key = self._key_of(spec, _key)
+        key = self._key_of(spec)
         with self._lock:
             result = self._memory.get(key)
             if result is not None:
@@ -427,29 +437,28 @@ class ResultCache:
                 self.hits += 1
         return result.copy(cached=True)
 
-    def put(self, result: "RunResult", *, _key: Optional[str] = None) -> None:
+    def put(self, result: "RunResult") -> None:
         """Store a copy of ``result`` under its spec's hash (memory and, if set, disk).
 
         The disk document has no ``spec`` section (see the module
-        docstring).  ``_key`` is internal, as for :meth:`get`.
+        docstring).
         """
-        key = self._key_of(result.spec, _key)
+        key = self._key_of(result.spec)
         stored = result.copy()
         with self._lock:
             self._memory[key] = stored
         if self.store is not None:
             self.store.write_json(key, stored.to_dict(with_spec=False), strict=False)
 
-    def absorb(self, result: "RunResult", *, _key: Optional[str] = None) -> None:
+    def absorb(self, result: "RunResult") -> None:
         """Fold an externally computed result into the in-memory layer only.
 
         For results that are already persisted — e.g. computed by a worker
         process whose own :class:`ResultCache` wrote through the shared
         artifact store — so the calling cache gains the memory-layer hit
-        without re-serializing and re-writing the disk entry.  ``_key`` is
-        internal, as for :meth:`get`.
+        without re-serializing and re-writing the disk entry.
         """
-        key = self._key_of(result.spec, _key)
+        key = self._key_of(result.spec)
         with self._lock:
             self._memory[key] = result.copy()
 
@@ -475,24 +484,22 @@ class ResultCache:
     #: Blob name under which algorithm artifacts are stored.
     ALGORITHM_ARTIFACT = "algorithm"
 
-    def put_algorithm(
-        self, spec: "RunSpec", algorithm: "CollectiveAlgorithm", *, _key: Optional[str] = None
-    ) -> None:
+    def put_algorithm(self, spec: "RunSpec", algorithm: "CollectiveAlgorithm") -> None:
         """Persist a synthesized algorithm under the spec hash (:func:`encode_algorithm`).
 
         A no-op without a disk store (the in-memory layer caches results, not
-        algorithms).  ``_key`` is internal, as for :meth:`get`.
+        algorithms).
         """
         if self.store is None:
             return
-        key = self._key_of(spec, _key)
+        key = self._key_of(spec)
         self.store.write_blob(key, self.ALGORITHM_ARTIFACT, encode_algorithm(algorithm))
 
     def load_algorithm(self, spec: "RunSpec") -> Optional["CollectiveAlgorithm"]:
         """Rebuild the stored algorithm for ``spec``, or ``None`` when absent or corrupt."""
         if self.store is None:
             return None
-        key = self._key_of(spec, None)
+        key = self._key_of(spec)
         data = self.store.read_blob(key, self.ALGORITHM_ARTIFACT)
         if data is None:
             return None

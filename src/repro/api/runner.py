@@ -134,11 +134,9 @@ class RunResult:
 
         ``spec`` replaces the stored spec when the caller already holds an
         equal one (a cache hit is addressed by its spec's hash), and then
-        ``data`` needs no ``spec`` section.  Like :meth:`copy`, no
-        ``__init__`` runs: the fields go into the instance ``__dict__``.
+        ``data`` needs no ``spec`` section.
         """
-        result = object.__new__(cls)
-        result.__dict__.update(
+        return cls(
             spec=RunSpec.from_dict(data["spec"]) if spec is None else spec,
             algorithm=data["algorithm"],
             topology=data["topology"],
@@ -150,9 +148,7 @@ class RunResult:
             synthesis_seconds=data.get("synthesis_seconds"),
             extras=dict(data.get("extras", {})),
             trial_stats=data.get("trial_stats"),
-            cached=False,
         )
-        return result
 
     def summary(self) -> str:
         """One-line human summary of the result."""
@@ -258,25 +254,24 @@ def run(spec: RunSpec, *, cache: Optional[ResultCache] = None) -> RunResult:
     persisted alongside the result (``ResultCache.put_algorithm``), so later
     sessions — and concurrent sweep workers sharing the cache directory —
     can reload the actual algorithm, not just its timing summary.  The
-    lookup, the result and the algorithm share one key: the spec is hashed
-    once.
+    lookup, the result and the algorithm share one key: the cache hashes
+    the spec once.
     """
-    return _run(spec, cache, None if cache is None else spec.spec_hash())
+    return _run(spec, cache)
 
 
 def _run(
     spec: RunSpec,
     cache: Optional[ResultCache],
-    key: Optional[str],
     topologies: Optional[Dict[TopologySpec, Topology]] = None,
 ) -> RunResult:
-    """:func:`run` with ``key`` = ``spec.spec_hash()`` already computed by the caller.
+    """:func:`run`, with ``topologies`` a batch's memo of built topologies.
 
-    ``topologies`` is a batch's memo of built topologies by topology spec:
-    a miss builds its topology once per batch, a hit never does.
+    The memo is keyed by topology spec and holds the last topology built:
+    a miss reuses it when its topology spec is equal, a hit never builds.
     """
     if cache is not None:
-        hit = cache.get(spec, _key=key)
+        hit = cache.get(spec)
         if hit is not None:
             return hit
 
@@ -285,6 +280,10 @@ def _run(
     else:
         topology = topologies.get(spec.topology)
         if topology is None:
+            # One topology at a time: its derived tables grow with each
+            # message size the batch asks for, so a batch keeps no more of
+            # them alive than one run does.
+            topologies.clear()
             topology = topologies[spec.topology] = build_topology(spec.topology)
     pattern = build_collective(spec.collective, topology.num_npus)
     collective_size = spec.collective.collective_size
@@ -309,43 +308,43 @@ def _run(
         trial_stats=artifact.trial_stats,
     )
     if cache is not None:
-        cache.put(result, _key=key)
+        cache.put(result)
         if artifact.algorithm is not None:
-            cache.put_algorithm(spec, artifact.algorithm, _key=key)
+            cache.put_algorithm(spec, artifact.algorithm)
     return result
 
 
 def _run_one(
     spec: RunSpec,
-    key: str,
     cache: Optional[ResultCache],
     return_exceptions: bool,
     topologies: Dict[TopologySpec, Topology],
 ) -> Any:
     """Run one batch spec; a :class:`ReproError` becomes the result on request."""
     if not return_exceptions:
-        return _run(spec, cache, key, topologies)
+        return _run(spec, cache, topologies)
     try:
-        return _run(spec, cache, key, topologies)
+        return _run(spec, cache, topologies)
     except ReproError as exc:
         return exc
 
 
 def _run_spec_chunk(
-    cache_directory: Optional[str], return_exceptions: bool, items: List[Tuple[str, RunSpec]]
+    cache_directory: Optional[str], return_exceptions: bool, specs: List[RunSpec]
 ) -> List[Any]:
     """Chunked batch work item: one task pickle per spec *chunk*, not per spec.
 
-    Each item is a ``(key, spec)`` pair, the key hashed once by the parent.
-    The worker opens one :class:`ResultCache` for the whole chunk, so a
+    The worker opens one :class:`ResultCache` for the whole chunk (which
+    hashes each unpickled spec once, as any cache does), so a
     chunk's specs share the in-memory layer on top of the shared on-disk
-    store, and one topology memo, so they build each topology once.
+    store, and one topology memo, so consecutive specs on one topology
+    build it once.
     Results come back as a list in chunk order — concatenation in the
     parent reproduces the per-spec order exactly.
     """
     cache = ResultCache(cache_directory) if cache_directory is not None else None
     topologies: Dict[TopologySpec, Topology] = {}
-    return [_run_one(spec, key, cache, return_exceptions, topologies) for key, spec in items]
+    return [_run_one(spec, cache, return_exceptions, topologies) for spec in specs]
 
 
 def run_batch(
@@ -362,9 +361,10 @@ def run_batch(
     process pool of that width, kept warm across batches
     (:func:`~repro.api.parallel.map_parallel`); otherwise they run in a
     plain loop.  Results are identical either way: specs are deterministic
-    and order is restored from the input.  Specs that miss the cache and
-    share a topology spec share one built :class:`Topology` (and its
-    derived tables), built when the first of them needs it.
+    and order is restored from the input.  Consecutive specs that miss the
+    cache and share a topology spec share one built :class:`Topology` (and
+    its derived tables), built when the first of them needs it; the batch
+    holds only the last topology it built.
 
     With the pool, worker processes share the cache through
     its on-disk artifact store (the in-memory layer is per-process); specs
@@ -383,9 +383,9 @@ def run_batch(
     for spec in specs:
         if not isinstance(spec, RunSpec):
             raise SpecError(f"run_batch expects RunSpec items, got {type(spec).__name__}")
-        # The dedupe key is the store key: it travels with the spec, so no
-        # later layer hashes the spec again.
-        key = spec.spec_hash()
+        # The dedupe key is the store key; the cache remembers it for this
+        # spec object, so its reads and writes do not hash the spec again.
+        key = spec.spec_hash() if cache is None else cache._key_of(spec)
         if key not in index_of:
             index_of[key] = len(unique)
             unique.append((key, spec))
@@ -394,7 +394,7 @@ def run_batch(
     if workers is None or workers <= 1:
         topologies: Dict[TopologySpec, Topology] = {}
         results: List[Any] = [
-            _run_one(spec, key, cache, return_exceptions, topologies) for key, spec in unique
+            _run_one(spec, cache, return_exceptions, topologies) for _, spec in unique
         ]
     else:
         # Serve what the calling cache already holds (its in-memory layer is
@@ -403,8 +403,8 @@ def run_batch(
         pending = list(range(len(unique)))
         if cache is not None:
             pending = []
-            for index, (key, spec) in enumerate(unique):
-                hit = cache.get(spec, _key=key)
+            for index, (_, spec) in enumerate(unique):
+                hit = cache.get(spec)
                 if hit is not None:
                     results[index] = hit
                 else:
@@ -418,7 +418,7 @@ def run_batch(
             # Chunked submission (order-preserving, see chunk_items): the
             # per-task IPC overhead is amortized over each chunk, which is
             # what makes the warm pool's dispatch cost thin.
-            chunks = chunk_items([unique[index] for index in pending], workers)
+            chunks = chunk_items([unique[index][1] for index in pending], workers)
             computed_chunks = map_parallel(
                 partial(_run_spec_chunk, directory, return_exceptions),
                 chunks,
@@ -430,11 +430,13 @@ def run_batch(
                 # Fold worker results into the calling cache's memory layer
                 # so subsequent same-process lookups hit without re-reading
                 # disk; the workers' own caches already persisted the disk
-                # entries (when a directory exists).
+                # entries (when a directory exists).  A worker's result holds
+                # an unpickled copy of the spec: give it the caller's, whose
+                # key the cache already holds.
                 if cache is not None and isinstance(result, RunResult):
-                    key = unique[index][0]
+                    result.spec = unique[index][1]
                     if cache.directory is None:
-                        cache.put(result, _key=key)
+                        cache.put(result)
                     else:
-                        cache.absorb(result, _key=key)
+                        cache.absorb(result)
     return [results[position] for position in positions]

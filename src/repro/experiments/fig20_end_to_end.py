@@ -10,7 +10,7 @@ result, split into compute and exposed communication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.specs import RunSpec
 from repro.core.config import SynthesisConfig
@@ -21,7 +21,7 @@ from repro.workloads.models import ModelConfig, get_model
 from repro.workloads.parallelism import ParallelismStrategy
 from repro.workloads.training import TrainingBreakdown, training_iteration_time
 
-__all__ = ["Fig20Row", "run", "collective_time_provider", "training_breakdowns"]
+__all__ = ["Fig20Row", "run", "training_breakdowns"]
 
 
 @dataclass
@@ -57,43 +57,6 @@ def _all_reduce_spec(
     )
 
 
-def _provider(all_reduce_time: Callable[[float], float]) -> Callable[[str, float], float]:
-    """A ``(pattern, size) -> seconds`` provider over an All-Reduce timer.
-
-    All-Gather / Reduce-Scatter requests are served as half an All-Reduce,
-    matching their traffic volume.
-    """
-
-    def provider(pattern: str, size: float) -> float:
-        if pattern == "AllReduce":
-            return all_reduce_time(size)
-        return all_reduce_time(size) / 2.0
-
-    return provider
-
-
-def collective_time_provider(
-    algorithm: str,
-    topology: Topology,
-    dims: Sequence[int],
-    *,
-    chunks_per_npu: int = 2,
-    synthesis_config: Optional[SynthesisConfig] = None,
-) -> Callable[[str, float], float]:
-    """Build a ``(pattern, size) -> seconds`` provider for one algorithm.
-
-    Only All-Reduce is needed by the data-parallel workloads of Fig. 20/21;
-    All-Gather / Reduce-Scatter requests are served as half an All-Reduce,
-    matching their traffic volume.  Each request runs its own spec.
-    """
-
-    def all_reduce_time(size: float) -> float:
-        spec = _all_reduce_spec(algorithm, topology, dims, size, chunks_per_npu, synthesis_config)
-        return measure([spec])[0].collective_time
-
-    return _provider(all_reduce_time)
-
-
 #: One training breakdown to compute: model, strategy, algorithm, topology, dims.
 Cell = Tuple[ModelConfig, ParallelismStrategy, str, Topology, Sequence[int]]
 
@@ -106,11 +69,12 @@ def training_breakdowns(
 ) -> List[TrainingBreakdown]:
     """The training breakdown of each cell, its collectives run as one batch.
 
-    Equal to :func:`training_iteration_time` with a
-    :func:`collective_time_provider` per cell, but every cell's All-Reduces
-    go through one :func:`measure` call, so the cells on one topology build
-    it once (:func:`~repro.api.run_batch` shares a topology between the
-    specs that need it).
+    Only All-Reduce is run: the data-parallel workloads of Fig. 20/21 need
+    no other, and All-Gather / Reduce-Scatter requests are served as half an
+    All-Reduce, matching their traffic volume.  Every cell's All-Reduces go
+    through one :func:`measure` call, so the cells on one topology build it
+    once (:func:`~repro.api.run_batch` shares a topology between the specs
+    that need it).
     """
     sized = [
         {
@@ -122,11 +86,15 @@ def training_breakdowns(
         for model, strategy, algorithm, topology, dims in cells
     ]
     measured = iter(measure([spec for specs in sized for spec in specs.values()]))
-    times = [{size: next(measured).collective_time for size in specs} for specs in sized]
-    return [
-        training_iteration_time(model, strategy, _provider(timed.__getitem__))
-        for (model, strategy, _, _, _), timed in zip(cells, times)
-    ]
+    breakdowns: List[TrainingBreakdown] = []
+    for (model, strategy, _, _, _), specs in zip(cells, sized):
+        timed = {size: next(measured).collective_time for size in specs}
+
+        def provider(pattern: str, size: float, timed: Dict[float, float] = timed) -> float:
+            return timed[size] if pattern == "AllReduce" else timed[size] / 2.0
+
+        breakdowns.append(training_iteration_time(model, strategy, provider))
+    return breakdowns
 
 
 def run(

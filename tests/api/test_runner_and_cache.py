@@ -195,7 +195,7 @@ def _timings(results):
 
 
 class TestBatchTopologyMemo:
-    """A batch builds each topology once, on the first miss that needs it."""
+    """A batch builds a topology on the first miss that needs it and keeps the last one built."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -240,10 +240,18 @@ class TestBatchTopologyMemo:
 
     def test_a_pool_chunk_builds_each_topology_once(self, built):
         specs = self._specs()
-        items = [(spec.spec_hash(), spec) for spec in specs]
-        results = runner._run_spec_chunk(None, False, items)
+        results = runner._run_spec_chunk(None, False, specs)
         assert built == [specs[0].topology, specs[3].topology]
         assert _timings(results) == _timings([run(spec) for spec in specs])
+
+    def test_the_batch_holds_only_the_last_topology_built(self, built):
+        # A topology's derived tables grow with each message size asked for,
+        # so a batch keeps one topology alive at a time, as a single run does.
+        specs = self._specs()
+        interleaved = [specs[0], specs[3], specs[1], specs[4]]
+        results = run_batch(interleaved)
+        assert built == [spec.topology for spec in interleaved]
+        assert _timings(results) == _timings([run(spec) for spec in interleaved])
 
     def test_single_runs_build_every_time(self, built):
         spec = ring_spec(algorithm="ring", collective="all_reduce")

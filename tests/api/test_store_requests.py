@@ -92,8 +92,11 @@ class TestOneHashPerRequest:
         specs = _sweep()
         run_batch(specs, cache=ResultCache(tmp_path))
         hashed.clear()
-        run_batch(specs + specs[:2], cache=ResultCache(tmp_path))
-        assert len(hashed) == len(specs) + 2
+        twins = _sweep()[:2]  # equal to specs[:2], but new objects
+        results = run_batch(specs + specs[:2] + twins, cache=ResultCache(tmp_path))
+        # A repeated object is hashed once; an equal new object once more.
+        assert hashed == specs + twins
+        assert results[6:8] == results[8:10] == results[:2]
 
     @pytest.mark.parametrize("algorithm", ["tacos", "ring"])
     def test_a_run_miss_hashes_once_for_get_put_and_put_algorithm(
@@ -145,6 +148,30 @@ class TestOneHashPerRequest:
         assert hashed == []
         assert sum(algorithm is not None for algorithm in loaded) == 2
 
+    def test_a_pool_run_batch_folds_results_without_hashing_again(self, tmp_path, hashed):
+        specs = _sweep()
+        cache = ResultCache(tmp_path)
+        cold = run_batch(specs, cache=cache, workers=2)
+        assert hashed == specs  # the workers' own caches hash in their processes
+        assert all(result.spec is spec for result, spec in zip(cold, specs))
+        hashed.clear()
+        assert run_batch(specs, cache=cache) == cold
+        assert hashed == [] and cache.hits == len(specs)
+
+    def test_the_key_memo_is_bounded_by_the_stored_results(self, tmp_path, monkeypatch, hashed):
+        # A long-lived cache fed new but equal spec objects keeps at most
+        # KEY_MEMO_SLACK of them beyond one per stored result, then starts over.
+        monkeypatch.setattr(ResultCache, "KEY_MEMO_SLACK", 3)
+        cache = ResultCache()
+        kept = _spec("ring")
+        run(kept, cache=cache)
+        for _ in range(10):
+            assert cache.get(_spec("ring")) is not None
+            assert len(cache._keys) <= len(cache) + 3
+        hashed.clear()
+        cache.get(kept)
+        assert hashed == [kept]  # the memo started over, so ``kept`` is hashed anew
+
     def test_an_equal_spec_object_is_hashed_again(self, tmp_path, hashed):
         # The memo is by identity: an equal spec built anew is a new object.
         spec, twin = _spec(), _spec()
@@ -155,16 +182,16 @@ class TestOneHashPerRequest:
         assert cache.get(spec) is not None and cache.get(twin) is not None
         assert len(hashed) == 2 and hashed[0] is spec and hashed[1] is twin
 
-    def test_only_the_cache_reads_and_writes_take_an_internal_key(self):
+    def test_the_key_memo_is_the_only_way_a_key_reaches_the_cache(self):
+        # No read or write takes a key: each one looks the spec up in the
+        # cache's memo, so there is no second path that could disagree.
         for function in (
             ResultCache.get,
             ResultCache.put,
             ResultCache.absorb,
             ResultCache.put_algorithm,
         ):
-            parameter = inspect.signature(function).parameters["_key"]
-            assert parameter.kind is inspect.Parameter.KEYWORD_ONLY, function
-            assert parameter.default is None, function
+            assert "_key" not in inspect.signature(function).parameters, function
         assert list(inspect.signature(run).parameters) == ["spec", "cache"]
         assert list(inspect.signature(ResultCache.load_algorithm).parameters) == [
             "self",
